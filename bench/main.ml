@@ -185,7 +185,7 @@ let extension_second_kernel () =
 
 (* ------------------------------------------------------------------ *)
 (* Simulation engines: levelized batch (Hw.Compile, behind Hw.Sim) vs   *)
-(* the retained cone engine (Hw.Cone) and reference interpreter         *)
+(* the reference interpreter                                            *)
 (* ------------------------------------------------------------------ *)
 
 type engine_row = {
@@ -193,7 +193,6 @@ type engine_row = {
   er_nodes : int;          (* netlist nodes *)
   er_compiled : int;       (* instructions in the levelized schedule *)
   er_ref_cps : float;      (* reference interpreter, cycles/sec *)
-  er_cone_cps : float;     (* retained cone engine, cycles/sec *)
   er_level_cps : float;    (* levelized engine at batch 1, cycles/sec *)
   er_batch : int;          (* lanes in the batched run *)
   er_batch_cps : float;    (* levelized batched, aggregate lane-cycles/sec *)
@@ -227,7 +226,7 @@ let drive ~set ~get ~step (c : Hw.Netlist.t) cycles =
 
 (* Every lane driven with its own salted stream; only lane 0's outputs are
    folded into the checksum (the per-lane streams are cross-checked by
-   Equiv.crosscheck_batch before any timing runs). *)
+   the batched Equiv.crosscheck before any timing runs). *)
 let drive_batch sim (c : Hw.Netlist.t) cycles =
   let ins = List.map fst c.Hw.Netlist.inputs
   and outs = List.map fst c.Hw.Netlist.outputs in
@@ -277,7 +276,7 @@ let measure_engines name c =
       failwith
         (Format.asprintf "engine crosscheck failed on %s: %a" name
            Hw.Equiv.pp_result r));
-  (match Hw.Equiv.crosscheck_batch ~cycles:128 ~lanes:bench_batch c with
+  (match Hw.Equiv.crosscheck ~cycles:128 ~lanes:bench_batch c with
   | Hw.Equiv.Equivalent -> ()
   | r ->
       failwith
@@ -287,12 +286,6 @@ let measure_engines name c =
     let itp = Hw.Interp.create c in
     drive ~set:(Hw.Interp.set itp) ~get:(Hw.Interp.get itp)
       ~step:(fun () -> Hw.Interp.step itp)
-      c n
-  in
-  let run_cone n =
-    let sim = Hw.Cone.create c in
-    drive ~set:(Hw.Cone.set sim) ~get:(Hw.Cone.get sim)
-      ~step:(fun () -> Hw.Cone.step sim)
       c n
   in
   let run_level n =
@@ -306,13 +299,11 @@ let measure_engines name c =
      batched run's lane 0) must fold the identical output stream. *)
   let check_cycles = 2048 in
   let _, ref_sum = run_ref check_cycles in
-  let _, cone_sum = run_cone check_cycles in
   let _, level_sum = run_level check_cycles in
   let _, batch_sum = run_batch check_cycles in
-  if not (cone_sum = ref_sum && level_sum = ref_sum && batch_sum = ref_sum)
+  if not (level_sum = ref_sum && batch_sum = ref_sum)
   then failwith (Printf.sprintf "engine checksum mismatch on %s" name);
   let ref_cps = time_cps run_ref in
-  let cone_cps = time_cps run_cone in
   let level_cps = time_cps run_level in
   (* Aggregate throughput: each batched step advances [bench_batch] lanes. *)
   let batch_cps = time_cps run_batch *. float_of_int bench_batch in
@@ -321,7 +312,6 @@ let measure_engines name c =
     er_nodes = Hw.Netlist.num_nodes c;
     er_compiled = Hw.Compile.compiled_nodes (Hw.Compile.create c);
     er_ref_cps = ref_cps;
-    er_cone_cps = cone_cps;
     er_level_cps = level_cps;
     er_batch = bench_batch;
     er_batch_cps = batch_cps;
@@ -342,17 +332,16 @@ let sim_engine_rows () =
   List.map (fun (name, c) -> measure_engines name c) [ verilog; bambu_largest ]
 
 let render_engine_rows rows =
-  Printf.printf "%-18s %7s %8s %12s %12s %12s %14s %9s %9s\n" "design" "nodes"
-    "compiled" "ref cyc/s" "cone cyc/s" "level cyc/s"
+  Printf.printf "%-18s %7s %8s %12s %12s %14s %9s\n" "design" "nodes"
+    "compiled" "ref cyc/s" "level cyc/s"
     (Printf.sprintf "batch%d lc/s" bench_batch)
-    "lvl/ref" "bat/cone";
+    "lvl/ref";
   List.iter
     (fun r ->
-      Printf.printf "%-18s %7d %8d %12.0f %12.0f %12.0f %14.0f %8.2fx %8.2fx\n"
-        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_cone_cps
-        r.er_level_cps r.er_batch_cps
-        (r.er_level_cps /. r.er_ref_cps)
-        (r.er_batch_cps /. r.er_cone_cps))
+      Printf.printf "%-18s %7d %8d %12.0f %12.0f %14.0f %8.2fx\n"
+        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_level_cps
+        r.er_batch_cps
+        (r.er_level_cps /. r.er_ref_cps))
     rows
 
 (* The perf trajectory across PRs, per design: what the recorded engine of
@@ -370,13 +359,11 @@ let write_engine_json path rows =
     (fun i r ->
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"nodes\": %d, \"compiled_nodes\": %d, \
-         \"reference_cps\": %.1f, \"cone_cps\": %.1f, \"level_cps\": %.1f, \
-         \"batch\": %d, \"batch_lane_cps\": %.1f, \"speedup_vs_reference\": \
-         %.3f, \"batch_speedup_vs_cone\": %.3f}%s\n"
-        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_cone_cps
-        r.er_level_cps r.er_batch r.er_batch_cps
+         \"reference_cps\": %.1f, \"level_cps\": %.1f, \"batch\": %d, \
+         \"batch_lane_cps\": %.1f, \"speedup_vs_reference\": %.3f}%s\n"
+        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_level_cps
+        r.er_batch r.er_batch_cps
         (r.er_level_cps /. r.er_ref_cps)
-        (r.er_batch_cps /. r.er_cone_cps)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ],\n  \"trajectory\": [\n";
@@ -392,11 +379,6 @@ let write_engine_json path rows =
              \"cps\": %.1f, \"speedup_vs_reference\": %.3f},\n"
             r.er_name cps speedup
       | None -> ());
-      Printf.fprintf oc
-        "    {\"design\": \"%s\", \"engine\": \"cone (this run)\", \"cps\": \
-         %.1f, \"speedup_vs_reference\": %.3f},\n"
-        r.er_name r.er_cone_cps
-        (r.er_cone_cps /. r.er_ref_cps);
       Printf.fprintf oc
         "    {\"design\": \"%s\", \"engine\": \"levelized batch=1\", \
          \"cps\": %.1f, \"speedup_vs_reference\": %.3f},\n"
@@ -414,8 +396,7 @@ let write_engine_json path rows =
 
 let sim_engines () =
   section
-    "Simulation engines: levelized batch (Hw.Sim) vs cone engine vs \
-     reference interpreter";
+    "Simulation engines: levelized batch (Hw.Sim) vs reference interpreter";
   let rows = sim_engine_rows () in
   render_engine_rows rows;
   write_engine_json "BENCH_sim.json" rows
@@ -439,7 +420,6 @@ let force_all_circuits () =
     Core.Design.all_tools
 
 let timed_fig1 jobs =
-  Core.Fig1.clear_cache ();
   Core.Evaluate.clear_measure_cache ();
   let t0 = Unix.gettimeofday () in
   let series = Core.Fig1.compute ~jobs () in
@@ -539,7 +519,6 @@ let dse_rows () =
      all 100 candidates.  The budgeted strategies then run warm, so their
      cache-hit rate shows how much of a search revisits known ground. *)
   Core.Evaluate.clear_measure_cache ();
-  Core.Fig1.clear_cache ();
   (* explicit lets: a list literal would evaluate right-to-left and run
      the budgeted strategies before the cold exhaustive pass *)
   let exhaustive = timed Dse.Strategy.Exhaustive ~seed:0 () in
@@ -686,7 +665,8 @@ let kernels_bench () =
 
 (* Two sides of lib/transfo worth tracking: how fast a verified script
    runs (every step discharges its obligation AND crosschecks the result
-   through three engines, so this is really a verification benchmark),
+   against the reference interpreter, so this is really a verification
+   benchmark),
    and what the flagship delayed transformation buys — the fmax of the
    IDCT row datapath before and after [retime 4] under the xcvu9p delay
    model. *)
@@ -719,7 +699,7 @@ let transfo_bench () =
   let ta = Hw.Timing.analyze Hw.Device.xcvu9p after in
   let speedup = ta.Hw.Timing.fmax_mhz /. tb.Hw.Timing.fmax_mhz in
   Printf.printf
-    "verified script %S: %d steps in %.3fs (%.1f steps/s, 3-way \
+    "verified script %S: %d steps in %.3fs (%.1f steps/s, \
      crosscheck included)\n"
     (Transfo.Script.to_string script)
     !steps apply_s steps_per_sec;

@@ -638,8 +638,9 @@ let transfo_cmd =
           ~doc:
             "Semicolon-separated transformation sequence, e.g. \
              $(b,\"retime 2; strength_reduce\").  Every step is verified \
-             against its obligation and crosschecked through all three \
-             simulation engines before the next one runs.")
+             against its obligation and its result crosschecked \
+             (levelized simulator against the reference interpreter) \
+             before the next one runs.")
   in
   let subject_opt =
     Arg.(

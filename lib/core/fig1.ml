@@ -7,20 +7,6 @@ type point = {
 
 type series = { tool : Design.tool; points : point list }
 
-(* Series cache, shared across domains once [compute] fans out: every
-   access goes through [cache_lock].  Keyed by (kernel, tool): each
-   kernel's series are cached independently. *)
-let cache : (string * Design.tool, series) Hashtbl.t = Hashtbl.create 8
-let cache_lock = Mutex.create ()
-
-let cache_find kname tool =
-  Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache (kname, tool))
-
-let cache_store kname tool s =
-  Mutex.protect cache_lock (fun () -> Hashtbl.replace cache (kname, tool) s)
-
-let clear_cache () = Mutex.protect cache_lock (fun () -> Hashtbl.reset cache)
-
 let point_of (d : Design.t) (m : Metrics.measured) =
   {
     label = d.Design.label;
@@ -29,21 +15,24 @@ let point_of (d : Design.t) (m : Metrics.measured) =
     fmax_mhz = m.Metrics.fmax_mhz;
   }
 
-(* One flat work list across every uncached tool — ~100 independent
-   measurements for the full figure — mapped over the domain pool in one
-   batch so a tool with few configurations does not leave domains idle.
-   [Parallel.map] preserves input order, so regrouping by sweep length
-   reassembles each tool's series exactly as the sequential path built
-   them. *)
+(* One flat work list across every tool — ~100 independent measurements
+   for the full figure — mapped over the domain pool in one batch so a
+   tool with few configurations does not leave domains idle.  Each item
+   carries the index of its series; [Parallel.map] preserves input order,
+   so filtering by index reassembles each tool's series exactly as the
+   sequential path built them. *)
 let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
   let spec = Kernel.spec kernel in
-  let kname = Kernel.name kernel in
   let tools =
     match tools with Some ts -> ts | None -> Kernel.tools kernel
   in
-  let missing = List.filter (fun t -> cache_find kname t = None) tools in
-  let sweeps = List.map (fun t -> (t, Kernel.sweep kernel t)) missing in
-  let designs = List.concat_map snd sweeps in
+  let work =
+    List.concat
+      (List.mapi
+         (fun i t -> List.map (fun d -> (i, d)) (Kernel.sweep kernel t))
+         tools)
+  in
+  let designs = List.map snd work in
   (* Fail-fast measures on [Parallel.map] (first failure aborts the
      batch, byte-identical to the historical path); keep-going measures
      on [Parallel.map_result] so every surviving point is kept and each
@@ -56,44 +45,25 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
         (fun m -> Ok m)
         (Evaluate.measure_all ?jobs ~matrices:3 ~spec designs)
   in
-  let failures = ref [] in
-  let rec regroup sweeps outcomes acc =
-    match sweeps with
-    | [] -> List.rev acc
-    | (tool, sweep) :: rest ->
-        let rec take k acc = function
-          | ms when k = 0 -> (List.rev acc, ms)
-          | m :: ms -> take (k - 1) (m :: acc) ms
-          | [] -> assert false
-        in
-        let ms, outcomes = take (List.length sweep) [] outcomes in
-        let points =
-          List.concat
-            (List.map2
-               (fun d -> function
-                 | Ok m -> [ point_of d m ]
-                 | Error (err : Flow.error) ->
-                     failures := err :: !failures;
-                     [])
-               sweep ms)
-        in
-        let s = { tool; points } in
-        (* Only complete series enter the cache: a series missing failed
-           points must not shadow a later fault-free run. *)
-        if List.length points = List.length sweep then cache_store kname tool s;
-        regroup rest outcomes ((tool, s) :: acc)
-  in
-  let fresh = regroup sweeps outcomes [] in
+  let results = List.combine work outcomes in
   let series =
-    List.map
-      (fun t ->
-        match List.assoc_opt t fresh with
-        | Some s -> s
-        | None -> (
-            match cache_find kname t with Some s -> s | None -> assert false))
+    List.mapi
+      (fun i tool ->
+        let points =
+          List.filter_map
+            (function
+              | (j, d), Ok m when j = i -> Some (point_of d m) | _ -> None)
+            results
+        in
+        { tool; points })
       tools
   in
-  (series, List.rev !failures)
+  let failures =
+    List.filter_map
+      (function _, Error (e : Flow.error) -> Some e | _, Ok _ -> None)
+      results
+  in
+  (series, failures)
 
 let compute ?jobs ?tools ?kernel () =
   fst (compute_outcomes ?jobs ?tools ?kernel ~keep_going:false ())
@@ -204,8 +174,10 @@ let render_series ?(kernel = Kernel.idct) series =
     pr "|%s|\n" (String.init w (fun c -> grid.(r).(c)))
   done;
   pr "%s\n" (String.make (w + 2) '-');
-  pr "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
-    (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y);
+  if all = [] then pr "area: no points   throughput: no points\n"
+  else
+    pr "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
+      (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y);
   Buffer.contents buf
 
 let render ?jobs ?tools ?kernel () =

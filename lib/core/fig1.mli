@@ -21,9 +21,10 @@ val compute :
   series list
 (** Measures every sweep configuration of [kernel] (default the paper's
     IDCT) on the domain pool ({!Parallel.map}; [jobs] defaults to
-    {!Parallel.default_jobs}) and caches the finished series per
-    (kernel, tool).  The result is deterministic: the same series, point
-    for point, for any job count. *)
+    {!Parallel.default_jobs}).  Nothing is cached here: a repeated call
+    re-reads every point from the {!Evaluate} memo.  The result is
+    deterministic: the same series, point for point, for any job
+    count. *)
 
 val compute_result :
   ?jobs:int ->
@@ -33,13 +34,7 @@ val compute_result :
   series list * Flow.error list
 (** The keep-going sweep ({!Evaluate.measure_all_result}): failed points
     are dropped from their series and returned as typed errors in sweep
-    order; every surviving point is identical to the fail-fast run.
-    Series with failures are not cached, so a later fault-free run
-    recomputes them in full. *)
-
-val clear_cache : unit -> unit
-(** Drop the per-tool series cache (tests and benchmarks).  Memoized
-    measurements survive; see {!Evaluate.clear_measure_cache}. *)
+    order; every surviving point is identical to the fail-fast run. *)
 
 val points :
   ?jobs:int ->
@@ -61,7 +56,9 @@ val write_json :
 val render_series :
   ?kernel:(module Kernel.KERNEL) -> series list -> string
 (** Render an already-computed series list (data table + scatter);
-    [kernel] supplies the axis caption and legend. *)
+    [kernel] supplies the axis caption and legend.  When no point is
+    left (every design failed under keep-going), the axis-range line
+    reads ["no points"] instead of infinite bounds. *)
 
 val render :
   ?jobs:int ->

@@ -219,6 +219,26 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
                  })
               bt)
   in
+  (* One metrics assembly for both implementation kinds: the synthesis
+     report supplies the resource counts, each branch the five values its
+     own simulation or system model determines. *)
+  let metrics (rep : Hw.Synth.report) ~fmax_mhz ~throughput_mops ~latency
+      ~periodicity ~ios =
+    stage "metrics" (fun () ->
+        {
+          Metrics.fmax_mhz;
+          throughput_mops;
+          latency;
+          periodicity;
+          area = rep.Hw.Synth.area;
+          luts_nodsp = rep.Hw.Synth.luts_nodsp;
+          ffs_nodsp = rep.Hw.Synth.ffs_nodsp;
+          luts = rep.Hw.Synth.luts;
+          ffs = rep.Hw.Synth.ffs;
+          dsps = rep.Hw.Synth.dsps;
+          ios;
+        })
+  in
   match d.Design.impl with
   | Design.Stream circuit ->
       let circuit =
@@ -284,21 +304,11 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
         stage "synthesize" (fun () ->
             Hw.Synth.run ~hook:Trace.add_counter circuit)
       in
-      stage "metrics" (fun () ->
-          {
-            Metrics.fmax_mhz = rep.Hw.Synth.fmax_mhz;
-            throughput_mops =
-              rep.Hw.Synth.fmax_mhz /. float_of_int r.Axis.Driver.periodicity;
-            latency = r.Axis.Driver.latency;
-            periodicity = r.Axis.Driver.periodicity;
-            area = rep.Hw.Synth.area;
-            luts_nodsp = rep.Hw.Synth.luts_nodsp;
-            ffs_nodsp = rep.Hw.Synth.ffs_nodsp;
-            luts = rep.Hw.Synth.luts;
-            ffs = rep.Hw.Synth.ffs;
-            dsps = rep.Hw.Synth.dsps;
-            ios = rep.Hw.Synth.ios;
-          })
+      metrics rep ~fmax_mhz:rep.Hw.Synth.fmax_mhz
+        ~throughput_mops:
+          (rep.Hw.Synth.fmax_mhz /. float_of_int r.Axis.Driver.periodicity)
+        ~latency:r.Axis.Driver.latency ~periodicity:r.Axis.Driver.periodicity
+        ~ios:rep.Hw.Synth.ios
   | Design.Pcie p ->
       let system =
         stage "elaborate" (fun () ->
@@ -324,17 +334,8 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
         stage "synthesize" (fun () ->
             Hw.Synth.run ~hook:Trace.add_counter system.Maxj.Manager.kernel)
       in
-      stage "metrics" (fun () ->
-          {
-            Metrics.fmax_mhz = r.Maxj.Manager.fmax_mhz;
-            throughput_mops = r.Maxj.Manager.throughput_mops;
-            latency = r.Maxj.Manager.latency_ticks;
-            periodicity = system.Maxj.Manager.ticks_per_op;
-            area = rep.Hw.Synth.area;
-            luts_nodsp = rep.Hw.Synth.luts_nodsp;
-            ffs_nodsp = rep.Hw.Synth.ffs_nodsp;
-            luts = rep.Hw.Synth.luts;
-            ffs = rep.Hw.Synth.ffs;
-            dsps = rep.Hw.Synth.dsps;
-            ios = Maxj.Manager.pcie_pins;
-          })
+      metrics rep ~fmax_mhz:r.Maxj.Manager.fmax_mhz
+        ~throughput_mops:r.Maxj.Manager.throughput_mops
+        ~latency:r.Maxj.Manager.latency_ticks
+        ~periodicity:system.Maxj.Manager.ticks_per_op
+        ~ios:Maxj.Manager.pcie_pins

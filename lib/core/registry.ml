@@ -131,9 +131,9 @@ let chisel_transfo_script = "fold_rows; fold_cols"
 
 (* The Chisel optimized design is RE-DERIVED, not hand-instantiated: the
    flat (initial) architecture plus the transformation script above, each
-   step discharged against its verification obligation and crosschecked
-   through all three simulation engines at force time.  The builder's
-   determinism makes the derived netlist node-identical to the
+   step discharged against its verification obligation and its result
+   crosschecked against the reference interpreter at force time.  The
+   builder's determinism makes the derived netlist node-identical to the
    hand-written [design_rowcol] ladder rung (pinned by a test), so every
    downstream artifact — Table II, Fig. 1, sweep, store digests — is
    byte-identical to the pre-derivation baseline. *)

@@ -15,38 +15,14 @@ type row = {
   flexibility : float;
 }
 
-let compute_row ~kernel ~spec verilog_initial_loc verilog_best_q tool =
-  let col d =
-    let m = Evaluate.measure ~spec d in
-    {
-      design = d;
-      measured = m;
-      loc = Design.loc d;
-      alpha =
-        Metrics.automation ~verilog_loc:verilog_initial_loc ~loc:(Design.loc d);
-      quality = Metrics.quality m;
-    }
-  in
-  let initial = col (Kernel.initial kernel tool) in
-  let optimized = col (Kernel.optimized kernel tool) in
-  let delta_l = Kernel.delta_loc kernel tool in
+let column ~anchor_loc (d : Design.t) m =
   {
-    tool;
-    initial;
-    optimized;
-    delta_l;
-    controllability =
-      Metrics.controllability ~best:optimized.quality
-        ~verilog_best:verilog_best_q;
-    flexibility =
-      Metrics.flexibility ~best:optimized.quality ~initial:initial.quality
-        ~delta_loc:delta_l;
+    design = d;
+    measured = m;
+    loc = Design.loc d;
+    alpha = Metrics.automation ~verilog_loc:anchor_loc ~loc:(Design.loc d);
+    quality = Metrics.quality m;
   }
-
-(* One memoized table per kernel; all access is from the caller's
-   domain (the fan-out happens inside measure_all), so a plain table
-   suffices, as the single ref did before. *)
-let computed : (string, row list) Hashtbl.t = Hashtbl.create 4
 
 let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
   let spec = Kernel.spec kernel in
@@ -60,79 +36,73 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
     | None -> kernel_tools
     | Some ts -> List.filter (fun t -> List.mem t ts) kernel_tools
   in
-  let restrict rows =
-    List.filter (fun r -> List.mem r.tool selected) rows
+  (* Measure every initial/optimized design on the domain pool, then
+     assemble the rows sequentially from the returned list.  Keep-going
+     measures with [measure_all_result] so one failed design costs its own
+     tool's column pair, not the table.  A [--tools] restriction still
+     measures the anchor pair: alpha and C_Q are normalized against it. *)
+  let measured_tools =
+    if List.mem anchor selected then selected else anchor :: selected
   in
-  match Hashtbl.find_opt computed (Kernel.name kernel) with
-  | Some rows -> (restrict rows, [])
-  | None ->
-      (* Warm the measurement cache over every initial/optimized design on
-         the domain pool; the sequential row construction below then reads
-         measurements back from the cache.  Keep-going warms with
-         [measure_all_result] so one failed design costs its own tool's
-         column pair, not the table.  A [--tools] restriction still warms
-         the anchor pair: alpha and C_Q are normalized against it. *)
-      let warm_tools =
-        if List.mem anchor selected then selected else anchor :: selected
-      in
-      let designs =
-        List.concat_map
-          (fun t -> [ Kernel.initial kernel t; Kernel.optimized kernel t ])
-          warm_tools
-      in
-      let failures =
-        if keep_going then
-          List.filter_map
-            (function Ok _ -> None | Error (e : Flow.error) -> Some e)
-            (Evaluate.measure_all_result ?jobs ~spec designs)
-        else begin
-          ignore (Evaluate.measure_all ?jobs ~spec designs);
-          []
-        end
-      in
-      let design_failed d =
-        List.exists
-          (fun (e : Flow.error) -> e.Flow.err_design = Flow.span_key d)
-          failures
-      in
-      let tool_ok tool =
-        (not (design_failed (Kernel.initial kernel tool)))
-        && not (design_failed (Kernel.optimized kernel tool))
-      in
-      let rows =
-        if not (tool_ok anchor) then
-          (* Every indicator is normalized against the anchor columns
-             (alpha, C_Q); without them there is no table to assemble. *)
-          []
-        else begin
-          let v_init = Kernel.initial kernel anchor in
-          let v_opt = Kernel.optimized kernel anchor in
-          (* The paper normalizes alpha by the Verilog LOC of the matching
-             configuration; we use the initial anchor LOC for the initial
-             columns and the optimized anchor LOC for the optimized ones.
-             The anchor optimum anchors C_Q at 100%. *)
-          let v_best_q = Metrics.quality (Evaluate.measure ~spec v_opt) in
-          List.filter_map
-            (fun tool ->
-              if not (tool_ok tool) then None
-              else
-                let r =
-                  compute_row ~kernel ~spec (Design.loc v_init) v_best_q tool
+  let designs =
+    List.concat_map
+      (fun t -> [ Kernel.initial kernel t; Kernel.optimized kernel t ])
+      measured_tools
+  in
+  let outcomes =
+    if keep_going then Evaluate.measure_all_result ?jobs ~spec designs
+    else List.map (fun m -> Ok m) (Evaluate.measure_all ?jobs ~spec designs)
+  in
+  let results = List.combine designs outcomes in
+  let rec by_tool ts rs =
+    match (ts, rs) with
+    | t :: ts, i :: o :: rs -> (t, (i, o)) :: by_tool ts rs
+    | _ -> []
+  in
+  let measured = by_tool measured_tools results in
+  let failures =
+    List.filter_map
+      (function _, Error (e : Flow.error) -> Some e | _, Ok _ -> None)
+      results
+  in
+  let rows =
+    match List.assoc anchor measured with
+    | (v_init, Ok _), (v_opt, Ok v_opt_m) ->
+        (* The paper normalizes alpha by the Verilog LOC of the matching
+           configuration; we use the initial anchor LOC for the initial
+           columns and the optimized anchor LOC for the optimized ones.
+           The anchor optimum anchors C_Q at 100%. *)
+        let v_best_q = Metrics.quality v_opt_m in
+        List.filter_map
+          (fun tool ->
+            match List.assoc tool measured with
+            | (di, Ok mi), (dopt, Ok mopt) ->
+                let initial = column ~anchor_loc:(Design.loc v_init) di mi in
+                let optimized =
+                  column ~anchor_loc:(Design.loc v_opt) dopt mopt
                 in
-                (* optimized-column alpha is against the optimized anchor *)
-                let opt_alpha =
-                  Metrics.automation ~verilog_loc:(Design.loc v_opt)
-                    ~loc:r.optimized.loc
-                in
+                let delta_l = Kernel.delta_loc kernel tool in
                 Some
-                  { r with optimized = { r.optimized with alpha = opt_alpha } })
-            selected
-        end
-      in
-      (* Only a complete, fault-free table enters the cache. *)
-      if failures = [] && tools = None then
-        Hashtbl.replace computed (Kernel.name kernel) rows;
-      (rows, failures)
+                  {
+                    tool;
+                    initial;
+                    optimized;
+                    delta_l;
+                    controllability =
+                      Metrics.controllability ~best:optimized.quality
+                        ~verilog_best:v_best_q;
+                    flexibility =
+                      Metrics.flexibility ~best:optimized.quality
+                        ~initial:initial.quality ~delta_loc:delta_l;
+                  }
+            | _ -> None)
+          selected
+    | _ ->
+        (* Every indicator is normalized against the anchor columns
+           (alpha, C_Q); without them there is no table to assemble. *)
+        []
+  in
+  (rows, failures)
 
 let compute ?jobs ?tools ?kernel () =
   fst (compute_outcomes ?jobs ?tools ?kernel ~keep_going:false ())

@@ -25,14 +25,14 @@ val compute :
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
   row list
-(** Measures every design of [kernel] (default the paper's IDCT; cached
-    per kernel after the first call).  The measurements are warmed on
-    the domain pool ({!Evaluate.measure_all}); the rows are then
-    assembled sequentially from the cache, so the result is identical
-    for any job count.  [tools] restricts the rows (registration order,
-    duplicates ignored); the anchor pair — the kernel's first registered
-    tool, Verilog for the IDCT — is still measured, since alpha and C_Q
-    are normalized against it.  Restricted tables are not cached. *)
+(** Measures every design of [kernel] (default the paper's IDCT) on the
+    domain pool ({!Evaluate.measure_all}, one [measure] per design), then
+    assembles the rows sequentially from the returned measurements, so
+    the result is identical for any job count.  Nothing is cached here:
+    a repeated call re-reads the {!Evaluate} memo.  [tools] restricts
+    the rows (registration order, duplicates ignored); the anchor pair —
+    the kernel's first registered tool, Verilog for the IDCT — is still
+    measured, since alpha and C_Q are normalized against it. *)
 
 val compute_result :
   ?jobs:int ->
@@ -45,7 +45,7 @@ val compute_result :
     the table; the failures come back as typed errors.  Because every
     indicator is normalized against the anchor columns, a failed
     anchor design yields no rows at all (the failures still report
-    every broken design).  Partial results are not memoized. *)
+    every broken design). *)
 
 val render :
   ?jobs:int ->

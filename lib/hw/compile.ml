@@ -12,18 +12,17 @@
    node-major ([uid * batch + lane]) and every instruction's inner loop
    evaluates all [batch] lanes, so one pass over the schedule advances B
    independent simulations of the same circuit.  Amortizing the dispatch
-   and operand-index loads over B lanes is what beats the retained
-   closure-specialized cone engine ({!Cone}) — and the lanes are exactly
-   the data-level parallelism of compliance/DSE workloads, where hundreds
+   and operand-index loads over B lanes pays off exactly where the
+   data-level parallelism is: compliance/DSE workloads, where hundreds
    of independent single-matrix runs share one netlist.
 
    There is no per-cycle dirty-cone bookkeeping: a whole-schedule sweep on
-   a dirty flag replaces {!Cone}'s cone queueing (under testbench drive
-   every input wiggles every cycle, so the cones covered the schedule
-   anyway and their merge cost was pure overhead).
+   a dirty flag is all (under testbench drive every input wiggles every
+   cycle, so fan-out cones would cover the schedule anyway and their
+   merge cost would be pure overhead).
 
-   Dead-logic elimination and concat-chain fusion are kept from the cone
-   engine: only nodes in the fan-in cone of an output, register input or
+   Dead-logic elimination and concat-chain fusion: only nodes in the
+   fan-in cone of an output, register input or
    memory write port are scheduled, and fanout-1 concat chains collapse
    into their apex (leaves gathered through a side table).  [peek] on an
    eliminated node falls back to per-lane on-demand evaluation memoized
@@ -154,7 +153,7 @@ let create ?(batch = 1) c =
           mark w.Netlist.w_data)
         m.Netlist.mem_writes)
     c.Netlist.mems;
-  (* Concat-tree fusion (as in {!Cone}): a live concat whose only consumer
+  (* Concat-tree fusion: a live concat whose only consumer
      is another live concat and which roots nothing else is absorbed into
      its consumer; the surviving apex reads the chain's leaves directly. *)
   let uses = Array.make n 0 and sole_user = Array.make n (-1) in

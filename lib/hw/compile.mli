@@ -14,10 +14,10 @@
     clock ({!step} advances every lane); they differ only in the inputs
     driven per lane and the state that evolves from them.
 
-    Dead-node elimination and concat-chain fusion are inherited from the
-    retained cone engine ({!Cone}); {!peek} of an eliminated node falls
-    back to per-lane on-demand evaluation.  {!Equiv.crosscheck} checks
-    this engine against both {!Interp} and {!Cone} on every design. *)
+    Dead nodes are eliminated and concat chains fused; {!peek} of an
+    eliminated node falls back to per-lane on-demand evaluation.
+    {!Equiv.crosscheck} checks this engine, lane by lane, against the
+    reference interpreter {!Interp}. *)
 
 type t
 

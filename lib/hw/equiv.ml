@@ -58,89 +58,16 @@ let wide_random rng =
       lor (Random.State.bits rng lsl 30)
       lor (Random.State.bits rng lsl 60)
 
-(* Random cross-check of all three simulation engines on ONE circuit: the
-   reference interpreter ([Interp]), the retained closure-specialized cone
-   engine ([Cone]) and the levelized batch engine ([Compile], which backs
-   [Sim], run here at batch 1).  Outputs and register state are compared
-   every cycle, every node (including logic the compiled engines
-   eliminated as dead) and all memory words at the end. *)
-let crosscheck ?(cycles = 1000) ?(seed = 7) (c : Netlist.t) =
-  let si = Interp.create c
-  and sk = Cone.create c
-  and sc = Compile.create c in
-  let rng = Random.State.make [| seed; 0x5eed |] in
-  let ins =
-    List.map
-      (fun (nm, u) -> (nm, (Netlist.node c u).Netlist.width))
-      c.Netlist.inputs
-  in
-  let outs = List.map fst c.Netlist.outputs in
-  let regs =
-    Array.to_list c.Netlist.nodes
-    |> List.filter Netlist.is_reg
-    |> List.map (fun (nd : Netlist.node) -> nd.Netlist.uid)
-  in
-  let result = ref Equivalent in
-  let fail cycle port a b =
-    result := Mismatch { cycle; port; a; b };
-    raise Exit
-  in
-  (* The interpreter value is the reference [a]; whichever engine strays
-     from it is [b], labelled so the culprit is identifiable. *)
-  let compare3 cycle label a k v =
-    if a <> k then fail cycle (label ^ " [cone]") a k;
-    if a <> v then fail cycle (label ^ " [level]") a v
-  in
-  (try
-     for cycle = 0 to cycles - 1 do
-       List.iter
-         (fun (nm, _) ->
-           let v = wide_random rng in
-           Interp.set si nm v;
-           Cone.set sk nm v;
-           Compile.set sc nm v)
-         ins;
-       List.iter
-         (fun nm ->
-           compare3 cycle nm (Interp.get si nm) (Cone.get sk nm)
-             (Compile.get sc nm))
-         outs;
-       List.iter
-         (fun u ->
-           compare3 cycle
-             (Printf.sprintf "reg n%d" u)
-             (Interp.peek si u) (Cone.peek sk u) (Compile.peek sc u))
-         regs;
-       Interp.step si;
-       Cone.step sk;
-       Compile.step sc
-     done;
-     (* Final architectural and combinational state, node by node — this
-        exercises both compiled engines' on-demand path for dead nodes. *)
-     for u = 0 to Netlist.num_nodes c - 1 do
-       compare3 cycles
-         (Printf.sprintf "n%d" u)
-         (Interp.peek si u) (Cone.peek sk u) (Compile.peek sc u)
-     done;
-     Array.iteri
-       (fun mi (m : Netlist.mem) ->
-         for a = 0 to m.Netlist.mem_size - 1 do
-           compare3 cycles
-             (Printf.sprintf "%s[%d]" m.Netlist.mem_name a)
-             (Interp.mem_word si mi a)
-             (Cone.mem_word sk mi a)
-             (Compile.mem_word sc mi a)
-         done)
-       c.Netlist.mems
-   with Exit -> ());
-  !result
-
-(* Batched cross-check: ONE levelized instance with [lanes] lanes against
-   [lanes] independent interpreter instances, each lane driven by its own
-   random stream.  Catches lane-indexing bugs (cross-lane bleed, shared
-   state that should be per-lane) that the batch-1 crosscheck cannot. *)
-let crosscheck_batch ?(cycles = 500) ?(seed = 7) ~lanes (c : Netlist.t) =
-  if lanes < 1 then invalid_arg "Equiv.crosscheck_batch: lanes must be >= 1";
+(* Random cross-check of the levelized engine against the reference
+   interpreter on ONE circuit: one [Compile] instance with [lanes] lanes
+   against [lanes] independent [Interp] instances, each lane driven by its
+   own random stream.  Outputs and register state are compared every
+   cycle, every node (including logic the levelized engine eliminated as
+   dead) and all memory words at the end.  Several lanes also catch
+   lane-indexing bugs (cross-lane bleed, shared state that should be
+   per-lane). *)
+let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
+  if lanes < 1 then invalid_arg "Equiv.crosscheck: lanes must be >= 1";
   let sc = Compile.create ~batch:lanes c in
   let refs = Array.init lanes (fun _ -> Interp.create c) in
   let rngs =
@@ -148,10 +75,23 @@ let crosscheck_batch ?(cycles = 500) ?(seed = 7) ~lanes (c : Netlist.t) =
   in
   let ins = List.map fst c.Netlist.inputs in
   let outs = List.map fst c.Netlist.outputs in
+  let regs =
+    Array.to_list c.Netlist.nodes
+    |> List.filter Netlist.is_reg
+    |> List.map (fun (nd : Netlist.node) -> nd.Netlist.uid)
+  in
   let result = ref Equivalent in
-  let fail cycle port a b =
-    result := Mismatch { cycle; port; a; b };
-    raise Exit
+  (* The interpreter value is the reference [a], the levelized engine's
+     [b]; the label is only built on a mismatch. *)
+  let compare cycle l label a b =
+    if a <> b then begin
+      let port =
+        if lanes = 1 then label ()
+        else Printf.sprintf "%s [lane %d]" (label ()) l
+      in
+      result := Mismatch { cycle; port; a; b };
+      raise Exit
+    end
   in
   (try
      for cycle = 0 to cycles - 1 do
@@ -166,28 +106,34 @@ let crosscheck_batch ?(cycles = 500) ?(seed = 7) ~lanes (c : Netlist.t) =
        for l = 0 to lanes - 1 do
          List.iter
            (fun nm ->
-             let a = Interp.get refs.(l) nm
-             and b = Compile.get ~lane:l sc nm in
-             if a <> b then fail cycle (Printf.sprintf "%s [lane %d]" nm l) a b)
-           outs
+             compare cycle l (fun () -> nm) (Interp.get refs.(l) nm)
+               (Compile.get ~lane:l sc nm))
+           outs;
+         List.iter
+           (fun u ->
+             compare cycle l
+               (fun () -> Printf.sprintf "reg n%d" u)
+               (Interp.peek refs.(l) u) (Compile.peek ~lane:l sc u))
+           regs
        done;
        Array.iter Interp.step refs;
-       Compile.batch_step sc
+       Compile.step sc
      done;
+     (* Final architectural and combinational state, node by node — this
+        exercises the levelized engine's on-demand path for dead nodes. *)
      for l = 0 to lanes - 1 do
        for u = 0 to Netlist.num_nodes c - 1 do
-         let a = Interp.peek refs.(l) u and b = Compile.peek ~lane:l sc u in
-         if a <> b then fail cycles (Printf.sprintf "n%d [lane %d]" u l) a b
+         compare cycles l
+           (fun () -> Printf.sprintf "n%d" u)
+           (Interp.peek refs.(l) u) (Compile.peek ~lane:l sc u)
        done;
        Array.iteri
          (fun mi (m : Netlist.mem) ->
-           for ad = 0 to m.Netlist.mem_size - 1 do
-             let x = Interp.mem_word refs.(l) mi ad
-             and y = Compile.mem_word ~lane:l sc mi ad in
-             if x <> y then
-               fail cycles
-                 (Printf.sprintf "%s[%d] [lane %d]" m.Netlist.mem_name ad l)
-                 x y
+           for a = 0 to m.Netlist.mem_size - 1 do
+             compare cycles l
+               (fun () -> Printf.sprintf "%s[%d]" m.Netlist.mem_name a)
+               (Interp.mem_word refs.(l) mi a)
+               (Compile.mem_word ~lane:l sc mi a)
            done)
          c.Netlist.mems
      done

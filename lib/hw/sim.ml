@@ -1,7 +1,6 @@
 (* The simulation interface used across the system.  A thin façade over
    the levelized batch engine {!Compile}; the semantics are pinned down by
-   {!Interp}, the retained reference interpreter, and the closure-based
-   cone engine {!Cone} is kept as a second oracle.  All three are
+   {!Interp}, the retained reference interpreter.  The two are
    cross-checked by {!Equiv.crosscheck} and the property tests.
 
    The monomorphic part of the interface (no [?lane]) is unchanged from

@@ -10,9 +10,8 @@
     The monomorphic functions below always address lane 0, so single-lane
     callers never see the batch dimension; {!create_batch} and the
     [_lane] accessors expose it for bulk workloads.  The reference
-    interpreter ({!Interp}) defines the semantics and the closure-based
-    cone engine ({!Cone}) is retained as a second oracle;
-    {!Equiv.crosscheck} verifies all three agree cycle-by-cycle. *)
+    interpreter ({!Interp}) defines the semantics; {!Equiv.crosscheck}
+    verifies the two agree cycle-by-cycle. *)
 
 type t
 

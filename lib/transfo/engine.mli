@@ -1,10 +1,9 @@
 (** Script execution with per-step verification (DESIGN.md §17).
 
     Every applied step is immediately followed by the discharge of its
-    {!Verify.obligation} {e and} a three-way
-    {!Hw.Equiv.crosscheck} + batched {!Hw.Equiv.crosscheck_batch} of the
-    result, so a broken transformation is caught at the step that
-    introduced it, with the step name in the error. *)
+    {!Verify.obligation} {e and} a {!Hw.Equiv.crosscheck} of the result
+    (at batch 1 and across 4 lanes), so a broken transformation is caught
+    at the step that introduced it, with the step name in the error. *)
 
 type tracer = {
   wrap : 'a. design:string -> stage:string -> (unit -> 'a) -> 'a;
@@ -46,9 +45,10 @@ val apply_step :
   (Subject.t * step_report, error) result
 (** One step: check precondition, apply, discharge the obligation over
     [cycles] (default 256) random cycles with [seed] (default 7), then
-    crosscheck the result through all three simulation engines (plus a
-    4-lane batched crosscheck).  Exceptions raised by the transformation
-    or the checkers are reported as failures, never propagated. *)
+    crosscheck the levelized engine against the reference interpreter on
+    the result (at batch 1, plus a 4-lane batched crosscheck).
+    Exceptions raised by the transformation or the checkers are reported
+    as failures, never propagated. *)
 
 val run :
   ?cycles:int ->

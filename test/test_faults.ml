@@ -152,6 +152,9 @@ let test_engine_fallback_recovers () =
 
 (* ---------------- keep-going sweeps ---------------- *)
 
+let every_elaborate_crashes =
+  { Core.Faultinject.fault = Crash "elaborate"; target = ""; seed = 0 }
+
 let test_keep_going_sweep () =
   let designs = Core.Registry.sweep Core.Design.Verilog in
   (* Target a point whose span key is not a substring of any sibling's,
@@ -219,11 +222,46 @@ let test_keep_going_all_run () =
   let oks = List.filter (function Ok _ -> true | Error _ -> false) outcomes in
   check int "every other point measured" (List.length designs - 1)
     (List.length oks);
-  match List.hd outcomes with
+  (match List.hd outcomes with
   | Error e ->
       check string "typed as synth-failure" "synth-failure"
         (Core.Flow.class_name e.Core.Flow.err_class)
-  | Ok _ -> Alcotest.fail "first point must fail"
+  | Ok _ -> Alcotest.fail "first point must fail");
+  (* When no point survives at all, the figure says so instead of
+     printing infinite axis bounds. *)
+  Core.Faultinject.arm every_elaborate_crashes;
+  let text, failures =
+    Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+        Core.Fig1.render_result ~jobs:1 ~tools:[ Core.Design.Verilog ] ())
+  in
+  check int "every Verilog point failed" 3 (List.length failures);
+  check bool "no infinite bounds" false (contains ~sub:"area: inf" text);
+  check bool "plain no-points range line" true
+    (contains ~sub:"area: no points   throughput: no points\n" text)
+
+(* ---------------- artifacts cache nothing of their own ---------------- *)
+
+let test_artifacts_recompute_after_clear () =
+  (* Fig1 and Table2 are pure functions over the measurement memo: once
+     the memo is cleared, a fault armed against every design must
+     surface instead of a stale artifact. *)
+  let verilog = [ Core.Design.Verilog ] in
+  ignore (Core.Fig1.compute ~jobs:1 ~tools:verilog ());
+  ignore (Core.Table2.compute ~jobs:1 ());
+  Core.Evaluate.clear_measure_cache ();
+  Core.Faultinject.arm every_elaborate_crashes;
+  Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+      let expect_elaborate_error name f =
+        match f () with
+        | () -> Alcotest.fail (name ^ " served a stale result")
+        | exception Core.Flow.Error e ->
+            check string (name ^ " fails at elaborate") "elaborate"
+              e.Core.Flow.err_stage
+      in
+      expect_elaborate_error "fig1" (fun () ->
+          ignore (Core.Fig1.compute ~jobs:1 ~tools:verilog ()));
+      expect_elaborate_error "table2" (fun () ->
+          ignore (Core.Table2.compute ~jobs:1 ())))
 
 (* ---------------- fault-spec parsing ---------------- *)
 
@@ -336,6 +374,11 @@ let () =
             test_keep_going_sweep;
           Alcotest.test_case "early failure aborts nothing" `Quick
             test_keep_going_all_run;
+        ] );
+      ( "caches",
+        [
+          Alcotest.test_case "artifacts recompute after clear" `Quick
+            test_artifacts_recompute_after_clear;
         ] );
       ( "spec",
         [ Alcotest.test_case "parse and round-trip" `Quick test_parse_specs ] );

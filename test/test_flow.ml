@@ -11,9 +11,7 @@ let bool = Alcotest.bool
    tests. *)
 let tools = [ Core.Design.Verilog; Core.Design.Chisel ]
 
-let cold () =
-  Core.Fig1.clear_cache ();
-  Core.Evaluate.clear_measure_cache ()
+let cold () = Core.Evaluate.clear_measure_cache ()
 
 (* Run [f] with tracing enabled; return its result and the drained
    spans.  The flag is always restored. *)
@@ -126,6 +124,25 @@ let test_cache_counters () =
   check int "warm run hits" 1 (counter "cache_hit" warm_spans);
   check int "warm run has no miss" 0 (counter "cache_miss" warm_spans)
 
+let test_table2_measures_once () =
+  cold ();
+  let _, spans = traced (fun () -> Core.Table2.compute ~jobs:2 ()) in
+  let measures =
+    List.filter (fun s -> s.Core.Trace.stage = "measure") spans
+  in
+  let counter name =
+    List.fold_left
+      (fun acc s ->
+        acc
+        + Option.value ~default:0 (List.assoc_opt name s.Core.Trace.counters))
+      0 measures
+  in
+  (* 7 tools x (initial, optimized): the rows are built from the measured
+     list itself, so no design is measured (or memo-read) twice. *)
+  check int "one measure span per design" 14 (List.length measures);
+  check int "every one a cold miss" 14 (counter "cache_miss");
+  check int "no memo re-read" 0 (counter "cache_hit")
+
 let test_json_roundtrip_and_stats () =
   cold ();
   let _, spans =
@@ -211,6 +228,8 @@ let () =
             test_spans_nest;
           Alcotest.test_case "cache hit/miss counters" `Quick
             test_cache_counters;
+          Alcotest.test_case "table2 measures each design once" `Quick
+            test_table2_measures_once;
           Alcotest.test_case "json round-trip and stats" `Quick
             test_json_roundtrip_and_stats;
           Alcotest.test_case "compliance dispatches on the design" `Quick

@@ -386,30 +386,24 @@ let random_circuit seed =
     (List.filteri (fun i _ -> i land 3 = 0) !pool);
   Builder.finalize b
 
-let engine_crosscheck_prop =
-  (* [crosscheck] is three-way: the reference interpreter against both the
-     retained cone engine and the levelized engine behind Hw.Sim. *)
-  QCheck.Test.make ~name:"3-way: interpreter == cone == levelized"
-    ~count:15
+(* [crosscheck] runs the levelized engine behind Hw.Sim against the
+   reference interpreter, one interpreter per lane. *)
+let crosscheck_prop ~name ~count ~cycles lanes =
+  QCheck.Test.make ~name ~count
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      match Equiv.crosscheck ~cycles:1000 ~seed (random_circuit seed) with
+      match Equiv.crosscheck ~cycles ~seed ~lanes (random_circuit seed) with
       | Equiv.Equivalent -> true
       | Equiv.Mismatch _ as r ->
           QCheck.Test.fail_reportf "%a" Equiv.pp_result r)
 
+let engine_crosscheck_prop =
+  crosscheck_prop ~name:"interpreter == levelized" ~count:15 ~cycles:1000 1
+
 let batch_crosscheck_prop lanes =
-  QCheck.Test.make
+  crosscheck_prop
     ~name:(Printf.sprintf "batched engine, %d lanes == %d interpreters" lanes lanes)
-    ~count:8
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      match
-        Equiv.crosscheck_batch ~cycles:400 ~seed ~lanes (random_circuit seed)
-      with
-      | Equiv.Equivalent -> true
-      | Equiv.Mismatch _ as r ->
-          QCheck.Test.fail_reportf "%a" Equiv.pp_result r)
+    ~count:8 ~cycles:400 lanes
 
 let () =
   Alcotest.run "hw-extra"

@@ -266,7 +266,7 @@ let test_rederive_chisel () =
 (* Random combinational circuits seeded with constant products (the
    strength_reduce target), then a random applicable script.  The engine
    already discharges each step's obligation and crosschecks the result
-   through all three simulation engines, so [Ok] here means the whole
+   against the reference interpreter, so [Ok] here means the whole
    sequence verified. *)
 let random_comb seed =
   let rng = Random.State.make [| seed; 0x7F23 |] in
@@ -328,7 +328,7 @@ let applicable_scripts =
   |]
 
 let transfo_script_prop =
-  QCheck.Test.make ~name:"random applicable scripts verify 3-way clean"
+  QCheck.Test.make ~name:"random applicable scripts verify clean"
     ~count:15
     QCheck.(int_range 0 10_000)
     (fun seed ->
