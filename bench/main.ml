@@ -17,11 +17,11 @@ let table1 () =
 
 let table2 () =
   section "Table II — HLS/HC tools evaluation results";
-  print_string (Core.Table2.render ())
+  print_string (Core.Table2.render_rows (Core.Table2.compute ()))
 
 let fig1 () =
   section "Fig. 1 — design space exploration for IDCT (100 circuits)";
-  print_string (Core.Fig1.render ())
+  print_string (Core.Fig1.render_series (Core.Fig1.compute ()))
 
 (* Section IV narratives, reproduced as measured ratios. *)
 

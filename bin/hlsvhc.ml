@@ -63,34 +63,16 @@ let kernel_opt =
            kernels: $(b,idct), $(b,fir8), $(b,matmul8).  Unknown names \
            fail with the list of valid kernels.")
 
-(* A tool restriction must stay inside the kernel's inventory — a tool
-   the kernel does not implement is a usage error, not an empty
-   artifact. *)
-let check_kernel_tools kernel = function
-  | None -> ()
-  | Some ts ->
-      let have = Core.Kernel.tools kernel in
-      List.iter
-        (fun t ->
-          if not (List.mem t have) then begin
-            Printf.eprintf "hlsvhc: kernel %s has no %s designs (tools: %s)\n"
-              (Core.Kernel.name kernel)
-              (Core.Design.tool_name t)
-              (String.concat ", " (List.map Core.Design.tool_name have));
-            exit 2
-          end)
-        ts
-
+(* A tool outside the kernel's inventory is a usage error, not an empty
+   artifact; [Kernel.inventory_exn] words the one diagnostic. *)
 let kernel_inventory kernel tool =
-  match Core.Kernel.inventory kernel tool with
-  | Some inv -> inv
-  | None ->
-      Printf.eprintf "hlsvhc: kernel %s has no %s designs (tools: %s)\n"
-        (Core.Kernel.name kernel)
-        (Core.Design.tool_name tool)
-        (String.concat ", "
-           (List.map Core.Design.tool_name (Core.Kernel.tools kernel)));
-      exit 2
+  try Core.Kernel.inventory_exn kernel tool
+  with Invalid_argument msg ->
+    Printf.eprintf "hlsvhc: %s\n" msg;
+    exit 2
+
+let check_kernel_tools kernel tools =
+  Option.iter (List.iter (fun t -> ignore (kernel_inventory kernel t))) tools
 
 let opt_flag =
   Arg.(value & flag & info [ "opt"; "optimized" ] ~doc:"Use the optimized design.")
@@ -131,11 +113,10 @@ let store_opt =
 
 (* Attach the persistent store before any evaluation fans out; a store
    that cannot be opened is a usage error, not a measurement result. *)
-let attach_store = function
-  | None -> ()
-  | Some dir -> (
+let attach_store =
+  Option.map (fun dir ->
       match Store.attach dir with
-      | Ok _ -> ()
+      | Ok t -> t
       | Error e ->
           Printf.eprintf "hlsvhc: --store %s: %s\n" dir e;
           exit 2)
@@ -145,10 +126,11 @@ let keep_going_flag =
     value & flag
     & info [ "k"; "keep-going" ]
         ~doc:
-          "Do not abort the sweep on a failing design point: record its \
-           typed error, keep measuring every other point, print a failure \
-           summary on stderr and exit nonzero.  Without this flag the \
-           first failure aborts the run (fail-fast).")
+          "Still print the artifact (and write any $(b,--json)) when design \
+           points fail, restricted to the surviving points.  Every point \
+           is measured either way; when any fails, the failure summary \
+           goes to stderr and the exit code is 1, with or without this \
+           flag.  Without it a failed run prints no artifact.")
 
 let fault_opt =
   Arg.(
@@ -182,15 +164,6 @@ let arm_fault = function
           Printf.eprintf "hlsvhc: %s\n" e;
           exit 2)
 
-(* The keep-going epilogue: the artifact went to stdout already; the
-   failure summary goes to stderr and the process exits nonzero so sweep
-   scripts cannot mistake a partial artifact for a complete one. *)
-let finish_failures = function
-  | [] -> ()
-  | failures ->
-      prerr_string (Core.Flow.render_failure_summary failures);
-      exit 1
-
 (* Run [f] with tracing enabled when [trace] names a file; the spans are
    drained and written after [f] finishes, even if it raises. *)
 let with_trace trace f =
@@ -206,6 +179,30 @@ let with_trace trace f =
           Printf.eprintf "trace: %d spans -> %s\n%!" (List.length spans) file)
         f
 
+(* The one driver behind table2, fig1, comply, sweep and dse: arm the
+   fault, attach the store, trace, compute, then one epilogue.  [compute]
+   computes the whole batch through the libraries' result paths, which
+   return failures as values, and hands back the artifact's printer and
+   the typed failures.  With no failure the artifact is printed and the
+   exit code is 0.  With any, the artifact is printed only under
+   --keep-going, stderr gets the failure summary, and the exit code is 1
+   in both modes.  stdout is flushed before the summary is written, so a
+   capture of both streams reads the artifact, then the summary. *)
+let run_batch ?store ~fault ~trace ~keep_going compute =
+  arm_fault fault;
+  ignore (attach_store store);
+  let failures =
+    with_trace trace (fun () ->
+        let emit, failures = compute () in
+        if failures = [] || keep_going then emit ();
+        failures)
+  in
+  if failures <> [] then begin
+    flush stdout;
+    prerr_string (Core.Flow.render_failure_summary failures);
+    exit 1
+  end
+
 let pick_design kernel tool optimized =
   let inv = kernel_inventory kernel tool in
   if optimized then inv.Core.Kernel.inv_optimized
@@ -218,22 +215,12 @@ let table1_cmd =
 
 let table2_cmd =
   let run kernel tools jobs trace keep_going fault store =
-    arm_fault fault;
-    attach_store store;
     check_kernel_tools kernel tools;
-    let failures =
-      with_trace trace (fun () ->
-          if keep_going then (
-            let out, failures =
-              Core.Table2.render_result ?jobs ?tools ~kernel ()
-            in
-            print_string out;
-            failures)
-          else (
-            print_string (Core.Table2.render ?jobs ?tools ~kernel ());
-            []))
-    in
-    finish_failures failures
+    run_batch ?store ~fault ~trace ~keep_going (fun () ->
+        let rows, failures =
+          Core.Table2.compute_result ?jobs ?tools ~kernel ()
+        in
+        ((fun () -> print_string (Core.Table2.render_rows rows)), failures))
   in
   Cmd.v
     (Cmd.info "table2"
@@ -269,25 +256,21 @@ let fig1_cmd =
              ASCII scatter, consumed by DSE overlays and external plotting.")
   in
   let run kernel tool_rep tools jobs trace keep_going json fault store =
-    arm_fault fault;
-    attach_store store;
     let tools = merge_tools tool_rep tools in
     check_kernel_tools kernel tools;
-    let failures =
-      with_trace trace (fun () ->
-          let series, failures =
-            if keep_going then Core.Fig1.compute_result ?jobs ?tools ~kernel ()
-            else (Core.Fig1.compute ?jobs ?tools ~kernel (), [])
-          in
+    run_batch ?store ~fault ~trace ~keep_going (fun () ->
+        let series, failures =
+          Core.Fig1.compute_result ?jobs ?tools ~kernel ()
+        in
+        let emit () =
           print_string (Core.Fig1.render_series ~kernel series);
           Option.iter
             (fun path ->
               Core.Fig1.write_json ~kernel path series;
               Printf.eprintf "fig1: wrote %s\n%!" path)
-            json;
-          failures)
-    in
-    finish_failures failures
+            json
+        in
+        (emit, failures))
   in
   Cmd.v
     (Cmd.info "fig1" ~doc:"Run the DSE sweeps and print the Fig. 1 scatter.")
@@ -300,46 +283,33 @@ let comply_cmd =
     Arg.(value & opt int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
   in
   let run kernel blocks jobs trace keep_going fault =
-    arm_fault fault;
-    let failures =
-      with_trace trace (fun () ->
-          let spec = Core.Kernel.spec kernel in
-          let designs =
-            List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
-          in
-          (* The pass text names the procedure the kernel's spec runs:
-             the IEEE 1180-1990 statistical test for the IDCT, bit-true
-             against the golden reference for the extension kernels. *)
-          let pass_text =
-            if Core.Kernel.name kernel = "idct" then "IEEE 1180-1990 PASS"
-            else "bit-true PASS"
-          in
-          let verdict_line (d : Core.Design.t) verdict =
-            Printf.printf "%-12s optimized: %s\n%!"
-              (Core.Design.tool_name d.Core.Design.tool)
-              verdict
-          in
-          if keep_going then (
-            let outcomes =
-              Core.Evaluate.compliance_all_result ?jobs ~blocks ~spec designs
-            in
-            List.iter
-              (fun (d, r) ->
-                match r with
-                | Ok ok -> verdict_line d (if ok then pass_text else "FAIL")
-                | Error _ -> verdict_line d "ERROR")
-              outcomes;
-            List.filter_map
-              (fun (_, r) ->
-                match r with Error e -> Some e | Ok _ -> None)
-              outcomes)
-          else (
-            List.iter
-              (fun (d, ok) -> verdict_line d (if ok then pass_text else "FAIL"))
-              (Core.Evaluate.compliance_all ?jobs ~blocks ~spec designs);
-            []))
-    in
-    finish_failures failures
+    run_batch ~fault ~trace ~keep_going (fun () ->
+        let spec = Core.Kernel.spec kernel in
+        let designs =
+          List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
+        in
+        (* The pass text names the procedure the kernel's spec runs: the
+           IEEE 1180-1990 statistical test for the IDCT, bit-true against
+           the golden reference for the extension kernels. *)
+        let pass_text =
+          if Core.Kernel.name kernel = "idct" then "IEEE 1180-1990 PASS"
+          else "bit-true PASS"
+        in
+        let outcomes =
+          Core.Evaluate.compliance_all_result ?jobs ~blocks ~spec designs
+        in
+        let emit () =
+          List.iter
+            (fun ((d : Core.Design.t), r) ->
+              Printf.printf "%-12s optimized: %s\n%!"
+                (Core.Design.tool_name d.Core.Design.tool)
+                (match r with
+                | Ok true -> pass_text
+                | Ok false -> "FAIL"
+                | Error _ -> "ERROR"))
+            outcomes
+        in
+        (emit, Core.Flow.errors (List.map snd outcomes)))
   in
   Cmd.v
     (Cmd.info "comply"
@@ -431,34 +401,23 @@ let waves_cmd =
 
 let sweep_cmd =
   let run kernel tool jobs trace keep_going fault store =
-    arm_fault fault;
-    attach_store store;
-    let point_line (d : Core.Design.t) (m : Core.Metrics.measured) =
-      Printf.printf "%-34s A=%7d  P=%8.2f MOPS  f=%7.2f MHz\n%!"
-        d.Core.Design.label m.Core.Metrics.area m.Core.Metrics.throughput_mops
-        m.Core.Metrics.fmax_mhz
-    in
-    let failures =
-      with_trace trace (fun () ->
-          let spec = Core.Kernel.spec kernel in
-          let designs = (kernel_inventory kernel tool).Core.Kernel.inv_sweep in
-          if keep_going then (
-            let outcomes =
-              Core.Evaluate.measure_all_result ?jobs ~matrices:3 ~spec designs
-            in
-            List.iter2
-              (fun d r ->
-                match r with Ok m -> point_line d m | Error _ -> ())
-              designs outcomes;
-            List.filter_map
-              (function Error e -> Some e | Ok _ -> None)
-              outcomes)
-          else (
-            List.iter2 point_line designs
-              (Core.Evaluate.measure_all ?jobs ~matrices:3 ~spec designs);
-            []))
-    in
-    finish_failures failures
+    let designs = (kernel_inventory kernel tool).Core.Kernel.inv_sweep in
+    run_batch ?store ~fault ~trace ~keep_going (fun () ->
+        let spec = Core.Kernel.spec kernel in
+        let outcomes =
+          Core.Evaluate.measure_all_result ?jobs ~matrices:3 ~spec designs
+        in
+        let emit () =
+          List.iter2
+            (fun (d : Core.Design.t) -> function
+              | Ok (m : Core.Metrics.measured) ->
+                  Printf.printf "%-34s A=%7d  P=%8.2f MOPS  f=%7.2f MHz\n%!"
+                    d.Core.Design.label m.Core.Metrics.area
+                    m.Core.Metrics.throughput_mops m.Core.Metrics.fmax_mhz
+              | Error _ -> ())
+            designs outcomes
+        in
+        (emit, Core.Flow.errors outcomes))
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Measure every configuration of one tool.")
@@ -554,8 +513,6 @@ let dse_cmd =
   in
   let run kernel strategy seed budget objective tools jobs json check_fig1
       transfo trace keep_going fault store =
-    arm_fault fault;
-    attach_store store;
     check_kernel_tools kernel tools;
     if check_fig1 && (strategy <> Dse.Strategy.Exhaustive || budget <> None)
     then begin
@@ -570,45 +527,46 @@ let dse_cmd =
          cannot be combined with --transfo\n";
       exit 2
     end;
-    let failures =
-      with_trace trace (fun () ->
-          let selected =
-            match tools with
-            | Some ts -> ts
-            | None -> Core.Kernel.tools kernel
-          in
-          let spaces = List.map (Dse.Space.of_tool ~kernel) selected in
-          let spaces =
-            if transfo then List.map Dse.Space.with_scripts spaces
-            else spaces
-          in
-          let result =
-            Dse.Engine.run ?jobs ~keep_going ?budget ~seed ~strategy
-              ~objective spaces
-          in
+    run_batch ?store ~fault ~trace ~keep_going (fun () ->
+        let selected =
+          match tools with Some ts -> ts | None -> Core.Kernel.tools kernel
+        in
+        let spaces = List.map (Dse.Space.of_tool ~kernel) selected in
+        let spaces =
+          if transfo then List.map Dse.Space.with_scripts spaces else spaces
+        in
+        let result =
+          Dse.Engine.run ?jobs ?budget ~seed ~strategy ~objective spaces
+        in
+        let failures =
+          Core.Flow.errors
+            (List.map
+               (fun (ev : Dse.Engine.evaluated) -> ev.Dse.Engine.ev_outcome)
+               result.Dse.Engine.res_evaluated)
+        in
+        (* A search with failed points has an incomplete frontier, so the
+           Fig. 1 cross-check only runs on a clean one. *)
+        let check =
+          if check_fig1 && failures = [] then
+            Some
+              (Dse.Report.crosscheck_fig1 ?jobs ~tools:selected ~kernel result)
+          else None
+        in
+        let emit () =
           print_string (Dse.Report.render result);
           Option.iter
             (fun path ->
               Dse.Report.write_json path result;
               Printf.eprintf "dse: wrote %s\n%!" path)
             json;
-          if check_fig1 then begin
-            match
-              Dse.Report.crosscheck_fig1 ?jobs ~tools:selected ~kernel result
-            with
-            | Ok msg -> print_string (msg ^ "\n")
-            | Error diff ->
-                prerr_string diff;
-                exit 1
-          end;
-          List.filter_map
-            (fun (ev : Dse.Engine.evaluated) ->
-              match ev.Dse.Engine.ev_outcome with
-              | Error e -> Some e
-              | Ok _ -> None)
-            result.Dse.Engine.res_evaluated)
-    in
-    finish_failures failures
+          match check with
+          | Some (Ok msg) -> print_string (msg ^ "\n")
+          | Some (Error diff) ->
+              prerr_string diff;
+              exit 1
+          | None -> ()
+        in
+        (emit, failures))
   in
   Cmd.v
     (Cmd.info "dse"
@@ -860,16 +818,7 @@ let serve_cmd =
   let run socket jobs store max_conns conn_workers conn_timeout batch_deadline
       max_inflight max_batch fault trace =
     arm_fault fault;
-    let store_t =
-      match store with
-      | None -> None
-      | Some dir -> (
-          match Store.attach dir with
-          | Ok t -> Some t
-          | Error e ->
-              Printf.eprintf "hlsvhc serve: --store %s: %s\n" dir e;
-              exit 2)
-    in
+    let store_t = attach_store store in
     Printf.eprintf
       "hlsvhc serve: listening on %s (store: %s, jobs: %s, workers: %d, \
        conn-timeout: %.1fs, max-inflight: %d)\n\

@@ -68,25 +68,28 @@ let measure ?(matrices = 4) ~(spec : Flow.spec) (d : Design.t) :
    process), which the store coherence tests pin down. *)
 let clear_measure_cache = Measure_cache.clear
 
-(* Map [measure] over independent designs on the domain pool.  Each
-   design's lazy circuit is forced inside its own job, so no builder state
-   is shared across domains; results come back in input order. *)
-let measure_all ?jobs ?(matrices = 4) ~spec designs =
-  Parallel.map ?jobs (fun d -> measure ~matrices ~spec d) designs
-
-(* The keep-going sweep: every design runs to completion, failed points
-   come back as their typed flow error instead of aborting the batch. *)
-let measure_all_result ?jobs ?(matrices = 4) ~spec designs =
+(* A batch of independent designs on the domain pool: every design runs,
+   results come back in input order, and a failed design's slot carries
+   its typed flow error.  Each design's lazy circuit is forced inside its
+   own job, so no builder state is shared across domains. *)
+let map_designs ?jobs f designs =
   List.map2
-    (fun d -> function
-      | Ok m -> Ok m
-      | Error (e, _bt) -> Error (Flow.error_of_exn ~design:(Flow.span_key d) e))
+    (fun d ->
+      Result.map_error (fun (e, _bt) ->
+          Flow.error_of_exn ~design:(Flow.span_key d) e))
     designs
-    (Parallel.map_result ?jobs (fun d -> measure ~matrices ~spec d) designs)
+    (Parallel.map_result ?jobs f designs)
+
+let measure_all_result ?jobs ?(matrices = 4) ~spec designs =
+  map_designs ?jobs (measure ~matrices ~spec) designs
+
+let measure_all ?jobs ?(matrices = 4) ~spec designs =
+  Parallel.map ?jobs (measure ~matrices ~spec) designs
 
 let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
   Trace.with_span ~design:(Flow.span_design spec d) ~stage:"comply" (fun () ->
       Trace.add_counter "blocks" blocks;
+      Faultinject.crash_at_stage ~design:(Flow.span_key d) ~stage:"comply";
       match d.Design.impl with
       | Design.Stream circuit ->
           let circuit = Design.force circuit in
@@ -111,16 +114,9 @@ let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
           let got = p.Design.simulate mats in
           List.for_all2 Axis.Block.equal got (List.map spec.Flow.reference mats))
 
-(* The compliance sweep: every design checked on the domain pool, results
-   paired with their design in input order. *)
+let compliance_all_result ?jobs ?(blocks = 500) ~spec designs =
+  List.combine designs
+    (map_designs ?jobs (check_compliance ~blocks ~spec) designs)
+
 let compliance_all ?jobs ?(blocks = 500) ~spec designs =
   Parallel.map ?jobs (fun d -> (d, check_compliance ~blocks ~spec d)) designs
-
-let compliance_all_result ?jobs ?(blocks = 500) ~spec designs =
-  List.map2
-    (fun d -> function
-      | Ok ok -> (d, Ok ok)
-      | Error (e, _bt) ->
-          (d, Error (Flow.error_of_exn ~design:(Flow.span_key d) e)))
-    designs
-    (Parallel.map_result ?jobs (fun d -> check_compliance ~blocks ~spec d) designs)

@@ -58,23 +58,22 @@ val is_cached : ?matrices:int -> spec:Flow.spec -> Design.t -> bool
     the probe behind the DSE engine's cache-hit accounting ([matrices]
     defaults as in {!measure}). *)
 
-val measure_all :
-  ?jobs:int -> ?matrices:int -> spec:Flow.spec -> Design.t list -> Metrics.measured list
-(** [measure] mapped over independent designs on the domain pool
-    ({!Parallel.map}); results keep input order.  Each design's lazy
-    circuit is forced inside its own job, so builder state never crosses
-    domains.  Fail-fast: the first failing design aborts the batch with
-    its {!Flow.Error}. *)
-
 val measure_all_result :
   ?jobs:int ->
   ?matrices:int ->
   spec:Flow.spec ->
   Design.t list ->
   (Metrics.measured, Flow.error) result list
-(** The keep-going batch ({!Parallel.map_result}): every design runs to
-    completion; a failed point carries its typed {!Flow.error} in its
-    input-order slot instead of aborting the others. *)
+(** [measure] over independent designs on the domain pool
+    ({!Parallel.map_result}): every design runs to completion, results
+    keep input order, and a failed point carries its typed {!Flow.error}
+    in its own slot.  Each design's lazy circuit is forced inside its own
+    job, so builder state never crosses domains. *)
+
+val measure_all :
+  ?jobs:int -> ?matrices:int -> spec:Flow.spec -> Design.t list -> Metrics.measured list
+(** The raising view of the same batch ({!Parallel.map}): the
+    lowest-index failing design's {!Flow.Error} is re-raised. *)
 
 val check_compliance : ?blocks:int -> spec:Flow.spec -> Design.t -> bool
 (** The kernel's compliance procedure ([spec.comply] — IEEE 1180-1990
@@ -85,20 +84,20 @@ val check_compliance : ?blocks:int -> spec:Flow.spec -> Design.t -> bool
     mean-error criterion (0.015) needs several hundred samples before
     estimator noise stays under the threshold. *)
 
-val compliance_all :
-  ?jobs:int ->
-  ?blocks:int ->
-  spec:Flow.spec ->
-  Design.t list ->
-  (Design.t * bool) list
-(** The compliance sweep on the domain pool: every design checked
-    concurrently, paired with its verdict in input order. *)
-
 val compliance_all_result :
   ?jobs:int ->
   ?blocks:int ->
   spec:Flow.spec ->
   Design.t list ->
   (Design.t * (bool, Flow.error) result) list
-(** Keep-going compliance: a design whose check raises is paired with
-    its typed error instead of aborting the sweep. *)
+(** The compliance sweep on the domain pool: every design checked
+    concurrently and paired, in input order, with its verdict or the
+    typed error its check raised. *)
+
+val compliance_all :
+  ?jobs:int ->
+  ?blocks:int ->
+  spec:Flow.spec ->
+  Design.t list ->
+  (Design.t * bool) list
+(** The raising view of {!compliance_all_result}. *)

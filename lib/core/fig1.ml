@@ -18,10 +18,11 @@ let point_of (d : Design.t) (m : Metrics.measured) =
 (* One flat work list across every tool — ~100 independent measurements
    for the full figure — mapped over the domain pool in one batch so a
    tool with few configurations does not leave domains idle.  Each item
-   carries the index of its series; [Parallel.map] preserves input order,
-   so filtering by index reassembles each tool's series exactly as the
-   sequential path built them. *)
-let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
+   carries the index of its series; the pool preserves input order, so
+   filtering by index reassembles each tool's series exactly as the
+   sequential path built them.  A failed point is dropped from its series
+   and reported as its typed error, in sweep order. *)
+let compute_result ?jobs ?tools ?(kernel = Kernel.idct) () =
   let spec = Kernel.spec kernel in
   let tools =
     match tools with Some ts -> ts | None -> Kernel.tools kernel
@@ -33,18 +34,7 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
          tools)
   in
   let designs = List.map snd work in
-  (* Fail-fast measures on [Parallel.map] (first failure aborts the
-     batch, byte-identical to the historical path); keep-going measures
-     on [Parallel.map_result] so every surviving point is kept and each
-     failed point records its typed error. *)
-  let outcomes =
-    if keep_going then
-      Evaluate.measure_all_result ?jobs ~matrices:3 ~spec designs
-    else
-      List.map
-        (fun m -> Ok m)
-        (Evaluate.measure_all ?jobs ~matrices:3 ~spec designs)
-  in
+  let outcomes = Evaluate.measure_all_result ?jobs ~matrices:3 ~spec designs in
   let results = List.combine work outcomes in
   let series =
     List.mapi
@@ -58,18 +48,10 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
         { tool; points })
       tools
   in
-  let failures =
-    List.filter_map
-      (function _, Error (e : Flow.error) -> Some e | _, Ok _ -> None)
-      results
-  in
-  (series, failures)
+  (series, Flow.errors outcomes)
 
 let compute ?jobs ?tools ?kernel () =
-  fst (compute_outcomes ?jobs ?tools ?kernel ~keep_going:false ())
-
-let compute_result ?jobs ?tools ?kernel () =
-  compute_outcomes ?jobs ?tools ?kernel ~keep_going:true ()
+  Flow.fail_fast (compute_result ?jobs ?tools ?kernel ())
 
 let points ?jobs ?tools ?kernel () =
   List.concat_map
@@ -179,10 +161,3 @@ let render_series ?(kernel = Kernel.idct) series =
     pr "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
       (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y);
   Buffer.contents buf
-
-let render ?jobs ?tools ?kernel () =
-  render_series ?kernel (compute ?jobs ?tools ?kernel ())
-
-let render_result ?jobs ?tools ?kernel () =
-  let series, failures = compute_result ?jobs ?tools ?kernel () in
-  (render_series ?kernel series, failures)

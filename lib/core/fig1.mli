@@ -13,28 +13,28 @@ type point = {
 
 type series = { tool : Design.tool; points : point list }
 
-val compute :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  series list
-(** Measures every sweep configuration of [kernel] (default the paper's
-    IDCT) on the domain pool ({!Parallel.map}; [jobs] defaults to
-    {!Parallel.default_jobs}).  Nothing is cached here: a repeated call
-    re-reads every point from the {!Evaluate} memo.  The result is
-    deterministic: the same series, point for point, for any job
-    count. *)
-
 val compute_result :
   ?jobs:int ->
   ?tools:Design.tool list ->
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
   series list * Flow.error list
-(** The keep-going sweep ({!Evaluate.measure_all_result}): failed points
-    are dropped from their series and returned as typed errors in sweep
-    order; every surviving point is identical to the fail-fast run. *)
+(** Measures every sweep configuration of [kernel] (default the paper's
+    IDCT) on the domain pool ({!Evaluate.measure_all_result}; [jobs]
+    defaults to {!Parallel.default_jobs}).  A failed point is dropped
+    from its series and returned as a typed error, in sweep order.
+    Nothing is cached here: a repeated call re-reads every point from
+    the {!Evaluate} memo.  The result is deterministic: the same series
+    and failures, point for point, for any job count. *)
+
+val compute :
+  ?jobs:int ->
+  ?tools:Design.tool list ->
+  ?kernel:(module Kernel.KERNEL) ->
+  unit ->
+  series list
+(** {!compute_result} through {!Flow.fail_fast}: raises the first
+    failed point's {!Flow.Error}. *)
 
 val points :
   ?jobs:int ->
@@ -57,22 +57,5 @@ val render_series :
   ?kernel:(module Kernel.KERNEL) -> series list -> string
 (** Render an already-computed series list (data table + scatter);
     [kernel] supplies the axis caption and legend.  When no point is
-    left (every design failed under keep-going), the axis-range line
+    left (every design failed), the axis-range line
     reads ["no points"] instead of infinite bounds. *)
-
-val render :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string
-(** Data table plus an ASCII log-log scatter of the plane. *)
-
-val render_result :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string * Flow.error list
-(** {!render} over {!compute_result}: the figure restricted to the
-    surviving points, plus the failures for the caller's summary. *)

@@ -6,8 +6,8 @@
 
    Failures are first-class (DESIGN.md §11): anything that goes wrong in
    a stage is carried by the typed [Error] exception — design key, stage
-   name, error class — so keep-going sweeps can record a point's failure
-   precisely and the fail-fast path prints one canonical diagnostic. *)
+   name, error class — so a batch records a point's failure precisely as
+   a value, and every report prints one canonical diagnostic. *)
 
 type spec = {
   spec_name : string;
@@ -98,16 +98,26 @@ let error_of_exn ~design = function
         err_class = Unexpected (Printexc.to_string e);
       }
 
+let errors outcomes =
+  List.filter_map (function Stdlib.Error e -> Some e | Ok _ -> None) outcomes
+
+let fail_fast = function r, [] -> r | _, e :: _ -> raise (Error e)
+
 let render_failure_summary errors =
   let buf = Buffer.create 512 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "failure summary: %d design point%s failed\n" (List.length errors)
     (if List.length errors = 1 then "" else "s");
-  pr "  %-28s %-11s %-18s %s\n" "design" "stage" "class" "detail";
+  (* The design column is as wide as the longest key, so the stage and
+     class columns stay aligned for any tool's labels. *)
+  let w =
+    List.fold_left (fun w e -> max w (String.length e.err_design)) 28 errors
+  in
+  let row d s c detail = pr "  %-*s %-11s %-18s %s\n" w d s c detail in
+  row "design" "stage" "class" "detail";
   List.iter
     (fun e ->
-      pr "  %-28s %-11s %-18s %s\n" e.err_design e.err_stage
-        (class_name e.err_class)
+      row e.err_design e.err_stage (class_name e.err_class)
         (class_detail e.err_class))
     errors;
   Buffer.contents buf

@@ -63,9 +63,10 @@ val span_key : Design.t -> string
 (** {1 Typed flow errors (DESIGN.md §11)}
 
     Anything that goes wrong inside a stage is carried by {!Error}: the
-    design key, the stage that failed, and an error class.  Keep-going
-    sweeps record these per point; the fail-fast path re-raises them and
-    the registered exception printer renders the same text everywhere. *)
+    design key, the stage that failed, and an error class.  Batches
+    record these per point as values; {!fail_fast} re-raises the first,
+    and the registered exception printer renders the same text
+    everywhere. *)
 
 type error_class =
   | Not_bit_true of { block_index : int; got : string; expected : string }
@@ -107,8 +108,17 @@ val error_of_exn : design:string -> exn -> error
 (** {!Error} payloads pass through; any other exception becomes an
     [Unexpected] error attributed to [design]. *)
 
+val errors : ('a, error) result list -> error list
+(** The failures of a batch, in input order. *)
+
+val fail_fast : 'a * error list -> 'a
+(** The raising view of a batch result [(artifact, failures)]: the
+    artifact when nothing failed, else [raise (Error e)] for the first
+    failure [e] — the lowest-index point, whatever the job count. *)
+
 val render_failure_summary : error list -> string
-(** The keep-going failure table: one row per failed design point. *)
+(** The failure table: one row per failed design point.  The design
+    column is as wide as the longest key (at least 28 characters). *)
 
 val measure_uncached : ?matrices:int -> spec:spec -> Design.t -> Metrics.measured
 (** Run the full staged pipeline on one design under [spec]'s kernel.

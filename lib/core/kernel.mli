@@ -70,9 +70,12 @@ val tools : (module KERNEL) -> Design.tool list
 
 val inventory : (module KERNEL) -> Design.tool -> inventory option
 
+val inventory_exn : (module KERNEL) -> Design.tool -> inventory
+(** @raise Invalid_argument if the kernel has no such tool, with the
+    one diagnostic ["kernel K has no T designs (tools: ...)"] listing
+    the tools it does have; same for the accessors below. *)
+
 val initial : (module KERNEL) -> Design.tool -> Design.t
-(** @raise Invalid_argument if the kernel has no such tool (message
-    lists the tools it does have); same for the accessors below. *)
 
 val optimized : (module KERNEL) -> Design.tool -> Design.t
 val sweep : (module KERNEL) -> Design.tool -> Design.t list

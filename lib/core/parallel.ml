@@ -3,13 +3,14 @@
    Regenerating the paper's artifacts is dominated by evaluation: Fig. 1
    alone measures ~100 synthesized circuits, each one a cycle-accurate
    simulation plus a synthesis report.  The designs are independent, so
-   [map] fans them out over a fixed-size pool of domains while keeping the
-   result order deterministic (results land in a slot array indexed by the
-   input position, never in completion order).
+   [map_result] fans them out over a fixed-size pool of domains while
+   keeping the result order deterministic (results land in a slot array
+   indexed by the input position, never in completion order).  A failure
+   is a value in its slot; [map] is the raising view of the same run.
 
    The pool size defaults to [Domain.recommended_domain_count ()], can be
    pinned per call with [?jobs], and per process with the [HLSVHC_JOBS]
-   environment variable.  [map ~jobs:1] runs inline on the calling domain —
+   environment variable.  [~jobs:1] runs inline on the calling domain —
    no pool, byte-identical to the historical sequential path.
 
    Jobs must not share mutable builder state: a design's [Lazy] circuit
@@ -48,45 +49,43 @@ let clamp_jobs jobs n =
   in
   max 1 (min requested n)
 
-(* The pool skeleton shared by [map] and [map_result]: an atomic cursor
-   over the input array; each worker claims the next index, runs the job
-   and stores the outcome in its slot.  Under [~abort:true] (the [map]
-   semantics) the first exception (in claim order) is kept in [failed]
-   and the remaining workers drain without starting new jobs; under
-   [~abort:false] every item runs and failures stay per-slot.  Either
-   way every domain is joined — the pool never deadlocks on a raising
-   job. *)
-let pooled ~jobs ~abort f items =
+(* The pool: an atomic cursor over the input array; each worker claims
+   the next index, runs the job and stores its outcome — the value, or
+   the exception with its backtrace — in the slot of that index.  Every
+   item runs whatever its siblings do, and every domain is joined, so a
+   raising job can neither deadlock the pool nor change which items
+   ran.  [~jobs:1] runs the same slot loop inline on the calling
+   domain. *)
+let map_result ?jobs f xs =
+  let items = Array.of_list xs in
   let n = Array.length items in
+  let jobs = clamp_jobs jobs n in
+  let results = Array.make n None in
+  let run i =
+    results.(i) <-
+      Some
+        (match f items.(i) with
+        | v -> Ok v
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+  in
   (* Capture the trace switch once, before spawning: workers must agree
      with the caller on whether to record, even if the flag is toggled
      mid-run. *)
   let traced = Trace.enabled () in
-  let results = Array.make n None in
   let next = Atomic.make 0 in
-  let failed = Atomic.make None in
   let worker wid () =
     (* The claim loop, returning how many jobs this worker ran and the
        wall time it spent inside them (its busy time, as opposed to the
        tail time it idled waiting for the slowest sibling). *)
     let run_loop () =
       let claimed = ref 0 and busy = ref 0.0 in
-      let running = ref true in
-      while !running do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n || (abort && Atomic.get failed <> None) then running := false
-        else begin
-          incr claimed;
-          let t0 = if traced then Unix.gettimeofday () else 0.0 in
-          (match f items.(i) with
-          | v -> results.(i) <- Some (Ok v)
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              results.(i) <- Some (Error (e, bt));
-              if abort then
-                ignore (Atomic.compare_and_set failed None (Some (e, bt))));
-          if traced then busy := !busy +. (Unix.gettimeofday () -. t0)
-        end
+      let i = ref (Atomic.fetch_and_add next 1) in
+      while !i < n do
+        incr claimed;
+        let t0 = if traced then Unix.gettimeofday () else 0.0 in
+        run !i;
+        if traced then busy := !busy +. (Unix.gettimeofday () -. t0);
+        i := Atomic.fetch_and_add next 1
       done;
       (!claimed, !busy)
     in
@@ -108,45 +107,21 @@ let pooled ~jobs ~abort f items =
     let domains = List.init jobs (fun wid -> Domain.spawn (worker wid)) in
     List.iter Domain.join domains
   in
-  if traced then
+  if jobs = 1 then for i = 0 to n - 1 do run i done
+  else if traced then
     Trace.with_span ~design:"pool" ~stage:"map" (fun () ->
         Trace.add_counter "jobs" jobs;
         Trace.add_counter "items" n;
         spawn_and_join ())
   else spawn_and_join ();
-  (results, Atomic.get failed)
+  Array.to_list (Array.map Option.get results)
 
+(* Fail-fast is a view of the keep-going result: the lowest-index
+   failure is re-raised, so the exception does not depend on [jobs]. *)
 let map ?jobs f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let jobs = clamp_jobs jobs n in
-  if n = 0 then []
-  else if jobs = 1 then List.map f xs
-  else begin
-    let results, failed = pooled ~jobs ~abort:true f items in
-    (match failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list
-      (Array.map (function Some (Ok v) -> v | _ -> assert false) results)
-  end
-
-let map_result ?jobs f xs =
-  let capture x =
-    match f x with
-    | v -> Ok v
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let jobs = clamp_jobs jobs n in
-  if n = 0 then []
-  else if jobs = 1 then List.map capture xs
-  else begin
-    let results, _ = pooled ~jobs ~abort:false f items in
-    Array.to_list
-      (Array.map (function Some r -> r | None -> assert false) results)
-  end
+  List.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (map_result ?jobs f xs)
 
 (* Content-keyed in-memory result cache, shared across domains behind a
    mutex.  The mutex guards only table access, never the computation: two

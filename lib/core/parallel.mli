@@ -2,9 +2,11 @@
 
     Evaluating the paper's artifacts means measuring ~100 independent
     synthesized circuits (Fig. 1) — an embarrassingly parallel workload.
-    [map] fans jobs out over a fixed-size pool of domains with
-    deterministic result ordering; {!Memo} is the shared, mutex-protected
-    result cache the evaluation pipeline layers on top.
+    {!map_result} fans jobs out over a fixed-size pool of domains with
+    deterministic result ordering and runs every item to completion: a
+    failure is a value in its input slot, never a reason to stop the
+    batch.  {!map} is its raising view.  {!Memo} is the shared,
+    mutex-protected result cache the evaluation pipeline layers on top.
 
     Jobs must not share mutable builder state across domains: a design's
     lazy circuit constructor is forced inside the single job that owns it
@@ -16,31 +18,30 @@ val default_jobs : unit -> int
     invalid [HLSVHC_JOBS] falls back to the domain count with a one-time
     stderr warning. *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ?jobs f xs] is [List.map f xs] computed on a pool of
-    [min jobs (List.length xs)] domains ([default_jobs ()] when [jobs] is
-    omitted; [~jobs:1] runs inline on the calling domain).  Results keep
-    input order regardless of completion order.  If a job raises, the
-    pool stops claiming new jobs, every domain is joined (no deadlock),
-    and the first exception is re-raised on the caller.
-
-    When {!Trace} is enabled, a pooled map records a ["pool"/"map"] span
-    (counters [jobs], [items]) on the caller and one
-    ["pool/workerN"/"worker"] span per domain (counters [claimed],
-    [busy_us]); each worker flushes its domain-local span buffer before
-    exiting, so traces recorded inside jobs survive the domain. *)
-
 val map_result :
   ?jobs:int ->
   ('a -> 'b) ->
   'a list ->
   ('b, exn * Printexc.raw_backtrace) result list
-(** The keep-going [map]: every item runs to completion regardless of
-    other items' failures, and each slot carries its own outcome — the
-    job's value, or the exception (with backtrace) it raised.  Result
-    order is the input order for any job count, and the call itself
-    never raises on a failing job.  Shares the pool skeleton, trace
-    spans and [~jobs:1] inline path with {!map}. *)
+(** [map_result ?jobs f xs] applies [f] to every item on a pool of
+    [min jobs (List.length xs)] domains ([default_jobs ()] when [jobs] is
+    omitted; [~jobs:1] runs inline on the calling domain).  Every item
+    runs to completion regardless of other items' failures, and each
+    slot carries its own outcome — the job's value, or the exception
+    (with backtrace) it raised.  Result order is the input order for any
+    job count; every domain is joined, and the call itself never raises
+    on a failing job.
+
+    When {!Trace} is enabled, a pooled run records a ["pool"/"map"] span
+    (counters [jobs], [items]) on the caller and one
+    ["pool/workerN"/"worker"] span per domain (counters [claimed],
+    [busy_us]); each worker flushes its domain-local span buffer before
+    exiting, so traces recorded inside jobs survive the domain. *)
+
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ?jobs f xs] is [List.map f xs] computed by {!map_result}: the
+    whole batch runs, then the exception of the lowest-index failing
+    item is re-raised — the same exception at every job count. *)
 
 module Memo (V : sig
   type t

@@ -24,7 +24,7 @@ let column ~anchor_loc (d : Design.t) m =
     quality = Metrics.quality m;
   }
 
-let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
+let compute_result ?jobs ?tools ?(kernel = Kernel.idct) () =
   let spec = Kernel.spec kernel in
   let kernel_tools = Kernel.tools kernel in
   (* The first registered tool anchors the relative indicators — Verilog
@@ -37,10 +37,10 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
     | Some ts -> List.filter (fun t -> List.mem t ts) kernel_tools
   in
   (* Measure every initial/optimized design on the domain pool, then
-     assemble the rows sequentially from the returned list.  Keep-going
-     measures with [measure_all_result] so one failed design costs its own
-     tool's column pair, not the table.  A [--tools] restriction still
-     measures the anchor pair: alpha and C_Q are normalized against it. *)
+     assemble the rows sequentially from the returned list.  One failed
+     design costs its own tool's column pair, not the table.  A [--tools]
+     restriction still measures the anchor pair: alpha and C_Q are
+     normalized against it. *)
   let measured_tools =
     if List.mem anchor selected then selected else anchor :: selected
   in
@@ -49,10 +49,7 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
       (fun t -> [ Kernel.initial kernel t; Kernel.optimized kernel t ])
       measured_tools
   in
-  let outcomes =
-    if keep_going then Evaluate.measure_all_result ?jobs ~spec designs
-    else List.map (fun m -> Ok m) (Evaluate.measure_all ?jobs ~spec designs)
-  in
+  let outcomes = Evaluate.measure_all_result ?jobs ~spec designs in
   let results = List.combine designs outcomes in
   let rec by_tool ts rs =
     match (ts, rs) with
@@ -60,11 +57,6 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
     | _ -> []
   in
   let measured = by_tool measured_tools results in
-  let failures =
-    List.filter_map
-      (function _, Error (e : Flow.error) -> Some e | _, Ok _ -> None)
-      results
-  in
   let rows =
     match List.assoc anchor measured with
     | (v_init, Ok _), (v_opt, Ok v_opt_m) ->
@@ -102,13 +94,10 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
            (alpha, C_Q); without them there is no table to assemble. *)
         []
   in
-  (rows, failures)
+  (rows, Flow.errors outcomes)
 
 let compute ?jobs ?tools ?kernel () =
-  fst (compute_outcomes ?jobs ?tools ?kernel ~keep_going:false ())
-
-let compute_result ?jobs ?tools ?kernel () =
-  compute_outcomes ?jobs ?tools ?kernel ~keep_going:true ()
+  Flow.fail_fast (compute_result ?jobs ?tools ?kernel ())
 
 let render_rows rows =
   let buf = Buffer.create 4096 in
@@ -176,9 +165,3 @@ let render_rows rows =
     (pair (fun r -> string_of_int r.initial.measured.Metrics.ios)
        (fun r -> string_of_int r.optimized.measured.Metrics.ios));
   Buffer.contents buf
-
-let render ?jobs ?tools ?kernel () = render_rows (compute ?jobs ?tools ?kernel ())
-
-let render_result ?jobs ?tools ?kernel () =
-  let rows, failures = compute_result ?jobs ?tools ?kernel () in
-  (render_rows rows, failures)

@@ -19,47 +19,36 @@ type row = {
   flexibility : float;       (** F_Q *)
 }
 
-val compute :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  row list
-(** Measures every design of [kernel] (default the paper's IDCT) on the
-    domain pool ({!Evaluate.measure_all}, one [measure] per design), then
-    assembles the rows sequentially from the returned measurements, so
-    the result is identical for any job count.  Nothing is cached here:
-    a repeated call re-reads the {!Evaluate} memo.  [tools] restricts
-    the rows (registration order, duplicates ignored); the anchor pair —
-    the kernel's first registered tool, Verilog for the IDCT — is still
-    measured, since alpha and C_Q are normalized against it. *)
-
 val compute_result :
   ?jobs:int ->
   ?tools:Design.tool list ->
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
   row list * Flow.error list
-(** Keep-going: every design is still measured, but a tool whose initial
-    or optimized design fails loses its column pair instead of aborting
-    the table; the failures come back as typed errors.  Because every
-    indicator is normalized against the anchor columns, a failed
-    anchor design yields no rows at all (the failures still report
-    every broken design). *)
+(** Measures every design of [kernel] (default the paper's IDCT) on the
+    domain pool ({!Evaluate.measure_all_result}, one [measure] per
+    design), then assembles the rows sequentially from the returned
+    measurements, so the result is identical for any job count.
+    Nothing is cached here: a repeated call re-reads the {!Evaluate}
+    memo.  [tools] restricts the rows (registration order, duplicates
+    ignored); the anchor pair — the kernel's first registered tool,
+    Verilog for the IDCT — is still measured, since alpha and C_Q are
+    normalized against it.
 
-val render :
+    A tool whose initial or optimized design fails loses its column
+    pair; the failures come back as typed errors.  Because every
+    indicator is normalized against the anchor columns, a failed anchor
+    design yields no rows at all (the failures still report every broken
+    design). *)
+
+val compute :
   ?jobs:int ->
   ?tools:Design.tool list ->
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
-  string
+  row list
+(** {!compute_result} through {!Flow.fail_fast}: raises the first
+    failed design's {!Flow.Error}. *)
+
+val render_rows : row list -> string
 (** The table in the paper's layout (rows = indicators, columns = tools). *)
-
-val render_result :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string * Flow.error list
-(** {!render} over {!compute_result}: the surviving columns plus the
-    failures for the caller's summary. *)

@@ -73,9 +73,9 @@ type state = {
 
 (* Measure one batch of candidates on the domain pool: drop the ones this
    run already visited, truncate to the remaining budget, count how many
-   are warm in the memo cache, and record every outcome.  One call = one
-   "round" trace span. *)
-let evaluate_batch st ?jobs ~keep_going ~spec cands =
+   are warm in the memo cache, and record every outcome — a failed
+   candidate as its typed error.  One call = one "round" trace span. *)
+let evaluate_batch st ?jobs ~spec cands =
   let fresh, _ =
     List.fold_left
       (fun (acc, seen) c ->
@@ -100,11 +100,7 @@ let evaluate_batch st ?jobs ~keep_going ~spec cands =
         in
         let designs = List.map (fun c -> c.Space.cand_design) fresh in
         let outcomes =
-          if keep_going then
-            Core.Evaluate.measure_all_result ?jobs ~matrices ~spec designs
-          else
-            List.map (fun m -> Ok m)
-              (Core.Evaluate.measure_all ?jobs ~matrices ~spec designs)
+          Core.Evaluate.measure_all_result ?jobs ~matrices ~spec designs
         in
         st.budget_left <- st.budget_left - List.length fresh;
         st.cache_hits <- st.cache_hits + hits;
@@ -126,20 +122,20 @@ let lookup st c = Hashtbl.find_opt st.visited (Space.key c)
 
 let all_candidates spaces = List.concat_map Space.candidates spaces
 
-let run_exhaustive st ?jobs ~keep_going ~spec spaces =
-  evaluate_batch st ?jobs ~keep_going ~spec (all_candidates spaces)
+let run_exhaustive st ?jobs ~spec spaces =
+  evaluate_batch st ?jobs ~spec (all_candidates spaces)
 
-let run_random st ?jobs ~keep_going ~spec ~seed spaces =
+let run_random st ?jobs ~spec ~seed spaces =
   let arr = Array.of_list (all_candidates spaces) in
   Rng.shuffle (Rng.create ~seed) arr;
-  evaluate_batch st ?jobs ~keep_going ~spec (Array.to_list arr)
+  evaluate_batch st ?jobs ~spec (Array.to_list arr)
 
 (* Multi-restart neighborhood ascent.  Restart points come from one
    seeded permutation of the space; each climb evaluates the whole ±1
    neighborhood as a single pool batch, then moves to the strictly best
    improving neighbor (ties broken by candidate key, so the walk is a
    pure function of seed and scores). *)
-let run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces =
+let run_hillclimb st ?jobs ~spec ~seed ~objective spaces =
   let arr = Array.of_list (all_candidates spaces) in
   Rng.shuffle (Rng.create ~seed) arr;
   let space_of =
@@ -163,7 +159,7 @@ let run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces =
     done;
     if !restart < Array.length arr then begin
       let start = arr.(!restart) in
-      evaluate_batch st ?jobs ~keep_going ~spec [ start ];
+      evaluate_batch st ?jobs ~spec [ start ];
       let current = ref (lookup st start) in
       let climbing = ref true in
       while !climbing do
@@ -176,7 +172,7 @@ let run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces =
                 let neigh =
                   Space.neighbors (space_of cur.ev_candidate) cur.ev_candidate
                 in
-                evaluate_batch st ?jobs ~keep_going ~spec neigh;
+                evaluate_batch st ?jobs ~spec neigh;
                 let best =
                   List.fold_left
                     (fun best c ->
@@ -228,7 +224,7 @@ let spec_of_spaces = function
         rest;
       s.Space.spec
 
-let run ?jobs ?(keep_going = false) ?budget ?(seed = 0) ~strategy ~objective
+let run ?jobs ?budget ?(seed = 0) ~strategy ~objective
     spaces =
   let spec = spec_of_spaces spaces in
   let space_size =
@@ -245,10 +241,10 @@ let run ?jobs ?(keep_going = false) ?budget ?(seed = 0) ~strategy ~objective
   in
   Core.Trace.with_span ~design:"dse" ~stage:"search" (fun () ->
       (match strategy with
-      | Strategy.Exhaustive -> run_exhaustive st ?jobs ~keep_going ~spec spaces
-      | Strategy.Random -> run_random st ?jobs ~keep_going ~spec ~seed spaces
+      | Strategy.Exhaustive -> run_exhaustive st ?jobs ~spec spaces
+      | Strategy.Random -> run_random st ?jobs ~spec ~seed spaces
       | Strategy.Hillclimb ->
-          run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces);
+          run_hillclimb st ?jobs ~spec ~seed ~objective spaces);
       let evaluated = List.rev st.order in
       let cloud =
         List.filter_map

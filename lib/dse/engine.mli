@@ -10,10 +10,10 @@
     [--jobs] count; with a fixed seed it is bit-identical across
     repeats.
 
-    Failure semantics follow the resilience layer: fail-fast by default
-    (the first broken point aborts with its typed {!Core.Flow.Error});
-    with [keep_going] a broken point is recorded as a typed error, scores
-    as unusable for the climb, and never reaches the frontier. *)
+    Failures are values: a broken point is recorded in
+    [res_evaluated] as its typed {!Core.Flow.error}, scores as unusable
+    for the climb and never reaches the frontier; {!run} never raises on
+    one.  Whether a failed search is reported is the caller's choice. *)
 
 type objective = Quality | Throughput | Area
 
@@ -52,7 +52,6 @@ val point_of : Space.candidate -> Core.Metrics.measured -> Pareto.point
 
 val run :
   ?jobs:int ->
-  ?keep_going:bool ->
   ?budget:int ->
   ?seed:int ->
   strategy:Strategy.t ->

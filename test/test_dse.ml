@@ -171,6 +171,40 @@ let test_exhaustive_budget () =
     [ "Vivado/initial"; "Vivado/1 row + 8 col units" ]
     (eval_keys r)
 
+let test_failed_points_recorded () =
+  (* A broken point is a value in the run, never an exception: it is
+     counted, kept out of the frontier, and the run is the same at any
+     job count. *)
+  Core.Evaluate.clear_measure_cache ();
+  Core.Faultinject.arm
+    {
+      Core.Faultinject.fault = Crash "synthesize";
+      target = "Vivado/initial";
+      seed = 0;
+    };
+  let run jobs =
+    Dse.Engine.run ~jobs ~strategy:Dse.Strategy.Exhaustive
+      ~objective:Dse.Engine.Quality
+      [ Dse.Space.of_tool Core.Design.Verilog ]
+  in
+  let a, b =
+    Fun.protect
+      ~finally:(fun () ->
+        Core.Faultinject.disarm ();
+        Core.Evaluate.clear_measure_cache ())
+      (fun () -> (run 1, run 2))
+  in
+  check int "one failure counted" 1
+    a.Dse.Engine.res_stats.Dse.Engine.st_failures;
+  check int "every candidate evaluated" 3
+    a.Dse.Engine.res_stats.Dse.Engine.st_evaluated;
+  check bool "failed point not on the frontier" false
+    (List.mem "Vivado/initial" (frontier_keys a));
+  check string_list "same sequence across job counts" (eval_keys a)
+    (eval_keys b);
+  check string_list "same frontier across job counts" (frontier_keys a)
+    (frontier_keys b)
+
 let test_random_seeded_reproducible () =
   let run jobs =
     Dse.Engine.run ~jobs ~budget:5 ~seed:11 ~strategy:Dse.Strategy.Random
@@ -276,6 +310,8 @@ let () =
           Alcotest.test_case "hillclimb seeded reproducible" `Slow
             test_hillclimb_seeded_reproducible;
           Alcotest.test_case "objective scores" `Quick test_objective_scores;
+          Alcotest.test_case "failed points recorded, never raised" `Quick
+            test_failed_points_recorded;
         ] );
       ( "fig1",
         [

@@ -122,6 +122,46 @@ let test_error_rendering () =
     && contains ~sub:"Verilog/initial" summary
     && contains ~sub:"not-bit-true" summary)
 
+let test_summary_aligns_long_keys () =
+  (* The design column is as wide as the longest key, so every row's
+     stage and class start where the header's do. *)
+  let err design =
+    {
+      Core.Flow.err_design = design;
+      err_stage = "synthesize";
+      err_class = Core.Flow.Synth_failure "boom";
+    }
+  in
+  let lines =
+    String.split_on_char '\n'
+      (Core.Flow.render_failure_summary
+         [
+           err "Vivado/initial";
+           err "Vivado HLS/INLINE+ARRAY_PARTITION+PIPELINE_II8";
+         ])
+  in
+  let column line word =
+    let n = String.length line and m = String.length word in
+    let rec at i =
+      if i + m > n then -1
+      else if String.sub line i m = word then i
+      else at (i + 1)
+    in
+    at 0
+  in
+  match lines with
+  | _ :: header :: rows ->
+      List.iter
+        (fun row ->
+          if row <> "" then begin
+            check int "stage column aligned" (column header "stage")
+              (column row "synthesize");
+            check int "class column aligned" (column header "class")
+              (column row "synth-failure")
+          end)
+        rows
+  | _ -> Alcotest.fail "summary has no header"
+
 (* ---------------- the compiled -> interpreter fallback --------------- *)
 
 let test_engine_fallback_recovers () =
@@ -230,14 +270,42 @@ let test_keep_going_all_run () =
   (* When no point survives at all, the figure says so instead of
      printing infinite axis bounds. *)
   Core.Faultinject.arm every_elaborate_crashes;
-  let text, failures =
+  let series, failures =
     Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
-        Core.Fig1.render_result ~jobs:1 ~tools:[ Core.Design.Verilog ] ())
+        Core.Fig1.compute_result ~jobs:1 ~tools:[ Core.Design.Verilog ] ())
   in
+  let text = Core.Fig1.render_series series in
   check int "every Verilog point failed" 3 (List.length failures);
   check bool "no infinite bounds" false (contains ~sub:"area: inf" text);
   check bool "plain no-points range line" true
     (contains ~sub:"area: no points   throughput: no points\n" text)
+
+let test_compliance_keeps_going () =
+  (* crash@comply fails one compliance check; its batch-mates still get
+     their verdicts, and the failure is typed and attributed. *)
+  let kernel = Option.get (Core.Kernel.parse_kernel "fir8") in
+  let designs =
+    List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
+  in
+  let victim = Core.Flow.span_key (List.nth designs 1) in
+  Core.Faultinject.arm
+    { Core.Faultinject.fault = Crash "comply"; target = victim; seed = 0 };
+  let outcomes =
+    Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+        Core.Evaluate.compliance_all_result ~jobs:2 ~blocks:16
+          ~spec:(Core.Kernel.spec kernel) designs)
+  in
+  check int "exactly one failure" 1
+    (List.length (Core.Flow.errors (List.map snd outcomes)));
+  List.iter
+    (fun (d, r) ->
+      match r with
+      | Error e ->
+          check string "only the victim fails" victim e.Core.Flow.err_design
+      | Ok ok ->
+          check bool "survivor passes" true ok;
+          check bool "victim must fail" false (Core.Flow.span_key d = victim))
+    outcomes
 
 (* ---------------- artifacts cache nothing of their own ---------------- *)
 
@@ -362,6 +430,8 @@ let () =
           Alcotest.test_case "crash@stage classification" `Quick
             test_crash_classification;
           Alcotest.test_case "canonical rendering" `Quick test_error_rendering;
+          Alcotest.test_case "summary aligns long keys" `Quick
+            test_summary_aligns_long_keys;
         ] );
       ( "fallback",
         [
@@ -374,6 +444,8 @@ let () =
             test_keep_going_sweep;
           Alcotest.test_case "early failure aborts nothing" `Quick
             test_keep_going_all_run;
+          Alcotest.test_case "compliance keeps going" `Quick
+            test_compliance_keeps_going;
         ] );
       ( "caches",
         [

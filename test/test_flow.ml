@@ -13,6 +13,9 @@ let tools = [ Core.Design.Verilog; Core.Design.Chisel ]
 
 let cold () = Core.Evaluate.clear_measure_cache ()
 
+let render ~jobs () =
+  Core.Fig1.render_series (Core.Fig1.compute ~jobs ~tools ())
+
 (* Run [f] with tracing enabled; return its result and the drained
    spans.  The flag is always restored. *)
 let traced f =
@@ -24,9 +27,9 @@ let traced f =
 
 let test_artifacts_identical_traced () =
   cold ();
-  let plain = Core.Fig1.render ~jobs:1 ~tools () in
+  let plain = render ~jobs:1 () in
   cold ();
-  let with_trace, spans = traced (fun () -> Core.Fig1.render ~jobs:1 ~tools ()) in
+  let with_trace, spans = traced (render ~jobs:1) in
   check Alcotest.string "fig1 byte-identical under tracing" plain with_trace;
   check bool "trace not empty" true (spans <> []);
   (* one complete stage pipeline per measured design *)
@@ -39,9 +42,9 @@ let test_artifacts_identical_traced () =
 
 let test_artifacts_identical_across_jobs () =
   cold ();
-  let seq = Core.Fig1.render ~jobs:1 ~tools () in
+  let seq = render ~jobs:1 () in
   cold ();
-  let par, spans = traced (fun () -> Core.Fig1.render ~jobs:4 ~tools ()) in
+  let par, spans = traced (render ~jobs:4) in
   check Alcotest.string "fig1 byte-identical jobs 1 vs 4" seq par;
   (* the pooled run recorded the engine spans... *)
   let find_stage name = List.filter (fun s -> s.Core.Trace.stage = name) spans in

@@ -214,7 +214,7 @@ let test_fig1_subset () =
           check bool "positive throughput" true (p.throughput_mops > 0.))
         s.Core.Fig1.points
   | _ -> Alcotest.fail "expected one series");
-  let txt = Core.Fig1.render ~tools:[ Core.Design.Maxj ] () in
+  let txt = Core.Fig1.render_series series in
   check bool "render mentions MaxJ" true (String.length txt > 100)
 
 let test_table1_rows () =

@@ -39,6 +39,27 @@ let test_pool_survives_raising_job () =
     (List.map succ xs)
     (Core.Parallel.map ~jobs:3 succ xs)
 
+let test_lowest_index_failure_wins () =
+  (* Item 3 fails late and item 17 at once: whichever domain finishes
+     first, [map] re-raises the lowest-index failure at every job
+     count. *)
+  let f x =
+    if x = 3 then begin
+      Unix.sleepf 0.05;
+      failwith "3"
+    end
+    else if x = 17 then failwith "17"
+    else x
+  in
+  List.iter
+    (fun jobs ->
+      match Core.Parallel.map ~jobs f (List.init 20 Fun.id) with
+      | _ -> Alcotest.fail "expected the job's exception"
+      | exception Failure m ->
+          check Alcotest.string (Printf.sprintf "jobs=%d raises item 3" jobs)
+            "3" m)
+    [ 1; 2; 4 ]
+
 (* ---------------- keep-going map ---------------- *)
 
 let test_map_result_order_and_capture () =
@@ -217,6 +238,8 @@ let () =
           Alcotest.test_case "empty and defaults" `Quick test_map_empty_and_env;
           Alcotest.test_case "survives raising job" `Quick
             test_pool_survives_raising_job;
+          Alcotest.test_case "lowest-index failure wins" `Quick
+            test_lowest_index_failure_wins;
           Alcotest.test_case "map_result order and capture" `Quick
             test_map_result_order_and_capture;
           Alcotest.test_case "map_result runs everything" `Quick
