@@ -202,7 +202,7 @@ let bench_batch = 8
 
 let stream_circuit (d : Core.Design.t) =
   match d.Core.Design.impl with
-  | Core.Design.Stream c -> Lazy.force c
+  | Core.Design.Stream c -> Core.Design.force c
   | Core.Design.Pcie _ -> assert false
 
 (* Deterministic stimulus: every input wiggles every cycle, every output is
@@ -406,7 +406,7 @@ let sim_engines () =
 (* ------------------------------------------------------------------ *)
 
 let force_all_circuits () =
-  (* Force every lazy circuit once on this domain so construction cost
+  (* Force every design cell once on this domain so construction cost
      does not skew either timed run — both runs then measure evaluation
      (simulation + synthesis) only. *)
   List.iter
@@ -414,8 +414,8 @@ let force_all_circuits () =
       List.iter
         (fun (d : Core.Design.t) ->
           match d.Core.Design.impl with
-          | Core.Design.Stream c -> ignore (Lazy.force c)
-          | Core.Design.Pcie p -> ignore (Lazy.force p.Core.Design.system))
+          | Core.Design.Stream c -> ignore (Core.Design.force c)
+          | Core.Design.Pcie p -> ignore (Core.Design.force p.Core.Design.system))
         (Core.Registry.sweep tool))
     Core.Design.all_tools
 
@@ -877,7 +877,7 @@ let bechamel_suite () =
   in
   let verilog_opt =
     match (Core.Registry.optimized Core.Design.Verilog).Core.Design.impl with
-    | Core.Design.Stream c -> Lazy.force c
+    | Core.Design.Stream c -> Core.Design.force c
     | Core.Design.Pcie _ -> assert false
   in
   let sim = Hw.Sim.create verilog_opt in

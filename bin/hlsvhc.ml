@@ -334,10 +334,10 @@ let verilog_cmd =
   let run kernel tool optimized =
     let d = pick_design kernel tool optimized in
     match d.Core.Design.impl with
-    | Core.Design.Stream c -> print_string (Hw.Verilog.emit (Lazy.force c))
+    | Core.Design.Stream c -> print_string (Hw.Verilog.emit (Core.Design.force c))
     | Core.Design.Pcie p ->
         print_string
-          (Hw.Verilog.emit (Lazy.force p.Core.Design.system).Maxj.Manager.kernel)
+          (Hw.Verilog.emit (Core.Design.force p.Core.Design.system).Maxj.Manager.kernel)
   in
   Cmd.v
     (Cmd.info "verilog"
@@ -369,7 +369,7 @@ let waves_cmd =
     match d.Core.Design.impl with
     | Core.Design.Pcie _ -> prerr_endline "MaxJ kernels: use the stream simulators"
     | Core.Design.Stream c ->
-        let circuit = Lazy.force c in
+        let circuit = Core.Design.force c in
         let sim = Hw.Sim.create circuit in
         Hw.Sim.reset sim;
         (* drive one matrix of the kernel's own stimulus so the trace

@@ -20,7 +20,7 @@ let () =
     let d = Core.Registry.optimized tool in
     match d.Core.Design.impl with
     | Core.Design.Stream c ->
-        let c = Lazy.force c in
+        let c = Core.Design.force c in
         report
           (Printf.sprintf "%s optimized, gate level (500 blocks)"
              (Core.Design.tool_name tool))

@@ -64,7 +64,7 @@ let () =
   in
   let accel =
     match (Core.Registry.optimized Core.Design.Verilog).Core.Design.impl with
-    | Core.Design.Stream c -> Lazy.force c
+    | Core.Design.Stream c -> Core.Design.force c
     | Core.Design.Pcie _ -> assert false
   in
   let r = Axis.Driver.run accel dequantized in

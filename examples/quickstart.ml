@@ -7,7 +7,7 @@ let () =
   let design = Core.Registry.optimized Core.Design.Verilog in
   let circuit =
     match design.Core.Design.impl with
-    | Core.Design.Stream c -> Lazy.force c
+    | Core.Design.Stream c -> Core.Design.force c
     | Core.Design.Pcie _ -> assert false
   in
 

@@ -19,33 +19,38 @@ let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
   let reg_sig rid =
     match regq.(rid) with Some s -> s | None -> failwith "unknown register"
   in
-  let rec expr (e : Lang.expr) =
-    match e with
-    | Lang.Const k -> Builder.constb b k
-    | Lang.Read r -> reg_sig r.Lang.rid
-    | Lang.In (name, _) -> Hashtbl.find inputs name
-    | Lang.Unop (Netlist.Not, x) -> Builder.not_ b (expr x)
-    | Lang.Unop (Netlist.Neg, x) -> Builder.neg b (expr x)
-    | Lang.Binop (op, x, y) -> (
-        let sx = expr x and sy = expr y in
-        match op with
-        | Netlist.Add -> Builder.add b sx sy
-        | Netlist.Sub -> Builder.sub b sx sy
-        | Netlist.Mul -> Builder.mul b sx sy
-        | Netlist.And -> Builder.and_ b sx sy
-        | Netlist.Or -> Builder.or_ b sx sy
-        | Netlist.Xor -> Builder.xor_ b sx sy
-        | Netlist.Shl -> Builder.shl b sx sy
-        | Netlist.Shr -> Builder.shr b sx sy
-        | Netlist.Sra -> Builder.sra b sx sy
-        | Netlist.Eq -> Builder.eq b sx sy
-        | Netlist.Ne -> Builder.ne b sx sy
-        | Netlist.Lt s -> Builder.lt b ~signed:(s = Netlist.Signed) sx sy
-        | Netlist.Le s -> Builder.le b ~signed:(s = Netlist.Signed) sx sy)
-    | Lang.Mux (s, x, y) -> Builder.mux b (expr s) (expr x) (expr y)
-    | Lang.Slice (x, hi, lo) -> Builder.slice b (expr x) ~hi ~lo
-    | Lang.Uext (x, w) -> Builder.uext b (expr x) w
-    | Lang.Sext (x, w) -> Builder.sext b (expr x) w
+  (* One table for the whole module: a first visit issues the same
+     [Builder] calls in the same order as a tree walk would, and a tree
+     walk's revisits would only hit [Builder]'s hash-consing, so the
+     netlist is the same node for node. *)
+  let expr =
+    Lang.memo (fun expr (e : Lang.expr) ->
+        match e.Lang.node with
+        | Lang.Const k -> Builder.constb b k
+        | Lang.Read r -> reg_sig r.Lang.rid
+        | Lang.In (name, _) -> Hashtbl.find inputs name
+        | Lang.Unop (Netlist.Not, x) -> Builder.not_ b (expr x)
+        | Lang.Unop (Netlist.Neg, x) -> Builder.neg b (expr x)
+        | Lang.Binop (op, x, y) -> (
+            let sx = expr x and sy = expr y in
+            match op with
+            | Netlist.Add -> Builder.add b sx sy
+            | Netlist.Sub -> Builder.sub b sx sy
+            | Netlist.Mul -> Builder.mul b sx sy
+            | Netlist.And -> Builder.and_ b sx sy
+            | Netlist.Or -> Builder.or_ b sx sy
+            | Netlist.Xor -> Builder.xor_ b sx sy
+            | Netlist.Shl -> Builder.shl b sx sy
+            | Netlist.Shr -> Builder.shr b sx sy
+            | Netlist.Sra -> Builder.sra b sx sy
+            | Netlist.Eq -> Builder.eq b sx sy
+            | Netlist.Ne -> Builder.ne b sx sy
+            | Netlist.Lt s -> Builder.lt b ~signed:(s = Netlist.Signed) sx sy
+            | Netlist.Le s -> Builder.le b ~signed:(s = Netlist.Signed) sx sy)
+        | Lang.Mux (s, x, y) -> Builder.mux b (expr s) (expr x) (expr y)
+        | Lang.Slice (x, hi, lo) -> Builder.slice b (expr x) ~hi ~lo
+        | Lang.Uext (x, w) -> Builder.uext b (expr x) w
+        | Lang.Sext (x, w) -> Builder.sext b (expr x) w)
   in
   let n = Array.length sched.Sched.rules in
   let can_fire =

@@ -7,19 +7,19 @@ open Lang
 
 let aw = 32
 let c32 v = cst aw v
-let sx e = if infer_width e >= aw then e else Sext (e, aw)
-let add a b = Binop (Hw.Netlist.Add, sx a, sx b)
-let sub a b = Binop (Hw.Netlist.Sub, sx a, sx b)
-let mulc k x = Binop (Hw.Netlist.Mul, c32 k, sx x)
-let shl x n = Binop (Hw.Netlist.Shl, sx x, cst 6 n)
-let asr_ x n = Binop (Hw.Netlist.Sra, sx x, cst 6 n)
+let sx e = if width e >= aw then e else sext e aw
+let add a b = binop Hw.Netlist.Add (sx a) (sx b)
+let sub a b = binop Hw.Netlist.Sub (sx a) (sx b)
+let mulc k x = binop Hw.Netlist.Mul (c32 k) (sx x)
+let shl x n = binop Hw.Netlist.Shl (sx x) (cst 6 n)
+let asr_ x n = binop Hw.Netlist.Sra (sx x) (cst 6 n)
 
 let iclip x =
   let x = sx x in
   let lo = c32 (-256) and hi = c32 255 in
-  let too_lo = Binop (Hw.Netlist.Lt Hw.Netlist.Signed, x, lo) in
-  let too_hi = Binop (Hw.Netlist.Lt Hw.Netlist.Signed, hi, x) in
-  Slice (Mux (too_lo, lo, Mux (too_hi, hi, x)), 8, 0)
+  let too_lo = binop (Hw.Netlist.Lt Hw.Netlist.Signed) x lo in
+  let too_hi = binop (Hw.Netlist.Lt Hw.Netlist.Signed) hi x in
+  slice (mux too_lo lo (mux too_hi hi x)) 8 0
 
 let w1 = Idct.Chenwang.w1
 let w2 = Idct.Chenwang.w2
@@ -55,7 +55,7 @@ let row_pass ins =
   let x2 = asr_ (add (mulc 181 (add x4 x5)) (c32 128)) 8 in
   let x4 = asr_ (add (mulc 181 (sub x4 x5)) (c32 128)) 8 in
   (* Row results are stored in 16 bits (the C original's short). *)
-  let store e = Slice (e, 15, 0) in
+  let store e = slice e 15 0 in
   [|
     store (asr_ (add x7 x1) 8);
     store (asr_ (add x3 x2) 8);
@@ -124,12 +124,8 @@ let declare_stream_inputs bld =
 let select_row regs sel r_of_i =
   Array.init lanes (fun c ->
       let rec pick i =
-        if i = lanes - 1 then Read regs.(r_of_i i).(c)
-        else
-          Mux
-            (Binop (Hw.Netlist.Eq, sel, cst 3 i),
-             Read regs.(r_of_i i).(c),
-             pick (i + 1))
+        if i = lanes - 1 then read regs.(r_of_i i).(c)
+        else mux (sel ==: cst 3 i) (read regs.(r_of_i i).(c)) (pick (i + 1))
       in
       pick 0)
 
@@ -153,7 +149,7 @@ let initial_design =
   let mid_full = mk_reg bld "mid_full" 1 in
   let out_busy = mk_reg bld "out_busy" 1 in
   let ocnt = mk_reg bld "ocnt" 3 in
-  let r e = Read e in
+  let r = read in
 
   (* Collect one row per beat. *)
   let load_guard = s_valid &&: not_ (r ld_done) in
@@ -176,7 +172,7 @@ let initial_design =
   let rows_actions =
     List.concat
       (List.init lanes (fun row ->
-           let res = row_pass (Array.map (fun e -> Read e) inb.(row)) in
+           let res = row_pass (Array.map read inb.(row)) in
            List.init lanes (fun c -> assign mid.(row).(c) res.(c))))
     @ [ assign mid_full (cst 1 1); assign ld_done (cst 1 0);
         assign ld_cnt (cst 3 0) ]
@@ -189,7 +185,7 @@ let initial_design =
     List.concat
       (List.init lanes (fun col ->
            let res =
-             col_pass (Array.init lanes (fun row -> Read mid.(row).(col)))
+             col_pass (Array.init lanes (fun row -> read mid.(row).(col)))
            in
            List.init lanes (fun row -> assign outb.(row).(col) res.(row))))
     @ [ assign out_busy (cst 1 1); assign mid_full (cst 1 0) ]
@@ -236,16 +232,17 @@ let optimized_design =
   let p1 = mk_reg bld "p1" 2 in
   let p2 = mk_reg bld "p2" 2 in
   let p3 = mk_reg bld "p3" 2 in
-  let r e = Read e in
+  let r = read in
   let occ a b = r a -: r b in
-  let bank_of p = Slice (Read p, 0, 0) in
-  let cnt3 c = Slice (Read c, 2, 0) in
+  let bank_of p = slice (read p) 0 0 in
+  let cnt3 c = slice (read c) 2 0 in
+  let le_u = binop (Hw.Netlist.Le Hw.Netlist.Unsigned) in
 
   (* Stage 1: row pass on the arriving beat, into mid[p1 mod 2]. *)
   let row_res = row_pass s_data in
   let load_guard =
     s_valid
-    &&: Binop (Hw.Netlist.Le Hw.Netlist.Unsigned, r fcnt, cst 4 7)
+    &&: le_u (r fcnt) (cst 4 7)
     &&: (occ p1 p2 <>: cst 2 2)
   in
   let load_actions =
@@ -272,18 +269,18 @@ let optimized_design =
     Array.init lanes (fun row ->
         let pick k =
           let rec go col =
-            if col = lanes - 1 then Read mid.(k).(row).(col)
+            if col = lanes - 1 then read mid.(k).(row).(col)
             else
-              Mux
-                (cnt3 ccnt ==: cst 3 col, Read mid.(k).(row).(col), go (col + 1))
+              mux (cnt3 ccnt ==: cst 3 col) (read mid.(k).(row).(col))
+                (go (col + 1))
           in
           go 0
         in
-        Mux (bank_of p2, pick 1, pick 0))
+        mux (bank_of p2) (pick 1) (pick 0))
   in
   let col_res = col_pass mid_col in
   let colpass_guard =
-    Binop (Hw.Netlist.Le Hw.Netlist.Unsigned, r ccnt, cst 4 7)
+    le_u (r ccnt) (cst 4 7)
     &&: (occ p1 p2 <>: cst 2 0)
     &&: (occ p2 p3 <>: cst 2 2)
   in
@@ -307,7 +304,7 @@ let optimized_design =
 
   (* Stage 3: drain one row per beat from out[p3 mod 2]. *)
   let drain_guard =
-    Binop (Hw.Netlist.Le Hw.Netlist.Unsigned, r dcnt, cst 4 7)
+    le_u (r dcnt) (cst 4 7)
     &&: (occ p2 p3 <>: cst 2 0)
     &&: m_ready
   in
@@ -318,39 +315,20 @@ let optimized_design =
     [ assign dcnt (cst 4 0); assign p3 (r p3 +: cst 2 1) ];
 
   mk_output bld Axis.Stream.s_ready
-    (Binop (Hw.Netlist.Le Hw.Netlist.Unsigned, r fcnt, cst 4 7)
+    (le_u (r fcnt) (cst 4 7)
     &&: (occ p1 p2 <>: cst 2 2));
   let m_valid_e =
-    Binop (Hw.Netlist.Le Hw.Netlist.Unsigned, r dcnt, cst 4 7)
+    le_u (r dcnt) (cst 4 7)
     &&: (occ p2 p3 <>: cst 2 0)
   in
   mk_output bld Axis.Stream.m_valid m_valid_e;
-  mk_output bld Axis.Stream.m_last (m_valid_e &&: (cnt3 dcnt ==: cst 3 7));
+  let drow = cnt3 dcnt in
+  mk_output bld Axis.Stream.m_last (m_valid_e &&: (drow ==: cst 3 7));
+  let out_row k = select_row outb.(k) drow (fun i -> i) in
+  let row1 = out_row 1 and row0 = out_row 0 in
   Array.iteri
     (fun c e -> mk_output bld (Axis.Stream.m_data c) e)
-    (Array.init lanes (fun c ->
-         Mux
-           ( bank_of p3,
-             (let sel = cnt3 dcnt in
-              let rec pick i =
-                if i = lanes - 1 then Read outb.(1).(i).(c)
-                else
-                  Mux
-                    (Binop (Hw.Netlist.Eq, sel, cst 3 i),
-                     Read outb.(1).(i).(c),
-                     pick (i + 1))
-              in
-              pick 0),
-             let sel = cnt3 dcnt in
-             let rec pick i =
-               if i = lanes - 1 then Read outb.(0).(i).(c)
-               else
-                 Mux
-                   (Binop (Hw.Netlist.Eq, sel, cst 3 i),
-                    Read outb.(0).(i).(c),
-                    pick (i + 1))
-             in
-             pick 0 )));
+    (Array.init lanes (fun c -> mux (bank_of p3) row1.(c) row0.(c)));
   mk_module bld
 
 let circuit ?options m = Compile.compile ?options m

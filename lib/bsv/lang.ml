@@ -1,4 +1,6 @@
-type expr =
+type expr = { id : int; node : node }
+
+and node =
   | Const of Hw.Bits.t
   | Read of reg
   | In of string * int
@@ -23,40 +25,76 @@ type modul = {
   outputs : (string * expr) list;
 }
 
-let rec infer_width = function
+(* Every constructed node gets a fresh id, from any domain. *)
+let next_id = Atomic.make 0
+let make node = { id = Atomic.fetch_and_add next_id 1; node }
+
+module Tbl = Hashtbl.Make (struct
+  type t = expr
+
+  let equal a b = a.id = b.id
+  let hash e = e.id
+end)
+
+let memo f =
+  let seen = Tbl.create 64 in
+  let rec self e =
+    match Tbl.find_opt seen e with
+    | Some v -> v
+    | None ->
+        let v = f self e in
+        Tbl.add seen e v;
+        v
+  in
+  self
+
+let width_of width e =
+  match e.node with
   | Const b -> Hw.Bits.width b
   | Read r -> r.rwidth
   | In (_, w) -> w
-  | Unop (_, e) -> infer_width e
+  | Unop (_, e) -> width e
   | Binop ((Eq | Ne | Lt _ | Le _), a, b) ->
-      let wa = infer_width a and wb = infer_width b in
+      let wa = width a and wb = width b in
       if wa <> wb then
         failwith
           (Printf.sprintf "Bsv: comparison width mismatch (%d vs %d)" wa wb);
       1
-  | Binop ((Shl | Shr | Sra), a, _) -> infer_width a
+  | Binop ((Shl | Shr | Sra), a, _) -> width a
   | Binop (_, a, b) ->
-      let wa = infer_width a and wb = infer_width b in
+      let wa = width a and wb = width b in
       if wa <> wb then
         failwith (Printf.sprintf "Bsv: operand width mismatch (%d vs %d)" wa wb);
       wa
   | Mux (s, a, b) ->
-      if infer_width s <> 1 then failwith "Bsv: mux select must be 1 bit";
-      let wa = infer_width a and wb = infer_width b in
+      if width s <> 1 then failwith "Bsv: mux select must be 1 bit";
+      let wa = width a and wb = width b in
       if wa <> wb then
         failwith (Printf.sprintf "Bsv: mux arm width mismatch (%d vs %d)" wa wb);
       wa
   | Slice (e, hi, lo) ->
-      let w = infer_width e in
+      let w = width e in
       if lo < 0 || hi >= w || hi < lo then
         failwith (Printf.sprintf "Bsv: slice [%d:%d] of width %d" hi lo w);
       hi - lo + 1
   | Uext (e, w) | Sext (e, w) ->
-      let we = infer_width e in
+      let we = width e in
       if w < we then failwith "Bsv: extension narrows";
       w
 
+let infer_width e = memo width_of e
+
+let rec width e =
+  match e.node with
+  | Const b -> Hw.Bits.width b
+  | Read r -> r.rwidth
+  | In (_, w) | Uext (_, w) | Sext (_, w) -> w
+  | Binop ((Eq | Ne | Lt _ | Le _), _, _) -> 1
+  | Unop (_, a) | Binop (_, a, _) | Mux (_, a, _) -> width a
+  | Slice (_, hi, lo) -> hi - lo + 1
+
 let validate m =
+  let infer_width = memo width_of in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun r ->
@@ -90,26 +128,30 @@ let validate m =
     m.rules;
   List.iter (fun (_, e) -> ignore (infer_width e)) m.outputs
 
-let rec expr_reads acc = function
-  | Const _ | In _ -> acc
-  | Read r -> r.rid :: acc
-  | Unop (_, e) | Slice (e, _, _) | Uext (e, _) | Sext (e, _) ->
-      expr_reads acc e
-  | Binop (_, a, b) -> expr_reads (expr_reads acc a) b
-  | Mux (s, a, b) -> expr_reads (expr_reads (expr_reads acc s) a) b
+let children e =
+  match e.node with
+  | Const _ | Read _ | In _ -> []
+  | Unop (_, a) | Slice (a, _, _) | Uext (a, _) | Sext (a, _) -> [ a ]
+  | Binop (_, a, b) -> [ a; b ]
+  | Mux (s, a, b) -> [ s; a; b ]
 
 let dedup l = List.sort_uniq Int.compare l
 
 let read_set (ru : rule) =
-  let acc = expr_reads [] ru.guard in
-  let acc =
-    List.fold_left
-      (fun acc a ->
-        let acc = expr_reads acc a.value in
-        match a.when_ with Some w -> expr_reads acc w | None -> acc)
-      acc ru.actions
+  let rids = ref [] in
+  let visit =
+    memo (fun visit e ->
+        match e.node with
+        | Read r -> rids := r.rid :: !rids
+        | _ -> List.iter visit (children e))
   in
-  dedup acc
+  visit ru.guard;
+  List.iter
+    (fun a ->
+      visit a.value;
+      Option.iter visit a.when_)
+    ru.actions;
+  dedup !rids
 
 let write_set (ru : rule) = dedup (List.map (fun a -> a.target.rid) ru.actions)
 
@@ -134,7 +176,7 @@ let mk_reg b ?(init = 0) rname rwidth =
 let mk_input b name w =
   if not (List.mem_assoc name b.binputs) then
     b.binputs <- b.binputs @ [ (name, w) ];
-  In (name, w)
+  make (In (name, w))
 
 let mk_rule b name ~guard actions =
   b.brules <- b.brules @ [ { rule_name = name; guard; actions } ]
@@ -154,12 +196,19 @@ let mk_module b =
   validate m;
   m
 
-let cst w v = Const (Hw.Bits.create ~width:w v)
-let ( &&: ) a b = Binop (Hw.Netlist.And, a, b)
-let ( ||: ) a b = Binop (Hw.Netlist.Or, a, b)
-let not_ a = Unop (Hw.Netlist.Not, a)
-let ( ==: ) a b = Binop (Hw.Netlist.Eq, a, b)
-let ( <>: ) a b = Binop (Hw.Netlist.Ne, a, b)
-let ( +: ) a b = Binop (Hw.Netlist.Add, a, b)
-let ( -: ) a b = Binop (Hw.Netlist.Sub, a, b)
+let read r = make (Read r)
+let unop op a = make (Unop (op, a))
+let binop op a b = make (Binop (op, a, b))
+let mux s a b = make (Mux (s, a, b))
+let slice e hi lo = make (Slice (e, hi, lo))
+let uext e w = make (Uext (e, w))
+let sext e w = make (Sext (e, w))
+let cst w v = make (Const (Hw.Bits.create ~width:w v))
+let ( &&: ) = binop Hw.Netlist.And
+let ( ||: ) = binop Hw.Netlist.Or
+let not_ = unop Hw.Netlist.Not
+let ( ==: ) = binop Hw.Netlist.Eq
+let ( <>: ) = binop Hw.Netlist.Ne
+let ( +: ) = binop Hw.Netlist.Add
+let ( -: ) = binop Hw.Netlist.Sub
 let assign ?when_ target value = { target; when_; value }

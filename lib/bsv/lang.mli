@@ -8,9 +8,21 @@
     cycle, like the Bluespec Compiler.
 
     Expressions are signed-agnostic bit vectors; widths are explicit and
-    checked by {!infer_width}. *)
+    checked by {!infer_width}.
 
-type expr =
+    An expression is a DAG: a [let]-bound subexpression used by several
+    parents is one node, and a deep datapath can share a handful of nodes
+    exponentially many times over.  Every elaboration walk ({!validate},
+    {!read_set}, {!Compile}, {!Emit}) keys on node identity ({!memo},
+    {!Tbl}), so it visits each distinct node once.  Only the reference
+    {!Semantics} evaluates the tree. *)
+
+type expr = private { id : int; node : node }
+(** [id] is unique to the node: the constructors below draw it from a
+    process-wide counter, so tables keyed by it ({!Tbl}) hash in O(1)
+    and never confuse two structurally equal nodes. *)
+
+and node =
   | Const of Hw.Bits.t
   | Read of reg
   | In of string * int            (** module input port *)
@@ -39,9 +51,26 @@ type modul = {
   outputs : (string * expr) list;
 }
 
+module Tbl : Hashtbl.S with type key = expr
+(** Tables keyed by node identity. *)
+
+val memo : ((expr -> 'a) -> expr -> 'a) -> expr -> 'a
+(** [memo f] is the walk [self] with [self e = f self e], computed at most
+    once per distinct node: later visits return the first result.  One
+    [memo f] value shares its table across every root it is applied to.
+    A raising [f] records nothing. *)
+
+val children : expr -> expr list
+(** The operands of a node, in evaluation order. *)
+
 val infer_width : expr -> int
 (** @raise Failure on operand width mismatches (the language's type
     check). *)
+
+val width : expr -> int
+(** The width of a well-typed expression, without the check: it follows
+    one operand per node, so it costs the depth of that path, not the
+    size of the expression. *)
 
 val validate : modul -> unit
 (** Checks widths of every rule, action and output, uniqueness of register
@@ -66,7 +95,17 @@ val mk_output : builder -> string -> expr -> unit
 val mk_module : builder -> modul
 (** Runs {!validate}. *)
 
-(** {1 Expression sugar} — width-checked smart constructors. *)
+(** {1 Expression sugar} — one smart constructor per node kind. *)
+
+val read : reg -> expr
+val unop : Hw.Netlist.unop -> expr -> expr
+val binop : Hw.Netlist.binop -> expr -> expr -> expr
+val mux : expr -> expr -> expr -> expr
+val slice : expr -> int -> int -> expr
+(** [slice e hi lo]. *)
+
+val uext : expr -> int -> expr
+val sext : expr -> int -> expr
 
 val cst : int -> int -> expr
 (** [cst width v]. *)

@@ -8,10 +8,10 @@ let intersects a b = List.exists (fun x -> List.mem x b) a
 
 (* Collect [reg == const] facts implied by a guard (conjunctions only). *)
 let rec guard_facts (e : Lang.expr) =
-  match e with
+  match e.Lang.node with
   | Lang.Binop (Hw.Netlist.And, a, b) -> guard_facts a @ guard_facts b
-  | Lang.Binop (Hw.Netlist.Eq, Lang.Read r, Lang.Const k)
-  | Lang.Binop (Hw.Netlist.Eq, Lang.Const k, Lang.Read r) ->
+  | Lang.Binop (Hw.Netlist.Eq, { node = Read r; _ }, { node = Const k; _ })
+  | Lang.Binop (Hw.Netlist.Eq, { node = Const k; _ }, { node = Read r; _ }) ->
       [ (r.Lang.rid, k) ]
   | _ -> []
 

@@ -25,7 +25,7 @@ let with_inputs st values =
   }
 
 let rec eval st (e : Lang.expr) =
-  match e with
+  match e.Lang.node with
   | Lang.Const k -> k
   | Lang.Read r -> st.regs.(r.Lang.rid)
   | Lang.In (name, _) -> List.assoc name st.inputs

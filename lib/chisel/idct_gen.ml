@@ -137,19 +137,20 @@ let col_datapath mode b ins =
     iclip (asr_ (sub x7 x1) 14);
   |]
 
-let inferred_mid_width =
-  lazy
-    (let b = Builder.create "dryrun" in
-     let ins =
-       Array.init 8 (fun i ->
-           Dsl.of_raw (Builder.input b (Printf.sprintf "i%d" i) Axis.Stream.in_width))
-     in
-     let outs = row_datapath Inferred b ins in
-     Array.fold_left (fun acc s -> max acc (Dsl.width s)) 1 outs)
+(* A dry run of the row datapath on a scratch builder (well under a
+   millisecond), so every caller computes it afresh. *)
+let inferred_mid_width () =
+  let b = Builder.create "dryrun" in
+  let ins =
+    Array.init 8 (fun i ->
+        Dsl.of_raw (Builder.input b (Printf.sprintf "i%d" i) Axis.Stream.in_width))
+  in
+  let outs = row_datapath Inferred b ins in
+  Array.fold_left (fun acc s -> max acc (Dsl.width s)) 1 outs
 
 let mid_width = function
   | Fixed (_, store) -> store
-  | Inferred -> Lazy.force inferred_mid_width
+  | Inferred -> inferred_mid_width ()
 
 let row_unit mode b raw_ins =
   let ins = Array.map Dsl.of_raw raw_ins in

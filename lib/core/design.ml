@@ -1,7 +1,7 @@
 type tool = Verilog | Chisel | Bsv | Dslx | Maxj | Bambu | Vivado_hls
 
 type pcie = {
-  system : Maxj.Manager.system Lazy.t;
+  system : Maxj.Manager.system Once.t;
   simulate : Axis.Block.t list -> Axis.Block.t list;
       (* the design's own bit-true stream simulator: compliance and the
          flow's verify stage dispatch on the design, never on a fixed
@@ -9,7 +9,7 @@ type pcie = {
 }
 
 type impl =
-  | Stream of Hw.Netlist.t Lazy.t
+  | Stream of Hw.Netlist.t Once.t
   | Pcie of pcie
 
 type t = {
@@ -25,16 +25,11 @@ type t = {
 
 let loc t = t.loc_fu + t.loc_axi + t.loc_conf
 
-(* Registry design points are shared top-level values, so their lazy
-   circuits can be forced from several domains at once — two concurrent
-   serve batches evaluating one design, say.  Raw [Lazy.force] raises
-   [Lazy.Undefined] on a concurrent force, so every forcing of a shared
-   design lazy must go through this lock.  No [is_val] fast path: while
-   one domain is mid-force the tag is already not [lazy_tag], so
-   [Lazy.is_val] answers [true] and an unlocked force would still race
-   (observed on OCaml 5.1). *)
-let force_lock = Mutex.create ()
-let force l = Mutex.protect force_lock (fun () -> Lazy.force l)
+(* Registry design points are shared top-level values, so their cells
+   can be forced from several domains at once — two concurrent serve
+   batches evaluating one design, say.  [Once] builds each cell once and
+   lets different cells build in parallel. *)
+let force = Once.force
 
 let language_name = function
   | Verilog -> "Verilog"
@@ -55,3 +50,5 @@ let tool_name = function
   | Vivado_hls -> "Vivado HLS"
 
 let all_tools = [ Verilog; Chisel; Bsv; Dslx; Maxj; Bambu; Vivado_hls ]
+
+let cell tool label f = Once.make (tool_name tool ^ "/" ^ label) f

@@ -3,14 +3,14 @@
 type tool = Verilog | Chisel | Bsv | Dslx | Maxj | Bambu | Vivado_hls
 
 type pcie = {
-  system : Maxj.Manager.system Lazy.t;
+  system : Maxj.Manager.system Once.t;
   simulate : Axis.Block.t list -> Axis.Block.t list;
       (** the design's own bit-true stream simulator — compliance and the
           flow's verify stage dispatch on the design itself *)
 }
 
 type impl =
-  | Stream of Hw.Netlist.t Lazy.t
+  | Stream of Hw.Netlist.t Once.t
       (** AXI-Stream wrapped circuit (everything except MaxJ) *)
   | Pcie of pcie  (** MaxCompiler system: kernel + PCIe manager *)
 
@@ -28,11 +28,14 @@ type t = {
 val loc : t -> int
 (** [L = L^FU + L^AXI + L^Conf]. *)
 
-val force : 'a Lazy.t -> 'a
-(** Domain-safe forcing of a shared lazy (circuit, system): builds are
-    serialized under one process-wide lock, so concurrent evaluations of
-    one registry design never hit [Lazy]'s concurrent-force exception;
-    once built, reads are lock-free. *)
+val force : 'a Once.t -> 'a
+(** {!Once.force}: builds a design's netlist or system on first use, from
+    any domain.  Concurrent forces of one design wait for its single
+    construction; different designs build in parallel. *)
+
+val cell : tool -> string -> (unit -> 'a) -> 'a Once.t
+(** [cell tool label f]: a design's cold cell, named by its
+    ["Tool/label"] key. *)
 
 val language_name : tool -> string
 val tool_name : tool -> string

@@ -70,8 +70,9 @@ let clear_measure_cache = Measure_cache.clear
 
 (* A batch of independent designs on the domain pool: every design runs,
    results come back in input order, and a failed design's slot carries
-   its typed flow error.  Each design's lazy circuit is forced inside its
-   own job, so no builder state is shared across domains. *)
+   its typed flow error.  Each design's circuit cell is built inside the
+   job that first forces it, so no builder state is shared across
+   domains. *)
 let map_designs ?jobs f designs =
   List.map2
     (fun d ->

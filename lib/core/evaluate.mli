@@ -67,8 +67,8 @@ val measure_all_result :
 (** [measure] over independent designs on the domain pool
     ({!Parallel.map_result}): every design runs to completion, results
     keep input order, and a failed point carries its typed {!Flow.error}
-    in its own slot.  Each design's lazy circuit is forced inside its own
-    job, so builder state never crosses domains. *)
+    in its own slot.  Each design's circuit cell is built inside the job
+    that first forces it, so builder state never crosses domains. *)
 
 val measure_all :
   ?jobs:int -> ?matrices:int -> spec:Flow.spec -> Design.t list -> Metrics.measured list

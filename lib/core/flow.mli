@@ -7,7 +7,7 @@
     elaborate -> validate -> simulate -> verify -> synthesize -> metrics
     v}
 
-    - [elaborate]  force the frontend's lazy constructor into a netlist
+    - [elaborate]  force the design's cell: the frontend builds the netlist
     - [validate]   structural netlist validation
     - [simulate]   AXI-Stream testbench run (or the PCIe system model)
     - [verify]     bit-true comparison against the kernel's reference,

@@ -251,7 +251,7 @@ let matmul_design tool config_desc listing circuit =
     loc_fu = Loc.count listing;
     loc_axi = 0;
     loc_conf = 0;
-    impl = Design.Stream circuit;
+    impl = Design.Stream (Design.cell tool "matmul" circuit);
     listing;
   }
 
@@ -264,13 +264,13 @@ let designs =
   [
     ( tool_of "chisel",
       matmul_design Design.Chisel "construction eDSL" chisel_listing
-        (lazy (chisel_design ~name:"matmul_hc")) );
+        (fun () -> chisel_design ~name:"matmul_hc") );
     ( tool_of "xls",
       matmul_design Design.Dslx "--pipeline_stages=4"
         (Dslx.Emit.emit dslx_program)
-        (lazy (dslx_design ~stages:4 ~name:"matmul_xls" ())) );
+        (fun () -> dslx_design ~stages:4 ~name:"matmul_xls" ()) );
     ( tool_of "bambu",
       matmul_design Design.Bambu "Bambu-style defaults"
         (Chls.Cprint.emit c_program)
-        (lazy (c_design ~name:"matmul_c")) );
+        (fun () -> c_design ~name:"matmul_c") );
   ]

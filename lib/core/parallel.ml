@@ -13,8 +13,8 @@
    environment variable.  [~jobs:1] runs inline on the calling domain —
    no pool, byte-identical to the historical sequential path.
 
-   Jobs must not share mutable builder state: a design's [Lazy] circuit
-   constructor is forced inside the single job that owns it, so every
+   Jobs must not share mutable builder state: a design's circuit cell
+   ([Once]) is built inside the single job that first forces it, so every
    [Hw.Builder] hash-cons table lives and dies within one domain (see
    DESIGN.md §9). *)
 

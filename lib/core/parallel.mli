@@ -9,8 +9,8 @@
     mutex-protected result cache the evaluation pipeline layers on top.
 
     Jobs must not share mutable builder state across domains: a design's
-    lazy circuit constructor is forced inside the single job that owns it
-    (see DESIGN.md §9). *)
+    circuit cell ({!Once}) is built inside the single job that first
+    forces it (see DESIGN.md §9). *)
 
 val default_jobs : unit -> int
 (** The [HLSVHC_JOBS] environment variable when set to a positive

@@ -107,19 +107,19 @@ module Verilog_tool : TOOL = struct
   let design label source circuit =
     mk Verilog label "Vivado defaults" ~fu:units_loc
       ~axi:(Loc.count source - units_loc)
-      ~conf:0 ~listing:source (Stream circuit)
+      ~conf:0 ~listing:source (Stream (cell Verilog label circuit))
 
   let initial =
     design "initial" Verilog_designs.initial_source
-      (lazy (Verilog_designs.initial_circuit ()))
+      Verilog_designs.initial_circuit
 
   let row8col =
     design "1 row + 8 col units" Verilog_designs.row8col_source
-      (lazy (Verilog_designs.row8col_circuit ()))
+      Verilog_designs.row8col_circuit
 
   let optimized =
     design "optimized" Verilog_designs.rowcol_source
-      (lazy (Verilog_designs.rowcol_circuit ()))
+      Verilog_designs.rowcol_circuit
 
   let sweep = [ initial; row8col; optimized ]
   let space = ladder_space sweep
@@ -166,23 +166,25 @@ module Chisel_tool : TOOL = struct
 
   let design label config_desc listing circuit =
     mk_shared Chisel label config_desc ~shared:Listings.chisel_butterfly
-      ~listing (Stream circuit)
+      ~listing (Stream (cell Chisel label circuit))
 
   let initial =
     design "initial" "width inference, combinational kernel"
       Listings.chisel_initial
-      (lazy (Chisel.Idct_gen.design_comb Chisel.Idct_gen.Inferred ~name:"chisel_initial"))
+      (fun () ->
+        Chisel.Idct_gen.design_comb Chisel.Idct_gen.Inferred
+          ~name:"chisel_initial")
 
   let row8col =
     design "1 row + 8 col units" "width inference" Listings.chisel_initial
-      (lazy
-        (Chisel.Idct_gen.design_row8col Chisel.Idct_gen.Inferred
-           ~name:"chisel_row8col"))
+      (fun () ->
+        Chisel.Idct_gen.design_row8col Chisel.Idct_gen.Inferred
+          ~name:"chisel_row8col")
 
   let optimized =
     design "optimized" "width inference, macro-pipeline"
       Listings.chisel_optimized
-      (lazy (derive_chisel_optimized ()))
+      derive_chisel_optimized
 
   let sweep = [ initial; row8col; optimized ]
   let space = ladder_space sweep
@@ -206,7 +208,7 @@ module Bsv_tool : TOOL = struct
 
   let design label config_desc listing modul options =
     mk_shared Bsv label config_desc ~shared:Listings.bsv_shared ~listing
-      (Stream (lazy (Bsv.Idct_bsv.circuit ~options modul)))
+      (Stream (cell Bsv label (fun () -> Bsv.Idct_bsv.circuit ~options modul)))
 
   let initial =
     design "initial" "BSC defaults" listing_initial Bsv.Idct_bsv.initial_design
@@ -266,8 +268,9 @@ module Dslx_tool : TOOL = struct
       ~conf:(if stages = 0 then 0 else 1)
       ~listing
       (Stream
-         (lazy
-           (Dslx.Idct_dslx.design ~stages ~name:(Printf.sprintf "xls_s%d" stages) ())))
+         (cell Dslx label
+            (Dslx.Idct_dslx.design ~stages
+               ~name:(Printf.sprintf "xls_s%d" stages))))
 
   let initial = design "initial" 0
   let optimized = design "optimized" 8
@@ -297,22 +300,23 @@ module Maxj_tool : TOOL = struct
   (* MaxCompiler generates the PCIe manager, so L^AXI = 0 and the whole
      listing counts as L^FU.  (The FU count concatenates without the glue
      blank line — the historical measurement the artifacts pin down.) *)
-  let design label config_desc body system simulate =
+  let design label config_desc body build simulate =
+    let system = cell Maxj label build in
     mk Maxj label config_desc
       ~fu:(Loc.count (Listings.maxj_shared ^ body))
       ~axi:0 ~conf:0
       ~listing:(glue Listings.maxj_shared body)
-      (Pcie { system; simulate })
+      (Pcie { system; simulate = (fun blocks -> simulate (force system) blocks) })
 
   let initial =
     design "initial" "matrix per tick, PCIe streams" Listings.maxj_initial
-      (lazy (Maxj.Idct_maxj.initial_system ()))
+      Maxj.Idct_maxj.initial_system
       Maxj.Idct_maxj.simulate_initial
 
   let optimized =
     design "optimized" "row per tick, on-chip transpose buffer"
       Listings.maxj_optimized
-      (lazy (Maxj.Idct_maxj.opt_system ()))
+      Maxj.Idct_maxj.opt_system
       Maxj.Idct_maxj.simulate_opt
 
   let sweep = [ initial; optimized ]
@@ -341,7 +345,7 @@ module Bambu_tool : TOOL = struct
   let design label c =
     mk Bambu label (Chls.Tool.describe_bambu c) ~fu:(Loc.count listing)
       ~axi:Chls.Tool.bambu_adapter_loc ~conf:(conf_lines c) ~listing
-      (Stream (lazy (Chls.Tool.bambu_circuit c)))
+      (Stream (cell Bambu label (fun () -> Chls.Tool.bambu_circuit c)))
 
   let initial = design "initial" Chls.Tool.bambu_initial
   let optimized = design "optimized" Chls.Tool.bambu_optimized
@@ -392,7 +396,7 @@ module Vhls_tool : TOOL = struct
       ~fu:(Loc.count (listing c))
       ~axi:0 (* the INTERFACE pragma generates the adapter *)
       ~conf:0 ~listing:(listing c)
-      (Stream (lazy (Chls.Tool.vhls_circuit c)))
+      (Stream (cell Vivado_hls label (fun () -> Chls.Tool.vhls_circuit c)))
 
   let initial = design "initial" Chls.Tool.vhls_initial
   let optimized = design "optimized" Chls.Tool.vhls_optimized

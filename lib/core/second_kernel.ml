@@ -205,7 +205,7 @@ let fir_design tool config_desc listing circuit =
     loc_fu = Loc.count listing;
     loc_axi = 0;
     loc_conf = 0;
-    impl = Design.Stream circuit;
+    impl = Design.Stream (Design.cell tool "fir" circuit);
     listing;
   }
 
@@ -221,13 +221,13 @@ let designs =
   [
     ( tool_of "chisel",
       fir_design Design.Chisel "construction eDSL" chisel_listing
-        (lazy (chisel_design ~name:"fir_hc")) );
+        (fun () -> chisel_design ~name:"fir_hc") );
     ( tool_of "xls",
       fir_design Design.Dslx "--pipeline_stages=4"
         (Dslx.Emit.emit dslx_program)
-        (lazy (dslx_design ~stages:4 ~name:"fir_xls" ())) );
+        (fun () -> dslx_design ~stages:4 ~name:"fir_xls" ()) );
     ( tool_of "bambu",
       fir_design Design.Bambu "Bambu-style defaults"
         (Chls.Cprint.emit c_program)
-        (lazy (c_design ~name:"fir_c")) );
+        (fun () -> c_design ~name:"fir_c") );
   ]

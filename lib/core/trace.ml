@@ -104,6 +104,16 @@ let with_span ~design ~stage f =
         raise e
   end
 
+let with_inner_span ~default ~stage f =
+  if not (enabled ()) then f ()
+  else
+    let design =
+      match (Domain.DLS.get dls).stack with
+      | fr :: _ -> fr.f_design
+      | [] -> default
+    in
+    with_span ~design ~stage f
+
 let drain () =
   flush_domain ();
   let spans = Mutex.protect merge_lock (fun () ->

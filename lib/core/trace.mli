@@ -29,6 +29,12 @@ val with_span : design:string -> stage:string -> (unit -> 'a) -> 'a
     even when [f] raises.  When tracing is disabled this is exactly
     [f ()]. *)
 
+val with_inner_span :
+  default:string -> stage:string -> (unit -> 'a) -> 'a
+(** {!with_span} on the design of this domain's innermost open span, so
+    the new span nests under it in the design's tree; on design [default]
+    when no span is open. *)
+
 val add_counter : string -> int -> unit
 (** Adds [v] to the named counter of the innermost open span of the
     current domain (no-op when tracing is disabled or no span is open).

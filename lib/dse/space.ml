@@ -53,7 +53,7 @@ let default_scripts = [ "strength_reduce"; "narrow"; "strength_reduce; narrow" ]
 
 (* A transformation-sequence axis: the initial design plus each script
    applied to it, as one extra single-axis chart.  Derived designs are
-   lazy like every other inventory entry; forcing one replays the script
+   cells like every other inventory entry; forcing one replays the script
    through the verified engine, so an unsound rewrite can never produce
    a measurable candidate. *)
 let with_scripts ?(scripts = default_scripts) t =
@@ -72,27 +72,25 @@ let with_scripts ?(scripts = default_scripts) t =
       | Core.Design.Pcie _ -> t
       | Core.Design.Stream l ->
           let derive s =
+            let label = base.Core.Design.label ^ " + [" ^ s ^ "]" in
             let impl =
               Core.Design.Stream
-                (lazy
-                  (* plain Lazy.force, NOT Design.force: this body already
-                     runs under the Design.force lock (the derived design
-                     is itself forced through it), so re-taking the
-                     non-reentrant lock would deadlock — and every other
-                     force of the base also holds that lock, so this one
-                     is race-free *)
-                  (let subject = Transfo.Subject.of_circuit (Lazy.force l) in
-                   match
-                     Transfo.Engine.run (Transfo.Script.parse_exn s) subject
-                   with
-                   | Ok r ->
-                       r.Transfo.Engine.rep_subject.Transfo.Subject.circuit
-                   | Error e ->
-                       failwith (Transfo.Engine.error_to_string e)))
+                (Core.Design.cell base.Core.Design.tool label (fun () ->
+                     (* forcing the base cell from inside this one's
+                        construction: each cell guards only itself *)
+                     let subject =
+                       Transfo.Subject.of_circuit (Core.Design.force l)
+                     in
+                     match
+                       Transfo.Engine.run (Transfo.Script.parse_exn s) subject
+                     with
+                     | Ok r ->
+                         r.Transfo.Engine.rep_subject.Transfo.Subject.circuit
+                     | Error e -> failwith (Transfo.Engine.error_to_string e)))
             in
             {
               base with
-              Core.Design.label = base.Core.Design.label ^ " + [" ^ s ^ "]";
+              Core.Design.label;
               config_desc =
                 base.Core.Design.config_desc ^ "; transfo: " ^ s;
               impl;

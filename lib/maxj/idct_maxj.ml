@@ -115,8 +115,7 @@ let build_initial () =
   done;
   k
 
-let initial_kernel_memo = lazy (Kernel.finalize (build_initial ()))
-let initial_kernel () = Lazy.force initial_kernel_memo
+let initial_kernel () = Kernel.finalize (build_initial ())
 let initial_listing () = Kernel.listing (build_initial ())
 let initial_system () = Manager.build ~kernel:(initial_kernel ()) ~ticks_per_op:1 ()
 
@@ -200,11 +199,15 @@ let build_opt () =
   Builder.output b "out_col" (Builder.slice b (delay wcnt kc) ~hi:2 ~lo:0);
   (Builder.finalize b, kr, kc)
 
-let opt_memo = lazy (build_opt ())
-let opt_kernel () = let c, _, _ = Lazy.force opt_memo in c
+(* The manager's depth is the row and column passes' latency plus this
+   many ticks of transpose-buffer slack; [simulate_opt] reads the pass
+   latency back from the system. *)
+let opt_slack = 16
+
+let opt_kernel () = let c, _, _ = build_opt () in c
 let opt_system () =
-  let c, kr, kc = Lazy.force opt_memo in
-  Manager.build ~depth:(kr + kc + 16) ~kernel:c ~ticks_per_op:8 ()
+  let c, kr, kc = build_opt () in
+  Manager.build ~depth:(kr + kc + opt_slack) ~kernel:c ~ticks_per_op:8 ()
 
 let unit_listing name pass in_width =
   let k = Kernel.create name in
@@ -237,9 +240,8 @@ let opt_listing () =
 (* Bit-true simulation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let simulate_initial blocks =
-  let c = initial_kernel () in
-  let depth = Kernel.pipeline_depth c in
+let simulate_initial (s : Manager.system) blocks =
+  let c = s.Manager.kernel and depth = s.Manager.depth in
   let sim = Sim.create c in
   Sim.reset sim;
   let n = List.length blocks in
@@ -261,15 +263,15 @@ let simulate_initial blocks =
   done;
   List.rev !outs
 
-let simulate_opt blocks =
-  let c, kr, kc = Lazy.force opt_memo in
+let simulate_opt (s : Manager.system) blocks =
+  let c = s.Manager.kernel and passes = s.Manager.depth - opt_slack in
   let sim = Sim.create c in
   Sim.reset sim;
   let inputs = Array.of_list blocks in
   let n = Array.length inputs in
   let results = Array.init n (fun _ -> Axis.Block.create ()) in
   let got = Array.make n 0 in
-  let total_ticks = (8 * (n + 2)) + kr + kc + 16 in
+  let total_ticks = (8 * (n + 2)) + s.Manager.depth in
   for t = 0 to total_ticks - 1 do
     let m = t / 8 and r = t mod 8 in
     if m < n then
@@ -277,8 +279,8 @@ let simulate_opt blocks =
         Sim.set sim (Printf.sprintf "m_%d" cidx)
           (Axis.Block.get inputs.(m) ~row:r ~col:cidx)
       done;
-    (* The column emerging now belongs to matrix [(t - kr - kc)/8 - 1]. *)
-    let u = t - kr - kc in
+    (* The column emerging now belongs to matrix [(t - passes)/8 - 1]. *)
+    let u = t - passes in
     if u >= 8 then begin
       let src = (u / 8) - 1 and col = u mod 8 in
       if src >= 0 && src < n then begin

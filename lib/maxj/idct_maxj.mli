@@ -17,9 +17,13 @@ val opt_kernel : unit -> Hw.Netlist.t
 val opt_system : unit -> Manager.system
 val opt_listing : unit -> string
 
-val simulate_initial : Axis.Block.t list -> Axis.Block.t list
-(** Bit-true check of the matrix-per-tick kernel. *)
+(** Each call of a [*_kernel] or [*_system] function builds a fresh
+    kernel; callers that share one keep it themselves (the registry's
+    design cells). *)
 
-val simulate_opt : Axis.Block.t list -> Axis.Block.t list
-(** Bit-true check of the row-per-tick kernel (reassembles the column
-    stream). *)
+val simulate_initial : Manager.system -> Axis.Block.t list -> Axis.Block.t list
+(** Bit-true check of the matrix-per-tick system's kernel. *)
+
+val simulate_opt : Manager.system -> Axis.Block.t list -> Axis.Block.t list
+(** Bit-true check of the row-per-tick system's kernel (reassembles the
+    column stream). *)

@@ -6,8 +6,9 @@ type tracer = {
 }
 
 let null_tracer = { wrap = (fun ~design:_ ~stage:_ f -> f ()); counter = (fun _ _ -> ()) }
-let tracer = ref null_tracer
-let set_tracer t = tracer := t
+(* Read from whichever domain builds a derived design. *)
+let tracer = Atomic.make null_tracer
+let set_tracer t = Atomic.set tracer t
 
 type error =
   | Unknown_transfo of string
@@ -57,7 +58,7 @@ let verify ~cycles ~seed ob ~before ~after =
 
 let apply_step ?(cycles = 256) ?(seed = 7) (module T : Catalog.TRANSFO) ~arg
     (subject : Subject.t) =
-  let tr = !tracer in
+  let tr = Atomic.get tracer in
   let step_str =
     Script.step_to_string { Script.step_name = T.name; step_arg = arg }
   in

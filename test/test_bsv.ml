@@ -11,7 +11,7 @@ open Bsv.Lang
 let test_width_check () =
   let bld = builder "w" in
   let r8 = mk_reg bld "a" 8 in
-  let bad = Binop (Hw.Netlist.Add, Read r8, cst 4 1) in
+  let bad = read r8 +: cst 4 1 in
   mk_rule bld "r" ~guard:(cst 1 1) [ assign r8 bad ];
   (match mk_module bld with
   | exception Failure _ -> ()
@@ -20,7 +20,7 @@ let test_width_check () =
 let test_guard_must_be_bool () =
   let bld = builder "w" in
   let r8 = mk_reg bld "a" 8 in
-  mk_rule bld "r" ~guard:(Read r8) [ assign r8 (cst 8 1) ];
+  mk_rule bld "r" ~guard:(read r8) [ assign r8 (cst 8 1) ];
   (match mk_module bld with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected guard error")
@@ -41,8 +41,8 @@ let test_mutual_rw_conflict () =
   let bld = builder "c" in
   let a = mk_reg bld "a" 8 in
   let b = mk_reg bld "b" 8 in
-  mk_rule bld "ab" ~guard:(cst 1 1) [ assign a (Read b) ];
-  mk_rule bld "ba" ~guard:(cst 1 1) [ assign b (Read a) ];
+  mk_rule bld "ab" ~guard:(cst 1 1) [ assign a (read b) ];
+  mk_rule bld "ba" ~guard:(cst 1 1) [ assign b (read a) ];
   let s = Bsv.Sched.analyze (mk_module bld) in
   check bool "swap pair conflicts" true s.Bsv.Sched.conflict.(0).(1)
 
@@ -50,7 +50,7 @@ let test_one_way_rw_compatible () =
   let bld = builder "c" in
   let a = mk_reg bld "a" 8 in
   let b = mk_reg bld "b" 8 in
-  mk_rule bld "reader" ~guard:(cst 1 1) [ assign b (Read a) ];
+  mk_rule bld "reader" ~guard:(cst 1 1) [ assign b (read a) ];
   mk_rule bld "writer" ~guard:(cst 1 1) [ assign a (cst 8 5) ];
   let s = Bsv.Sched.analyze (mk_module bld) in
   check bool "compatible" false s.Bsv.Sched.conflict.(0).(1);
@@ -62,9 +62,9 @@ let test_precedence_cycle_broken () =
   let a = mk_reg bld "a" 8 in
   let b = mk_reg bld "b" 8 in
   let c = mk_reg bld "c" 8 in
-  mk_rule bld "r1" ~guard:(cst 1 1) [ assign b (Read a) ];
-  mk_rule bld "r2" ~guard:(cst 1 1) [ assign c (Read b) ];
-  mk_rule bld "r3" ~guard:(cst 1 1) [ assign a (Read c) ];
+  mk_rule bld "r1" ~guard:(cst 1 1) [ assign b (read a) ];
+  mk_rule bld "r2" ~guard:(cst 1 1) [ assign c (read b) ];
+  mk_rule bld "r3" ~guard:(cst 1 1) [ assign a (read c) ];
   let m = mk_module bld in
   let s = Bsv.Sched.analyze m in
   let any_conflict =
@@ -82,8 +82,8 @@ let test_disjoint_guards_pruning () =
   let bld = builder "d" in
   let phase = mk_reg bld "phase" 2 in
   let x = mk_reg bld "x" 8 in
-  mk_rule bld "p0" ~guard:(Read phase ==: cst 2 0) [ assign x (cst 8 1) ];
-  mk_rule bld "p1" ~guard:(Read phase ==: cst 2 1) [ assign x (cst 8 2) ];
+  mk_rule bld "p0" ~guard:(read phase ==: cst 2 0) [ assign x (cst 8 1) ];
+  mk_rule bld "p1" ~guard:(read phase ==: cst 2 1) [ assign x (cst 8 2) ];
   let m = mk_module bld in
   let lazy_sched =
     Bsv.Sched.analyze ~options:{ Bsv.Options.default with Bsv.Options.effort = 0 } m
@@ -92,6 +92,27 @@ let test_disjoint_guards_pruning () =
   check bool "effort 0 sees a conflict" true lazy_sched.Bsv.Sched.conflict.(0).(1);
   check bool "effort 2 discharges it" false smart.Bsv.Sched.conflict.(0).(1)
 
+(* ---------------- shared expression DAGs ---------------- *)
+
+(* x_{i+1} = x_i + x_i: 41 distinct nodes, 2^40 nodes as a tree.  Every
+   walk from validation to the netlist must visit the DAG, not the tree. *)
+let test_deep_shared_dag () =
+  let bld = builder "dag" in
+  let x = mk_input bld "x" 48 in
+  let r = mk_reg bld "r" 48 in
+  let rec double e n = if n = 0 then e else double (e +: e) (n - 1) in
+  mk_rule bld "grow" ~guard:(cst 1 1) [ assign r (double x 40) ];
+  mk_output bld "o" (read r);
+  let m = mk_module bld in
+  let sched = Bsv.Sched.analyze m in
+  check (Alcotest.list int) "reads nothing" [] (read_set sched.Bsv.Sched.rules.(0));
+  let sim = Hw.Sim.create (Bsv.Compile.compile m) in
+  let v = 0x1234_5678_9ABC in
+  Hw.Sim.set sim "x" v;
+  Hw.Sim.step sim;
+  check int "x * 2^40 mod 2^48" ((v lsl 40) land ((1 lsl 48) - 1))
+    (Hw.Sim.get sim "o")
+
 (* ---------------- random rule programs ---------------- *)
 
 let random_module seed =
@@ -99,22 +120,21 @@ let random_module seed =
   let bld = builder (Printf.sprintf "rand%d" seed) in
   let regs = Array.init 4 (fun i -> mk_reg bld ~init:i (Printf.sprintf "r%d" i) 8) in
   let rand_expr () =
-    let r () = Read regs.(Random.State.int rng 4) in
+    let r () = read regs.(Random.State.int rng 4) in
     match Random.State.int rng 4 with
     | 0 -> r ()
-    | 1 -> Binop (Hw.Netlist.Add, r (), r ())
-    | 2 -> Binop (Hw.Netlist.Xor, r (), cst 8 (Random.State.int rng 256))
-    | _ -> Mux (Binop (Hw.Netlist.Lt Hw.Netlist.Unsigned, r (), r ()), r (), cst 8 7)
+    | 1 -> binop Hw.Netlist.Add (r ()) (r ())
+    | 2 -> binop Hw.Netlist.Xor (r ()) (cst 8 (Random.State.int rng 256))
+    | _ -> mux (binop (Hw.Netlist.Lt Hw.Netlist.Unsigned) (r ()) (r ())) (r ()) (cst 8 7)
   in
   let rand_guard () =
     match Random.State.int rng 3 with
     | 0 -> cst 1 1
     | 1 ->
-        Binop
-          (Hw.Netlist.Lt Hw.Netlist.Unsigned,
-           Read regs.(Random.State.int rng 4),
-           cst 8 (64 + Random.State.int rng 128))
-    | _ -> Binop (Hw.Netlist.Eq, Slice (Read regs.(Random.State.int rng 4), 1, 0), cst 2 (Random.State.int rng 4))
+        binop (Hw.Netlist.Lt Hw.Netlist.Unsigned)
+          (read regs.(Random.State.int rng 4))
+          (cst 8 (64 + Random.State.int rng 128))
+    | _ -> slice (read regs.(Random.State.int rng 4)) 1 0 ==: cst 2 (Random.State.int rng 4)
   in
   for k = 0 to 3 + Random.State.int rng 3 do
     let n_act = 1 + Random.State.int rng 2 in
@@ -127,7 +147,7 @@ let random_module seed =
     let actions = List.map (fun t -> assign regs.(t) (rand_expr ())) targets in
     mk_rule bld (Printf.sprintf "rule%d" k) ~guard:(rand_guard ()) actions
   done;
-  Array.iteri (fun i r -> mk_output bld (Printf.sprintf "o%d" i) (Read r)) regs;
+  Array.iteri (fun i r -> mk_output bld (Printf.sprintf "o%d" i) (read r)) regs;
   mk_module bld
 
 let serializability_prop =
@@ -239,6 +259,8 @@ let () =
         [
           Alcotest.test_case "width check" `Quick test_width_check;
           Alcotest.test_case "guard must be bool" `Quick test_guard_must_be_bool;
+          Alcotest.test_case "deep shared DAG compiles in linear time" `Quick
+            test_deep_shared_dag;
         ] );
       ( "sched",
         [

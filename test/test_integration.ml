@@ -147,7 +147,7 @@ let test_is_wrapped () =
   (match d.Core.Design.impl with
   | Core.Design.Stream c ->
       check bool "wrapped design recognized" true
-        (Axis.Stream.is_wrapped (Lazy.force c))
+        (Axis.Stream.is_wrapped (Core.Design.force c))
   | Core.Design.Pcie _ -> assert false);
   let b = Hw.Builder.create "bare" in
   Hw.Builder.output b "y" (Hw.Builder.input b "x" 4);
@@ -166,7 +166,9 @@ let designs_under_test () =
        {
          (Registry.optimized Design.Dslx) with
          Design.impl =
-           Design.Stream (lazy (Dslx.Idct_dslx.design ~stages:4 ~name:"it4" ()));
+           Design.Stream
+             (Design.cell Design.Dslx "it4"
+                (Dslx.Idct_dslx.design ~stages:4 ~name:"it4"));
        });
   ]
 
@@ -180,7 +182,7 @@ let test_backpressure_everywhere () =
           let r =
             Axis.Driver.run
               ~ready_pattern:(fun t -> t mod 5 <> 0)
-              (Lazy.force c) inputs
+              (Core.Design.force c) inputs
           in
           check bool (name ^ " correct under backpressure") true
             (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs expected);
@@ -196,7 +198,7 @@ let test_gaps_everywhere () =
     (fun (name, d) ->
       match d.Core.Design.impl with
       | Core.Design.Stream c ->
-          let r = Axis.Driver.run ~input_gap:7 (Lazy.force c) inputs in
+          let r = Axis.Driver.run ~input_gap:7 (Core.Design.force c) inputs in
           check bool (name ^ " correct with inter-matrix gaps") true
             (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs expected)
       | Core.Design.Pcie _ -> ())

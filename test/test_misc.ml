@@ -71,7 +71,7 @@ let test_bsv_urgency_order () =
     let x = mk_reg bld "x" 8 in
     mk_rule bld "first" ~guard:(cst 1 1) [ assign x (cst 8 11) ];
     mk_rule bld "second" ~guard:(cst 1 1) [ assign x (cst 8 22) ];
-    mk_output bld "o" (Read x);
+    mk_output bld "o" (read x);
     mk_module bld
   in
   let value options =
@@ -93,7 +93,7 @@ let test_bsv_aggressive_conditions () =
     mk_rule bld "noop" ~guard:(cst 1 1)
       [ assign ~when_:(cst 1 0) x (cst 8 1) ];
     mk_rule bld "real" ~guard:(cst 1 1) [ assign x (cst 8 9) ];
-    mk_output bld "o" (Read x);
+    mk_output bld "o" (read x);
     mk_module bld
   in
   let value aggressive =
