@@ -2,6 +2,8 @@
    (Table I, Table II, Fig. 1 and the per-tool ablation narratives of
    Section IV), then times the substrate itself with Bechamel. *)
 
+let idct = Core.Kernel.idct
+
 let line = String.make 78 '='
 
 let section title =
@@ -30,7 +32,7 @@ let pct a b = 100. *. a /. b
 let ablation_verilog () =
   section "Ablation (paper IV, Verilog): 8x8 units -> 1x8 -> 1x1";
   let m d = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:4 d in
-  match Core.Registry.sweep Core.Design.Verilog with
+  match Core.Kernel.sweep idct Core.Design.Verilog with
   | [ d0; d1; d2 ] ->
       let m0 = m d0 and m1 = m d1 and m2 = m d2 in
       let q (x : Core.Metrics.measured) = Core.Metrics.quality x in
@@ -52,8 +54,8 @@ let ablation_verilog () =
 
 let ablation_maxj () =
   section "Ablation (paper IV, MaxJ): matrix/tick vs row/tick";
-  let mi = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Registry.initial Core.Design.Maxj) in
-  let mo = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Registry.optimized Core.Design.Maxj) in
+  let mi = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Kernel.initial idct Core.Design.Maxj) in
+  let mo = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Kernel.optimized idct Core.Design.Maxj) in
   Printf.printf "initial: P=%.1f MOPS (PCIe bound), A=%d, depth=%d ticks\n"
     mi.Core.Metrics.throughput_mops mi.Core.Metrics.area
     mi.Core.Metrics.latency;
@@ -61,15 +63,15 @@ let ablation_maxj () =
     "optimized: area /%.2f, throughput /%.2f   (paper: /2.8 area, /2.7 throughput)\n"
     (float_of_int mi.Core.Metrics.area /. float_of_int mo.Core.Metrics.area)
     (mi.Core.Metrics.throughput_mops /. mo.Core.Metrics.throughput_mops);
-  let v = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Registry.initial Core.Design.Verilog) in
+  let v = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Kernel.initial idct Core.Design.Verilog) in
   Printf.printf "quality vs initial Verilog: %.0f%%   (paper: 963%%)\n"
     (pct (Core.Metrics.quality mi) (Core.Metrics.quality v))
 
 let ablation_chls () =
   section "Ablation (paper IV, C): Bambu presets and Vivado HLS pragmas";
   let m d = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 d in
-  let bi = m (Core.Registry.initial Core.Design.Bambu) in
-  let bo = m (Core.Registry.optimized Core.Design.Bambu) in
+  let bi = m (Core.Kernel.initial idct Core.Design.Bambu) in
+  let bo = m (Core.Kernel.optimized idct Core.Design.Bambu) in
   Printf.printf "Bambu default: periodicity %d cycles @ %.1f MHz -> %.2f MOPS\n"
     bi.Core.Metrics.periodicity bi.Core.Metrics.fmax_mhz
     bi.Core.Metrics.throughput_mops;
@@ -77,8 +79,8 @@ let ablation_chls () =
     "Bambu PERFORMANCE-MP + SDC: periodicity %d (paper 323 -> 185), P x%.2f (paper x1.7)\n"
     bo.Core.Metrics.periodicity
     (bo.Core.Metrics.throughput_mops /. bi.Core.Metrics.throughput_mops);
-  let vi = m (Core.Registry.initial Core.Design.Vivado_hls) in
-  let vo = m (Core.Registry.optimized Core.Design.Vivado_hls) in
+  let vi = m (Core.Kernel.initial idct Core.Design.Vivado_hls) in
+  let vo = m (Core.Kernel.optimized idct Core.Design.Vivado_hls) in
   Printf.printf
     "Vivado HLS push-button: periodicity %d (paper 340) — non-inlined units\n"
     vi.Core.Metrics.periodicity;
@@ -153,25 +155,26 @@ let extension_second_kernel () =
     "P MOPS" "A" "Q";
   let idct_q = ref [] and fir_q = ref [] in
   let idct_row tool =
-    let m = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 (Core.Registry.optimized tool) in
+    let m = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 (Core.Kernel.optimized idct tool) in
     idct_q := (Core.Design.tool_name tool, Core.Metrics.quality m) :: !idct_q
   in
   List.iter idct_row [ Core.Design.Chisel; Core.Design.Dslx; Core.Design.Bambu ];
   (* The FIR designs are ordinary design points under the fir8 spec: the
      same staged pipeline measures them, including the bit-true check the
      old inline harness did by hand. *)
+  let fir = Option.get (Core.Kernel.find "fir8") in
   List.iter
-    (fun (tool, d) ->
-      let name = Core.Design.tool_name tool in
+    (fun d ->
+      let name = Core.Design.tool_name d.Core.Design.tool in
       let m =
-        Core.Evaluate.measure ~matrices:3 ~spec:Core.Second_kernel.spec d
+        Core.Evaluate.measure ~matrices:3 ~spec:(Core.Kernel.spec fir) d
       in
       let q = Core.Metrics.quality m in
       fir_q := (name, q) :: !fir_q;
       Printf.printf "%8s %12d %10.1f %10.2f %10d %8.0f\n%!" name
         m.Core.Metrics.periodicity m.Core.Metrics.fmax_mhz
         m.Core.Metrics.throughput_mops m.Core.Metrics.area q)
-    Core.Second_kernel.designs;
+    (Core.Kernel.all_designs fir);
   let rank l =
     List.sort (fun (_, a) (_, b) -> compare b a) l |> List.map fst
   in
@@ -320,14 +323,14 @@ let measure_engines name c =
 let sim_engine_rows () =
   let bambu_largest =
     (* The larger of the two Bambu designs by node count. *)
-    let ci = stream_circuit (Core.Registry.initial Core.Design.Bambu)
-    and co = stream_circuit (Core.Registry.optimized Core.Design.Bambu) in
+    let ci = stream_circuit (Core.Kernel.initial idct Core.Design.Bambu)
+    and co = stream_circuit (Core.Kernel.optimized idct Core.Design.Bambu) in
     if Hw.Netlist.num_nodes ci >= Hw.Netlist.num_nodes co then
       ("bambu_initial", ci)
     else ("bambu_optimized", co)
   in
   let verilog =
-    ("verilog_initial", stream_circuit (Core.Registry.initial Core.Design.Verilog))
+    ("verilog_initial", stream_circuit (Core.Kernel.initial idct Core.Design.Verilog))
   in
   List.map (fun (name, c) -> measure_engines name c) [ verilog; bambu_largest ]
 
@@ -416,7 +419,7 @@ let force_all_circuits () =
           match d.Core.Design.impl with
           | Core.Design.Stream c -> ignore (Core.Design.force c)
           | Core.Design.Pcie p -> ignore (Core.Design.force p.Core.Design.system))
-        (Core.Registry.sweep tool))
+        (Core.Kernel.sweep idct tool))
     Core.Design.all_tools
 
 let timed_fig1 jobs =
@@ -876,7 +879,7 @@ let bechamel_suite () =
     Idct.Reference.fdct (Axis.Block.Rand.block rng ~lo:(-256) ~hi:255)
   in
   let verilog_opt =
-    match (Core.Registry.optimized Core.Design.Verilog).Core.Design.impl with
+    match (Core.Kernel.optimized idct Core.Design.Verilog).Core.Design.impl with
     | Core.Design.Stream c -> Core.Design.force c
     | Core.Design.Pcie _ -> assert false
   in

@@ -3,9 +3,9 @@
 open Cmdliner
 
 let tool_conv =
-  (* The accepted names live on the TOOL modules, next to everything else
-     each flow registers; [Registry.parse_tools] is the one shared parser
-     and its errors list the valid names. *)
+  (* The accepted names live in the Registry's Table I entries;
+     [Registry.parse_tools] is the one shared parser and its errors list
+     the valid names. *)
   let parse s =
     match Core.Registry.parse_tools s with
     | Ok [ t ] -> Ok t
@@ -40,8 +40,8 @@ let tools_opt =
 let tool_pos =
   Arg.(required & pos 0 (some tool_conv) None & info [] ~docv:"TOOL")
 
-(* Kernel selection mirrors tool selection: names live on the KERNEL
-   modules, [Core.Kernel.parse_kernel] is the one shared parser and the
+(* Kernel selection mirrors tool selection: names live on the Kernel
+   records, [Core.Kernel.parse_kernel] is the one shared parser and the
    error lists the registered kernels. *)
 let kernel_conv =
   let parse s =
@@ -367,7 +367,12 @@ let waves_cmd =
   let run kernel tool optimized out cycles =
     let d = pick_design kernel tool optimized in
     match d.Core.Design.impl with
-    | Core.Design.Pcie _ -> prerr_endline "MaxJ kernels: use the stream simulators"
+    | Core.Design.Pcie _ ->
+        Printf.eprintf
+          "hlsvhc waves: %s is a PCIe system design; waveforms record \
+           stream netlists\n"
+          (Core.Design.tool_name tool);
+        exit 2
     | Core.Design.Stream c ->
         let circuit = Core.Design.force c in
         let sim = Hw.Sim.create circuit in
@@ -664,11 +669,9 @@ let transfo_cmd =
               "\"row\" / \"arch\"";
             exit 2
         | Some t -> (
-            let d =
-              if optimized then Core.Registry.optimized t
-              else Core.Registry.initial t
-            in
-            match d.Core.Design.impl with
+            match
+              (pick_design Core.Kernel.idct t optimized).Core.Design.impl
+            with
             | Core.Design.Stream l ->
                 Transfo.Subject.of_circuit (Core.Design.force l)
             | Core.Design.Pcie _ ->

@@ -17,7 +17,7 @@ let () =
   report "C program via interpreter (2000 blocks)"
     (Idct.Ieee1180.run ~blocks:2000 Chls.Idct_c.run);
   let gate_level tool =
-    let d = Core.Registry.optimized tool in
+    let d = Core.Kernel.optimized Core.Kernel.idct tool in
     match d.Core.Design.impl with
     | Core.Design.Stream c ->
         let c = Core.Design.force c in

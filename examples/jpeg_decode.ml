@@ -63,7 +63,7 @@ let () =
       encoded
   in
   let accel =
-    match (Core.Registry.optimized Core.Design.Verilog).Core.Design.impl with
+    match (Core.Kernel.optimized Core.Kernel.idct Core.Design.Verilog).Core.Design.impl with
     | Core.Design.Stream c -> Core.Design.force c
     | Core.Design.Pcie _ -> assert false
   in

@@ -4,7 +4,7 @@
 let () =
   (* 1. Pick a design from the registry: the optimized hand-written
         Verilog (parsed and elaborated from real source text). *)
-  let design = Core.Registry.optimized Core.Design.Verilog in
+  let design = Core.Kernel.optimized Core.Kernel.idct Core.Design.Verilog in
   let circuit =
     match design.Core.Design.impl with
     | Core.Design.Stream c -> Core.Design.force c

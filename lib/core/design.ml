@@ -25,7 +25,7 @@ type t = {
 
 let loc t = t.loc_fu + t.loc_axi + t.loc_conf
 
-(* Registry design points are shared top-level values, so their cells
+(* Kernel design points are shared top-level values, so their cells
    can be forced from several domains at once — two concurrent serve
    batches evaluating one design, say.  [Once] builds each cell once and
    lets different cells build in parallel. *)

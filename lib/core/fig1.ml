@@ -61,20 +61,6 @@ let points ?jobs ?tools ?kernel () =
 (* Machine-readable Fig. 1: the same point set as the ASCII scatter, one
    JSON object per series, written temp-file + rename so readers never
    observe a truncation. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ?(kernel = Kernel.idct) path series =
   Trace.write_atomic path (fun oc ->
       output_string oc "{\n  \"artifact\": \"fig1\",\n";
@@ -82,20 +68,20 @@ let write_json ?(kernel = Kernel.idct) path series =
          artifact; other kernels name themselves *)
       if Kernel.name kernel <> "idct" then
         Printf.fprintf oc "  \"kernel\": \"%s\",\n"
-          (json_escape (Kernel.name kernel));
+          (Trace.json_escape (Kernel.name kernel));
       output_string oc "  \"series\": [\n";
       List.iteri
         (fun i s ->
           Printf.fprintf oc
             "    {\"tool\": \"%s\", \"language\": \"%s\", \"points\": [\n"
-            (json_escape (Design.tool_name s.tool))
-            (json_escape (Design.language_name s.tool));
+            (Trace.json_escape (Design.tool_name s.tool))
+            (Trace.json_escape (Design.language_name s.tool));
           List.iteri
             (fun j p ->
               Printf.fprintf oc
                 "      {\"label\": \"%s\", \"area\": %d, \
                  \"throughput_mops\": %.6f, \"fmax_mhz\": %.6f}%s\n"
-                (json_escape p.label) p.area p.throughput_mops p.fmax_mhz
+                (Trace.json_escape p.label) p.area p.throughput_mops p.fmax_mhz
                 (if j = List.length s.points - 1 then "" else ","))
             s.points;
           Printf.fprintf oc "    ]}%s\n"
@@ -103,9 +89,12 @@ let write_json ?(kernel = Kernel.idct) path series =
         series;
       output_string oc "  ]\n}\n")
 
-(* The scatter glyph lives on the TOOL module, next to the rest of each
-   flow's registration. *)
-let glyph = Registry.glyph
+let caption = "\nPerformance (MOPS, log)  x  Area (LUT*+FF*, log)\n"
+
+let legend_line kernel =
+  "legend: "
+  ^ String.concat " " (List.map Registry.legend (Kernel.tools kernel))
+  ^ "\n"
 
 let render_series ?(kernel = Kernel.idct) series =
   let buf = Buffer.create 4096 in
@@ -147,11 +136,11 @@ let render_series ?(kernel = Kernel.idct) series =
               ((ly p -. min_y) /. Float.max 1e-9 (max_y -. min_y)
               *. float_of_int (h - 1))
           in
-          grid.(h - 1 - y).(x) <- glyph s.tool)
+          grid.(h - 1 - y).(x) <- Registry.glyph s.tool)
         s.points)
     series;
-  pr "%s" (Kernel.caption kernel);
-  pr "%s" (Kernel.legend_line kernel);
+  pr "%s" caption;
+  pr "%s" (legend_line kernel);
   for r = 0 to h - 1 do
     pr "|%s|\n" (String.init w (fun c -> grid.(r).(c)))
   done;

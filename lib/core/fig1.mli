@@ -16,7 +16,7 @@ type series = { tool : Design.tool; points : point list }
 val compute_result :
   ?jobs:int ->
   ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
+  ?kernel:Kernel.t ->
   unit ->
   series list * Flow.error list
 (** Measures every sweep configuration of [kernel] (default the paper's
@@ -30,7 +30,7 @@ val compute_result :
 val compute :
   ?jobs:int ->
   ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
+  ?kernel:Kernel.t ->
   unit ->
   series list
 (** {!compute_result} through {!Flow.fail_fast}: raises the first
@@ -39,22 +39,29 @@ val compute :
 val points :
   ?jobs:int ->
   ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
+  ?kernel:Kernel.t ->
   unit ->
   (Design.tool * point) list
 (** {!compute} flattened to one [(tool, point)] list in series order —
     the point set the DSE cross-check compares against. *)
 
 val write_json :
-  ?kernel:(module Kernel.KERNEL) -> string -> series list -> unit
+  ?kernel:Kernel.t -> string -> series list -> unit
 (** Write the series as JSON (tool, label, area, throughput, fmax) via
     {!Trace.write_atomic} — the machine-readable twin of the ASCII
     scatter ([hlsvhc fig1 --json]).  Non-default kernels add a
     ["kernel"] field; the IDCT artifact is byte-identical to the
     pre-kernel format. *)
 
+val caption : string
+(** The scatter's axis caption (Performance x Area, log-log). *)
+
+val legend_line : Kernel.t -> string
+(** The legend line for the kernel's tools, from each {!Registry.entry}'s
+    legend (trailing newline). *)
+
 val render_series :
-  ?kernel:(module Kernel.KERNEL) -> series list -> string
+  ?kernel:Kernel.t -> series list -> string
 (** Render an already-computed series list (data table + scatter);
     [kernel] supplies the axis caption and legend.  When no point is
     left (every design failed), the axis-range line

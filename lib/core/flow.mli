@@ -17,8 +17,8 @@
 
     The kernel under test is a {!spec}: stimulus generator, golden
     reference and timeout policy.  The paper's IDCT is {!idct_spec};
-    {!Second_kernel} registers its FIR the same way, which is how any
-    future workload enters the pipeline. *)
+    {!Dot_kernel} registers its FIR and matmul the same way, which is how
+    any future workload enters the pipeline. *)
 
 type spec = {
   spec_name : string;  (** cache-key prefix, e.g. "idct" *)

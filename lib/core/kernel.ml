@@ -1,115 +1,352 @@
-(* The kernel registration table — the Registry.TOOL refactor mirrored
-   one level up.  Each benchmark kernel is a first-class module: its
-   Flow.spec (stimulus / reference / compliance / timeout policy), its
-   per-tool design inventory (initial / optimized / sweep / knob space)
-   and its Fig. 1 axis labelling.  Every artifact generator (Fig1,
-   Table2, comply, sweep, dse, serve, the CLI) iterates this table, so
-   adding a kernel is data plus one generator per tool — no per-kernel
-   matches scattered through the pipeline. *)
+(* The kernel registration table.  Each benchmark kernel is a record:
+   its Flow.spec (stimulus / reference / compliance / timeout policy),
+   its CLI aliases and its per-tool design inventories (initial /
+   optimized / sweep / knob space).  Every artifact generator (Fig1,
+   Table2, comply, sweep, dse, serve, the CLI) iterates this table.  The
+   paper's IDCT inventories are written out below; the extension kernels
+   are instances of the Dot_kernel template. *)
+
+open Design
+
+type axis = { axis_name : string; axis_values : string list }
 
 type inventory = {
   inv_tool : Design.tool;
   inv_initial : Design.t;
   inv_optimized : Design.t;
   inv_sweep : Design.t list;
-  inv_space : Registry.axis list list;
-  inv_delta_loc : int;
+  inv_space : axis list list;
 }
 
-module type KERNEL = sig
-  val spec : Flow.spec
+type t = { spec : Flow.spec; aliases : string list; inventories : inventory list }
 
-  val aliases : string list
-  (** lower-case CLI names accepted for [--kernel] *)
+(* lib/transfo cannot depend on Core.Trace (Core depends on transfo), so
+   the engine's tracing is injected here, where both sides are visible.
+   Kernel is linked into every entry point, so the hook is always in
+   place before a script runs. *)
+let () =
+  Transfo.Engine.set_tracer
+    {
+      Transfo.Engine.wrap =
+        (fun ~design ~stage f -> Trace.with_span ~design ~stage f);
+      counter = Trace.add_counter;
+    }
 
-  val description : string
+(* ------------------------------------------------------------------ *)
+(* Design constructors, the shared listing policy and knob spaces       *)
+(* ------------------------------------------------------------------ *)
 
-  val perf_label : string
-  (** the Fig. 1 vertical-axis label *)
-
-  val inventories : inventory list
-  (** per-tool design inventories; the first entry's tool anchors
-      Table II's relative columns *)
-end
-
-(* A one-design inventory: extension kernels start life as a single
-   point per tool; the sweep is that point and the knob space is a
-   single one-value axis, so dse/sweep/fig1 iterate them unchanged. *)
-let single_inventory (tool, (d : Design.t)) =
+let mk tool label config_desc ~fu ~axi ~conf ~listing impl =
   {
-    inv_tool = tool;
-    inv_initial = d;
-    inv_optimized = d;
-    inv_sweep = [ d ];
-    inv_space =
-      [ [ { Registry.axis_name = "design"; axis_values = [ d.Design.label ] } ] ];
-    inv_delta_loc = 0;
+    tool;
+    label;
+    config_desc;
+    loc_fu = fu;
+    loc_axi = axi;
+    loc_conf = conf;
+    impl;
+    listing;
   }
 
-module Idct : KERNEL = struct
-  let spec = Flow.idct_spec
-  let aliases = [ "idct" ]
+(* A listing made of a functional-unit part and a tool-specific body is
+   glued with one blank line; the FU lines count as L^FU and the
+   remainder as L^AXI. *)
+let glue shared body = shared ^ "\n\n" ^ body
 
-  let description =
-    "the paper's 8x8 IEEE-1180 inverse DCT (Chen-Wang), 7 tools"
+let mk_shared tool label config_desc ~shared ~listing impl =
+  let fu = Loc.count shared in
+  mk tool label config_desc ~fu ~axi:(Loc.count listing - fu) ~conf:0 ~listing
+    impl
 
-  let perf_label = "Performance"
+(* A tool's knob space, exposed as data next to the sweep that realises
+   it.  A chart is one product block of the sweep: row-major enumeration
+   of its axes (last axis fastest) covers a contiguous run of the sweep,
+   in order.  Tools whose sweep is a genuine option grid (Bambu, BSC,
+   XLS) expose the real axes; a hand-picked ladder exposes a single
+   enumerated axis of its labels. *)
+let enum_axis name values = { axis_name = name; axis_values = values }
 
-  let inventories =
-    List.map
-      (fun (module T : Registry.TOOL) ->
-        {
-          inv_tool = T.tool;
-          inv_initial = T.initial;
-          inv_optimized = T.optimized;
-          inv_sweep = T.sweep;
-          inv_space = T.space;
-          inv_delta_loc = Registry.delta_loc T.tool;
-        })
-      Registry.all
-end
+let ladder_space sweep =
+  [ [ enum_axis "design" (List.map (fun d -> d.label) sweep) ] ]
 
-module Fir : KERNEL = struct
-  let spec = Second_kernel.spec
-  let aliases = [ "fir8"; "fir" ]
-  let description = "8-tap symmetric circular FIR over the block, 3 tools"
-  let perf_label = "Performance"
-  let inventories = List.map single_inventory Second_kernel.designs
-end
+let inventory_of ?space ~initial ~optimized sweep =
+  {
+    inv_tool = initial.tool;
+    inv_initial = initial;
+    inv_optimized = optimized;
+    inv_sweep = sweep;
+    inv_space = Option.value space ~default:(ladder_space sweep);
+  }
 
-module Matmul : KERNEL = struct
-  let spec = Matmul_kernel.spec
-  let aliases = [ "matmul8"; "matmul" ]
-  let description = "blocked 8x8 matrix multiply, fixed weights, 3 tools"
-  let perf_label = "Performance"
-  let inventories = List.map single_inventory Matmul_kernel.designs
-end
+(* A ladder: the sweep runs from the initial to the optimized design. *)
+let ladder sweep =
+  inventory_of ~initial:(List.hd sweep)
+    ~optimized:(List.nth sweep (List.length sweep - 1))
+    sweep
 
-let all : (module KERNEL) list = [ (module Idct); (module Fir); (module Matmul) ]
-let idct : (module KERNEL) = (module Idct)
+(* ------------------------------------------------------------------ *)
+(* The paper's IDCT, one inventory per tool                             *)
+(* ------------------------------------------------------------------ *)
 
-let name (module K : KERNEL) = K.spec.Flow.spec_name
-let spec (module K : KERNEL) = K.spec
-let description (module K : KERNEL) = K.description
-let perf_label (module K : KERNEL) = K.perf_label
-let inventories (module K : KERNEL) = K.inventories
+(* ---------------- Verilog (parsed sources) ---------------- *)
 
+let verilog =
+  let units_loc =
+    Loc.count (Verilog_designs.row_unit ^ Verilog_designs.col_unit)
+  in
+  let design label source circuit =
+    mk Verilog label "Vivado defaults" ~fu:units_loc
+      ~axi:(Loc.count source - units_loc)
+      ~conf:0 ~listing:source (Stream (cell Verilog label circuit))
+  in
+  ladder
+    [
+      design "initial" Verilog_designs.initial_source
+        Verilog_designs.initial_circuit;
+      design "1 row + 8 col units" Verilog_designs.row8col_source
+        Verilog_designs.row8col_circuit;
+      design "optimized" Verilog_designs.rowcol_source
+        Verilog_designs.rowcol_circuit;
+    ]
+
+(* ---------------- Chisel ---------------- *)
+
+let chisel_transfo_script = "fold_rows; fold_cols"
+
+(* The Chisel optimized design is RE-DERIVED, not hand-instantiated: the
+   flat (initial) architecture plus the transformation script above, each
+   step discharged against its verification obligation and its result
+   crosschecked against the reference interpreter at force time.  The
+   builder's determinism makes the derived netlist node-identical to the
+   hand-written [design_rowcol] ladder rung (pinned by a test), so every
+   downstream artifact is byte-identical to the hand-written design's. *)
+let derive_chisel_optimized () =
+  let subject =
+    Transfo.Subject.of_arch
+      (Chisel.Idct_gen.arch Chisel.Idct_gen.Inferred ~name:"chisel_optimized"
+         ())
+  in
+  match
+    Transfo.Engine.run (Transfo.Script.parse_exn chisel_transfo_script) subject
+  with
+  | Ok r -> r.Transfo.Engine.rep_subject.Transfo.Subject.circuit
+  | Error e ->
+      failwith
+        ("chisel optimized rederivation: " ^ Transfo.Engine.error_to_string e)
+
+let chisel =
+  let design label config_desc listing circuit =
+    mk_shared Chisel label config_desc ~shared:Listings.chisel_butterfly
+      ~listing (Stream (cell Chisel label circuit))
+  in
+  ladder
+    [
+      design "initial" "width inference, combinational kernel"
+        Listings.chisel_initial (fun () ->
+          Chisel.Idct_gen.design_comb Chisel.Idct_gen.Inferred
+            ~name:"chisel_initial");
+      design "1 row + 8 col units" "width inference" Listings.chisel_initial
+        (fun () ->
+          Chisel.Idct_gen.design_row8col Chisel.Idct_gen.Inferred
+            ~name:"chisel_row8col");
+      design "optimized" "width inference, macro-pipeline"
+        Listings.chisel_optimized derive_chisel_optimized;
+    ]
+
+(* ---------------- BSV ---------------- *)
+
+let bsv =
+  let listing_optimized = glue Listings.bsv_shared Listings.bsv_optimized in
+  let design label config_desc listing modul options =
+    mk_shared Bsv label config_desc ~shared:Listings.bsv_shared ~listing
+      (Stream (cell Bsv label (fun () -> Bsv.Idct_bsv.circuit ~options modul)))
+  in
+  let initial =
+    design "initial" "BSC defaults"
+      (glue Listings.bsv_shared Listings.bsv_initial)
+      Bsv.Idct_bsv.initial_design Bsv.Options.default
+  in
+  let optimized =
+    design "optimized" "BSC defaults" listing_optimized
+      Bsv.Idct_bsv.optimized_design Bsv.Options.default
+  in
+  (* 26 synthesized circuits: the two designs under the default
+     configuration, then the 24-option grid on the optimized design (the
+     nesting order of [Bsv.Options.all]: urgency, mux, aggressive,
+     effort fastest). *)
+  inventory_of ~initial ~optimized
+    (initial :: optimized
+    :: List.map
+         (fun o ->
+           design
+             ("optimized/" ^ Bsv.Options.describe o)
+             (Bsv.Options.describe o) listing_optimized
+             Bsv.Idct_bsv.optimized_design o)
+         Bsv.Options.all)
+    ~space:
+      [
+        [ enum_axis "design" [ initial.label; optimized.label ] ];
+        [
+          enum_axis "urgency" [ "declared"; "reversed" ];
+          enum_axis "mux-style" [ "priority"; "one-hot" ];
+          enum_axis "aggressive-conditions" [ "off"; "on" ];
+          enum_axis "scheduler-effort" [ "0"; "1"; "2" ];
+        ];
+      ]
+
+(* ---------------- DSLX ---------------- *)
+
+let dslx =
+  let listing = Dslx.Emit.emit Dslx.Idct_dslx.program in
+  let design label stages =
+    mk Dslx label
+      (if stages = 0 then "combinational"
+       else Printf.sprintf "--pipeline_stages=%d" stages)
+      ~fu:(Loc.count listing) ~axi:Tool_adapters.dslx_adapter_loc
+      ~conf:(if stages = 0 then 0 else 1)
+      ~listing
+      (Stream
+         (cell Dslx label
+            (Dslx.Idct_dslx.design ~stages
+               ~name:(Printf.sprintf "xls_s%d" stages))))
+  in
+  let initial = design "initial" 0 in
+  (* One genuine knob: the retiming stage count (0 = combinational). *)
+  inventory_of ~initial ~optimized:(design "optimized" 8)
+    (initial
+    :: List.init 18 (fun i -> design (Printf.sprintf "stages=%d" (i + 1)) (i + 1))
+    )
+    ~space:[ [ enum_axis "pipeline-stages" (List.init 19 string_of_int) ] ]
+
+(* ---------------- MaxJ ---------------- *)
+
+(* MaxCompiler generates the PCIe manager, so L^AXI = 0 and the whole
+   listing counts as L^FU.  (The FU count concatenates without the glue
+   blank line — the historical measurement the artifacts pin down.) *)
+let maxj =
+  let design label config_desc body build simulate =
+    let system = cell Maxj label build in
+    mk Maxj label config_desc
+      ~fu:(Loc.count (Listings.maxj_shared ^ body))
+      ~axi:0 ~conf:0
+      ~listing:(glue Listings.maxj_shared body)
+      (Pcie { system; simulate = (fun blocks -> simulate (force system) blocks) })
+  in
+  ladder
+    [
+      design "initial" "matrix per tick, PCIe streams" Listings.maxj_initial
+        Maxj.Idct_maxj.initial_system Maxj.Idct_maxj.simulate_initial;
+      design "optimized" "row per tick, on-chip transpose buffer"
+        Listings.maxj_optimized Maxj.Idct_maxj.opt_system
+        Maxj.Idct_maxj.simulate_opt;
+    ]
+
+(* ---------------- C / Bambu ---------------- *)
+
+let bambu =
+  let listing = Chls.Cprint.emit Chls.Idct_c.program in
+  let design label (c : Chls.Tool.bambu_config) =
+    let conf =
+      1 (* preset *) + (if c.sdc then 1 else 0)
+      + if c.chain_effort <> 1 then 1 else 0
+    in
+    mk Bambu label (Chls.Tool.describe_bambu c) ~fu:(Loc.count listing)
+      ~axi:Chls.Tool.bambu_adapter_loc ~conf ~listing
+      (Stream (cell Bambu label (fun () -> Chls.Tool.bambu_circuit c)))
+  in
+  (* The full 7 x 2 x 3 option grid, axes in the nesting order of
+     [Chls.Tool.bambu_grid] (chaining effort fastest).  The preset names
+     are read off the grid itself so the two can never drift apart. *)
+  let presets =
+    List.filter_map
+      (fun (c : Chls.Tool.bambu_config) ->
+        if (not c.sdc) && c.chain_effort = 0 then Some c.preset else None)
+      Chls.Tool.bambu_grid
+  in
+  inventory_of
+    ~initial:(design "initial" Chls.Tool.bambu_initial)
+    ~optimized:(design "optimized" Chls.Tool.bambu_optimized)
+    (List.map (fun c -> design (Chls.Tool.describe_bambu c) c) Chls.Tool.bambu_grid)
+    ~space:
+      [
+        [
+          enum_axis "preset" presets;
+          enum_axis "speculative-sdc" [ "off"; "on" ];
+          enum_axis "chaining-effort" [ "0"; "1"; "2" ];
+        ];
+      ]
+
+(* ---------------- C / Vivado HLS ---------------- *)
+
+(* The pragma ladder is a hand-picked path through the pragma space, not
+   a product grid — one enumerated axis. *)
+let vhls =
+  let design label c =
+    let listing =
+      Chls.Cprint.emit ~pragmas:[ ("idct", Chls.Tool.vhls_pragmas c) ]
+        Chls.Idct_c.program
+    in
+    mk Vivado_hls label (Chls.Tool.describe_vhls c) ~fu:(Loc.count listing)
+      ~axi:0 (* the INTERFACE pragma generates the adapter *)
+      ~conf:0 ~listing
+      (Stream (cell Vivado_hls label (fun () -> Chls.Tool.vhls_circuit c)))
+  in
+  let sweep =
+    List.map (fun c -> design (Chls.Tool.describe_vhls c) c) Chls.Tool.vhls_ladder
+  in
+  inventory_of
+    ~initial:(design "initial" Chls.Tool.vhls_initial)
+    ~optimized:(design "optimized" Chls.Tool.vhls_optimized)
+    sweep
+    ~space:[ [ enum_axis "pragmas" (List.map (fun d -> d.label) sweep) ] ]
+
+(* ------------------------------------------------------------------ *)
+(* The registration table                                               *)
+(* ------------------------------------------------------------------ *)
+
+let idct =
+  {
+    spec = Flow.idct_spec;
+    aliases = [ "idct" ];
+    inventories = [ verilog; chisel; bsv; dslx; maxj; bambu; vhls ];
+  }
+
+(* A dot-product kernel is one design per tool: the sweep is that point
+   and the knob space a single one-value axis, so dse/sweep/fig1 iterate
+   it unchanged. *)
+let of_dot aliases dot =
+  {
+    spec = Dot_kernel.spec dot;
+    aliases;
+    inventories =
+      List.map
+        (fun d -> inventory_of ~initial:d ~optimized:d [ d ])
+        (Dot_kernel.designs dot);
+  }
+
+let all =
+  [
+    idct;
+    of_dot [ "fir8"; "fir" ] Dot_kernel.fir;
+    of_dot [ "matmul8"; "matmul" ] Dot_kernel.matmul;
+  ]
+
+let name k = k.spec.Flow.spec_name
+let spec k = k.spec
 let find n = List.find_opt (fun k -> name k = n) all
 
 let parse_kernel s =
   let s = String.lowercase_ascii s in
-  List.find_opt (fun (module K : KERNEL) -> List.mem s K.aliases) all
+  List.find_opt (fun k -> List.mem s k.aliases) all
 
-let kernel_names () = List.map (fun (module K : KERNEL) -> List.hd K.aliases) all
+let kernel_names () = List.map (fun k -> List.hd k.aliases) all
 
 let unknown_kernel_msg s =
   Printf.sprintf "unknown kernel %S (kernels: %s)" s
     (String.concat ", " (kernel_names ()))
 
-let tools k = List.map (fun i -> i.inv_tool) (inventories k)
-
-let inventory k tool =
-  List.find_opt (fun i -> i.inv_tool = tool) (inventories k)
+let tools k = List.map (fun i -> i.inv_tool) k.inventories
+let inventory k tool = List.find_opt (fun i -> i.inv_tool = tool) k.inventories
 
 let inventory_exn k tool =
   match inventory k tool with
@@ -124,15 +361,9 @@ let initial k tool = (inventory_exn k tool).inv_initial
 let optimized k tool = (inventory_exn k tool).inv_optimized
 let sweep k tool = (inventory_exn k tool).inv_sweep
 let space k tool = (inventory_exn k tool).inv_space
-let delta_loc k tool = (inventory_exn k tool).inv_delta_loc
 
-let all_designs k =
-  List.concat_map (fun i -> i.inv_sweep) (inventories k)
+let delta_loc k tool =
+  let i = initial k tool and o = optimized k tool in
+  Loc.delta i.listing o.listing + abs (o.loc_conf - i.loc_conf)
 
-let legend_line k =
-  "legend: "
-  ^ String.concat " " (List.map Registry.legend (tools k))
-  ^ "\n"
-
-let caption k =
-  Printf.sprintf "\n%s (MOPS, log)  x  Area (LUT*+FF*, log)\n" (perf_label k)
+let all_designs k = List.concat_map (fun i -> i.inv_sweep) k.inventories

@@ -1,6 +1,6 @@
 (** A lazily built value that any number of domains may force.
 
-    The registry's design points are shared top-level values whose
+    The kernels' design points are shared top-level values whose
     netlists (or MaxJ systems) are built on first use, from whichever pool
     worker or serve connection gets there first.  A cell serializes only
     its own construction: different cells build concurrently, and no

@@ -1,65 +1,30 @@
-(** The design inventory behind every artifact, organised as first-class
-    tool modules (DESIGN.md §10).
+(** Table I as data: the seven tool flows under evaluation (DESIGN.md
+    §10).
 
-    Each supported flow registers one {!TOOL} module carrying its Table I
-    metadata, CLI aliases, Fig. 1 glyph and design inventory.  Table1,
-    Table2, Fig1, the compliance sweep and the CLI all iterate the single
-    registration table {!all}; adding an eighth flow means adding one
-    module here (plus its constructor in {!Design.tool}) — no scattered
-    per-tool matches to keep in sync. *)
+    One {!entry} per flow carries what Table I prints beyond
+    {!Design.language_name}/{!Design.tool_name}, plus the flow's CLI
+    aliases and its Fig. 1 glyph and legend.  Table1, the [--tools]
+    parser and the Fig. 1 legends read this table; the designs each flow
+    builds belong to the benchmark kernels ({!Kernel}). *)
 
-type axis = { axis_name : string; axis_values : string list }
-(** One knob of a tool's configuration space: a named, ordered, discrete
-    value set.  A tool's space is a list of {e charts}, each a list of
-    axes; row-major enumeration of a chart's axes (last axis fastest)
-    covers a contiguous run of the tool's [sweep], in order — the
-    invariant {!Dse.Space} checks and builds on. *)
+type entry = {
+  tool : Design.tool;
+  paradigm : string;
+  tool_type : string;  (** HC, HLS or LS/PR *)
+  openness : string;
+  aliases : string list;  (** lower-case CLI names accepted for [--tool] *)
+  glyph : char;  (** the Fig. 1 scatter glyph *)
+  legend : string;
+      (** the Fig. 1 legend entry, ["V=Verilog"] — glyph plus the plot's
+          display name (which differs from [Design.tool_name] for BSV,
+          MaxJ and Vivado HLS) *)
+}
 
-module type TOOL = sig
-  val tool : Design.tool
-
-  (** Table I metadata *)
-
-  val language : string
-  val paradigm : string
-  val toolchain : string
-  val tool_type : string
-  val openness : string
-
-  val aliases : string list
-  (** lower-case CLI names accepted for [--tool] *)
-
-  val glyph : char
-  (** the Fig. 1 scatter glyph *)
-
-  val legend : string
-  (** the Fig. 1 legend entry, ["V=Verilog"] — glyph plus the plot's
-      display name (which differs from [Design.tool_name] for BSV, MaxJ
-      and Vivado HLS) *)
-
-  val initial : Design.t
-  val optimized : Design.t
-
-  val sweep : Design.t list
-  (** all configurations explored for the tool (the points of Fig. 1):
-      Verilog 3, Chisel 3, BSC 26, XLS 19, MaxCompiler 2, Bambu 42,
-      Vivado HLS 5. *)
-
-  val space : axis list list
-  (** [sweep]'s knob space as data ({!axis}): genuine option grids for
-      Bambu (preset x SDC x chaining), BSC (urgency x mux x aggressive x
-      effort, behind a two-design default chart) and XLS (pipeline
-      stages); a single enumerated axis for the hand-picked ladders. *)
-end
-
-val all : (module TOOL) list
+val all : entry list
 (** The registration table, in the paper's column order. *)
 
-val find : Design.tool -> (module TOOL)
-
 val parse_tool : string -> Design.tool option
-(** Resolve a CLI name through the modules' alias lists
-    (case-insensitive). *)
+(** Resolve a CLI name through the alias lists (case-insensitive). *)
 
 val tool_names : unit -> string list
 (** The primary CLI name of every registered tool, in registry order. *)
@@ -75,26 +40,3 @@ val parse_tools : string -> (Design.tool list, string) result
 
 val glyph : Design.tool -> char
 val legend : Design.tool -> string
-
-(* Shorthands over [find] (the historical interface). *)
-
-val initial : Design.tool -> Design.t
-val optimized : Design.tool -> Design.t
-
-val delta_loc : Design.tool -> int
-(** The paper's [dL]: lines changed (added + removed, options included)
-    between the initial and optimized descriptions. *)
-
-val sweep : Design.tool -> Design.t list
-val space : Design.tool -> axis list list
-
-val all_designs : unit -> Design.t list
-(** Initial and optimized designs of every tool. *)
-
-val chisel_transfo_script : string
-(** The transformation script (["fold_rows; fold_cols"]) that re-derives
-    the Chisel optimized design from its flat (initial) architecture.
-    Forcing [optimized Chisel] replays the script through
-    {!Transfo.Engine.run} — every step verified — and yields a netlist
-    node-identical to the hand-written macro-pipeline ladder rung
-    (DESIGN.md §17). *)

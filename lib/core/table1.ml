@@ -7,16 +7,16 @@ type row = {
 }
 
 (* Table I rows come straight off the registration table: one row per
-   TOOL module, in registration order. *)
+   tool, in registration order. *)
 let rows =
   List.map
-    (fun (module T : Registry.TOOL) ->
+    (fun (e : Registry.entry) ->
       {
-        language = T.language;
-        paradigm = T.paradigm;
-        tool = T.toolchain;
-        tool_type = T.tool_type;
-        openness = T.openness;
+        language = Design.language_name e.tool;
+        paradigm = e.paradigm;
+        tool = Design.tool_name e.tool;
+        tool_type = e.tool_type;
+        openness = e.openness;
       })
     Registry.all
 

@@ -22,7 +22,7 @@ type row = {
 val compute_result :
   ?jobs:int ->
   ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
+  ?kernel:Kernel.t ->
   unit ->
   row list * Flow.error list
 (** Measures every design of [kernel] (default the paper's IDCT) on the
@@ -44,7 +44,7 @@ val compute_result :
 val compute :
   ?jobs:int ->
   ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
+  ?kernel:Kernel.t ->
   unit ->
   row list
 (** {!compute_result} through {!Flow.fail_fast}: raises the first

@@ -57,6 +57,11 @@ exception Write_error of { wr_path : string; wr_reason : string }
     instead of a bare [Sys_error]/[Unix_error], so keep-going callers can
     report it as a typed condition. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal: quote, backslash, newline and tab
+    escaped by name, other control characters as [\u00XX]; every JSON
+    artifact (traces, Fig. 1, the DSE report) escapes through it. *)
+
 val write_atomic : string -> (out_channel -> unit) -> unit
 (** Run the emitter on a sibling temp file, then rename it over the
     target path: readers observe the old complete file or the new

@@ -26,11 +26,11 @@ let render_scatter buf kernel (cloud : (Pareto.point * char) list) frontier =
   in
   List.iter plot cloud;
   List.iter (fun p -> plot (p, '*')) frontier;
-  (* Axis caption and legend come from the kernel, like Fig. 1's; the
-     frontier glyph is the report's own addition. *)
-  pr buf "%s" (Core.Kernel.caption kernel);
+  (* Axis caption and legend are Fig. 1's; the frontier glyph is the
+     report's own addition. *)
+  pr buf "%s" Core.Fig1.caption;
   pr buf "%s  *=Pareto frontier\n"
-    (String.trim (Core.Kernel.legend_line kernel));
+    (String.trim (Core.Fig1.legend_line kernel));
   for r = 0 to h - 1 do
     pr buf "|%s|\n" (String.init w (fun c -> grid.(r).(c)))
   done;
@@ -111,20 +111,6 @@ let render (r : Engine.result) =
 (* JSON                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json path (r : Engine.result) =
   let on_frontier =
     let keys =
@@ -166,20 +152,20 @@ let write_json path (r : Engine.result) =
                 "    {\"key\": \"%s\", \"tool\": \"%s\", \"label\": \"%s\", \
                  \"coords\": \"%s\", \"area\": %d, \"throughput_mops\": %.6f, \
                  \"fmax_mhz\": %.6f, \"on_frontier\": %b}"
-                (json_escape key)
-                (json_escape
+                (Core.Trace.json_escape key)
+                (Core.Trace.json_escape
                    (Core.Design.tool_name ev.Engine.ev_candidate.Space.cand_tool))
-                (json_escape
+                (Core.Trace.json_escape
                    ev.Engine.ev_candidate.Space.cand_design.Core.Design.label)
-                (json_escape (Space.coords_desc ev.Engine.ev_candidate))
+                (Core.Trace.json_escape (Space.coords_desc ev.Engine.ev_candidate))
                 m.Core.Metrics.area m.Core.Metrics.throughput_mops
                 m.Core.Metrics.fmax_mhz (on_frontier key)
           | Error e ->
               Printf.fprintf oc
                 "    {\"key\": \"%s\", \"error\": \"%s\", \"stage\": \"%s\"}"
-                (json_escape key)
-                (json_escape (Core.Flow.class_name e.Core.Flow.err_class))
-                (json_escape e.Core.Flow.err_stage));
+                (Core.Trace.json_escape key)
+                (Core.Trace.json_escape (Core.Flow.class_name e.Core.Flow.err_class))
+                (Core.Trace.json_escape e.Core.Flow.err_stage));
           output_string oc (if i = n - 1 then "\n" else ",\n"))
         r.Engine.res_evaluated;
       output_string oc "  ]\n}\n")

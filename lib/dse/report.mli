@@ -18,7 +18,7 @@ val write_json : string -> Engine.result -> unit
 val crosscheck_fig1 :
   ?jobs:int ->
   ?tools:Core.Design.tool list ->
-  ?kernel:(module Core.Kernel.KERNEL) ->
+  ?kernel:Core.Kernel.t ->
   Engine.result ->
   (string, string) result
 (** The Fig. 1 cross-check: the frontier of an exhaustive run over the

@@ -1,5 +1,5 @@
 type chart = {
-  chart_axes : Core.Registry.axis list;
+  chart_axes : Core.Kernel.axis list;
   chart_designs : Core.Design.t array;
 }
 
@@ -13,13 +13,13 @@ type candidate = {
   cand_tool : Core.Design.tool;
   cand_chart : int;
   cand_coords : int array;
-  cand_axes : Core.Registry.axis list;
+  cand_axes : Core.Kernel.axis list;
   cand_design : Core.Design.t;
 }
 
 let chart_size axes =
   List.fold_left
-    (fun n (a : Core.Registry.axis) -> n * List.length a.Core.Registry.axis_values)
+    (fun n (a : Core.Kernel.axis) -> n * List.length a.Core.Kernel.axis_values)
     1 axes
 
 (* Partition the tool's sweep by the declared chart sizes.  The axes are
@@ -101,7 +101,7 @@ let with_scripts ?(scripts = default_scripts) t =
               chart_axes =
                 [
                   {
-                    Core.Registry.axis_name = "script";
+                    Core.Kernel.axis_name = "script";
                     axis_values = "(none)" :: scripts;
                   };
                 ];
@@ -120,15 +120,15 @@ let size t =
 let rank axes coords =
   let r = ref 0 and i = ref 0 in
   List.iter
-    (fun (a : Core.Registry.axis) ->
-      r := (!r * List.length a.Core.Registry.axis_values) + coords.(!i);
+    (fun (a : Core.Kernel.axis) ->
+      r := (!r * List.length a.Core.Kernel.axis_values) + coords.(!i);
       incr i)
     axes;
   !r
 
 let unrank axes j =
   let dims =
-    List.map (fun (a : Core.Registry.axis) -> List.length a.Core.Registry.axis_values) axes
+    List.map (fun (a : Core.Kernel.axis) -> List.length a.Core.Kernel.axis_values) axes
   in
   let n = List.length dims in
   let coords = Array.make n 0 in
@@ -163,7 +163,7 @@ let neighbors t cand =
   let chart = List.nth t.charts cand.cand_chart in
   let dims =
     List.map
-      (fun (a : Core.Registry.axis) -> List.length a.Core.Registry.axis_values)
+      (fun (a : Core.Kernel.axis) -> List.length a.Core.Kernel.axis_values)
       chart.chart_axes
   in
   List.concat
@@ -187,9 +187,9 @@ let coords_desc cand =
      not depend on which kernel's space it came from *)
   String.concat " "
     (List.mapi
-       (fun i (a : Core.Registry.axis) ->
-         Printf.sprintf "%s=%s" a.Core.Registry.axis_name
-           (List.nth a.Core.Registry.axis_values cand.cand_coords.(i)))
+       (fun i (a : Core.Kernel.axis) ->
+         Printf.sprintf "%s=%s" a.Core.Kernel.axis_name
+           (List.nth a.Core.Kernel.axis_values cand.cand_coords.(i)))
        cand.cand_axes)
 
 let describe t =
@@ -202,9 +202,9 @@ let describe t =
       let axes =
         String.concat " x "
           (List.map
-             (fun (a : Core.Registry.axis) ->
-               Printf.sprintf "%s[%d]" a.Core.Registry.axis_name
-                 (List.length a.Core.Registry.axis_values))
+             (fun (a : Core.Kernel.axis) ->
+               Printf.sprintf "%s[%d]" a.Core.Kernel.axis_name
+                 (List.length a.Core.Kernel.axis_values))
              chart.chart_axes)
       in
       Printf.ksprintf (Buffer.add_string buf) "  %s = %d points\n" axes

@@ -1,7 +1,7 @@
 (** The configuration-space model behind the search (DESIGN.md §12).
 
     Every registered tool exposes its knob space as data
-    ({!Core.Registry.axis}): a list of {e charts}, each the product of a
+    ({!Core.Kernel.axis}): a list of {e charts}, each the product of a
     few named discrete axes.  This module binds those axes back to the
     tool's canonical design inventory — candidate [(chart, coords)]
     resolves to the very same {!Core.Design.t} value the Fig. 1 sweep
@@ -10,7 +10,7 @@
     point. *)
 
 type chart = {
-  chart_axes : Core.Registry.axis list;
+  chart_axes : Core.Kernel.axis list;
   chart_designs : Core.Design.t array;
       (** the sweep slice this chart covers, in row-major axis order
           (last axis fastest) *)
@@ -26,14 +26,13 @@ type candidate = {
   cand_tool : Core.Design.tool;
   cand_chart : int;          (** chart index within the tool's space *)
   cand_coords : int array;   (** one value index per chart axis *)
-  cand_axes : Core.Registry.axis list;  (** the chart's own axes *)
+  cand_axes : Core.Kernel.axis list;  (** the chart's own axes *)
   cand_design : Core.Design.t;
 }
 
-val of_tool : ?kernel:(module Core.Kernel.KERNEL) -> Core.Design.tool -> t
-(** Bind the kernel's space charts to its sweep ([kernel] defaults to
-    the paper's IDCT, where they are {!Core.Registry.space} and
-    {!Core.Registry.sweep}).
+val of_tool : ?kernel:Core.Kernel.t -> Core.Design.tool -> t
+(** Bind the kernel's space charts ({!Core.Kernel.space}) to its sweep
+    ([kernel] defaults to the paper's IDCT).
     @raise Invalid_argument if the declared axis products do not tile the
     sweep exactly — the registry invariant a misdeclared space breaks —
     or if the kernel has no inventory for [tool]. *)

@@ -1,7 +1,7 @@
 (** The transformation catalogue (DESIGN.md §17).
 
-    Each transformation is a first-class module mirroring the
-    {!Core.Registry} pattern: a stable name (plus aliases), a
+    Each transformation is a first-class module: a stable name (plus
+    aliases, resolved like {!Core.Registry}'s tool names), a
     human-readable description and precondition, an applicability check,
     a deterministic [apply], and the {!Verify.obligation} the {!Engine}
     must discharge after the step. *)

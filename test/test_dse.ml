@@ -17,7 +17,7 @@ let test_space_covers_sweep () =
     (fun tool ->
       let space = Dse.Space.of_tool tool in
       let cands = Dse.Space.candidates space in
-      let sweep = Core.Registry.sweep tool in
+      let sweep = Core.Kernel.sweep Core.Kernel.idct tool in
       check int
         (Core.Design.tool_name tool ^ " candidate count")
         (List.length sweep) (List.length cands);

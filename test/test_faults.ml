@@ -4,6 +4,8 @@
    fault here is injected through Core.Faultinject with a fixed seed —
    nothing depends on wall clock or scheduling. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
@@ -18,7 +20,7 @@ let contains ~sub s =
   in
   m = 0 || at 0
 
-let victim_design = Core.Registry.initial Core.Design.Verilog
+let victim_design = Core.Kernel.initial idct Core.Design.Verilog
 let victim_key = Core.Flow.span_key victim_design
 
 (* Arm [spec], run the measurement, expect a typed Flow.Error and hand
@@ -196,7 +198,7 @@ let every_elaborate_crashes =
   { Core.Faultinject.fault = Crash "elaborate"; target = ""; seed = 0 }
 
 let test_keep_going_sweep () =
-  let designs = Core.Registry.sweep Core.Design.Verilog in
+  let designs = Core.Kernel.sweep idct Core.Design.Verilog in
   (* Target a point whose span key is not a substring of any sibling's,
      so exactly one point is hit. *)
   let victim =
@@ -249,7 +251,7 @@ let test_keep_going_sweep () =
 let test_keep_going_all_run () =
   (* Unlike the fail-fast map, a keep-going batch measures every point
      even when an early one fails: no Ok slot is missing. *)
-  let designs = Core.Registry.sweep Core.Design.Chisel in
+  let designs = Core.Kernel.sweep idct Core.Design.Chisel in
   let first_key = Core.Flow.span_key (List.hd designs) in
   Core.Evaluate.clear_measure_cache ();
   Core.Faultinject.arm

@@ -3,6 +3,8 @@
    counters track the measurement cache, the JSON round-trips, and
    compliance dispatches on the design under test. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -70,7 +72,7 @@ let test_spans_nest () =
     traced (fun () ->
         ignore
           (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2
-             (Core.Registry.initial Core.Design.Verilog)))
+             (Core.Kernel.initial idct Core.Design.Verilog)))
   in
   let ends s = s.Core.Trace.start_s +. s.Core.Trace.dur_s in
   let by_design = Hashtbl.create 8 in
@@ -111,7 +113,7 @@ let test_spans_nest () =
 
 let test_cache_counters () =
   cold ();
-  let d = Core.Registry.initial Core.Design.Verilog in
+  let d = Core.Kernel.initial idct Core.Design.Verilog in
   let counter name spans =
     List.fold_left
       (fun acc s ->
@@ -152,7 +154,7 @@ let test_json_roundtrip_and_stats () =
     traced (fun () ->
         ignore
           (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2
-             (Core.Registry.initial Core.Design.Chisel)))
+             (Core.Kernel.initial idct Core.Design.Chisel)))
   in
   let file = Filename.temp_file "hlsvhc_trace" ".json" in
   Fun.protect
@@ -182,7 +184,7 @@ let test_compliance_dispatch () =
   (* A PCIe design whose own simulator is wrong must fail compliance:
      the check exercises the design under test, not a fixed kernel. *)
   let broken =
-    let good = Core.Registry.initial Core.Design.Maxj in
+    let good = Core.Kernel.initial idct Core.Design.Maxj in
     match good.Core.Design.impl with
     | Core.Design.Stream _ -> assert false
     | Core.Design.Pcie p ->
@@ -196,14 +198,14 @@ let test_compliance_dispatch () =
     (Core.Evaluate.check_compliance ~spec:Core.Flow.idct_spec ~blocks:4 broken);
   check bool "initial MaxJ kernel passes" true
     (Core.Evaluate.check_compliance ~spec:Core.Flow.idct_spec ~blocks:16
-       (Core.Registry.initial Core.Design.Maxj));
+       (Core.Kernel.initial idct Core.Design.Maxj));
   check bool "optimized MaxJ kernel passes" true
     (Core.Evaluate.check_compliance ~spec:Core.Flow.idct_spec ~blocks:16
-       (Core.Registry.optimized Core.Design.Maxj))
+       (Core.Kernel.optimized idct Core.Design.Maxj))
 
 let test_disabled_is_silent () =
   cold ();
-  ignore (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2 (Core.Registry.initial Core.Design.Verilog));
+  ignore (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2 (Core.Kernel.initial idct Core.Design.Verilog));
   Core.Trace.add_counter "orphan" 1;
   check int "nothing recorded with tracing off" 0
     (List.length (Core.Trace.drain ()))
@@ -211,10 +213,11 @@ let test_disabled_is_silent () =
 let test_second_kernel_through_flow () =
   (* The FIR registers through the same door: same pipeline, its own
      spec.  Check one design end to end (bit-true or measure raises). *)
-  let tool, d = List.hd Core.Second_kernel.designs in
+  let fir = Option.get (Core.Kernel.find "fir8") in
+  let d = List.hd (Core.Kernel.all_designs fir) in
   check Alcotest.string "first FIR design" "Chisel"
-    (Core.Design.tool_name tool);
-  let m = Core.Evaluate.measure ~matrices:2 ~spec:Core.Second_kernel.spec d in
+    (Core.Design.tool_name d.Core.Design.tool);
+  let m = Core.Evaluate.measure ~matrices:2 ~spec:(Core.Kernel.spec fir) d in
   check bool "FIR measurement is sane" true
     (m.Core.Metrics.area > 0 && m.Core.Metrics.fmax_mhz > 0.)
 

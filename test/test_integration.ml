@@ -3,6 +3,8 @@
    stream convention, and gapped/back-pressured streaming of every
    adapter style. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -143,7 +145,7 @@ let test_view_composition_in_interp () =
 (* ---------------- stream convention ---------------- *)
 
 let test_is_wrapped () =
-  let d = Core.Registry.optimized Core.Design.Verilog in
+  let d = Core.Kernel.optimized idct Core.Design.Verilog in
   (match d.Core.Design.impl with
   | Core.Design.Stream c ->
       check bool "wrapped design recognized" true
@@ -158,13 +160,13 @@ let test_is_wrapped () =
 
 let designs_under_test () =
   [
-    ("verilog rowcol", Core.Registry.optimized Core.Design.Verilog);
-    ("chisel comb", Core.Registry.initial Core.Design.Chisel);
-    ("bsv optimized", Core.Registry.optimized Core.Design.Bsv);
+    ("verilog rowcol", Core.Kernel.optimized idct Core.Design.Verilog);
+    ("chisel comb", Core.Kernel.initial idct Core.Design.Chisel);
+    ("bsv optimized", Core.Kernel.optimized idct Core.Design.Bsv);
     ("xls 4-stage",
      Core.
        {
-         (Registry.optimized Design.Dslx) with
+         (Kernel.optimized idct Design.Dslx) with
          Design.impl =
            Design.Stream
              (Design.cell Design.Dslx "it4"

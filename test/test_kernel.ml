@@ -31,9 +31,7 @@ let test_registry_invariants () =
     (List.length (List.sort_uniq compare names));
   (* an alias resolves to exactly one kernel *)
   let aliases =
-    List.concat_map
-      (fun (module K : Core.Kernel.KERNEL) -> K.aliases)
-      Core.Kernel.all
+    List.concat_map (fun k -> k.Core.Kernel.aliases) Core.Kernel.all
   in
   check int "aliases disjoint across kernels"
     (List.length aliases)
@@ -49,15 +47,15 @@ let test_registry_invariants () =
   (* every alias parses back to its own kernel; lookups are
      case-insensitive *)
   List.iter
-    (fun (module K : Core.Kernel.KERNEL) ->
+    (fun k ->
       List.iter
         (fun a ->
           match Core.Kernel.parse_kernel (String.uppercase_ascii a) with
           | Some k' ->
-              check string ("alias " ^ a) K.spec.Core.Flow.spec_name
+              check string ("alias " ^ a) (Core.Kernel.name k)
                 (Core.Kernel.name k')
           | None -> Alcotest.failf "alias %s does not parse" a)
-        K.aliases)
+        k.Core.Kernel.aliases)
     Core.Kernel.all;
   check bool "unknown kernel rejected" true
     (Core.Kernel.parse_kernel "nonesuch" = None)
@@ -70,11 +68,9 @@ let contains ~needle hay =
 let test_unknown_msg () =
   let msg = Core.Kernel.unknown_kernel_msg "nonesuch" in
   List.iter
-    (fun (module K : Core.Kernel.KERNEL) ->
-      check bool
-        ("diagnostic lists " ^ List.hd K.aliases)
-        true
-        (contains ~needle:(List.hd K.aliases) msg))
+    (fun k ->
+      let alias = List.hd k.Core.Kernel.aliases in
+      check bool ("diagnostic lists " ^ alias) true (contains ~needle:alias msg))
     Core.Kernel.all;
   check bool "diagnostic quotes the bad name" true
     (contains ~needle:"nonesuch" msg)
@@ -151,8 +147,9 @@ let fresh_dir =
    all: arm a crash fault that would abort any execution, then re-read
    every point.  Bit-identical results prove pure cache traffic. *)
 let test_warm_store_zero_executions () =
-  let spec = Core.Second_kernel.spec in
-  let designs = List.map snd Core.Second_kernel.designs in
+  let fir = Option.get (Core.Kernel.find "fir8") in
+  let spec = Core.Kernel.spec fir in
+  let designs = Core.Kernel.all_designs fir in
   let dir = fresh_dir "hlsvhc_kernel_store" in
   Store.detach ();
   Core.Evaluate.clear_measure_cache ();
@@ -184,8 +181,9 @@ let test_warm_store_zero_executions () =
 (* ---------------- kernel-qualified trace spans ---------------- *)
 
 let test_trace_spans_name_kernel () =
-  let spec = Core.Second_kernel.spec in
-  let _, d = List.hd Core.Second_kernel.designs in
+  let fir = Option.get (Core.Kernel.find "fir8") in
+  let spec = Core.Kernel.spec fir in
+  let d = List.hd (Core.Kernel.all_designs fir) in
   Core.Evaluate.clear_measure_cache ();
   Core.Trace.set_enabled true;
   ignore (Core.Evaluate.measure ~matrices:2 ~spec d);

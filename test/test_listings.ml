@@ -1,6 +1,8 @@
 (* Tests for the source listings and emitters behind the LOC metric, and
    for parser corner cases they rely on. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -71,7 +73,7 @@ let test_maxj_listings () =
 let test_loc_decomposition () =
   List.iter
     (fun tool ->
-      let d = Core.Registry.initial tool in
+      let d = Core.Kernel.initial idct tool in
       check bool
         (Core.Design.tool_name tool ^ " loc parts are positive")
         true
@@ -85,20 +87,20 @@ let test_loc_decomposition () =
 
 let test_generated_interfaces_cost_nothing () =
   (* MaxCompiler and Vivado HLS generate their interfaces: L^AXI = 0. *)
-  check int "maxj axi loc" 0 (Core.Registry.initial Core.Design.Maxj).Core.Design.loc_axi;
+  check int "maxj axi loc" 0 (Core.Kernel.initial idct Core.Design.Maxj).Core.Design.loc_axi;
   check int "vhls axi loc" 0
-    (Core.Registry.initial Core.Design.Vivado_hls).Core.Design.loc_axi;
+    (Core.Kernel.initial idct Core.Design.Vivado_hls).Core.Design.loc_axi;
   (* Bambu cannot: the hand-written adapter is counted. *)
   check bool "bambu pays for its adapter" true
-    ((Core.Registry.initial Core.Design.Bambu).Core.Design.loc_axi > 0)
+    ((Core.Kernel.initial idct Core.Design.Bambu).Core.Design.loc_axi > 0)
 
 let test_dslx_config_loc () =
   (* the optimized XLS design differs by exactly one option line *)
   check int "initial has no config" 0
-    (Core.Registry.initial Core.Design.Dslx).Core.Design.loc_conf;
+    (Core.Kernel.initial idct Core.Design.Dslx).Core.Design.loc_conf;
   check int "optimized has one option" 1
-    (Core.Registry.optimized Core.Design.Dslx).Core.Design.loc_conf;
-  check int "delta includes it" 1 (Core.Registry.delta_loc Core.Design.Dslx)
+    (Core.Kernel.optimized idct Core.Design.Dslx).Core.Design.loc_conf;
+  check int "delta includes it" 1 (Core.Kernel.delta_loc idct Core.Design.Dslx)
 
 (* ---------------- vlog parser corners the sources rely on ------------- *)
 
@@ -151,7 +153,7 @@ let test_emitted_verilog_reparses_all_rtl_designs () =
      emitter and parser agree on the full language subset in use. *)
   List.iter
     (fun tool ->
-      let d = Core.Registry.optimized tool in
+      let d = Core.Kernel.optimized idct tool in
       match d.Core.Design.impl with
       | Core.Design.Stream c ->
           let c = Core.Design.force c in

@@ -1,6 +1,8 @@
 (* Integration tests for the paper-level claims: the metrics library, the
    design registry and the invariants of Table II / Fig. 1. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -45,10 +47,13 @@ let test_every_design_measures () =
            d.Core.Design.label)
         true
         (Core.Metrics.quality m > 0.))
-    (Core.Registry.all_designs ())
+    (List.concat_map
+       (fun t ->
+         [ Core.Kernel.initial idct t; Core.Kernel.optimized idct t ])
+       (Core.Kernel.tools idct))
 
 let test_sweep_sizes () =
-  let size t = List.length (Core.Registry.sweep t) in
+  let size t = List.length (Core.Kernel.sweep idct t) in
   check int "Verilog 3 designs" 3 (size Core.Design.Verilog);
   check int "Chisel 3 designs" 3 (size Core.Design.Chisel);
   check int "BSC 26 circuits" 26 (size Core.Design.Bsv);
@@ -113,8 +118,8 @@ let test_table2_invariants () =
 let test_verilog_loc_near_paper () =
   (* Our hand-written baseline should be in the ballpark of the paper's
      247/316 lines — a sanity check that the LOC pipeline is sane. *)
-  let li = Core.Design.loc (Core.Registry.initial Core.Design.Verilog) in
-  let lo = Core.Design.loc (Core.Registry.optimized Core.Design.Verilog) in
+  let li = Core.Design.loc (Core.Kernel.initial idct Core.Design.Verilog) in
+  let lo = Core.Design.loc (Core.Kernel.optimized idct Core.Design.Verilog) in
   check bool "initial in [180, 320]" true (li >= 180 && li <= 320);
   check bool "optimized in [180, 360]" true (lo >= 180 && lo <= 360)
 
@@ -126,7 +131,7 @@ let test_compliance_of_optimized_designs () =
       check bool
         (Core.Design.tool_name tool ^ " optimized complies")
         true
-        (Core.Evaluate.check_compliance ~spec:Core.Flow.idct_spec ~blocks:500 (Core.Registry.optimized tool)))
+        (Core.Evaluate.check_compliance ~spec:Core.Flow.idct_spec ~blocks:500 (Core.Kernel.optimized idct tool)))
     [ Core.Design.Verilog; Core.Design.Vivado_hls ]
 
 let () =

@@ -2,6 +2,8 @@
    the Fig. 1 pipeline under parallel evaluation, the shared measurement
    cache, and the fixed multi-line-comment LOC counter. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -173,7 +175,7 @@ let test_fig1_warm_rereads_memo () =
         + Option.value ~default:0 (List.assoc_opt name s.Core.Trace.counters))
       0 (stage "measure")
   in
-  let designs = List.length (List.concat_map Core.Registry.sweep tools) in
+  let designs = List.length (List.concat_map (Core.Kernel.sweep idct) tools) in
   check int "one memo hit per design" designs (counter "cache_hit");
   check int "no memo miss" 0 (counter "cache_miss");
   check int "no elaborate span" 0 (List.length (stage "elaborate"))
@@ -182,7 +184,7 @@ let test_fig1_warm_rereads_memo () =
 
 let test_measure_cache () =
   Core.Evaluate.clear_measure_cache ();
-  let d = Core.Registry.initial Core.Design.Verilog in
+  let d = Core.Kernel.initial idct Core.Design.Verilog in
   let m1 = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 d in
   let m2 = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 d in
   check bool "cache hit is the same measurement" true (m1 == m2);
@@ -226,7 +228,10 @@ let test_loc_alpha_consistency () =
       check int "parts sum"
         (Core.Design.loc d)
         (d.Core.Design.loc_fu + d.Core.Design.loc_axi + d.Core.Design.loc_conf))
-    (Core.Registry.all_designs ())
+    (List.concat_map
+       (fun t ->
+         [ Core.Kernel.initial idct t; Core.Kernel.optimized idct t ])
+       (Core.Kernel.tools idct))
 
 let () =
   Alcotest.run "parallel"

@@ -13,6 +13,8 @@
      per-process counter in the temp suffix), and [rename_durable]
      crosses filesystems (EXDEV) with a typed error on real failure. *)
 
+let idct = Core.Kernel.idct
+
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
@@ -57,7 +59,7 @@ let with_store f =
       Core.Evaluate.clear_measure_cache ())
     (fun () -> f t)
 
-let victim = Core.Registry.initial Core.Design.Verilog
+let victim = Core.Kernel.initial idct Core.Design.Verilog
 
 let victim_key =
   Core.Evaluate.measure_key ~matrices:2 ~spec:Core.Flow.idct_spec victim
@@ -172,7 +174,7 @@ let test_foreign_key_entry () =
   (* a valid, checksummed entry for a different key parked at this key's
      path (copied file, digest collision) must be rejected, not served *)
   sabotage_and_recover "foreign key" (fun t path ->
-      let other = Core.Registry.optimized Core.Design.Verilog in
+      let other = Core.Kernel.optimized idct Core.Design.Verilog in
       ignore (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2 other);
       let other_key =
         Core.Evaluate.measure_key ~matrices:2 ~spec:Core.Flow.idct_spec other
@@ -282,7 +284,7 @@ let test_write_error_typed () =
 let test_fsck_clean_and_repair () =
   with_store (fun t ->
       ignore (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2 victim);
-      let other = Core.Registry.optimized Core.Design.Verilog in
+      let other = Core.Kernel.optimized idct Core.Design.Verilog in
       ignore (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2 other);
       let dir = Store.dir t in
       (* a clean store fscks clean *)

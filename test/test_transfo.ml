@@ -245,7 +245,7 @@ let test_rederive_chisel () =
       (Chisel.Idct_gen.arch Chisel.Idct_gen.Inferred ~name:"chisel_optimized"
          ())
   in
-  let r = run_exn Core.Registry.chisel_transfo_script subject in
+  let r = run_exn Core.Kernel.chisel_transfo_script subject in
   let derived = r.Engine.rep_subject.Subject.circuit in
   (* node-identical, not merely equivalent: every uid, kind, width, name,
      port and memory matches, so all downstream artifacts (Table II,
@@ -255,7 +255,7 @@ let test_rederive_chisel () =
     r.Engine.rep_subject.Subject.history;
   (* the registry's optimized Chisel design now forces through this very
      derivation; a verification failure there would raise *)
-  match (Core.Registry.optimized Core.Design.Chisel).Core.Design.impl with
+  match (Core.Kernel.optimized Core.Kernel.idct Core.Design.Chisel).Core.Design.impl with
   | Core.Design.Stream l ->
       check bool "registry rederivation forces" true
         (Core.Design.force l = hand)
