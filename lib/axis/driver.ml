@@ -13,19 +13,21 @@ let sign_extend w v =
 
 type engine = Compiled | Reference
 
-(* The engine as a record of the four operations the testbench needs,
-   lane-indexed.  [Compiled] is [Hw.Sim] (the default, and the historical
-   behavior) — one levelized instance whose batch dimension carries all
-   lanes, advanced by a single [step].  [Reference] is the retained
+(* The engine as a record of port resolvers and a clock, lane-indexed.
+   Resolving a port by name returns its accessor, closed over the
+   engine's port handle, so the per-cycle loop never looks a name up.
+   [Compiled] is [Hw.Sim] (the default, and the historical behavior) —
+   one levelized instance whose batch dimension carries all lanes,
+   advanced by a single [step].  [Reference] is the retained
    interpreter, kept drivable end to end so the flow can degrade onto it
    when the compiled engine fails on a design (see Core.Flow); it has no
    batch dimension, so it becomes one instance per lane stepped in
-   lockstep. *)
+   lockstep, all sharing the handles resolved on the first. *)
 type ops = {
-  ops_set : int -> string -> int -> unit;
-  ops_get : int -> string -> int;
-  ops_step : unit -> unit;
-  ops_schedule : string * int;  (* hook counter name and value *)
+  input : string -> int -> int -> unit;  (* port -> lane -> value *)
+  output : string -> int -> int;  (* port -> lane -> value *)
+  step : unit -> unit;
+  schedule : string * int;  (* hook counter name and value *)
 }
 
 let ops_of_engine engine circuit lanes =
@@ -34,20 +36,38 @@ let ops_of_engine engine circuit lanes =
       let sim = Sim.create_batch ~batch:lanes circuit in
       Sim.reset sim;
       {
-        ops_set = (fun lane -> Sim.set_lane sim ~lane);
-        ops_get = (fun lane -> Sim.get_lane sim ~lane);
-        ops_step = (fun () -> Sim.batch_step sim);
-        ops_schedule = ("sim_thunks", Sim.compiled_nodes sim);
+        input =
+          (fun name ->
+            let p = Sim.in_port sim name in
+            fun lane v -> Sim.set_port sim p ~lane v);
+        output =
+          (fun name ->
+            let p = Sim.out_port sim name in
+            fun lane -> Sim.get_port sim p ~lane);
+        step = (fun () -> Sim.batch_step sim);
+        schedule = ("sim_thunks", Sim.compiled_nodes sim);
       }
   | Reference ->
       let sims = Array.init lanes (fun _ -> Interp.create circuit) in
       Array.iter Interp.reset sims;
       {
-        ops_set = (fun lane -> Interp.set sims.(lane));
-        ops_get = (fun lane -> Interp.get sims.(lane));
-        ops_step = (fun () -> Array.iter Interp.step sims);
-        ops_schedule = ("interp_nodes", Netlist.num_nodes circuit);
+        input =
+          (fun name ->
+            let p = Interp.in_port sims.(0) name in
+            fun lane v -> Interp.set_port sims.(lane) p v);
+        output =
+          (fun name ->
+            let p = Interp.out_port sims.(0) name in
+            fun lane -> Interp.get_port sims.(lane) p);
+        step = (fun () -> Array.iter Interp.step sims);
+        schedule = ("interp_nodes", Netlist.num_nodes circuit);
       }
+
+(* With no explicit [timeout], a run fails only when it stops making
+   progress: this many cycles (scaled by the consumer's duty cycle, plus
+   one inter-matrix gap) with no input beat accepted and no output beat
+   collected on any lane.  The beat count is finite, so a run always ends. *)
+let watchdog_cycles = 2000
 
 let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     ?(ready_pattern = fun _ -> true) ?timeout ?(hook = fun _ _ -> ()) circuit
@@ -69,14 +89,11 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     chunk_len.(l) <- (base + if l < rem then 1 else 0);
     pos := !pos + chunk_len.(l)
   done;
-  let per_lane = if n_lanes = 0 then 0 else base + (if rem > 0 then 1 else 0) in
-  (* The base budget assumes the consumer is always ready and is sized by
-     the longest lane, not the whole stream — each lane only has to drain
-     its own chunk.  A slow but correct [ready_pattern] stretches the
-     drain phase by the inverse of its duty cycle, so sample the pattern
-     over a window and scale the default accordingly (patterns are pure
-     functions of the cycle number).  The duty cycle is clamped so that a
-     pattern that is never ready in the sample still terminates. *)
+  (* A slow but correct [ready_pattern] stretches every wait by the
+     inverse of its duty cycle, so sample the pattern over a window and
+     scale the watchdog accordingly (patterns are pure functions of the
+     cycle number).  The duty cycle is clamped so that a pattern that is
+     never ready in the sample still terminates. *)
   let duty =
     let window = 1024 in
     let ready = ref 0 in
@@ -85,76 +102,76 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     done;
     Float.max 0.01 (float_of_int !ready /. float_of_int window)
   in
-  let timeout =
-    match timeout with
-    | Some t -> t
-    | None ->
-        let base = (200 * per_lane) + 2000 + (input_gap * per_lane) in
-        int_of_float (ceil (float_of_int base /. duty))
+  let watchdog =
+    int_of_float
+      (ceil (float_of_int (watchdog_cycles + input_gap) /. duty))
   in
   let sim = ops_of_engine engine circuit n_lanes in
-  (let name, v = sim.ops_schedule in
+  (let name, v = sim.schedule in
    hook name v);
   if n_lanes > 1 then hook "sim_batch" n_lanes;
+  let set_s_valid = sim.input Stream.s_valid
+  and set_s_last = sim.input Stream.s_last
+  and set_m_ready = sim.input Stream.m_ready
+  and set_s_data = Array.init lanes (fun c -> sim.input (Stream.s_data c))
+  and get_s_ready = sim.output Stream.s_ready
+  and get_m_valid = sim.output Stream.m_valid
+  and get_m_last = sim.output Stream.m_last
+  and get_m_data = Array.init lanes (fun c -> sim.output (Stream.m_data c)) in
   let inputs = Array.of_list matrices in
   (* Per-lane testbench state.  [mat_idx] is the absolute index into
-     [inputs]; a lane is done when it reaches the end of its chunk. *)
+     [inputs]; a lane is done when it has collected its whole chunk.
+     [rows] counts the beats already in [current], the output matrix
+     being assembled. *)
   let mat_idx = Array.init n_lanes (fun l -> chunk_start.(l)) in
   let beat_idx = Array.make n_lanes 0 and gap_left = Array.make n_lanes 0 in
   let collected = Array.make n_lanes [] in
-  let current_rows = Array.make n_lanes [] in
+  let current = Array.init n_lanes (fun _ -> Block.create ()) in
+  let rows = Array.make n_lanes 0 in
   let first_in_cycle = Array.make n_mat (-1) in
   let last_out_cycle = Array.make n_mat (-1) in
   let out_mat = Array.make n_lanes 0 in
-  let traces = Array.make n_lanes [] in
-  let cycle = ref 0 in
-  let all_done () =
-    let d = ref true in
-    for l = 0 to n_lanes - 1 do
-      if out_mat.(l) < chunk_len.(l) then d := false
-    done;
-    !d
+  let monitors = Array.init n_lanes (fun _ -> Monitor.online ()) in
+  let data = Array.make lanes 0 in
+  let pending = ref n_mat in
+  let cycle = ref 0 and idle = ref 0 in
+  let in_budget () =
+    match timeout with Some t -> !cycle < t | None -> !idle < watchdog
   in
-  while (not (all_done ())) && !cycle < timeout do
+  while !pending > 0 && in_budget () do
     let ready = ready_pattern !cycle in
+    let progress = ref false in
     (* Drive inputs for this cycle, every lane. *)
     for l = 0 to n_lanes - 1 do
       let lane_end = chunk_start.(l) + chunk_len.(l) in
       let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
-      sim.ops_set l Stream.s_valid (if driving then 1 else 0);
-      sim.ops_set l Stream.s_last
-        (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
+      set_s_valid l (if driving then 1 else 0);
+      set_s_last l (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
       for c = 0 to lanes - 1 do
-        let v =
-          if driving then
-            Block.get inputs.(mat_idx.(l)) ~row:beat_idx.(l) ~col:c
-          else 0
-        in
-        sim.ops_set l (Stream.s_data c) v
+        set_s_data.(c) l
+          (if driving then
+             Block.get inputs.(mat_idx.(l)) ~row:beat_idx.(l) ~col:c
+           else 0)
       done;
-      sim.ops_set l Stream.m_ready (if ready then 1 else 0)
+      set_m_ready l (if ready then 1 else 0)
     done;
-    (* Observe handshakes, every lane. *)
+    (* Observe handshakes, every lane.  The data lanes are only read
+       while [m_valid] is up: that is the only time the monitor or the
+       collector looks at them. *)
     for l = 0 to n_lanes - 1 do
       let lane_end = chunk_start.(l) + chunk_len.(l) in
       let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
-      let s_ready = sim.ops_get l Stream.s_ready = 1 in
-      let m_valid = sim.ops_get l Stream.m_valid = 1 in
-      let m_last = sim.ops_get l Stream.m_last = 1 in
-      let data =
-        Array.init lanes (fun c ->
-            sign_extend Stream.out_width (sim.ops_get l (Stream.m_data c)))
-      in
-      traces.(l) <-
-        {
-          Monitor.cycle = !cycle;
-          valid = m_valid;
-          ready;
-          last = m_last;
-          data;
-        }
-        :: traces.(l);
+      let s_ready = get_s_ready l = 1 in
+      let m_valid = get_m_valid l = 1 in
+      let m_last = get_m_last l = 1 in
+      if m_valid then
+        for c = 0 to lanes - 1 do
+          data.(c) <- sign_extend Stream.out_width (get_m_data.(c) l)
+        done;
+      Monitor.observe monitors.(l) ~cycle:!cycle ~valid:m_valid ~ready
+        ~last:m_last data;
       if driving && s_ready then begin
+        progress := true;
         if beat_idx.(l) = 0 then first_in_cycle.(mat_idx.(l)) <- !cycle;
         beat_idx.(l) <- beat_idx.(l) + 1;
         if beat_idx.(l) = lanes then begin
@@ -166,21 +183,26 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
       else if (not driving) && gap_left.(l) > 0 then
         gap_left.(l) <- gap_left.(l) - 1;
       if m_valid && ready then begin
-        current_rows.(l) <- Array.copy data :: current_rows.(l);
-        if List.length current_rows.(l) = lanes then begin
-          let rows = Array.of_list (List.rev current_rows.(l)) in
-          collected.(l) <- Block.of_rows rows :: collected.(l);
-          if out_mat.(l) < chunk_len.(l) then
+        progress := true;
+        Array.blit data 0 current.(l) (rows.(l) * lanes) lanes;
+        rows.(l) <- rows.(l) + 1;
+        if rows.(l) = lanes then begin
+          collected.(l) <- current.(l) :: collected.(l);
+          current.(l) <- Block.create ();
+          rows.(l) <- 0;
+          if out_mat.(l) < chunk_len.(l) then begin
             last_out_cycle.(chunk_start.(l) + out_mat.(l)) <- !cycle;
-          out_mat.(l) <- out_mat.(l) + 1;
-          current_rows.(l) <- []
+            decr pending
+          end;
+          out_mat.(l) <- out_mat.(l) + 1
         end
       end
     done;
-    sim.ops_step ();
-    incr cycle
+    sim.step ();
+    incr cycle;
+    if !progress then idle := 0 else incr idle
   done;
-  if not (all_done ()) then begin
+  if !pending > 0 then begin
     let sum f =
       let s = ref 0 in
       for l = 0 to n_lanes - 1 do
@@ -190,11 +212,15 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     in
     failwith
       (Printf.sprintf
-         "Driver.run(%s): timeout after %d cycles (duty %.2f, batch %d) — \
+         "Driver.run(%s): timeout after %d cycles%s (duty %.2f, batch %d) — \
           collected %d/%d output beats (%d/%d matrices), consumed %d/%d \
           input beats"
-         circuit.Netlist.circuit_name !cycle duty n_lanes
-         (sum (fun l -> (out_mat.(l) * lanes) + List.length current_rows.(l)))
+         circuit.Netlist.circuit_name !cycle
+         (if timeout = None then
+            Printf.sprintf ", the last %d without a handshake" !idle
+          else "")
+         duty n_lanes
+         (sum (fun l -> (out_mat.(l) * lanes) + rows.(l)))
          (n_mat * lanes)
          (sum (fun l -> out_mat.(l)))
          n_mat
@@ -222,8 +248,7 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
       (List.init n_lanes (fun l -> List.rev collected.(l)))
   in
   let violations =
-    List.concat
-      (List.init n_lanes (fun l -> Monitor.check (List.rev traces.(l))))
+    List.concat_map Monitor.violations (Array.to_list monitors)
   in
   { outputs; latency; periodicity; cycles = !cycle; violations }
 

@@ -13,7 +13,9 @@
     per simulation lane of the levelized engine, and every lane runs its
     own independent copy of the testbench on a shared clock — one pass
     over the compiled schedule advances all of them.  Results concatenate
-    back in input order; protocol monitoring runs per lane. *)
+    back in input order; protocol monitoring runs per lane, online
+    ({!Monitor.observe}).  Ports are resolved once per run, so a cycle
+    does no name lookup and no allocation. *)
 
 type result = {
   outputs : Block.t list;
@@ -52,19 +54,20 @@ val run :
 (** [batch] (default 1) is the number of simulation lanes the matrices
     are spread across.
     @raise Failure if the circuit lacks the port convention or the
-    simulation exceeds [timeout] cycles.  The default budget of 200 per
-    matrix + 2000 (plus input gaps) is sized by the longest lane's chunk —
-    not the whole stream — so a batched run is never held to a budget it
-    cannot meet, and is scaled by the inverse of [ready_pattern]'s duty
-    cycle, sampled over the first 1024 cycles, so a slow-but-correct
-    consumer is not misreported as a timeout — patterns must therefore be
-    pure functions of the cycle number.  The timeout message reports
-    cycles simulated, the sampled duty cycle, the batch width, and
-    collected-vs-expected output beats and consumed input beats.  [hook]
-    is a stage hook for observability layers: called with [sim_thunks]
-    (compiled schedule size) after the simulator is built, [sim_batch]
-    (lane count, only when batching is actually in effect) and [cycles]
-    when the stream drains; it must not affect the result. *)
+    simulation runs out of budget.  An explicit [timeout] caps the total
+    cycles.  Without one, the budget is a stall watchdog: the run fails
+    after 2000 consecutive cycles (plus [input_gap]) in which no lane
+    accepts an input beat or delivers an output beat, scaled by the
+    inverse of [ready_pattern]'s duty cycle, sampled over the first 1024
+    cycles — patterns must therefore be pure functions of the cycle
+    number.  A slow but correct design is thus never cut off, and a run
+    always ends.  The timeout message reports cycles simulated, the
+    sampled duty cycle, the batch width, and collected-vs-expected
+    output beats and consumed input beats.  [hook] is a stage hook for
+    observability layers: called with [sim_thunks] (compiled schedule
+    size) after the simulator is built, [sim_batch] (lane count, only
+    when batching is actually in effect) and [cycles] when the stream
+    drains; it must not affect the result. *)
 
 val transform : Hw.Netlist.t -> Block.t -> Block.t
 (** Convenience: push one matrix through and return the result. *)

@@ -103,7 +103,15 @@ let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
              order); only the wall time and the [sim_batch] counter
              differ. *)
           Trace.add_counter "sim_batch" (min blocks 64);
-          let dut_batch blks = Axis.Driver.transform_batch circuit blks in
+          (* The testbench gets its own span, so a trace separates it
+             from stimulus generation, the reference and the accuracy
+             statistics that [spec.comply] runs around it. *)
+          let hook k v = if k = "cycles" then Trace.add_counter k v in
+          let dut_batch blks =
+            Trace.with_span ~design:(Flow.span_design spec d)
+              ~stage:"testbench" (fun () ->
+                Axis.Driver.transform_batch ~hook circuit blks)
+          in
           spec.Flow.comply ~blocks dut_batch
       | Design.Pcie p ->
           (* The MaxJ kernels are checked by their own stream simulators —

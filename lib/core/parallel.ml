@@ -82,9 +82,9 @@ let map_result ?jobs f xs =
       let i = ref (Atomic.fetch_and_add next 1) in
       while !i < n do
         incr claimed;
-        let t0 = if traced then Unix.gettimeofday () else 0.0 in
+        let t0 = if traced then Trace.now () else 0.0 in
         run !i;
-        if traced then busy := !busy +. (Unix.gettimeofday () -. t0);
+        if traced then busy := !busy +. (Trace.now () -. t0);
         i := Atomic.fetch_and_add next 1
       done;
       (!claimed, !busy)

@@ -17,6 +17,10 @@ type span = {
   counters : (string * int) list;
 }
 
+(* Seconds on the monotonic clock: span times are differences, and a
+   wall-clock step (NTP, suspend) must not bend them. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
@@ -74,14 +78,14 @@ let with_span ~design ~stage f =
         f_stage = stage;
         f_depth = List.length st.stack;
         f_seq = st.next_seq;
-        f_start = Unix.gettimeofday ();
+        f_start = now ();
         f_counters = [];
       }
     in
     st.next_seq <- st.next_seq + 1;
     st.stack <- fr :: st.stack;
     let close () =
-      let dur = Unix.gettimeofday () -. fr.f_start in
+      let dur = now () -. fr.f_start in
       (match st.stack with _ :: rest -> st.stack <- rest | [] -> ());
       st.closed <-
         {

@@ -16,10 +16,14 @@ type span = {
   stage : string;   (** flow stage name, e.g. "simulate" *)
   depth : int;      (** nesting depth at open time (0 = root) *)
   seq : int;        (** per-domain open order, for stable sorting *)
-  start_s : float;  (** wall clock (Unix.gettimeofday) at open *)
-  dur_s : float;    (** wall-clock duration *)
+  start_s : float;  (** monotonic clock ({!now}) at open *)
+  dur_s : float;    (** elapsed time on the same clock *)
   counters : (string * int) list;
 }
+
+val now : unit -> float
+(** Seconds on the monotonic clock (an arbitrary origin): only
+    differences between readings are meaningful. *)
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool

@@ -1009,38 +1009,47 @@ let lane_check t caller lane =
       (Printf.sprintf "%s: lane %d out of range (batch %d)" caller lane
          t.batch)
 
-let set ?(lane = 0) t port v =
-  match Hashtbl.find_opt t.ports_in port with
-  | None -> Netlist.port_error t.c `In ~caller:"Sim.set" port
-  | Some u ->
-      lane_check t "Sim.set" lane;
-      let v = v land t.masks.(u) in
-      let idx = (t.slot.(u) * t.batch) + lane in
-      if t.vals.(idx) <> v then begin
-        t.vals.(idx) <- v;
-        t.generation <- t.generation + 1;
-        t.dirty <- true
-      end
+(* A port handle is the port node's uid, resolved once by name; the hot
+   path then costs a lane check and two array reads. *)
+type port = Netlist.uid
 
-let get ?(lane = 0) t port =
-  match Hashtbl.find_opt t.ports_out port with
-  | None -> Netlist.port_error t.c `Out ~caller:"Sim.get" port
-  | Some u ->
-      lane_check t "Sim.get" lane;
-      settle t;
-      t.vals.((t.slot.(u) * t.batch) + lane)
+let resolve t dir ~caller name =
+  let tbl = match dir with `In -> t.ports_in | `Out -> t.ports_out in
+  match Hashtbl.find_opt tbl name with
+  | Some u -> u
+  | None -> Netlist.port_error t.c dir ~caller name
+
+let in_port t name = resolve t `In ~caller:"Sim.in_port" name
+let out_port t name = resolve t `Out ~caller:"Sim.out_port" name
+
+let set_port t p ~lane v =
+  lane_check t "Sim.set_port" lane;
+  let v = v land t.masks.(p) in
+  let idx = (t.slot.(p) * t.batch) + lane in
+  if t.vals.(idx) <> v then begin
+    t.vals.(idx) <- v;
+    t.generation <- t.generation + 1;
+    t.dirty <- true
+  end
+
+let get_port t p ~lane =
+  lane_check t "Sim.get_port" lane;
+  settle t;
+  t.vals.((t.slot.(p) * t.batch) + lane)
 
 let signed_of t uid v =
   let w = t.widths.(uid) in
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
 
-let get_signed ?(lane = 0) t port =
-  match Hashtbl.find_opt t.ports_out port with
-  | None -> Netlist.port_error t.c `Out ~caller:"Sim.get_signed" port
-  | Some u ->
-      lane_check t "Sim.get_signed" lane;
-      settle t;
-      signed_of t u t.vals.((t.slot.(u) * t.batch) + lane)
+let set ?(lane = 0) t name v =
+  set_port t (resolve t `In ~caller:"Sim.set" name) ~lane v
+
+let get ?(lane = 0) t name =
+  get_port t (resolve t `Out ~caller:"Sim.get" name) ~lane
+
+let get_signed ?(lane = 0) t name =
+  let p = resolve t `Out ~caller:"Sim.get_signed" name in
+  signed_of t p (get_port t p ~lane)
 
 let step t =
   settle t;

@@ -43,16 +43,40 @@ val reset : t -> unit
 (** Loads every register with its [init] value and zeroes the memories,
     in every lane.  Inputs keep their current values (initially 0). *)
 
+type port
+(** A resolved port of one circuit: name lookup happens once, in
+    {!in_port}/{!out_port}, and {!set_port}/{!get_port} then touch only
+    integers.  A handle is valid for every instance of the circuit it was
+    resolved on. *)
+
+val in_port : t -> string -> port
+(** The handle of an input port, for {!set_port}.
+    @raise Invalid_argument on an unknown input name, listing the
+    circuit's input ports. *)
+
+val out_port : t -> string -> port
+(** The handle of an output port, for {!get_port}.
+    @raise Invalid_argument on an unknown output name. *)
+
+val set_port : t -> port -> lane:int -> int -> unit
+(** [set_port sim p ~lane v] drives input [p] of lane [lane] with [v]
+    (masked to the port width; negative values are taken as two's
+    complement).
+    @raise Invalid_argument on an out-of-range lane. *)
+
+val get_port : t -> port -> lane:int -> int
+(** Unsigned value of output [p] in lane [lane], after settling the
+    fabric.
+    @raise Invalid_argument on an out-of-range lane. *)
+
 val set : ?lane:int -> t -> string -> int -> unit
-(** [set ~lane sim port v] drives input [port] of lane [lane] (default 0)
-    with [v] (masked to the port width; negative values are taken as
-    two's complement).
+(** [set ~lane sim port v] is {!set_port} on [in_port sim port], lane
+    [lane] (default 0).
     @raise Invalid_argument on an unknown input name (listing the
     circuit's input ports) or an out-of-range lane. *)
 
 val get : ?lane:int -> t -> string -> int
-(** Unsigned value of an output port in lane [lane] (default 0), after
-    settling the fabric.
+(** {!get_port} on [out_port sim port], lane [lane] (default 0).
     @raise Invalid_argument on an unknown output name or a bad lane. *)
 
 val get_signed : ?lane:int -> t -> string -> int

@@ -135,26 +135,31 @@ let settle t =
     t.dirty <- false
   end
 
-let set t port v =
-  match Hashtbl.find_opt t.input_ids port with
-  | None -> Netlist.port_error t.c `In ~caller:"Interp.set" port
-  | Some u ->
-      t.values.(u) <- v land t.masks.(u);
-      t.dirty <- true
+type port = Netlist.uid
 
-let get t port =
-  match Hashtbl.find_opt t.output_ids port with
-  | None -> Netlist.port_error t.c `Out ~caller:"Interp.get" port
-  | Some u ->
-      settle t;
-      t.values.(u)
+let resolve t dir ~caller name =
+  let tbl = match dir with `In -> t.input_ids | `Out -> t.output_ids in
+  match Hashtbl.find_opt tbl name with
+  | Some u -> u
+  | None -> Netlist.port_error t.c dir ~caller name
 
-let get_signed t port =
-  match Hashtbl.find_opt t.output_ids port with
-  | None -> Netlist.port_error t.c `Out ~caller:"Interp.get_signed" port
-  | Some u ->
-      settle t;
-      signed_of t u t.values.(u)
+let in_port t name = resolve t `In ~caller:"Interp.in_port" name
+let out_port t name = resolve t `Out ~caller:"Interp.out_port" name
+
+let set_port t p v =
+  t.values.(p) <- v land t.masks.(p);
+  t.dirty <- true
+
+let get_port t p =
+  settle t;
+  t.values.(p)
+
+let set t name v = set_port t (resolve t `In ~caller:"Interp.set" name) v
+let get t name = get_port t (resolve t `Out ~caller:"Interp.get" name)
+
+let get_signed t name =
+  let p = resolve t `Out ~caller:"Interp.get_signed" name in
+  signed_of t p (get_port t p)
 
 let step t =
   settle t;

@@ -27,6 +27,24 @@ val reset : t -> unit
 (** Loads every register with its [init] value and zeroes the memories.
     Inputs keep their current values (initially 0). *)
 
+type port
+(** A resolved port handle, as {!Compile.port}; valid for every
+    interpreter of the circuit it was resolved on.  The interpreter has
+    no batch dimension, so its accessors take no lane. *)
+
+val in_port : t -> string -> port
+(** @raise Invalid_argument on an unknown input name, listing the
+    circuit's input ports. *)
+
+val out_port : t -> string -> port
+(** @raise Invalid_argument on an unknown output name. *)
+
+val set_port : t -> port -> int -> unit
+(** Drives an input (masked to the port width). *)
+
+val get_port : t -> port -> int
+(** Unsigned value of an output, after settling. *)
+
 val set : t -> string -> int -> unit
 (** [set sim port v] drives input [port] with [v] (masked to the port width;
     negative values are taken as two's complement).

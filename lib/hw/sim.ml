@@ -14,6 +14,12 @@ let create_batch ~batch c = Compile.create ~batch c
 let circuit = Compile.circuit
 let batch = Compile.batch
 let reset = Compile.reset
+type port = Compile.port
+
+let in_port = Compile.in_port
+let out_port = Compile.out_port
+let set_port = Compile.set_port
+let get_port = Compile.get_port
 let set t p v = Compile.set t p v
 let get t p = Compile.get t p
 let get_signed t p = Compile.get_signed t p

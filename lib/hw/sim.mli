@@ -35,6 +35,27 @@ val reset : t -> unit
 (** Loads every register with its [init] value and zeroes the memories,
     in every lane.  Inputs keep their current values (initially 0). *)
 
+type port
+(** A resolved port handle (see {!Compile.port}): resolve once with
+    {!in_port}/{!out_port}, then drive and sample it per lane with no
+    name lookup.  The string-keyed accessors below are wrappers over
+    these. *)
+
+val in_port : t -> string -> port
+(** @raise Invalid_argument on an unknown input name, listing the
+    circuit's input ports. *)
+
+val out_port : t -> string -> port
+(** @raise Invalid_argument on an unknown output name. *)
+
+val set_port : t -> port -> lane:int -> int -> unit
+(** Drives an input of one lane (masked to the port width).
+    @raise Invalid_argument on an out-of-range lane. *)
+
+val get_port : t -> port -> lane:int -> int
+(** Unsigned value of an output in one lane, after settling.
+    @raise Invalid_argument on an out-of-range lane. *)
+
 val set : t -> string -> int -> unit
 (** [set sim port v] drives input [port] of lane 0 with [v] (masked to
     the port width; negative values are taken as two's complement).

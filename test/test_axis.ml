@@ -5,6 +5,11 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
+let contains msg needle =
+  let nl = String.length needle and hl = String.length msg in
+  let rec go i = i + nl <= hl && (String.sub msg i nl = needle || go (i + 1)) in
+  go 0
+
 let sample ~cycle ~valid ~ready ~last data =
   { Axis.Monitor.cycle; valid; ready; last; data = Array.make 8 data }
 
@@ -48,6 +53,50 @@ let test_monitor_framing () =
         sample ~cycle:i ~valid:true ~ready:true ~last:(i = 4) i)
   in
   check bool "detects bad framing" true (Axis.Monitor.check bad <> [])
+
+(* The online monitor against the list-based reference: random
+   handshakes where the data and last of consecutive samples often agree
+   (so stalls are both held and broken), through one reused data buffer
+   as the driver feeds it. *)
+let online_matches_check_prop =
+  let gen_sample =
+    QCheck.Gen.(
+      map
+        (fun (valid, ready, last, (x, k, y)) ->
+          let data = Array.init 8 (fun i -> if i = k then y else x) in
+          (valid, ready, last, data))
+        (quad (frequencyl [ (3, true); (1, false) ]) bool
+           (frequencyl [ (1, true); (3, false) ])
+           (triple (int_range 0 1) (int_range 0 9) (int_range 0 1))))
+  in
+  let to_samples l =
+    List.mapi
+      (fun i (valid, ready, last, data) ->
+        { Axis.Monitor.cycle = 2 * i; valid; ready; last; data })
+      l
+  in
+  QCheck.Test.make ~name:"online monitor = Monitor.check" ~count:500
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "; "
+           (List.map
+              (fun (v, r, l, d) ->
+                Printf.sprintf "%b/%b/%b/%s" v r l
+                  (String.concat "," (Array.to_list (Array.map string_of_int d))))
+              l))
+       QCheck.Gen.(list_size (int_range 0 40) gen_sample))
+    (fun l ->
+      let samples = to_samples l in
+      let m = Axis.Monitor.online () in
+      let buf = Array.make 8 0 in
+      List.iter
+        (fun (s : Axis.Monitor.sample) ->
+          Array.blit s.data 0 buf 0 8;
+          Axis.Monitor.observe m ~cycle:s.cycle ~valid:s.valid ~ready:s.ready
+            ~last:s.last buf;
+          Array.fill buf 0 8 (-1))
+        samples;
+      Axis.Monitor.violations m = Axis.Monitor.check samples)
 
 (* A trivial pass-through kernel for adapter tests: out = clip of input. *)
 let passthrough_kernel b mid =
@@ -165,9 +214,17 @@ let test_driver_timeout () =
     ~m_last:(Hw.Builder.zero b 1)
     ~m_data:(Array.init 8 (fun _ -> Hw.Builder.zero b 9));
   let c = Hw.Builder.finalize b in
-  match Axis.Driver.run ~timeout:200 c (mats 1) with
+  (match Axis.Driver.run ~timeout:200 c (mats 1) with
   | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected timeout"
+  | _ -> Alcotest.fail "expected timeout");
+  (* Without a cap, the stall watchdog ends the run: the input is
+     accepted, then nothing moves for 2000 cycles. *)
+  match Axis.Driver.run c (mats 1) with
+  | exception Failure msg ->
+      check bool msg true
+        (contains msg "timeout after 2008 cycles, the last 2000 without a handshake"
+        && String.ends_with ~suffix:"consumed 8/8 input beats" msg)
+  | _ -> Alcotest.fail "expected the watchdog to fire"
 
 let test_driver_timeout_reports_batch () =
   (* The diagnostic must carry the lane count and per-lane progress, and
@@ -182,40 +239,83 @@ let test_driver_timeout_reports_batch () =
   let c = Hw.Builder.finalize b in
   match Axis.Driver.run ~batch:4 ~timeout:200 c (mats 8) with
   | exception Failure msg ->
-      let has needle =
-        let nl = String.length needle and hl = String.length msg in
-        let rec go i =
-          i + nl <= hl && (String.sub msg i nl = needle || go (i + 1))
-        in
-        go 0
-      in
-      check bool "mentions timeout after" true (has "timeout after");
-      check bool "mentions batch" true (has "batch 4");
-      check bool "mentions duty" true (has "duty")
+      check bool "mentions timeout after" true (contains msg "timeout after");
+      check bool "mentions batch" true (contains msg "batch 4");
+      check bool "mentions duty" true (contains msg "duty")
   | _ -> Alcotest.fail "expected timeout"
+
+let same_result what (a : Axis.Driver.result) (b : Axis.Driver.result) =
+  check bool (what ^ ": outputs") true
+    (List.equal Axis.Block.equal a.outputs b.outputs);
+  check int (what ^ ": latency") a.latency b.latency;
+  check int (what ^ ": periodicity") a.periodicity b.periodicity;
+  check int (what ^ ": cycles") a.cycles b.cycles;
+  check bool (what ^ ": violations") true (a.violations = b.violations)
+
+(* A master that never waits and never frames: [m_valid] stuck high,
+   [m_last] stuck low and the data a free-running counter, so every
+   stalled beat changes under the monitor. *)
+let babbler () =
+  let b = Hw.Builder.create "babbler" in
+  ignore (Axis.Stream.declare_inputs b);
+  let count = Hw.Builder.reg b ~width:9 "count" in
+  Hw.Builder.connect b count
+    (Hw.Builder.add b count (Hw.Builder.const b ~width:9 1));
+  Axis.Stream.expose_outputs b ~s_ready:(Hw.Builder.one b 1)
+    ~m_valid:(Hw.Builder.one b 1) ~m_last:(Hw.Builder.zero b 1)
+    ~m_data:(Array.make 8 count);
+  Hw.Builder.finalize b
 
 let test_driver_batched_matches_sequential () =
   (* Lane-parallel runs must reproduce the sequential outputs exactly,
-     for every split of matrices across lanes (including uneven ones). *)
+     for every split of matrices across lanes (including uneven ones),
+     and the reference interpreter must reproduce the levelized engine's
+     whole result — outputs, latency, periodicity, cycles and the
+     monitor's violations — under back-pressure and input gaps too. *)
   let c =
     Axis.Adapter.wrap_matrix_kernel ~name:"pt" ~latency:0
       ~kernel:passthrough_kernel ()
   in
   let inputs = mats 7 in
   let seq = Axis.Driver.run c inputs in
+  let stimuli =
+    [
+      ("plain", 0, fun _ -> true);
+      ("back-pressure", 0, fun t -> t mod 3 = 0);
+      ("gaps", 5, fun _ -> true);
+      ("gaps + back-pressure", 3, fun t -> t mod 2 = 0);
+    ]
+  in
   List.iter
     (fun batch ->
-      let r = Axis.Driver.run ~batch c inputs in
-      check int
-        (Printf.sprintf "batch %d: clean protocol" batch)
-        0
-        (List.length r.Axis.Driver.violations);
-      check bool
-        (Printf.sprintf "batch %d: same outputs" batch)
-        true
-        (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs
-           seq.Axis.Driver.outputs))
+      List.iter
+        (fun (name, input_gap, ready_pattern) ->
+          let what = Printf.sprintf "batch %d, %s" batch name in
+          let run engine =
+            Axis.Driver.run ~engine ~batch ~input_gap ~ready_pattern c inputs
+          in
+          let r = run Axis.Driver.Compiled in
+          check int (what ^ ": clean protocol") 0
+            (List.length r.Axis.Driver.violations);
+          check bool (what ^ ": same outputs") true
+            (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs
+               seq.Axis.Driver.outputs);
+          same_result (what ^ ", reference engine") r (run Axis.Driver.Reference))
+        stimuli)
     [ 1; 3; 7; 16 ];
+  (* A protocol-violating master: both engines report the same list. *)
+  List.iter
+    (fun batch ->
+      let run engine =
+        Axis.Driver.run ~engine ~batch ~ready_pattern:(fun t -> t mod 3 = 0)
+          (babbler ()) (mats 2)
+      in
+      let r = run Axis.Driver.Compiled in
+      check bool "babbler violates" true (r.Axis.Driver.violations <> []);
+      same_result
+        (Printf.sprintf "babbler, batch %d, reference engine" batch)
+        r (run Axis.Driver.Reference))
+    [ 1; 2 ];
   (* transform_batch is the one-matrix-per-lane convenience wrapper *)
   let got = Axis.Driver.transform_batch c inputs in
   check bool "transform_batch matches" true
@@ -230,6 +330,7 @@ let () =
           Alcotest.test_case "stability violation" `Quick test_monitor_stability;
           Alcotest.test_case "dropped valid" `Quick test_monitor_drop_valid;
           Alcotest.test_case "framing" `Quick test_monitor_framing;
+          QCheck_alcotest.to_alcotest online_matches_check_prop;
         ] );
       ( "adapters",
         [

@@ -221,6 +221,24 @@ let test_second_kernel_through_flow () =
   check bool "FIR measurement is sane" true
     (m.Core.Metrics.area > 0 && m.Core.Metrics.fmax_mhz > 0.)
 
+let test_slow_designs_do_not_time_out () =
+  (* Vivado HLS-initial (periodicity 640) and Bambu-initial (400) are
+     slow but correct: the default budget must only fire on a stream
+     that stops making progress, never on a long one. *)
+  let ok ~matrices tool =
+    match
+      Core.Evaluate.measure_all_result ~matrices ~spec:Core.Flow.idct_spec
+        [ Core.Kernel.initial idct tool ]
+    with
+    | [ Ok _ ] -> ()
+    | [ Error e ] ->
+        Alcotest.failf "%s initial, %d matrices: %s"
+          (Core.Design.tool_name tool) matrices (Core.Flow.error_to_string e)
+    | _ -> assert false
+  in
+  ok ~matrices:8 Core.Design.Vivado_hls;
+  ok ~matrices:12 Core.Design.Bambu
+
 let () =
   Alcotest.run "flow"
     [
@@ -244,5 +262,7 @@ let () =
             test_disabled_is_silent;
           Alcotest.test_case "second kernel through the pipeline" `Quick
             test_second_kernel_through_flow;
+          Alcotest.test_case "slow designs do not time out" `Quick
+            test_slow_designs_do_not_time_out;
         ] );
     ]

@@ -279,6 +279,35 @@ let test_port_errors () =
         (contains msg "no output port nope")
   | _ -> Alcotest.fail "expected Invalid_argument from get"
 
+let test_port_handles () =
+  (* A handle resolves once and keeps the string API's diagnostics:
+     unknown names list the ports, lanes are range-checked per call. *)
+  let c = adder 8 "ph" in
+  let sim = Sim.create_batch ~batch:2 c in
+  let raises_with what needle f =
+    match f () with
+    | exception Invalid_argument msg ->
+        check bool (what ^ ": " ^ msg) true (contains msg needle)
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  raises_with "unknown input" "no input port zzz (circuit ph has: x, y)"
+    (fun () -> Sim.in_port sim "zzz");
+  raises_with "unknown output" "no output port nope" (fun () ->
+      Sim.out_port sim "nope");
+  raises_with "interp unknown input" "no input port zzz" (fun () ->
+      Interp.in_port (Interp.create c) "zzz");
+  let x = Sim.in_port sim "x" and y = Sim.in_port sim "y" in
+  let s = Sim.out_port sim "s" in
+  raises_with "lane too high" "lane 2 out of range (batch 2)" (fun () ->
+      Sim.set_port sim x ~lane:2 1);
+  raises_with "negative lane" "lane -1 out of range" (fun () ->
+      Sim.get_port sim s ~lane:(-1));
+  Sim.set_port sim x ~lane:1 200;
+  Sim.set_port sim y ~lane:1 100;
+  check int "lane 1 sums through handles (masked)" 44 (Sim.get_port sim s ~lane:1);
+  check int "lane 0 untouched" 0 (Sim.get_port sim s ~lane:0);
+  check int "string API reads the same slot" 44 (Sim.get_lane sim ~lane:1 "s")
+
 (* A shift result may be declared wider than the shifted operand; the
    shift-out guard must compare against the result width, not the operand
    width (which used to zero any amount >= the operand width).  [Builder]
@@ -434,6 +463,7 @@ let () =
         :: [
              QCheck_alcotest.to_alcotest (batch_crosscheck_prop 3);
              QCheck_alcotest.to_alcotest (batch_crosscheck_prop 8);
+             Alcotest.test_case "port handles" `Quick test_port_handles;
            ] );
       ( "device",
         [
