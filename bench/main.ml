@@ -1,6 +1,10 @@
-(* Benchmark harness: regenerates every evaluation artifact of the paper
-   (Table I, Table II, Fig. 1 and the per-tool ablation narratives of
-   Section IV), then times the substrate itself with Bechamel. *)
+(* Benchmark harness for what no golden artifact measures: simulation
+   engine throughput (BENCH_sim.json), DSE strategy throughput
+   (BENCH_dse.json), per-kernel cold/warm evaluation (BENCH_kernels.json),
+   verified transformation scripts (BENCH_transfo.json) and the serve
+   daemon (BENCH_serve.json).  The paper's tables, figure and Section IV
+   ablations are [hlsvhc] subcommands pinned by test/golden.  Run with
+   [dune exec bench/main.exe]. *)
 
 let idct = Core.Kernel.idct
 
@@ -8,183 +12,6 @@ let line = String.make 78 '='
 
 let section title =
   Printf.printf "\n%s\n%s\n%s\n%!" line title line
-
-(* ------------------------------------------------------------------ *)
-(* Paper artifacts                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  section "Table I — languages and tools under evaluation";
-  print_string (Core.Table1.render ())
-
-let table2 () =
-  section "Table II — HLS/HC tools evaluation results";
-  print_string (Core.Table2.render_rows (Core.Table2.compute ()))
-
-let fig1 () =
-  section "Fig. 1 — design space exploration for IDCT (100 circuits)";
-  print_string (Core.Fig1.render_series (Core.Fig1.compute ()))
-
-(* Section IV narratives, reproduced as measured ratios. *)
-
-let pct a b = 100. *. a /. b
-
-let ablation_verilog () =
-  section "Ablation (paper IV, Verilog): 8x8 units -> 1x8 -> 1x1";
-  let m d = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:4 d in
-  match Core.Kernel.sweep idct Core.Design.Verilog with
-  | [ d0; d1; d2 ] ->
-      let m0 = m d0 and m1 = m d1 and m2 = m d2 in
-      let q (x : Core.Metrics.measured) = Core.Metrics.quality x in
-      Printf.printf
-        "initial (8 row + 8 col): f=%.1f MHz  A=%d  latency=%d  Q=%.0f\n"
-        m0.Core.Metrics.fmax_mhz m0.Core.Metrics.area m0.Core.Metrics.latency
-        (q m0);
-      Printf.printf
-        "1 row + 8 col:          P x%.2f, A /%.2f, Q x%.2f   (paper: x1.8, /1.7, x3)\n"
-        (m1.Core.Metrics.throughput_mops /. m0.Core.Metrics.throughput_mops)
-        (float_of_int m0.Core.Metrics.area /. float_of_int m1.Core.Metrics.area)
-        (q m1 /. q m0);
-      Printf.printf
-        "1 row + 1 col:          P x%.2f, A /%.2f, Q x%.2f, latency %d -> %d   (paper: x2, /4.6, x9.4, 17 -> 24)\n"
-        (m2.Core.Metrics.throughput_mops /. m0.Core.Metrics.throughput_mops)
-        (float_of_int m0.Core.Metrics.area /. float_of_int m2.Core.Metrics.area)
-        (q m2 /. q m0) m0.Core.Metrics.latency m2.Core.Metrics.latency
-  | _ -> assert false
-
-let ablation_maxj () =
-  section "Ablation (paper IV, MaxJ): matrix/tick vs row/tick";
-  let mi = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Kernel.initial idct Core.Design.Maxj) in
-  let mo = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Kernel.optimized idct Core.Design.Maxj) in
-  Printf.printf "initial: P=%.1f MOPS (PCIe bound), A=%d, depth=%d ticks\n"
-    mi.Core.Metrics.throughput_mops mi.Core.Metrics.area
-    mi.Core.Metrics.latency;
-  Printf.printf
-    "optimized: area /%.2f, throughput /%.2f   (paper: /2.8 area, /2.7 throughput)\n"
-    (float_of_int mi.Core.Metrics.area /. float_of_int mo.Core.Metrics.area)
-    (mi.Core.Metrics.throughput_mops /. mo.Core.Metrics.throughput_mops);
-  let v = Core.Evaluate.measure ~spec:Core.Flow.idct_spec (Core.Kernel.initial idct Core.Design.Verilog) in
-  Printf.printf "quality vs initial Verilog: %.0f%%   (paper: 963%%)\n"
-    (pct (Core.Metrics.quality mi) (Core.Metrics.quality v))
-
-let ablation_chls () =
-  section "Ablation (paper IV, C): Bambu presets and Vivado HLS pragmas";
-  let m d = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 d in
-  let bi = m (Core.Kernel.initial idct Core.Design.Bambu) in
-  let bo = m (Core.Kernel.optimized idct Core.Design.Bambu) in
-  Printf.printf "Bambu default: periodicity %d cycles @ %.1f MHz -> %.2f MOPS\n"
-    bi.Core.Metrics.periodicity bi.Core.Metrics.fmax_mhz
-    bi.Core.Metrics.throughput_mops;
-  Printf.printf
-    "Bambu PERFORMANCE-MP + SDC: periodicity %d (paper 323 -> 185), P x%.2f (paper x1.7)\n"
-    bo.Core.Metrics.periodicity
-    (bo.Core.Metrics.throughput_mops /. bi.Core.Metrics.throughput_mops);
-  let vi = m (Core.Kernel.initial idct Core.Design.Vivado_hls) in
-  let vo = m (Core.Kernel.optimized idct Core.Design.Vivado_hls) in
-  Printf.printf
-    "Vivado HLS push-button: periodicity %d (paper 340) — non-inlined units\n"
-    vi.Core.Metrics.periodicity;
-  Printf.printf
-    "Vivado HLS +INLINE+PARTITION+PIPELINE: periodicity %d, latency %d (paper 8, 26)\n"
-    vo.Core.Metrics.periodicity vo.Core.Metrics.latency;
-  let rows = Core.Table2.compute () in
-  let find t = List.find (fun (r : Core.Table2.row) -> r.tool = t) rows in
-  Printf.printf
-    "Vivado HLS quality vs optimized Verilog: %.1f%% (paper 89.7%%)\n"
-    (find Core.Design.Vivado_hls).controllability
-
-let ablation_scheduler () =
-  section
-    "Ablation (design choice): HLS memory ports x operator chaining";
-  Printf.printf "%6s %10s %12s %10s %10s\n" "ports" "chain ns" "cycles" "fmax" "P MOPS";
-  List.iter
-    (fun ports ->
-      List.iter
-        (fun chain ->
-          let cfg =
-            {
-              Chls.Schedule.read_ports = ports;
-              write_ports = ports;
-              multipliers = 2;
-              chain_ns = chain;
-            }
-          in
-          let c =
-            Chls.Tool.sequential_circuit
-              ~name:(Printf.sprintf "ab_%d_%.0f" ports chain)
-              cfg Chls.Transform.default_options Chls.Idct_c.program
-          in
-          let rng = Axis.Block.Rand.create ~seed:5 () in
-          let mats =
-            List.init 2 (fun _ ->
-                Idct.Reference.fdct (Axis.Block.Rand.block rng ~lo:(-256) ~hi:255))
-          in
-          let r = Axis.Driver.run ~timeout:30000 c mats in
-          let rep = Hw.Synth.run c in
-          Printf.printf "%6d %10.1f %12d %10.1f %10.2f\n%!" ports chain
-            r.Axis.Driver.periodicity rep.Hw.Synth.fmax_mhz
-            (rep.Hw.Synth.fmax_mhz /. float_of_int r.Axis.Driver.periodicity))
-        [ 3.0; 5.0; 8.0; 12.0 ])
-    [ 1; 2 ];
-  Printf.printf
-    "(longer chains cut the schedule but cost frequency — the SDC trade-off)\n"
-
-let ablation_bsv_options () =
-  section "Ablation (paper IV-B): the 24-point BSC option grid";
-  let areas =
-    List.map
-      (fun o ->
-        (Hw.Synth.run
-           (Bsv.Idct_bsv.circuit ~options:o Bsv.Idct_bsv.optimized_design))
-          .Hw.Synth.area)
-      Bsv.Options.all
-  in
-  let mn = List.fold_left min max_int areas in
-  let mx = List.fold_left max 0 areas in
-  Printf.printf
-    "area across %d configurations: min %d, max %d (spread %.1f%%)\n"
-    (List.length areas) mn mx
-    (100. *. float_of_int (mx - mn) /. float_of_int mn);
-  Printf.printf
-    "(the paper: \"the settings have a negligible impact\" — reproduced)\n"
-
-let extension_second_kernel () =
-  section
-    "Extension: second kernel (8-tap circular FIR) — does the ranking extrapolate?";
-  Printf.printf "%8s %12s %10s %10s %10s %8s\n" "tool" "periodicity" "fmax"
-    "P MOPS" "A" "Q";
-  let idct_q = ref [] and fir_q = ref [] in
-  let idct_row tool =
-    let m = Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:3 (Core.Kernel.optimized idct tool) in
-    idct_q := (Core.Design.tool_name tool, Core.Metrics.quality m) :: !idct_q
-  in
-  List.iter idct_row [ Core.Design.Chisel; Core.Design.Dslx; Core.Design.Bambu ];
-  (* The FIR designs are ordinary design points under the fir8 spec: the
-     same staged pipeline measures them, including the bit-true check the
-     old inline harness did by hand. *)
-  let fir = Option.get (Core.Kernel.find "fir8") in
-  List.iter
-    (fun d ->
-      let name = Core.Design.tool_name d.Core.Design.tool in
-      let m =
-        Core.Evaluate.measure ~matrices:3 ~spec:(Core.Kernel.spec fir) d
-      in
-      let q = Core.Metrics.quality m in
-      fir_q := (name, q) :: !fir_q;
-      Printf.printf "%8s %12d %10.1f %10.2f %10d %8.0f\n%!" name
-        m.Core.Metrics.periodicity m.Core.Metrics.fmax_mhz
-        m.Core.Metrics.throughput_mops m.Core.Metrics.area q)
-    (Core.Kernel.all_designs fir);
-  let rank l =
-    List.sort (fun (_, a) (_, b) -> compare b a) l |> List.map fst
-  in
-  Printf.printf "IDCT quality ranking (chisel/xls/bambu): %s\n"
-    (String.concat " > " (rank !idct_q));
-  Printf.printf "FIR quality ranking:                     %s\n"
-    (String.concat " > " (rank !fir_q));
-  Printf.printf
-    "(the paper cautions against extrapolating to other kernels; the FIR\n\
-    \ favours HC even more, since the HLS designs stay memory-bound)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Simulation engines: levelized batch (Hw.Compile, behind Hw.Sim) vs   *)
@@ -273,18 +100,15 @@ let time_cps run =
   float_of_int !n /. Float.max !best epsilon_float
 
 let measure_engines name c =
-  (match Hw.Equiv.crosscheck ~cycles:256 c with
-  | Hw.Equiv.Equivalent -> ()
-  | r ->
-      failwith
-        (Format.asprintf "engine crosscheck failed on %s: %a" name
-           Hw.Equiv.pp_result r));
-  (match Hw.Equiv.crosscheck ~cycles:128 ~lanes:bench_batch c with
-  | Hw.Equiv.Equivalent -> ()
-  | r ->
-      failwith
-        (Format.asprintf "batched crosscheck failed on %s: %a" name
-           Hw.Equiv.pp_result r));
+  List.iter
+    (fun (lanes, cycles) ->
+      match Hw.Equiv.crosscheck ~cycles ~lanes c with
+      | Hw.Equiv.Equivalent -> ()
+      | r ->
+          failwith
+            (Format.asprintf "crosscheck failed on %s at %d lane(s): %a" name
+               lanes Hw.Equiv.pp_result r))
+    [ (1, 256); (bench_batch, 128) ];
   let run_ref n =
     let itp = Hw.Interp.create c in
     drive ~set:(Hw.Interp.set itp) ~get:(Hw.Interp.get itp)
@@ -347,12 +171,6 @@ let render_engine_rows rows =
         (r.er_level_cps /. r.er_ref_cps))
     rows
 
-(* The perf trajectory across PRs, per design: what the recorded engine of
-   each era did on this benchmark.  PR 1's numbers are the committed
-   BENCH_sim.json of that era (closure cone engine, this machine class);
-   the current entry is re-measured by this run. *)
-let pr1_recorded = [ ("verilog_initial", 45563.6, 3.302); ("bambu_initial", 200362.5, 3.135) ]
-
 let write_engine_json path rows =
   (* temp-file + rename: a crash mid-bench never truncates the recorded
      artifact *)
@@ -369,31 +187,6 @@ let write_engine_json path rows =
         (r.er_level_cps /. r.er_ref_cps)
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  output_string oc "  ],\n  \"trajectory\": [\n";
-  List.iteri
-    (fun i r ->
-      let pr1 =
-        List.find_opt (fun (nm, _, _) -> nm = r.er_name) pr1_recorded
-      in
-      (match pr1 with
-      | Some (_, cps, speedup) ->
-          Printf.fprintf oc
-            "    {\"design\": \"%s\", \"engine\": \"cone (PR 1, recorded)\", \
-             \"cps\": %.1f, \"speedup_vs_reference\": %.3f},\n"
-            r.er_name cps speedup
-      | None -> ());
-      Printf.fprintf oc
-        "    {\"design\": \"%s\", \"engine\": \"levelized batch=1\", \
-         \"cps\": %.1f, \"speedup_vs_reference\": %.3f},\n"
-        r.er_name r.er_level_cps
-        (r.er_level_cps /. r.er_ref_cps);
-      Printf.fprintf oc
-        "    {\"design\": \"%s\", \"engine\": \"levelized batch=%d\", \
-         \"cps\": %.1f, \"speedup_vs_reference\": %.3f}%s\n"
-        r.er_name r.er_batch r.er_batch_cps
-        (r.er_batch_cps /. r.er_ref_cps)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
   output_string oc "  ]\n}\n");
   Printf.printf "(wrote %s)\n%!" path
 
@@ -403,87 +196,6 @@ let sim_engines () =
   let rows = sim_engine_rows () in
   render_engine_rows rows;
   write_engine_json "BENCH_sim.json" rows
-
-(* ------------------------------------------------------------------ *)
-(* Evaluation engine: sequential vs domain-parallel Fig. 1 sweep        *)
-(* ------------------------------------------------------------------ *)
-
-let force_all_circuits () =
-  (* Force every design cell once on this domain so construction cost
-     does not skew either timed run — both runs then measure evaluation
-     (simulation + synthesis) only. *)
-  List.iter
-    (fun tool ->
-      List.iter
-        (fun (d : Core.Design.t) ->
-          match d.Core.Design.impl with
-          | Core.Design.Stream c -> ignore (Core.Design.force c)
-          | Core.Design.Pcie p -> ignore (Core.Design.force p.Core.Design.system))
-        (Core.Kernel.sweep idct tool))
-    Core.Design.all_tools
-
-let timed_fig1 jobs =
-  Core.Evaluate.clear_measure_cache ();
-  let t0 = Unix.gettimeofday () in
-  let series = Core.Fig1.compute ~jobs () in
-  let dt = Unix.gettimeofday () -. t0 in
-  (dt, series)
-
-let write_eval_json path ~designs ~seq_s ~par_s ~jobs =
-  Core.Trace.write_atomic path (fun oc ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"eval_parallel\",\n\
-        \  \"designs\": %d,\n\
-        \  \"available_cores\": %d,\n\
-        \  \"sequential_s\": %.3f,\n\
-        \  \"parallel_s\": %.3f,\n\
-        \  \"jobs\": %d,\n\
-        \  \"speedup\": %.3f\n\
-         }\n"
-        designs
-        (Domain.recommended_domain_count ())
-        seq_s par_s jobs (seq_s /. par_s));
-  Printf.printf "(wrote %s)\n%!" path
-
-let write_eval_json_skipped path ~cores =
-  Core.Trace.write_atomic path (fun oc ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"eval_parallel\",\n\
-        \  \"available_cores\": %d,\n\
-        \  \"skipped\": true,\n\
-        \  \"reason\": \"single core available; a parallel-speedup number \
-         would only measure scheduler overhead\"\n\
-         }\n"
-        cores);
-  Printf.printf "(wrote %s)\n%!" path
-
-let eval_parallel () =
-  section "Evaluation engine: sequential vs domain-parallel Fig. 1 sweep";
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 then begin
-    (* Time-slicing domains on one core cannot show a speedup; recording
-       the inevitable <1x number would read as a regression. *)
-    Printf.printf
-      "only %d core available — parallel speedup is not measurable, skipping\n"
-      cores;
-    write_eval_json_skipped "BENCH_eval.json" ~cores
-  end
-  else begin
-    force_all_circuits ();
-    let jobs = max 4 (Core.Parallel.default_jobs ()) in
-    let seq_s, seq_series = timed_fig1 1 in
-    let par_s, par_series = timed_fig1 jobs in
-    let points s = List.concat_map (fun x -> x.Core.Fig1.points) s in
-    if points seq_series <> points par_series then
-      failwith "eval bench: parallel sweep diverged from the sequential sweep";
-    let designs = List.length (points seq_series) in
-    Printf.printf
-      "%d designs: sequential %.2fs, %d jobs %.2fs -> %.2fx (on %d cores)\n"
-      designs seq_s jobs par_s (seq_s /. par_s) cores;
-    write_eval_json "BENCH_eval.json" ~designs ~seq_s ~par_s ~jobs
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Design-space exploration: strategy throughput over the full space    *)
@@ -866,104 +578,10 @@ let serve_bench () =
             warm_hit_rate (warm_rps /. cold_rps) p50 p99 timeouts shed drops);
       Printf.printf "(wrote BENCH_serve.json)\n%!")
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the substrate                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  section "Substrate micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let rng = Axis.Block.Rand.create ~seed:1 () in
-  let coeffs =
-    Idct.Reference.fdct (Axis.Block.Rand.block rng ~lo:(-256) ~hi:255)
-  in
-  let verilog_opt =
-    match (Core.Kernel.optimized idct Core.Design.Verilog).Core.Design.impl with
-    | Core.Design.Stream c -> Core.Design.force c
-    | Core.Design.Pcie _ -> assert false
-  in
-  let sim = Hw.Sim.create verilog_opt in
-  let tests =
-    [
-      Test.make ~name:"idct software (Chen-Wang)"
-        (Staged.stage (fun () -> ignore (Idct.Chenwang.idct coeffs)));
-      Test.make ~name:"idct C interpreter"
-        (Staged.stage (fun () -> ignore (Chls.Idct_c.run coeffs)));
-      Test.make ~name:"gate-level sim cycle (verilog opt)"
-        (Staged.stage (fun () ->
-             Hw.Sim.set sim Axis.Stream.s_valid 1;
-             Hw.Sim.step sim));
-      Test.make ~name:"synthesis report (verilog opt)"
-        (Staged.stage (fun () -> ignore (Hw.Synth.run verilog_opt)));
-      Test.make ~name:"parse + elaborate Verilog (rowcol)"
-        (Staged.stage (fun () ->
-             ignore (Core.Verilog_designs.rowcol_circuit ())));
-      Test.make ~name:"BSC compile (optimized rules)"
-        (Staged.stage (fun () ->
-             ignore (Bsv.Idct_bsv.circuit Bsv.Idct_bsv.optimized_design)));
-      Test.make ~name:"XLS elaborate + retime (8 stages)"
-        (Staged.stage (fun () ->
-             ignore (Dslx.Idct_dslx.design ~stages:8 ~name:"bench" ())));
-      Test.make ~name:"HLS schedule (Bambu default)"
-        (Staged.stage (fun () ->
-             ignore
-               (Chls.Schedule.schedule Chls.Schedule.default_config
-                  (Chls.Transform.lower Chls.Transform.default_options
-                     Chls.Idct_c.program))));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-              if ns > 1e6 then
-                Printf.printf "%-48s %10.3f ms/run\n%!" name (ns /. 1e6)
-              else if ns > 1e3 then
-                Printf.printf "%-48s %10.3f us/run\n%!" name (ns /. 1e3)
-              else Printf.printf "%-48s %10.1f ns/run\n%!" name ns
-          | _ -> Printf.printf "%-48s (no estimate)\n%!" name)
-        stats)
-    tests
-
 let () =
-  (* [--json] runs only the engine comparisons and records BENCH_sim.json,
-     BENCH_eval.json, BENCH_dse.json and BENCH_kernels.json — the fast
-     path CI and future PRs use for a perf trajectory. *)
-  if Array.exists (( = ) "--json") Sys.argv then begin
-    sim_engines ();
-    eval_parallel ();
-    dse_bench ();
-    kernels_bench ();
-    transfo_bench ();
-    serve_bench ();
-    section "done"
-  end
-  else begin
-    table1 ();
-    table2 ();
-    fig1 ();
-    ablation_verilog ();
-    ablation_maxj ();
-    ablation_chls ();
-    ablation_scheduler ();
-    ablation_bsv_options ();
-    extension_second_kernel ();
-    sim_engines ();
-    eval_parallel ();
-    dse_bench ();
-    kernels_bench ();
-    transfo_bench ();
-    serve_bench ();
-    bechamel_suite ();
-    section "done"
-  end
+  sim_engines ();
+  dse_bench ();
+  kernels_bench ();
+  transfo_bench ();
+  serve_bench ();
+  section "done"

@@ -179,15 +179,16 @@ let with_trace trace f =
           Printf.eprintf "trace: %d spans -> %s\n%!" (List.length spans) file)
         f
 
-(* The one driver behind table2, fig1, comply, sweep and dse: arm the
-   fault, attach the store, trace, compute, then one epilogue.  [compute]
-   computes the whole batch through the libraries' result paths, which
-   return failures as values, and hands back the artifact's printer and
-   the typed failures.  With no failure the artifact is printed and the
-   exit code is 0.  With any, the artifact is printed only under
-   --keep-going, stderr gets the failure summary, and the exit code is 1
-   in both modes.  stdout is flushed before the summary is written, so a
-   capture of both streams reads the artifact, then the summary. *)
+(* The one driver behind table2, fig1, ablations, comply, sweep and dse:
+   arm the fault, attach the store, trace, compute, then one epilogue.
+   [compute] computes the whole batch through the libraries' result
+   paths, which return failures as values, and hands back the artifact's
+   printer and the typed failures.  With no failure the artifact is
+   printed and the exit code is 0.  With any, the artifact is printed
+   only under --keep-going, stderr gets the failure summary, and the exit
+   code is 1 in both modes.  stdout is flushed before the summary is
+   written, so a capture of both streams reads the artifact, then the
+   summary. *)
 let run_batch ?store ~fault ~trace ~keep_going compute =
   arm_fault fault;
   ignore (attach_store store);
@@ -277,6 +278,21 @@ let fig1_cmd =
     Term.(
       const run $ kernel_opt $ tool_rep $ tools_opt $ jobs_opt $ trace_opt
       $ keep_going_flag $ json $ fault_opt $ store_opt)
+
+(* No --keep-going: every line is a ratio over several points, so any
+   failure prints only the summary. *)
+let ablations_cmd =
+  let run jobs trace fault store =
+    run_batch ?store ~fault ~trace ~keep_going:false (fun () ->
+        let text, failures = Core.Ablations.compute_result ?jobs () in
+        ((fun () -> print_string text), failures))
+  in
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Measure the paper's Section IV narratives, a ports x chaining \
+          grid and the second-kernel extension; print them as ratios.")
+    Term.(const run $ jobs_opt $ trace_opt $ fault_opt $ store_opt)
 
 let comply_cmd =
   let blocks =
@@ -988,8 +1004,8 @@ let main =
        ~doc:
          "Reproduction of 'High-Level Synthesis versus Hardware \
           Construction' (DATE 2023).")
-    [ table1_cmd; table2_cmd; fig1_cmd; comply_cmd; dse_cmd; emit_cmd;
-      verilog_cmd; sim_cmd; sweep_cmd; transfo_cmd; serve_cmd; store_cmd;
-      waves_cmd; stats_cmd ]
+    [ table1_cmd; table2_cmd; fig1_cmd; ablations_cmd; comply_cmd; dse_cmd;
+      emit_cmd; verilog_cmd; sim_cmd; sweep_cmd; transfo_cmd; serve_cmd;
+      store_cmd; waves_cmd; stats_cmd ]
 
 let () = exit (Cmd.eval main)
