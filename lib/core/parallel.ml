@@ -13,6 +13,12 @@
    environment variable.  [~jobs:1] runs inline on the calling domain —
    no pool, byte-identical to the historical sequential path.
 
+   A pool of [jobs] domains is the caller plus [jobs - 1] spawned ones:
+   the calling domain runs worker 0's claim loop itself, then joins the
+   rest.  A caller parked in [Domain.join] is not free — every domain
+   takes part in each stop-the-world minor collection, so an idle joiner
+   would be a [jobs + 1]th domain contending for [jobs] cores.
+
    Jobs must not share mutable builder state: a design's circuit cell
    ([Once]) is built inside the single job that first forces it, so every
    [Hw.Builder] hash-cons table lives and dies within one domain (see
@@ -54,8 +60,8 @@ let clamp_jobs jobs n =
    the exception with its backtrace — in the slot of that index.  Every
    item runs whatever its siblings do, and every domain is joined, so a
    raising job can neither deadlock the pool nor change which items
-   ran.  [~jobs:1] runs the same slot loop inline on the calling
-   domain. *)
+   ran.  Worker 0 is the calling domain; [~jobs:1] runs the same slot
+   loop inline there, without the worker span. *)
 let map_result ?jobs f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
@@ -97,14 +103,18 @@ let map_result ?jobs f xs =
           let claimed, busy = run_loop () in
           Trace.add_counter "claimed" claimed;
           Trace.add_counter "busy_us" (int_of_float (busy *. 1e6)));
-      (* Hand this domain's span buffer to the collector before the
-         domain dies — spans recorded by the jobs themselves included. *)
-      Trace.flush_domain ()
+      (* Hand a spawned domain's span buffer to the collector before the
+         domain dies — spans recorded by the jobs themselves included.
+         Worker 0's spans stay with the caller, which drains its own. *)
+      if wid > 0 then Trace.flush_domain ()
     end
     else ignore (run_loop ())
   in
   let spawn_and_join () =
-    let domains = List.init jobs (fun wid -> Domain.spawn (worker wid)) in
+    let domains =
+      List.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1)))
+    in
+    worker 0 ();
     List.iter Domain.join domains
   in
   if jobs = 1 then for i = 0 to n - 1 do run i done

@@ -25,7 +25,8 @@ val map_result :
   ('b, exn * Printexc.raw_backtrace) result list
 (** [map_result ?jobs f xs] applies [f] to every item on a pool of
     [min jobs (List.length xs)] domains ([default_jobs ()] when [jobs] is
-    omitted; [~jobs:1] runs inline on the calling domain).  Every item
+    omitted; [~jobs:1] runs inline on the calling domain).  The calling
+    domain is one of them: it runs worker 0 and spawns the rest.  Every item
     runs to completion regardless of other items' failures, and each
     slot carries its own outcome — the job's value, or the exception
     (with backtrace) it raised.  Result order is the input order for any
@@ -35,8 +36,9 @@ val map_result :
     When {!Trace} is enabled, a pooled run records a ["pool"/"map"] span
     (counters [jobs], [items]) on the caller and one
     ["pool/workerN"/"worker"] span per domain (counters [claimed],
-    [busy_us]); each worker flushes its domain-local span buffer before
-    exiting, so traces recorded inside jobs survive the domain. *)
+    [busy_us]).  ["pool/worker0"] is the caller's, nested in the open
+    map span; each spawned worker flushes its domain-local span buffer
+    before exiting, so traces recorded inside jobs survive the domain. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f xs] is [List.map f xs] computed by {!map_result}: the

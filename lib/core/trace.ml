@@ -3,7 +3,7 @@
    The hot paths (measurement under the domain pool) only ever touch
    domain-local storage: a span opens and closes on one domain, and the
    buffered spans cross domains exactly once, under [merge_lock], when the
-   pool joins a worker ([flush_domain]) or the caller [drain]s.  With
+   pool joins a spawned worker ([flush_domain]) or the caller [drain]s.  With
    tracing disabled every entry point returns immediately, so the
    instrumented pipeline is byte-identical to the uninstrumented one. *)
 
@@ -149,7 +149,11 @@ let json_escape s =
 
 (* A span tree: spans of one design nested by depth.  Spans arrive sorted
    by start time, and a parent both starts before and closes after its
-   children, so a stack by depth reconstructs the nesting. *)
+   children, so a stack by depth reconstructs the nesting.  One design's
+   spans need not share a base depth (the pool's worker 0 runs on the
+   caller, one level under the open [map], wherever that map was
+   opened), so a span that closed before [sp] started is popped too: it
+   cannot be [sp]'s parent. *)
 type tree = { node : span; mutable children : tree list (* reversed *) }
 
 let build_trees spans =
@@ -160,7 +164,9 @@ let build_trees spans =
       let t = { node = sp; children = [] } in
       while
         match !stack with
-        | top :: rest when top.node.depth >= sp.depth ->
+        | top :: rest
+          when top.node.depth >= sp.depth
+               || top.node.start_s +. top.node.dur_s < sp.start_s ->
             stack := rest;
             true
         | _ -> false
@@ -601,8 +607,18 @@ let render_stats path =
   in
   let buf = Buffer.create 2048 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "trace %s: %d spans over %d designs\n" path (List.length spans)
-    (List.length designs);
+  (* Shares are of the traced wall interval, first start to last end:
+     unlike a sum of root spans, it does not depend on how spans nest,
+     and a stage busy on several domains at once can exceed 100%. *)
+  let wall =
+    if spans = [] then 0.0
+    else
+      List.fold_left (fun a sp -> Float.max a (sp.start_s +. sp.dur_s))
+        neg_infinity spans
+      -. List.fold_left (fun a sp -> Float.min a sp.start_s) infinity spans
+  in
+  pr "trace %s: %d spans over %d designs, %.3f s traced wall\n" path
+    (List.length spans) (List.length designs) wall;
   (* Stage spans are recorded under the kernel-qualified design identity
      ("kernel:Tool/label"); name the kernels so mixed traces stay
      attributable.  Engine/pool spans carry no kernel prefix. *)
@@ -620,18 +636,16 @@ let render_stats path =
          designs)
   in
   if kernels <> [] then pr "kernels: %s\n" (String.concat ", " kernels);
-  let total =
-    List.fold_left
-      (fun a sp -> if sp.depth = 0 then a +. sp.dur_s else a)
-      0.0 spans
+  let w =
+    List.fold_left (fun a r -> max a (String.length r.sum_stage)) 5 rows
   in
-  pr "%-12s %7s %10s %10s %7s\n" "stage" "count" "total s" "mean ms" "share";
+  pr "%-*s %7s %10s %10s %7s\n" w "stage" "count" "total s" "mean ms" "share";
   List.iter
     (fun r ->
-      pr "%-12s %7d %10.3f %10.3f %6.1f%%\n" r.sum_stage r.sum_count
+      pr "%-*s %7d %10.3f %10.3f %6.1f%%\n" w r.sum_stage r.sum_count
         r.sum_total_s
         (r.sum_total_s *. 1e3 /. float_of_int (max 1 r.sum_count))
-        (100. *. r.sum_total_s /. Float.max 1e-9 total))
+        (100. *. r.sum_total_s /. Float.max 1e-9 wall))
     rows;
   let interesting =
     List.filter (fun r -> r.sum_counters <> []) rows
@@ -640,7 +654,7 @@ let render_stats path =
     pr "counters:\n";
     List.iter
       (fun r ->
-        pr "  %-12s %s\n" r.sum_stage
+        pr "  %-*s %s\n" w r.sum_stage
           (String.concat "  "
              (List.map
                 (fun (k, v) -> Printf.sprintf "%s=%d" k v)

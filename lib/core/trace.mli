@@ -46,8 +46,10 @@ val add_counter : string -> int -> unit
 
 val flush_domain : unit -> unit
 (** Merge this domain's buffered spans into the process-wide trace.
-    {!Parallel.map} calls this in every pool worker before it is joined,
-    so traces taken under [--jobs N] are complete and race-free. *)
+    {!Parallel.map} calls this in every spawned pool worker before it is
+    joined (worker 0 is the caller, whose spans stay in its own buffer
+    until it drains), so traces taken under [--jobs N] are complete and
+    race-free. *)
 
 val drain : unit -> span list
 (** Flush the calling domain, then return and clear the merged trace.
@@ -109,4 +111,6 @@ val load_json : string -> span list
 
 val render_stats : string -> string
 (** The [hlsvhc stats] report: per-stage counts, wall-time breakdown and
-    aggregated counters of a trace file. *)
+    aggregated counters of a trace file.  A stage's share is its summed
+    time over the traced wall interval (first start to last end), so a
+    stage busy on several domains at once can exceed 100%. *)

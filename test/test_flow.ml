@@ -27,6 +27,15 @@ let traced f =
   in
   (r, Core.Trace.drain ())
 
+(* Write [spans] as a trace file and hand its path to [k]. *)
+let with_trace_file spans k =
+  let file = Filename.temp_file "hlsvhc_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Core.Trace.write_json file spans;
+      k file)
+
 let test_artifacts_identical_traced () =
   cold ();
   let plain = render ~jobs:1 () in
@@ -50,21 +59,84 @@ let test_artifacts_identical_across_jobs () =
   check Alcotest.string "fig1 byte-identical jobs 1 vs 4" seq par;
   (* the pooled run recorded the engine spans... *)
   let find_stage name = List.filter (fun s -> s.Core.Trace.stage = name) spans in
-  (match find_stage "map" with
-  | m :: _ ->
-      check int "map span counts the items" 6
-        (List.assoc "items" m.Core.Trace.counters)
-  | [] -> Alcotest.fail "no pool map span");
+  let map =
+    match find_stage "map" with
+    | [ m ] -> m
+    | ms -> Alcotest.failf "%d pool map spans" (List.length ms)
+  in
+  check int "map span counts the items" 6
+    (List.assoc "items" map.Core.Trace.counters);
   let workers = find_stage "worker" in
-  check bool "worker spans present" true (workers <> []);
+  check (Alcotest.list Alcotest.string) "one worker span per domain"
+    [ "pool/worker0"; "pool/worker1"; "pool/worker2"; "pool/worker3" ]
+    (List.sort compare (List.map (fun w -> w.Core.Trace.design) workers));
+  let claimed w = List.assoc "claimed" w.Core.Trace.counters in
   check int "workers claimed every item" 6
-    (List.fold_left
-       (fun acc w -> acc + List.assoc "claimed" w.Core.Trace.counters)
-       0 workers);
+    (List.fold_left (fun acc w -> acc + claimed w) 0 workers);
+  (* Worker 0 is the caller: it runs inside the open map span, and the
+     jobs it claimed sit one level deeper than the spawned workers'. *)
+  let w0 = List.find (fun w -> w.Core.Trace.design = "pool/worker0") workers in
+  let ends s = s.Core.Trace.start_s +. s.Core.Trace.dur_s in
+  check int "worker 0 one level under map" (map.Core.Trace.depth + 1)
+    w0.Core.Trace.depth;
+  check bool "worker 0 within map" true
+    (map.Core.Trace.start_s <= w0.Core.Trace.start_s && ends w0 <= ends map);
+  let measures_at d =
+    List.length
+      (List.filter (fun s -> s.Core.Trace.depth = d) (find_stage "measure"))
+  in
+  check int "worker 0's jobs under it" (claimed w0)
+    (measures_at (w0.Core.Trace.depth + 1));
+  check int "spawned workers' jobs one level up" (6 - claimed w0)
+    (measures_at 1);
   (* ...and still one complete pipeline per design, flushed across the
-     domain boundary. *)
+     domain boundary and through the JSON round-trip, which writes one
+     tree per design whatever depth its spans were opened at. *)
   check int "simulate spans survive worker exit" 6
-    (List.length (find_stage "simulate"))
+    (List.length (find_stage "simulate"));
+  with_trace_file spans (fun file ->
+      let back = Core.Trace.load_json file in
+      let designs l =
+        List.sort_uniq compare (List.map (fun s -> s.Core.Trace.design) l)
+      in
+      check (Alcotest.list Alcotest.string) "designs survive" (designs spans)
+        (designs back);
+      List.iter
+        (fun d ->
+          let of_d l = List.filter (fun s -> s.Core.Trace.design = d) l in
+          check int (d ^ ": one tree") 1
+            (List.length
+               (List.filter (fun s -> s.Core.Trace.depth = 0) (of_d back)));
+          check int (d ^ ": every span in it")
+            (List.length (of_d spans))
+            (List.length (of_d back)))
+        (designs spans);
+      let row =
+        List.find
+          (fun l -> String.starts_with ~prefix:"simulate " l)
+          (String.split_on_char '\n' (Core.Trace.render_stats file))
+      in
+      check int "simulate spans survive the JSON round-trip" 6
+        (Scanf.sscanf row "simulate %d" Fun.id))
+
+let test_pool_trees_at_any_depth () =
+  (* Worker 0's spans open at the caller's depth, so one map at the top
+     level and one inside a span put [pool/worker0] at two depths: the
+     trace still writes them as two trees, not one nested in the other. *)
+  let _, spans =
+    traced (fun () ->
+        ignore (Core.Parallel.map ~jobs:2 succ [ 1; 2 ]);
+        Core.Trace.with_span ~design:"outer" ~stage:"outer" (fun () ->
+            ignore (Core.Parallel.map ~jobs:2 succ [ 1; 2 ])))
+  in
+  with_trace_file spans (fun file ->
+      let roots =
+        List.filter
+          (fun s ->
+            s.Core.Trace.design = "pool/worker0" && s.Core.Trace.depth = 0)
+          (Core.Trace.load_json file)
+      in
+      check int "two worker 0 trees" 2 (List.length roots))
 
 let test_spans_nest () =
   cold ();
@@ -154,13 +226,12 @@ let test_json_roundtrip_and_stats () =
     traced (fun () ->
         ignore
           (Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2
-             (Core.Kernel.initial idct Core.Design.Chisel)))
+             (Core.Kernel.initial idct Core.Design.Chisel));
+        (* A stage name longer than any flow stage, like transfo's. *)
+        Core.Trace.with_span ~design:"transfo/t" ~stage:"transfo:fold_rows"
+          ignore)
   in
-  let file = Filename.temp_file "hlsvhc_trace" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Core.Trace.write_json file spans;
+  with_trace_file spans (fun file ->
       let back = Core.Trace.load_json file in
       check int "span count survives the round-trip" (List.length spans)
         (List.length back);
@@ -178,7 +249,36 @@ let test_json_roundtrip_and_stats () =
       List.iter
         (fun name ->
           check bool ("stats names " ^ name) true (contains report name))
-        Core.Flow.stage_names)
+        Core.Flow.stage_names;
+      (* The stage table: header and rows the same width, the count
+         column right-aligned in one place, and no share of the traced
+         wall above 100% for a trace taken on one domain. *)
+      let lines = String.split_on_char '\n' report in
+      let rec table = function
+        | l :: rest when String.starts_with ~prefix:"stage " l ->
+            l :: List.filter (fun l -> String.ends_with ~suffix:"%" l) rest
+        | _ :: rest -> table rest
+        | [] -> []
+      in
+      let header = List.hd (table lines) and rows = List.tl (table lines) in
+      check int "a row per stage" 8 (List.length rows);
+      let rec find_count i =
+        if String.sub header i 5 = "count" then i + 5 else find_count (i + 1)
+      in
+      let count_end = find_count 0 in
+      List.iter
+        (fun row ->
+          check int ("row width: " ^ row) (String.length header)
+            (String.length row);
+          check bool ("count column: " ^ row) true
+            (row.[count_end - 1] <> ' ' && row.[count_end] = ' ');
+          let share =
+            Scanf.sscanf
+              (String.sub row (String.length row - 7) 7)
+              " %f%%" Fun.id
+          in
+          check bool ("share at most 100%: " ^ row) true (share <= 100.0))
+        rows)
 
 let test_compliance_dispatch () =
   (* A PCIe design whose own simulator is wrong must fail compliance:
@@ -248,6 +348,8 @@ let () =
             test_artifacts_identical_traced;
           Alcotest.test_case "artifacts identical across job counts" `Quick
             test_artifacts_identical_across_jobs;
+          Alcotest.test_case "pool trees at any caller depth" `Quick
+            test_pool_trees_at_any_depth;
           Alcotest.test_case "spans nest without overlap" `Quick
             test_spans_nest;
           Alcotest.test_case "cache hit/miss counters" `Quick

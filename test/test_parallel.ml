@@ -25,6 +25,31 @@ let test_map_empty_and_env () =
   check (Alcotest.list int) "empty" [] (Core.Parallel.map ~jobs:4 succ []);
   check bool "default_jobs positive" true (Core.Parallel.default_jobs () >= 1)
 
+let test_pool_is_caller_plus_spawned () =
+  (* Two items that rendezvous, each waiting until both have started, can
+     only finish on two domains at once; at [~jobs:2] those must be the
+     caller and one spawned domain, not two spawned ones beside an idle
+     joiner.  A missing partner fails the job instead of hanging. *)
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 in
+  let rendezvous _ =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get started < 2 do
+      if Unix.gettimeofday () > deadline then failwith "rendezvous timed out";
+      Domain.cpu_relax ()
+    done;
+    (Domain.self () :> int)
+  in
+  let ids = Core.Parallel.map ~jobs:2 rendezvous [ 0; 1 ] in
+  check int "two distinct domains" 2 (List.length (List.sort_uniq compare ids));
+  check bool "one of them is the caller" true (List.mem caller ids);
+  check bool "jobs=1 runs every job on the caller" true
+    (List.for_all (( = ) caller)
+       (Core.Parallel.map ~jobs:1
+          (fun _ -> (Domain.self () :> int))
+          (List.init 8 Fun.id)))
+
 let test_pool_survives_raising_job () =
   let xs = List.init 50 Fun.id in
   (* The first failure propagates to the caller... *)
@@ -241,6 +266,8 @@ let () =
           Alcotest.test_case "map preserves order" `Quick
             test_map_preserves_order;
           Alcotest.test_case "empty and defaults" `Quick test_map_empty_and_env;
+          Alcotest.test_case "caller is worker 0" `Quick
+            test_pool_is_caller_plus_spawned;
           Alcotest.test_case "survives raising job" `Quick
             test_pool_survives_raising_job;
           Alcotest.test_case "lowest-index failure wins" `Quick
