@@ -94,9 +94,10 @@ let trace_opt =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Record a span trace of the measurement pipeline (per-stage wall \
-           times, netlist/schedule sizes, cache counters) and write it as \
-           JSON to $(docv).  Summarize with $(b,hlsvhc stats) $(docv).  \
-           Tracing does not change any printed artifact.")
+           times, netlist/schedule sizes, cache counters) and write it to \
+           $(docv) as JSON Lines, one span per line with its parent's id.  \
+           Summarize with $(b,hlsvhc stats) $(docv).  Tracing does not \
+           change any printed artifact.")
 
 let store_opt =
   Arg.(
@@ -984,7 +985,7 @@ let stats_cmd =
         Printf.eprintf "hlsvhc stats: %s\n" e;
         exit 1
     | exception Failure e ->
-        Printf.eprintf "hlsvhc stats: cannot parse %s: %s\n" file e;
+        Printf.eprintf "hlsvhc stats: cannot parse %s\n" e;
         exit 1
     | exception e ->
         Printf.eprintf "hlsvhc stats: unexpected error reading %s: %s\n" file
@@ -994,8 +995,8 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Summarize a trace recorded with --trace: per-stage wall-time \
-          breakdown and counter totals.")
+         "Summarize a trace recorded with --trace: per-domain busy time, \
+          per-stage inclusive and self wall time, and counter totals.")
     Term.(const run $ file)
 
 let main =

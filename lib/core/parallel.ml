@@ -95,19 +95,14 @@ let map_result ?jobs f xs =
       done;
       (!claimed, !busy)
     in
-    if traced then begin
+    if traced then
       Trace.with_span
         ~design:(Printf.sprintf "pool/worker%d" wid)
         ~stage:"worker"
         (fun () ->
           let claimed, busy = run_loop () in
           Trace.add_counter "claimed" claimed;
-          Trace.add_counter "busy_us" (int_of_float (busy *. 1e6)));
-      (* Hand a spawned domain's span buffer to the collector before the
-         domain dies — spans recorded by the jobs themselves included.
-         Worker 0's spans stay with the caller, which drains its own. *)
-      if wid > 0 then Trace.flush_domain ()
-    end
+          Trace.add_counter "busy_us" (int_of_float (busy *. 1e6)))
     else ignore (run_loop ())
   in
   let spawn_and_join () =

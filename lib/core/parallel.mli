@@ -36,9 +36,8 @@ val map_result :
     When {!Trace} is enabled, a pooled run records a ["pool"/"map"] span
     (counters [jobs], [items]) on the caller and one
     ["pool/workerN"/"worker"] span per domain (counters [claimed],
-    [busy_us]).  ["pool/worker0"] is the caller's, nested in the open
-    map span; each spawned worker flushes its domain-local span buffer
-    before exiting, so traces recorded inside jobs survive the domain. *)
+    [busy_us]).  ["pool/worker0"] is the caller's, a child of the open
+    map span; a spawned worker's span is a root on its own domain. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f xs] is [List.map f xs] computed by {!map_result}: the

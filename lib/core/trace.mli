@@ -2,20 +2,21 @@
 
     Every stage of the measurement pipeline ({!Flow}) runs inside a span
     that records wall time and counters (netlist nodes, simulated cycles,
-    cache hits...).  Collection is domain-safe: spans accumulate in
-    per-domain buffers (domain-local storage) and are merged into the
-    process-wide trace when a pool worker exits ({!flush_domain}, called
-    by {!Parallel.map}) or when the trace is {!drain}ed.
+    cache hits...).  Collection is domain-safe: each domain keeps its own
+    stack of open spans, a span's parent is the span open on the same
+    domain when it opened, and a closed span joins one process-wide list
+    under a mutex until the trace is {!drain}ed.
 
     Tracing is off by default and, when off, every entry point is a
     near-free no-op — artifacts are byte-identical with tracing on or
     off, which the flow tests check. *)
 
 type span = {
-  design : string;  (** "Tool/label", or "pool..." for engine spans *)
+  id : int;         (** process-unique, > 0 *)
+  parent : int;     (** [id] of the span open on [domain] at open, or 0 *)
+  domain : int;     (** the recording domain ([Domain.self]) *)
+  design : string;  (** "kernel:Tool/label", or "pool..." for engine spans *)
   stage : string;   (** flow stage name, e.g. "simulate" *)
-  depth : int;      (** nesting depth at open time (0 = root) *)
-  seq : int;        (** per-domain open order, for stable sorting *)
   start_s : float;  (** monotonic clock ({!now}) at open *)
   dur_s : float;    (** elapsed time on the same clock *)
   counters : (string * int) list;
@@ -36,26 +37,19 @@ val with_span : design:string -> stage:string -> (unit -> 'a) -> 'a
 val with_inner_span :
   default:string -> stage:string -> (unit -> 'a) -> 'a
 (** {!with_span} on the design of this domain's innermost open span, so
-    the new span nests under it in the design's tree; on design [default]
-    when no span is open. *)
+    the new span is filed with its parent; on design [default] when no
+    span is open. *)
 
 val add_counter : string -> int -> unit
 (** Adds [v] to the named counter of the innermost open span of the
     current domain (no-op when tracing is disabled or no span is open).
     Repeated additions under one key accumulate. *)
 
-val flush_domain : unit -> unit
-(** Merge this domain's buffered spans into the process-wide trace.
-    {!Parallel.map} calls this in every spawned pool worker before it is
-    joined (worker 0 is the caller, whose spans stay in its own buffer
-    until it drains), so traces taken under [--jobs N] are complete and
-    race-free. *)
-
 val drain : unit -> span list
-(** Flush the calling domain, then return and clear the merged trace.
-    Spans are sorted by start time (ties by sequence number). *)
+(** Return and clear the closed spans of every domain, sorted by start
+    time (ties by [id]). *)
 
-(** {1 JSON emission and the [stats] summary} *)
+(** {1 JSON Lines and the [stats] summary} *)
 
 exception Write_error of { wr_path : string; wr_reason : string }
 (** A failed atomic publish — the path that could not be written and the
@@ -88,29 +82,24 @@ val rename_durable : src:string -> dst:string -> unit
     @raise Write_error on failure (with [src] cleaned up) *)
 
 val write_json : string -> span list -> unit
-(** One complete span tree per design ({!write_atomic}): spans are
-    grouped by [design] and nested by depth, with per-span wall times
-    and counters. *)
-
-type summary_row = {
-  sum_stage : string;
-  sum_count : int;
-  sum_total_s : float;
-  sum_counters : (string * int) list;
-}
-
-val summarize : span list -> summary_row list
-(** Aggregate by stage name, in order of total time. *)
+(** One JSON object per line and per span ({!write_atomic}), keys in the
+    fixed order [id, parent, domain, design, stage, start_ms, dur_ms,
+    counters]; times are milliseconds from the first span's start. *)
 
 val load_json : string -> span list
-(** Parse a file written by {!write_json} back into flat spans (depth and
-    sequence reconstructed from the tree; start times are relative).
-    @raise Failure on malformed or empty input (with the path and the
-    parse position in the message)
+(** Read back exactly what {!write_json} writes.
+    @raise Failure on an empty file, or naming [path:line] and the
+    expected token on a malformed one
     @raise Sys_error when the file cannot be read *)
 
+val self_times : span list -> (span * float) list
+(** Each span with its self time: its duration minus the summed
+    durations of the spans whose [parent] is its [id]. *)
+
 val render_stats : string -> string
-(** The [hlsvhc stats] report: per-stage counts, wall-time breakdown and
-    aggregated counters of a trace file.  A stage's share is its summed
-    time over the traced wall interval (first start to last end), so a
-    stage busy on several domains at once can exceed 100%. *)
+(** The [hlsvhc stats] report of a trace file: design points (the
+    kernel-qualified names) and engine groups, each domain's busy time
+    (its root spans) next to the traced wall, then per stage the count,
+    inclusive and self time, mean and share.  A share is the summed
+    inclusive time over the traced wall interval (first start to last
+    end), so a stage busy on several domains at once can exceed 100%. *)

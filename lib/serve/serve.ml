@@ -526,8 +526,7 @@ let run cfg =
               loop ()
           | None -> ()
         in
-        loop ();
-        if traced then Core.Trace.flush_domain ()
+        loop ()
       in
       let workers =
         List.init (max 1 cfg.conn_workers) (fun wid ->

@@ -414,7 +414,24 @@ let test_stats_diagnostics () =
       match Core.Trace.load_json tmp with
       | _ -> Alcotest.fail "truncated file must not parse"
       | exception Failure m ->
-          check bool "failure names the file" true (contains ~sub:tmp m))
+          check bool "failure names the file" true (contains ~sub:tmp m));
+  (* The nested one-tree-per-design format of earlier versions: the
+     reader names the file, line 1 and the token it expected. *)
+  let tmp = Filename.temp_file "hlsvhc_nested" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc
+            "{\n  \"trace\": \"hlsvhc design flow\",\n  \"spans\": 1,\n\
+            \  \"designs\": [\n    {\"design\": \"pool\",\n     \"tree\": [\n\
+            \      {\"stage\": \"map\", \"start_ms\": 0.000, \"dur_ms\": \
+             1.000}\n     ]}\n  ]\n}\n");
+      match Core.Trace.load_json tmp with
+      | _ -> Alcotest.fail "nested trace must not parse"
+      | exception Failure m ->
+          check bool ("names the file and line 1: " ^ m) true
+            (contains ~sub:(tmp ^ ":1:") m && contains ~sub:"expected" m))
 
 let () =
   (* Nothing here may depend on an ambient spec. *)

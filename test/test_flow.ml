@@ -73,44 +73,60 @@ let test_artifacts_identical_across_jobs () =
   let claimed w = List.assoc "claimed" w.Core.Trace.counters in
   check int "workers claimed every item" 6
     (List.fold_left (fun acc w -> acc + claimed w) 0 workers);
-  (* Worker 0 is the caller: it runs inside the open map span, and the
-     jobs it claimed sit one level deeper than the spawned workers'. *)
+  (* Worker 0 is the caller: its span is a child of the open map span,
+     and the jobs it claimed are its children; every other job is a
+     child of a spawned worker's span on that worker's own domain. *)
   let w0 = List.find (fun w -> w.Core.Trace.design = "pool/worker0") workers in
-  let ends s = s.Core.Trace.start_s +. s.Core.Trace.dur_s in
-  check int "worker 0 one level under map" (map.Core.Trace.depth + 1)
-    w0.Core.Trace.depth;
-  check bool "worker 0 within map" true
-    (map.Core.Trace.start_s <= w0.Core.Trace.start_s && ends w0 <= ends map);
-  let measures_at d =
-    List.length
-      (List.filter (fun s -> s.Core.Trace.depth = d) (find_stage "measure"))
-  in
+  check int "worker 0 under map" map.Core.Trace.id w0.Core.Trace.parent;
+  let measures = find_stage "measure" in
   check int "worker 0's jobs under it" (claimed w0)
-    (measures_at (w0.Core.Trace.depth + 1));
-  check int "spawned workers' jobs one level up" (6 - claimed w0)
-    (measures_at 1);
-  (* ...and still one complete pipeline per design, flushed across the
-     domain boundary and through the JSON round-trip, which writes one
-     tree per design whatever depth its spans were opened at. *)
+    (List.length
+       (List.filter (fun s -> s.Core.Trace.parent = w0.Core.Trace.id) measures));
+  List.iter
+    (fun m ->
+      if m.Core.Trace.parent <> w0.Core.Trace.id then
+        check bool "other jobs under a spawned worker on their domain" true
+          (List.exists
+             (fun w ->
+               w != w0
+               && w.Core.Trace.id = m.Core.Trace.parent
+               && w.Core.Trace.domain = m.Core.Trace.domain)
+             workers))
+    measures;
+  (* Every parent link is truthful: the parent is on the child's domain
+     and its interval contains the child's. *)
+  let ends s = s.Core.Trace.start_s +. s.Core.Trace.dur_s in
+  List.iter
+    (fun s ->
+      if s.Core.Trace.parent <> 0 then
+        match
+          List.find_opt (fun p -> p.Core.Trace.id = s.Core.Trace.parent) spans
+        with
+        | None -> Alcotest.failf "%s: parent not recorded" s.Core.Trace.stage
+        | Some p ->
+            check bool (s.Core.Trace.stage ^ ": parent contains it") true
+              (p.Core.Trace.domain = s.Core.Trace.domain
+              && p.Core.Trace.start_s <= s.Core.Trace.start_s
+              && ends s <= ends p))
+    spans;
+  (* ...and still one complete pipeline per design, recorded across the
+     domain boundary and through the JSON Lines round-trip. *)
   check int "simulate spans survive worker exit" 6
     (List.length (find_stage "simulate"));
   with_trace_file spans (fun file ->
       let back = Core.Trace.load_json file in
-      let designs l =
-        List.sort_uniq compare (List.map (fun s -> s.Core.Trace.design) l)
+      let links l =
+        List.map
+          (fun s ->
+            ( s.Core.Trace.id,
+              s.Core.Trace.parent,
+              s.Core.Trace.domain,
+              s.Core.Trace.design,
+              s.Core.Trace.stage ))
+          l
       in
-      check (Alcotest.list Alcotest.string) "designs survive" (designs spans)
-        (designs back);
-      List.iter
-        (fun d ->
-          let of_d l = List.filter (fun s -> s.Core.Trace.design = d) l in
-          check int (d ^ ": one tree") 1
-            (List.length
-               (List.filter (fun s -> s.Core.Trace.depth = 0) (of_d back)));
-          check int (d ^ ": every span in it")
-            (List.length (of_d spans))
-            (List.length (of_d back)))
-        (designs spans);
+      check bool "ids, parents, domains and names survive" true
+        (links spans = links back);
       let row =
         List.find
           (fun l -> String.starts_with ~prefix:"simulate " l)
@@ -120,9 +136,8 @@ let test_artifacts_identical_across_jobs () =
         (Scanf.sscanf row "simulate %d" Fun.id))
 
 let test_pool_trees_at_any_depth () =
-  (* Worker 0's spans open at the caller's depth, so one map at the top
-     level and one inside a span put [pool/worker0] at two depths: the
-     trace still writes them as two trees, not one nested in the other. *)
+  (* Worker 0 runs on the caller, so its span is a child of whichever
+     map span opened it, at the top level or inside another span. *)
   let _, spans =
     traced (fun () ->
         ignore (Core.Parallel.map ~jobs:2 succ [ 1; 2 ]);
@@ -130,13 +145,20 @@ let test_pool_trees_at_any_depth () =
             ignore (Core.Parallel.map ~jobs:2 succ [ 1; 2 ])))
   in
   with_trace_file spans (fun file ->
-      let roots =
-        List.filter
-          (fun s ->
-            s.Core.Trace.design = "pool/worker0" && s.Core.Trace.depth = 0)
-          (Core.Trace.load_json file)
+      let back = Core.Trace.load_json file in
+      let named stage =
+        List.filter (fun s -> s.Core.Trace.stage = stage) back
       in
-      check int "two worker 0 trees" 2 (List.length roots))
+      let ids l = List.map (fun s -> s.Core.Trace.id) l in
+      let maps = named "map" in
+      let worker0s =
+        List.filter (fun s -> s.Core.Trace.design = "pool/worker0") back
+      in
+      check (Alcotest.list int) "each worker 0 under its map" (ids maps)
+        (List.map (fun s -> s.Core.Trace.parent) worker0s);
+      check (Alcotest.list int) "the second map under outer"
+        [ 0; List.hd (ids (named "outer")) ]
+        (List.map (fun s -> s.Core.Trace.parent) maps))
 
 let test_spans_nest () =
   cold ();
@@ -171,16 +193,21 @@ let test_spans_nest () =
             ss)
         ss)
     by_design;
-  (* every stage span sits under the root measure span *)
+  (* every stage span reaches the design's measure span by its parents *)
   let root =
     List.find (fun s -> s.Core.Trace.stage = "measure") spans
+  in
+  let rec reaches_root s =
+    s.Core.Trace.id = root.Core.Trace.id
+    || List.exists
+         (fun p -> p.Core.Trace.id = s.Core.Trace.parent && reaches_root p)
+         spans
   in
   List.iter
     (fun s ->
       if s.Core.Trace.design = root.Core.Trace.design then
-        check bool (s.Core.Trace.stage ^ " at positive depth under measure")
-          true
-          (s.Core.Trace.stage = "measure" || s.Core.Trace.depth > 0))
+        check bool (s.Core.Trace.stage ^ " under measure") true
+          (reaches_root s))
     spans
 
 let test_cache_counters () =
@@ -278,7 +305,78 @@ let test_json_roundtrip_and_stats () =
               " %f%%" Fun.id
           in
           check bool ("share at most 100%: " ^ row) true (share <= 100.0))
-        rows)
+        rows);
+  (* Names with quotes, backslashes, control bytes and UTF-8 come back
+     byte for byte, with their ids, parents, domains and counters. *)
+  let odd = "q\"b\\s\tt\nn\001c\x1fu\xc3\xa9\xe2\x82\xac" in
+  let _, spans =
+    traced (fun () ->
+        Core.Trace.with_span ~design:("k:" ^ odd) ~stage:("s" ^ odd)
+          (fun () ->
+            Core.Trace.add_counter ("c" ^ odd) 7;
+            Core.Trace.with_span ~design:odd ~stage:odd (fun () ->
+                Core.Trace.add_counter "neg" (-3);
+                Core.Trace.add_counter odd 1)))
+  in
+  with_trace_file spans (fun file ->
+      check int "one line per span" (List.length spans)
+        (List.length
+           (String.split_on_char '\n'
+              (String.trim (In_channel.with_open_bin file In_channel.input_all))));
+      let fields l =
+        List.map
+          (fun s ->
+            ( (s.Core.Trace.id, s.Core.Trace.parent, s.Core.Trace.domain),
+              (s.Core.Trace.design, s.Core.Trace.stage, s.Core.Trace.counters) ))
+          l
+      in
+      check bool "odd names and counters survive" true
+        (fields spans = fields (Core.Trace.load_json file)))
+
+(* A span's self time is its duration minus its children's, so on one
+   domain the self times add up to the roots' durations. *)
+let test_self_times () =
+  cold ();
+  let _, spans = traced (render ~jobs:1) in
+  let selfs = Core.Trace.self_times spans in
+  let sum l = List.fold_left ( +. ) 0.0 l in
+  let roots =
+    sum
+      (List.filter_map
+         (fun s ->
+           if s.Core.Trace.parent = 0 then Some s.Core.Trace.dur_s else None)
+         spans)
+  in
+  check bool "self times sum to the root durations" true
+    (Float.abs (sum (List.map snd selfs) -. roots)
+    <= 1e-6 *. float_of_int (List.length spans));
+  List.iter
+    (fun (s, self) ->
+      check bool (s.Core.Trace.stage ^ ": self time not negative") true
+        (self >= -1e-6))
+    selfs
+
+(* The stats header counts the kernel-qualified design points of the
+   full idct Fig. 1, with the pool and transfo spans listed apart. *)
+let test_stats_counts_design_points () =
+  let _, spans = traced (fun () -> Core.Fig1.compute ~jobs:2 ()) in
+  with_trace_file spans (fun file ->
+      let lines =
+        String.split_on_char '\n' (Core.Trace.render_stats file)
+      in
+      check int "100 design points" 100
+        (Scanf.sscanf (List.hd lines) "trace %s@: %d spans over %d design points"
+           (fun _ _ n -> n));
+      check bool "engine groups listed apart" true
+        (List.exists
+           (String.starts_with ~prefix:"engine groups: pool")
+           lines);
+      check bool "a busy time per domain" true
+        (List.exists
+           (fun l ->
+             String.starts_with ~prefix:"domains: " l
+             && List.length (String.split_on_char ',' l) = 2)
+           lines))
 
 let test_compliance_dispatch () =
   (* A PCIe design whose own simulator is wrong must fail compliance:
@@ -358,6 +456,10 @@ let () =
             test_table2_measures_once;
           Alcotest.test_case "json round-trip and stats" `Quick
             test_json_roundtrip_and_stats;
+          Alcotest.test_case "self times sum to the roots" `Quick
+            test_self_times;
+          Alcotest.test_case "stats counts design points" `Quick
+            test_stats_counts_design_points;
           Alcotest.test_case "compliance dispatches on the design" `Quick
             test_compliance_dispatch;
           Alcotest.test_case "disabled tracing records nothing" `Quick

@@ -82,11 +82,7 @@ let test_wait_span () =
   in
   let force_as design =
     Domain.spawn (fun () ->
-        let v =
-          Core.Trace.with_span ~design ~stage:"force" (fun () -> Once.force cell)
-        in
-        Core.Trace.flush_domain ();
-        v)
+        Core.Trace.with_span ~design ~stage:"force" (fun () -> Once.force cell))
   in
   let a = force_as "A" in
   Semaphore.Binary.acquire started;
