@@ -14,8 +14,8 @@ let section title =
   Printf.printf "\n%s\n%s\n%s\n%!" line title line
 
 (* ------------------------------------------------------------------ *)
-(* Simulation engines: levelized batch (Hw.Compile, behind Hw.Sim) vs   *)
-(* the reference interpreter                                            *)
+(* Simulation engines: the levelized batch simulator (Hw.Sim) vs its    *)
+(* oracle, the reference interpreter (Hw.Interp)                        *)
 (* ------------------------------------------------------------------ *)
 
 type engine_row = {
@@ -67,11 +67,11 @@ let drive_batch sim (c : Hw.Netlist.t) cycles =
     for lane = 0 to b - 1 do
       List.iteri
         (fun i nm ->
-          Hw.Sim.set_lane sim ~lane nm (stimulus ~lane_salt:(lane * 0x5b) k i))
+          Hw.Sim.set sim ~lane nm (stimulus ~lane_salt:(lane * 0x5b) k i))
         ins
     done;
-    List.iter (fun nm -> sum := !sum lxor Hw.Sim.get_lane sim ~lane:0 nm) outs;
-    Hw.Sim.batch_step sim
+    List.iter (fun nm -> sum := !sum lxor Hw.Sim.get sim nm) outs;
+    Hw.Sim.step sim
   done;
   (Unix.gettimeofday () -. t0, !sum)
 
@@ -121,7 +121,7 @@ let measure_engines name c =
       ~step:(fun () -> Hw.Sim.step sim)
       c n
   in
-  let run_batch n = drive_batch (Hw.Sim.create_batch ~batch:bench_batch c) c n in
+  let run_batch n = drive_batch (Hw.Sim.create ~batch:bench_batch c) c n in
   (* Fixed-length checksum pass on fresh instances: all engines (and the
      batched run's lane 0) must fold the identical output stream. *)
   let check_cycles = 2048 in
@@ -137,7 +137,7 @@ let measure_engines name c =
   {
     er_name = name;
     er_nodes = Hw.Netlist.num_nodes c;
-    er_compiled = Hw.Compile.compiled_nodes (Hw.Compile.create c);
+    er_compiled = Hw.Sim.compiled_nodes (Hw.Sim.create c);
     er_ref_cps = ref_cps;
     er_level_cps = level_cps;
     er_batch = bench_batch;

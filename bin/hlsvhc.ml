@@ -27,6 +27,17 @@ let tools_conv =
   in
   Arg.conv (parse, print)
 
+(* A count (blocks, cycles, a budget) of zero or less would run no
+   work and still report a verdict, so it is a usage error naming the
+   option, like any other malformed value. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let tools_opt =
   Arg.(
     value
@@ -141,8 +152,8 @@ let fault_opt =
         ~doc:
           "Inject a deterministic fault into the flow (for testing the \
            resilience layer): $(docv) is FAULT:TARGET[:SEED] with FAULT one \
-           of $(b,engine-crash), $(b,stall), $(b,poison), $(b,protocol), \
-           $(b,crash@STAGE), or — for the serve daemon's connection paths — \
+           of $(b,stall), $(b,poison), $(b,protocol), $(b,crash@STAGE), \
+           or — for the serve daemon's connection paths — \
            $(b,slow-client), $(b,conn-drop) or $(b,shed) (SEED bounds how \
            many connections fire, 0 = all), and TARGET a Tool/label \
            substring ($(b,*) for every design; unused by the connection \
@@ -231,22 +242,7 @@ let table2_cmd =
       const run $ kernel_opt $ tools_opt $ jobs_opt $ trace_opt
       $ keep_going_flag $ fault_opt $ store_opt)
 
-(* --tool (repeatable) and --tools (comma list) merge, first mention
-   first, duplicates dropped. *)
-let merge_tools repeated list_opt =
-  let merged = repeated @ Option.value list_opt ~default:[] in
-  let merged =
-    List.fold_left
-      (fun acc t -> if List.mem t acc then acc else acc @ [ t ])
-      [] merged
-  in
-  match merged with [] -> None | ts -> Some ts
-
 let fig1_cmd =
-  let tool_rep =
-    Arg.(value & opt_all tool_conv [] & info [ "tool" ] ~docv:"TOOL"
-         ~doc:"Restrict to one tool (repeatable).")
-  in
   let json =
     Arg.(
       value
@@ -257,8 +253,7 @@ let fig1_cmd =
              JSON to $(docv), atomically — the machine-readable twin of the \
              ASCII scatter, consumed by DSE overlays and external plotting.")
   in
-  let run kernel tool_rep tools jobs trace keep_going json fault store =
-    let tools = merge_tools tool_rep tools in
+  let run kernel tools jobs trace keep_going json fault store =
     check_kernel_tools kernel tools;
     run_batch ?store ~fault ~trace ~keep_going (fun () ->
         let series, failures =
@@ -277,7 +272,7 @@ let fig1_cmd =
   Cmd.v
     (Cmd.info "fig1" ~doc:"Run the DSE sweeps and print the Fig. 1 scatter.")
     Term.(
-      const run $ kernel_opt $ tool_rep $ tools_opt $ jobs_opt $ trace_opt
+      const run $ kernel_opt $ tools_opt $ jobs_opt $ trace_opt
       $ keep_going_flag $ json $ fault_opt $ store_opt)
 
 (* No --keep-going: every line is a ratio over several points, so any
@@ -297,7 +292,7 @@ let ablations_cmd =
 
 let comply_cmd =
   let blocks =
-    Arg.(value & opt int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
+    Arg.(value & opt pos_int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
   in
   let run kernel blocks jobs trace keep_going fault =
     run_batch ~fault ~trace ~keep_going (fun () ->
@@ -379,7 +374,7 @@ let waves_cmd =
     Arg.(value & opt string "waves.vcd" & info [ "o"; "output" ] ~doc:"Output VCD file.")
   in
   let cycles =
-    Arg.(value & opt int 64 & info [ "cycles" ] ~doc:"Cycles to record.")
+    Arg.(value & opt pos_int 64 & info [ "cycles" ] ~doc:"Cycles to record.")
   in
   let run kernel tool optimized out cycles =
     let d = pick_design kernel tool optimized in
@@ -487,7 +482,7 @@ let dse_cmd =
   let budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "budget" ] ~docv:"K"
           ~doc:
             "Evaluation budget: at most $(docv) distinct candidates are \
@@ -635,7 +630,7 @@ let transfo_cmd =
   in
   let cycles_opt =
     Arg.(
-      value & opt int 256
+      value & opt pos_int 256
       & info [ "cycles" ] ~docv:"N"
           ~doc:"Random-stimulus cycles per verification obligation.")
   in

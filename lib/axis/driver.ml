@@ -11,65 +11,13 @@ type result = {
 let sign_extend w v =
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
 
-type engine = Compiled | Reference
-
-(* The engine as a record of port resolvers and a clock, lane-indexed.
-   Resolving a port by name returns its accessor, closed over the
-   engine's port handle, so the per-cycle loop never looks a name up.
-   [Compiled] is [Hw.Sim] (the default, and the historical behavior) —
-   one levelized instance whose batch dimension carries all lanes,
-   advanced by a single [step].  [Reference] is the retained
-   interpreter, kept drivable end to end so the flow can degrade onto it
-   when the compiled engine fails on a design (see Core.Flow); it has no
-   batch dimension, so it becomes one instance per lane stepped in
-   lockstep, all sharing the handles resolved on the first. *)
-type ops = {
-  input : string -> int -> int -> unit;  (* port -> lane -> value *)
-  output : string -> int -> int;  (* port -> lane -> value *)
-  step : unit -> unit;
-  schedule : string * int;  (* hook counter name and value *)
-}
-
-let ops_of_engine engine circuit lanes =
-  match engine with
-  | Compiled ->
-      let sim = Sim.create_batch ~batch:lanes circuit in
-      Sim.reset sim;
-      {
-        input =
-          (fun name ->
-            let p = Sim.in_port sim name in
-            fun lane v -> Sim.set_port sim p ~lane v);
-        output =
-          (fun name ->
-            let p = Sim.out_port sim name in
-            fun lane -> Sim.get_port sim p ~lane);
-        step = (fun () -> Sim.batch_step sim);
-        schedule = ("sim_thunks", Sim.compiled_nodes sim);
-      }
-  | Reference ->
-      let sims = Array.init lanes (fun _ -> Interp.create circuit) in
-      Array.iter Interp.reset sims;
-      {
-        input =
-          (fun name ->
-            let p = Interp.in_port sims.(0) name in
-            fun lane v -> Interp.set_port sims.(lane) p v);
-        output =
-          (fun name ->
-            let p = Interp.out_port sims.(0) name in
-            fun lane -> Interp.get_port sims.(lane) p);
-        step = (fun () -> Array.iter Interp.step sims);
-        schedule = ("interp_nodes", Netlist.num_nodes circuit);
-      }
-
 (* With no explicit [timeout], a run fails only when it stops making
    progress: this many cycles (scaled by the consumer's duty cycle, plus
    one inter-matrix gap) with no input beat accepted and no output beat
    collected on any lane.  The beat count is finite, so a run always ends. *)
 let watchdog_cycles = 2000
 
-let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
+let run ?(batch = 1) ?(input_gap = 0)
     ?(ready_pattern = fun _ -> true) ?timeout ?(hook = fun _ _ -> ()) circuit
     matrices =
   if not (Stream.is_wrapped circuit) then
@@ -106,18 +54,19 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     int_of_float
       (ceil (float_of_int (watchdog_cycles + input_gap) /. duty))
   in
-  let sim = ops_of_engine engine circuit n_lanes in
-  (let name, v = sim.schedule in
-   hook name v);
+  let sim = Sim.create ~batch:n_lanes circuit in
+  hook "sim_thunks" (Sim.compiled_nodes sim);
   if n_lanes > 1 then hook "sim_batch" n_lanes;
-  let set_s_valid = sim.input Stream.s_valid
-  and set_s_last = sim.input Stream.s_last
-  and set_m_ready = sim.input Stream.m_ready
-  and set_s_data = Array.init lanes (fun c -> sim.input (Stream.s_data c))
-  and get_s_ready = sim.output Stream.s_ready
-  and get_m_valid = sim.output Stream.m_valid
-  and get_m_last = sim.output Stream.m_last
-  and get_m_data = Array.init lanes (fun c -> sim.output (Stream.m_data c)) in
+  (* The 22 stream ports are resolved once; the cycle loop below touches
+     only handles. *)
+  let s_valid = Sim.in_port sim Stream.s_valid
+  and s_last = Sim.in_port sim Stream.s_last
+  and m_ready = Sim.in_port sim Stream.m_ready
+  and s_data = Array.init lanes (fun c -> Sim.in_port sim (Stream.s_data c))
+  and s_ready = Sim.out_port sim Stream.s_ready
+  and m_valid = Sim.out_port sim Stream.m_valid
+  and m_last = Sim.out_port sim Stream.m_last
+  and m_data = Array.init lanes (fun c -> Sim.out_port sim (Stream.m_data c)) in
   let inputs = Array.of_list matrices in
   (* Per-lane testbench state.  [mat_idx] is the absolute index into
      [inputs]; a lane is done when it has collected its whole chunk.
@@ -145,15 +94,16 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     for l = 0 to n_lanes - 1 do
       let lane_end = chunk_start.(l) + chunk_len.(l) in
       let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
-      set_s_valid l (if driving then 1 else 0);
-      set_s_last l (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
+      Sim.set_port sim s_valid ~lane:l (if driving then 1 else 0);
+      Sim.set_port sim s_last ~lane:l
+        (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
       for c = 0 to lanes - 1 do
-        set_s_data.(c) l
+        Sim.set_port sim s_data.(c) ~lane:l
           (if driving then
              Block.get inputs.(mat_idx.(l)) ~row:beat_idx.(l) ~col:c
            else 0)
       done;
-      set_m_ready l (if ready then 1 else 0)
+      Sim.set_port sim m_ready ~lane:l (if ready then 1 else 0)
     done;
     (* Observe handshakes, every lane.  The data lanes are only read
        while [m_valid] is up: that is the only time the monitor or the
@@ -161,16 +111,16 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     for l = 0 to n_lanes - 1 do
       let lane_end = chunk_start.(l) + chunk_len.(l) in
       let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
-      let s_ready = get_s_ready l = 1 in
-      let m_valid = get_m_valid l = 1 in
-      let m_last = get_m_last l = 1 in
-      if m_valid then
+      let in_ready = Sim.get_port sim s_ready ~lane:l = 1 in
+      let valid = Sim.get_port sim m_valid ~lane:l = 1 in
+      let last = Sim.get_port sim m_last ~lane:l = 1 in
+      if valid then
         for c = 0 to lanes - 1 do
-          data.(c) <- sign_extend Stream.out_width (get_m_data.(c) l)
+          data.(c) <-
+            sign_extend Stream.out_width (Sim.get_port sim m_data.(c) ~lane:l)
         done;
-      Monitor.observe monitors.(l) ~cycle:!cycle ~valid:m_valid ~ready
-        ~last:m_last data;
-      if driving && s_ready then begin
+      Monitor.observe monitors.(l) ~cycle:!cycle ~valid ~ready ~last data;
+      if driving && in_ready then begin
         progress := true;
         if beat_idx.(l) = 0 then first_in_cycle.(mat_idx.(l)) <- !cycle;
         beat_idx.(l) <- beat_idx.(l) + 1;
@@ -182,7 +132,7 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
       end
       else if (not driving) && gap_left.(l) > 0 then
         gap_left.(l) <- gap_left.(l) - 1;
-      if m_valid && ready then begin
+      if valid && ready then begin
         progress := true;
         Array.blit data 0 current.(l) (rows.(l) * lanes) lanes;
         rows.(l) <- rows.(l) + 1;
@@ -198,7 +148,7 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
         end
       end
     done;
-    sim.step ();
+    Sim.step sim;
     incr cycle;
     if !progress then idle := 0 else incr idle
   done;

@@ -14,8 +14,9 @@
     own independent copy of the testbench on a shared clock — one pass
     over the compiled schedule advances all of them.  Results concatenate
     back in input order; protocol monitoring runs per lane, online
-    ({!Monitor.observe}).  Ports are resolved once per run, so a cycle
-    does no name lookup and no allocation. *)
+    ({!Monitor.observe}).  The testbench drives {!Hw.Sim} directly: its
+    stream ports are resolved to handles once per run, so a cycle does no
+    name lookup and no allocation. *)
 
 type result = {
   outputs : Block.t list;
@@ -30,19 +31,7 @@ type result = {
   violations : Monitor.violation list;
 }
 
-type engine = Compiled | Reference
-(** Which simulation engine runs the testbench: [Compiled] is {!Hw.Sim}
-    (the levelized batch engine — the default and the historical
-    behavior); [Reference] is the retained interpreter {!Hw.Interp}, kept
-    drivable end to end so the measurement flow can degrade onto it when
-    the compiled engine fails on a design.  [Reference] has no batch
-    dimension, so a batched run instantiates one interpreter per lane and
-    steps them in lockstep.  The engines are cycle-equivalent
-    ({!Hw.Equiv.crosscheck}); only wall time and the schedule-size hook
-    counter differ ([sim_thunks] vs [interp_nodes]). *)
-
 val run :
-  ?engine:engine ->
   ?batch:int ->
   ?input_gap:int ->
   ?ready_pattern:(int -> bool) ->

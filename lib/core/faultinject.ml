@@ -7,7 +7,6 @@
    stays byte-identical to the uninstrumented code. *)
 
 type fault =
-  | Engine_crash
   | Stall
   | Poison
   | Protocol
@@ -26,7 +25,6 @@ let () =
     | _ -> None)
 
 let fault_to_string = function
-  | Engine_crash -> "engine-crash"
   | Stall -> "stall"
   | Poison -> "poison"
   | Protocol -> "protocol"
@@ -42,7 +40,6 @@ let to_string s =
 
 let parse text =
   let fault_of = function
-    | "engine-crash" -> Ok Engine_crash
     | "stall" -> Ok Stall
     | "poison" -> Ok Poison
     | "protocol" -> Ok Protocol
@@ -54,8 +51,8 @@ let parse text =
     | f ->
         Error
           (Printf.sprintf
-             "unknown fault %S (want engine-crash, stall, poison, protocol, \
-              crash@STAGE, slow-client, conn-drop or shed)"
+             "unknown fault %S (want stall, poison, protocol, crash@STAGE, \
+              slow-client, conn-drop or shed)"
              f)
   in
   match String.split_on_char ':' (String.trim text) with
@@ -134,14 +131,6 @@ let crash_at_stage ~design ~stage =
       raise
         (Injected
            (Printf.sprintf "injected crash at stage %s of %s" stage design))
-  | _ -> ()
-
-let engine_crash ~design ~compiled =
-  match matching ~design with
-  | Some { fault = Engine_crash; _ } when compiled ->
-      raise
-        (Injected
-           (Printf.sprintf "injected compiled-engine crash on %s" design))
   | _ -> ()
 
 let stall_timeout ~design default =

@@ -1,14 +1,14 @@
 (** Deterministic fault injection into the staged design flow
     (DESIGN.md §11).
 
-    Every recovery path of the resilience layer — typed {!Flow.Error}s,
-    [--keep-going] sweeps, the compiled-sim → interpreter fallback — is
-    proved by injecting faults at the Flow stage boundaries and watching
-    the system degrade exactly as documented.  Injection is off unless a
-    {!spec} is {!arm}ed (by a test, the [--fault] flag, or the
-    [HLSVHC_FAULT] environment variable), and with nothing armed every
-    probe is a cheap no-op, so the measurement pipeline is byte-identical
-    to the uninstrumented one.
+    Every failure path of the resilience layer — typed {!Flow.Error}s,
+    [--keep-going] sweeps, the failure summary — is proved by injecting
+    faults at the Flow stage boundaries and watching the system degrade
+    exactly as documented.  Injection is off unless a {!spec} is
+    {!arm}ed (by a test, the [--fault] flag, or the [HLSVHC_FAULT]
+    environment variable), and with nothing armed every probe is a cheap
+    no-op, so the measurement pipeline is byte-identical to the
+    uninstrumented one.
 
     A spec is fully deterministic: it names the fault, the targeted
     designs (a substring of the ["Tool/label"] span key; [""] or ["*"]
@@ -17,10 +17,6 @@
     corrupts and by how much, so a seeded run is exactly repeatable. *)
 
 type fault =
-  | Engine_crash
-      (** the compiled simulation engine raises at [create] time; the
-          reference interpreter is unaffected, so this is the fault the
-          compiled→interpreter fallback recovers from *)
   | Stall
       (** the streaming consumer wedges: the driver's cycle budget is
           clamped to a handful of cycles, so the run ends in the driver's
@@ -34,8 +30,7 @@ type fault =
   | Crash of string
       (** raise {!Injected} on entry to the named Flow stage — e.g.
           [Crash "synthesize"] is a synthesis failure, [Crash "simulate"]
-          an unrecoverable engine failure, [Crash "metrics"] an
-          unexpected exception *)
+          an engine failure, [Crash "metrics"] an unexpected exception *)
   | Slow_client
       (** the serve daemon treats matching connections as wedged clients:
           their batch read is discarded until the idle deadline fires, so
@@ -60,11 +55,10 @@ exception Injected of string
     description of the injected fault. *)
 
 val parse : string -> (spec, string) result
-(** Parse ["FAULT:TARGET[:SEED]"] — [FAULT] one of [engine-crash],
-    [stall], [poison], [protocol], [crash@STAGE], [slow-client],
-    [conn-drop] or [shed]; [TARGET] a span-key substring ([*] for all
-    designs; unused by the connection faults); [SEED] a non-negative
-    integer (default 0). *)
+(** Parse ["FAULT:TARGET[:SEED]"] — [FAULT] one of [stall], [poison],
+    [protocol], [crash@STAGE], [slow-client], [conn-drop] or [shed];
+    [TARGET] a span-key substring ([*] for all designs; unused by the
+    connection faults); [SEED] a non-negative integer (default 0). *)
 
 val to_string : spec -> string
 
@@ -88,10 +82,6 @@ val load_env : unit -> (spec option, string) result
 
 val crash_at_stage : design:string -> stage:string -> unit
 (** Raise {!Injected} when a [Crash stage] spec targets this design. *)
-
-val engine_crash : design:string -> compiled:bool -> unit
-(** Raise {!Injected} when an [Engine_crash] spec targets this design
-    and the engine about to run is the compiled one. *)
 
 val stall_timeout : design:string -> int option -> int option
 (** The driver cycle budget: a clamped budget under an armed [Stall]

@@ -265,27 +265,8 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
             let timeout =
               Faultinject.stall_timeout ~design:key spec.sim_timeout
             in
-            let run engine =
-              Faultinject.engine_crash ~design:key
-                ~compiled:(engine = Axis.Driver.Compiled);
-              Axis.Driver.run ~engine ?timeout ~hook:Trace.add_counter
-                circuit mats
-            in
             let r =
-              try run Axis.Driver.Compiled
-              with e when not (is_driver_timeout e) ->
-                (* Retry with degradation: one compiled-engine bug must
-                   not block artifact regeneration, so the design is
-                   re-run once on the reference interpreter.  A timeout
-                   is not an engine failure — it would only time out
-                   again, slower. *)
-                Trace.add_counter "engine_fallback" 1;
-                Printf.eprintf
-                  "hlsvhc: %s: compiled engine failed (%s); retrying on \
-                   the reference interpreter\n\
-                   %!"
-                  key (exn_message e);
-                run Axis.Driver.Reference
+              Axis.Driver.run ?timeout ~hook:Trace.add_counter circuit mats
             in
             {
               r with

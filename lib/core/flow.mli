@@ -77,8 +77,7 @@ type error_class =
   | Sim_timeout of string
       (** the driver's cycle budget ran out (a wedged or stalled DUT) *)
   | Engine_failure of string
-      (** elaborate/validate/simulate raised — and, for the simulate
-          stage, the reference-interpreter retry failed too *)
+      (** elaborate/validate/simulate raised (other than a timeout) *)
   | Synth_failure of string  (** the synthesis stage raised *)
   | Unexpected of string  (** anything else, [Printexc]-rendered *)
 
@@ -126,12 +125,7 @@ val measure_uncached : ?matrices:int -> spec:spec -> Design.t -> Metrics.measure
     is explicit at every call site; pass [Flow.idct_spec] (or go through
     {!Kernel}) to measure the paper's IDCT.
 
-    If the compiled simulation engine fails on the design (anything but
-    a cycle-budget timeout), the design is retried once on the reference
-    interpreter ({!Axis.Driver.Reference}); the degradation is recorded
-    as an [engine_fallback] Trace counter and a one-line stderr note.
-
     @raise Error if a stage fails: not bit-true against
     [spec.reference], an AXI-Stream protocol violation, a simulation
-    timeout, an engine failure surviving the interpreter retry, a
-    synthesis failure, or an unexpected exception. *)
+    timeout, an engine failure, a synthesis failure, or an unexpected
+    exception. *)

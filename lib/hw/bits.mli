@@ -10,6 +10,11 @@ type t = private { value : int; width : int }
 val max_width : int
 (** Largest supported width (62, so every vector fits an OCaml [int]). *)
 
+val mask : int -> int
+(** Unsigned mask of a width: [(1 lsl w) - 1] below 62; width 62 masks
+    to [max_int] (all 62 value bits of the 63-bit host int).  Both
+    simulators mask node values with it. *)
+
 val create : width:int -> int -> t
 (** [create ~width v] masks [v] to [width] bits.  Negative [v] is taken as
     two's complement.  @raise Invalid_argument on widths outside [1..62]. *)

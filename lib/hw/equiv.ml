@@ -59,7 +59,7 @@ let wide_random rng =
       lor (Random.State.bits rng lsl 60)
 
 (* Random cross-check of the levelized engine against the reference
-   interpreter on ONE circuit: one [Compile] instance with [lanes] lanes
+   interpreter on ONE circuit: one [Sim] instance with [lanes] lanes
    against [lanes] independent [Interp] instances, each lane driven by its
    own random stream.  Outputs and register state are compared every
    cycle, every node (including logic the levelized engine eliminated as
@@ -68,7 +68,7 @@ let wide_random rng =
    per-lane). *)
 let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   if lanes < 1 then invalid_arg "Equiv.crosscheck: lanes must be >= 1";
-  let sc = Compile.create ~batch:lanes c in
+  let sc = Sim.create ~batch:lanes c in
   let refs = Array.init lanes (fun _ -> Interp.create c) in
   let rngs =
     Array.init lanes (fun l -> Random.State.make [| seed; 0x5eed; l |])
@@ -100,24 +100,24 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
            (fun nm ->
              let v = wide_random rngs.(l) in
              Interp.set refs.(l) nm v;
-             Compile.set ~lane:l sc nm v)
+             Sim.set ~lane:l sc nm v)
            ins
        done;
        for l = 0 to lanes - 1 do
          List.iter
            (fun nm ->
              compare cycle l (fun () -> nm) (Interp.get refs.(l) nm)
-               (Compile.get ~lane:l sc nm))
+               (Sim.get ~lane:l sc nm))
            outs;
          List.iter
            (fun u ->
              compare cycle l
                (fun () -> Printf.sprintf "reg n%d" u)
-               (Interp.peek refs.(l) u) (Compile.peek ~lane:l sc u))
+               (Interp.peek refs.(l) u) (Sim.peek ~lane:l sc u))
            regs
        done;
        Array.iter Interp.step refs;
-       Compile.step sc
+       Sim.step sc
      done;
      (* Final architectural and combinational state, node by node — this
         exercises the levelized engine's on-demand path for dead nodes. *)
@@ -125,7 +125,7 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
        for u = 0 to Netlist.num_nodes c - 1 do
          compare cycles l
            (fun () -> Printf.sprintf "n%d" u)
-           (Interp.peek refs.(l) u) (Compile.peek ~lane:l sc u)
+           (Interp.peek refs.(l) u) (Sim.peek ~lane:l sc u)
        done;
        Array.iteri
          (fun mi (m : Netlist.mem) ->
@@ -133,7 +133,7 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
              compare cycles l
                (fun () -> Printf.sprintf "%s[%d]" m.Netlist.mem_name a)
                (Interp.mem_word refs.(l) mi a)
-               (Compile.mem_word ~lane:l sc mi a)
+               (Sim.mem_word ~lane:l sc mi a)
            done)
          c.Netlist.mems
      done

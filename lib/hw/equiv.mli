@@ -4,7 +4,8 @@
     number of clock cycles and compares every output each cycle.  This is
     the workhorse behind the emit/parse round-trip tests and the
     transformation-validation tests (pipelining, stamping, option
-    sweeps). *)
+    sweeps).  {!crosscheck} is the library's only use of the reference
+    interpreter {!Interp}, the oracle of the simulator {!Sim}. *)
 
 type result = Equivalent | Mismatch of { cycle : int; port : string; a : int; b : int }
 
@@ -19,9 +20,9 @@ val check :
 
 val crosscheck :
   ?cycles:int -> ?seed:int -> ?lanes:int -> Netlist.t -> result
-(** Drives ONE levelized instance ({!Compile}, behind {!Sim}) with [lanes]
-    lanes (default 1) against [lanes] independent reference interpreters
-    ({!Interp}), each lane fed its own pseudo-random stream (including
+(** Drives ONE simulator instance ({!Sim}) with [lanes] lanes (default
+    1) against [lanes] independent reference interpreters ({!Interp}),
+    each lane fed its own pseudo-random stream (including
     all-ones and sign-bit extremes at every width).  Outputs and register
     state are compared every cycle; at the end every node value
     (exercising the levelized engine's dead-node fallback) and every

@@ -1,8 +1,7 @@
 (* Reference interpreter: walks the full levelized order every settle and
-   dispatches on the node kind each time.  Kept as the semantic baseline the
-   compiled engine ({!Compile}) is cross-checked against, and as the slow
-   path of last resort.  Production simulation goes through {!Sim}, which
-   delegates to the compiled engine. *)
+   dispatches on the node kind each time.  It is only the oracle the
+   simulator ({!Sim}) is cross-checked against; nothing in production
+   runs on it. *)
 
 type t = {
   c : Netlist.t;
@@ -16,13 +15,7 @@ type t = {
   input_ids : (string, Netlist.uid) Hashtbl.t;
   output_ids : (string, Netlist.uid) Hashtbl.t;
   mutable dirty : bool;
-  mutable cycles : int;
 }
-
-(* Width 62 occupies all value bits of the host int (OCaml ints have 63
-   bits); the mask is [max_int].  Narrower widths mask as usual.  This is
-   the same cutoff [signed_of] uses. *)
-let mask_of_width w = if w >= 62 then max_int else (1 lsl w) - 1
 
 let create c =
   let n = Netlist.num_nodes c in
@@ -30,7 +23,7 @@ let create c =
   let widths = Array.make n 0 in
   Array.iter
     (fun (nd : Netlist.node) ->
-      masks.(nd.uid) <- mask_of_width nd.width;
+      masks.(nd.uid) <- Bits.mask nd.width;
       widths.(nd.uid) <- nd.width)
     c.nodes;
   let regs =
@@ -56,7 +49,6 @@ let create c =
       input_ids;
       output_ids;
       dirty = true;
-      cycles = 0;
     }
   in
   (* Load initial register values. *)
@@ -67,8 +59,6 @@ let create c =
       | _ -> assert false)
     regs;
   t
-
-let circuit t = t.c
 
 let signed_of t uid v =
   let w = t.widths.(uid) in
@@ -135,31 +125,21 @@ let settle t =
     t.dirty <- false
   end
 
-type port = Netlist.uid
-
 let resolve t dir ~caller name =
   let tbl = match dir with `In -> t.input_ids | `Out -> t.output_ids in
   match Hashtbl.find_opt tbl name with
   | Some u -> u
   | None -> Netlist.port_error t.c dir ~caller name
 
-let in_port t name = resolve t `In ~caller:"Interp.in_port" name
-let out_port t name = resolve t `Out ~caller:"Interp.out_port" name
-
-let set_port t p v =
+let set t name v =
+  let p = resolve t `In ~caller:"Interp.set" name in
   t.values.(p) <- v land t.masks.(p);
   t.dirty <- true
 
-let get_port t p =
+let get t name =
+  let p = resolve t `Out ~caller:"Interp.get" name in
   settle t;
   t.values.(p)
-
-let set t name v = set_port t (resolve t `In ~caller:"Interp.set" name) v
-let get t name = get_port t (resolve t `Out ~caller:"Interp.get" name)
-
-let get_signed t name =
-  let p = resolve t `Out ~caller:"Interp.get_signed" name in
-  signed_of t p (get_port t p)
 
 let step t =
   settle t;
@@ -189,33 +169,10 @@ let step t =
   (* The gather above consed, so reverse to apply in declared port order:
      when two enabled ports hit one address, the later-declared port wins. *)
   List.iter (fun (mi, a, d) -> t.mem_data.(mi).(a) <- d) (List.rev !mem_updates);
-  t.dirty <- true;
-  t.cycles <- t.cycles + 1
-
-let step_n t n =
-  for _ = 1 to n do
-    step t
-  done
-
-let reset t =
-  Array.iter (fun contents -> Array.fill contents 0 (Array.length contents) 0) t.mem_data;
-  Array.iter
-    (fun u ->
-      match (Netlist.node t.c u).kind with
-      | Netlist.Reg { init; _ } -> t.values.(u) <- Bits.to_int init
-      | _ -> assert false)
-    t.regs;
-  t.dirty <- true;
-  t.cycles <- 0
+  t.dirty <- true
 
 let peek t uid =
   settle t;
   t.values.(uid)
-
-let peek_signed t uid =
-  settle t;
-  signed_of t uid t.values.(uid)
-
-let cycle_count t = t.cycles
 
 let mem_word t mem addr = t.mem_data.(mem).(addr)

@@ -1,105 +1,109 @@
-(** Cycle-accurate two-phase simulation of {!Netlist} circuits.
+(** Cycle-accurate two-phase simulation of {!Netlist} circuits: the
+    levelized batch engine.
 
     The simulator evaluates the combinational fabric in topological order
     and updates all registers atomically on {!step}.  Values are exchanged
     as OCaml [int]s in the unsigned representation of the node's width.
 
-    This interface is backed by the levelized batch engine ({!Compile}):
-    the live schedule is flattened into an instruction table at
-    {!create} time and settling is one allocation-free sweep over it.
-    The monomorphic functions below always address lane 0, so single-lane
-    callers never see the batch dimension; {!create_batch} and the
-    [_lane] accessors expose it for bulk workloads.  The reference
-    interpreter ({!Interp}) defines the semantics; {!Equiv.crosscheck}
-    verifies the two agree cycle-by-cycle. *)
+    The live schedule is levelized once at {!create} time into a flat
+    struct-of-arrays instruction table — integer opcodes with all masks,
+    shift amounts and sign constants resolved — and every node's value
+    lives in one preallocated [int array].  The steady-state path
+    allocates nothing and makes no indirect calls: settling is a single
+    sweep of the table.
+
+    [create ?batch] adds a batch dimension: the value array is laid out
+    [uid * batch + lane] and each instruction's inner loop evaluates all
+    lanes, so one pass over the schedule advances [batch] independent
+    simulations of the same circuit in lockstep.  All lanes share the
+    clock ({!step} advances every lane); they differ only in the inputs
+    driven per lane and the state that evolves from them.  Every accessor
+    takes [?lane] (default 0), so single-lane callers never see the batch
+    dimension.
+
+    Dead nodes are eliminated and concat chains fused; {!peek} of an
+    eliminated node falls back to per-lane on-demand evaluation.
+    {!Equiv.crosscheck} checks this engine, lane by lane, against the
+    reference interpreter that defines the semantics. *)
 
 type t
 
-val create : Netlist.t -> t
-(** Builds the evaluation schedule with a single lane.  The circuit must
-    already be valid. *)
-
-val create_batch : batch:int -> Netlist.t -> t
-(** Builds the schedule with [batch] independent simulation lanes.  All
-    lanes share the clock — {!step} advances every lane — and differ only
-    in the inputs driven per lane and the state evolving from them.
+val create : ?batch:int -> Netlist.t -> t
+(** Levelizes the evaluation schedule.  The circuit must already be
+    valid.  [batch] (default 1) is the number of independent simulation
+    lanes; it is fixed for the lifetime of the instance.
     @raise Invalid_argument if [batch < 1]. *)
 
 val circuit : t -> Netlist.t
 
 val batch : t -> int
-(** The number of lanes this simulator was created with (1 for
-    {!create}). *)
+(** The number of lanes this instance was created with. *)
+
+val compiled_nodes : t -> int
+(** Number of instructions in the levelized schedule (after dead-node
+    elimination, source removal and concat fusion). *)
 
 val reset : t -> unit
 (** Loads every register with its [init] value and zeroes the memories,
     in every lane.  Inputs keep their current values (initially 0). *)
 
 type port
-(** A resolved port handle (see {!Compile.port}): resolve once with
-    {!in_port}/{!out_port}, then drive and sample it per lane with no
-    name lookup.  The string-keyed accessors below are wrappers over
-    these. *)
+(** A resolved port of one circuit: name lookup happens once, in
+    {!in_port}/{!out_port}, and {!set_port}/{!get_port} then touch only
+    integers.  A handle is valid for every instance of the circuit it was
+    resolved on. *)
 
 val in_port : t -> string -> port
-(** @raise Invalid_argument on an unknown input name, listing the
-    circuit's input ports. *)
-
-val out_port : t -> string -> port
-(** @raise Invalid_argument on an unknown output name. *)
-
-val set_port : t -> port -> lane:int -> int -> unit
-(** Drives an input of one lane (masked to the port width).
-    @raise Invalid_argument on an out-of-range lane. *)
-
-val get_port : t -> port -> lane:int -> int
-(** Unsigned value of an output in one lane, after settling.
-    @raise Invalid_argument on an out-of-range lane. *)
-
-val set : t -> string -> int -> unit
-(** [set sim port v] drives input [port] of lane 0 with [v] (masked to
-    the port width; negative values are taken as two's complement).
+(** The handle of an input port, for {!set_port}.
     @raise Invalid_argument on an unknown input name, listing the
     circuit's input ports. *)
 
-val get : t -> string -> int
-(** Unsigned value of an output port in lane 0, after settling the
-    fabric.
+val out_port : t -> string -> port
+(** The handle of an output port, for {!get_port}.
     @raise Invalid_argument on an unknown output name. *)
 
-val get_signed : t -> string -> int
-
-val set_lane : t -> lane:int -> string -> int -> unit
-(** As {!set}, for an explicit lane.
+val set_port : t -> port -> lane:int -> int -> unit
+(** [set_port sim p ~lane v] drives input [p] of lane [lane] with [v]
+    (masked to the port width; negative values are taken as two's
+    complement).
     @raise Invalid_argument on an out-of-range lane. *)
 
-val get_lane : t -> lane:int -> string -> int
-val get_signed_lane : t -> lane:int -> string -> int
+val get_port : t -> port -> lane:int -> int
+(** Unsigned value of output [p] in lane [lane], after settling the
+    fabric.
+    @raise Invalid_argument on an out-of-range lane. *)
+
+val set : ?lane:int -> t -> string -> int -> unit
+(** [set ~lane sim port v] is {!set_port} on [in_port sim port], lane
+    [lane] (default 0).
+    @raise Invalid_argument on an unknown input name (listing the
+    circuit's input ports) or an out-of-range lane. *)
+
+val get : ?lane:int -> t -> string -> int
+(** {!get_port} on [out_port sim port], lane [lane] (default 0).
+    @raise Invalid_argument on an unknown output name or a bad lane. *)
+
+val get_signed : ?lane:int -> t -> string -> int
 
 val step : t -> unit
-(** One rising clock edge for every lane: settle, then latch all
-    registers and apply enabled memory writes in declared port order (on
-    an address conflict the later-declared port wins, resolved per
-    lane). *)
-
-val batch_step : t -> unit
-(** Explicit batched entry point; identical to {!step}. *)
+(** One rising clock edge for every lane: settle, gather enabled memory
+    writes, latch all registers, then apply the writes in declared port
+    order (on an address conflict the later-declared port wins — the
+    resolution is per lane). *)
 
 val step_n : t -> int -> unit
 
-val peek : t -> Netlist.uid -> int
-(** Unsigned value of an arbitrary node in lane 0, after settling. *)
+val peek : ?lane:int -> t -> Netlist.uid -> int
+(** Unsigned value of an arbitrary node in lane [lane] (default 0), after
+    settling.  Nodes eliminated from the schedule are evaluated on demand
+    (memoized per lane until the next state change), so waveform
+    recording over dead logic still works. *)
 
-val peek_signed : t -> Netlist.uid -> int
-
-val peek_lane : t -> lane:int -> Netlist.uid -> int
+val peek_signed : ?lane:int -> t -> Netlist.uid -> int
 
 val cycle_count : t -> int
 (** Number of {!step}s since creation or the last {!reset}. *)
 
-val compiled_nodes : t -> int
-(** Instructions left in the levelized schedule after dead-logic
-    elimination and concat fusion (see {!Compile.compiled_nodes}). *)
-
-val total_nodes : t -> int
-(** Nodes of the underlying netlist. *)
+val mem_word : ?lane:int -> t -> Netlist.mem_id -> int -> int
+(** Current contents of one memory word in lane [lane] (for state
+    cross-checks). *)

@@ -244,14 +244,6 @@ let test_driver_timeout_reports_batch () =
       check bool "mentions duty" true (contains msg "duty")
   | _ -> Alcotest.fail "expected timeout"
 
-let same_result what (a : Axis.Driver.result) (b : Axis.Driver.result) =
-  check bool (what ^ ": outputs") true
-    (List.equal Axis.Block.equal a.outputs b.outputs);
-  check int (what ^ ": latency") a.latency b.latency;
-  check int (what ^ ": periodicity") a.periodicity b.periodicity;
-  check int (what ^ ": cycles") a.cycles b.cycles;
-  check bool (what ^ ": violations") true (a.violations = b.violations)
-
 (* A master that never waits and never frames: [m_valid] stuck high,
    [m_last] stuck low and the data a free-running counter, so every
    stalled beat changes under the monitor. *)
@@ -269,13 +261,21 @@ let babbler () =
 let test_driver_batched_matches_sequential () =
   (* Lane-parallel runs must reproduce the sequential outputs exactly,
      for every split of matrices across lanes (including uneven ones),
-     and the reference interpreter must reproduce the levelized engine's
-     whole result — outputs, latency, periodicity, cycles and the
-     monitor's violations — under back-pressure and input gaps too. *)
+     under back-pressure and input gaps too.  The simulator itself is
+     checked lane by lane against the reference interpreter on both
+     testbench circuits. *)
   let c =
     Axis.Adapter.wrap_matrix_kernel ~name:"pt" ~latency:0
       ~kernel:passthrough_kernel ()
   in
+  List.iter
+    (fun (name, circuit) ->
+      match Hw.Equiv.crosscheck ~lanes:3 circuit with
+      | Hw.Equiv.Equivalent -> ()
+      | r ->
+          Alcotest.failf "%s: simulator vs interpreter: %a" name
+            Hw.Equiv.pp_result r)
+    [ ("passthrough", c); ("babbler", babbler ()) ];
   let inputs = mats 7 in
   let seq = Axis.Driver.run c inputs in
   let stimuli =
@@ -291,30 +291,27 @@ let test_driver_batched_matches_sequential () =
       List.iter
         (fun (name, input_gap, ready_pattern) ->
           let what = Printf.sprintf "batch %d, %s" batch name in
-          let run engine =
-            Axis.Driver.run ~engine ~batch ~input_gap ~ready_pattern c inputs
+          let r =
+            Axis.Driver.run ~batch ~input_gap ~ready_pattern c inputs
           in
-          let r = run Axis.Driver.Compiled in
           check int (what ^ ": clean protocol") 0
             (List.length r.Axis.Driver.violations);
           check bool (what ^ ": same outputs") true
             (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs
-               seq.Axis.Driver.outputs);
-          same_result (what ^ ", reference engine") r (run Axis.Driver.Reference))
+               seq.Axis.Driver.outputs))
         stimuli)
     [ 1; 3; 7; 16 ];
-  (* A protocol-violating master: both engines report the same list. *)
+  (* A protocol-violating master is reported at every batch width. *)
   List.iter
     (fun batch ->
-      let run engine =
-        Axis.Driver.run ~engine ~batch ~ready_pattern:(fun t -> t mod 3 = 0)
+      let r =
+        Axis.Driver.run ~batch ~ready_pattern:(fun t -> t mod 3 = 0)
           (babbler ()) (mats 2)
       in
-      let r = run Axis.Driver.Compiled in
-      check bool "babbler violates" true (r.Axis.Driver.violations <> []);
-      same_result
-        (Printf.sprintf "babbler, batch %d, reference engine" batch)
-        r (run Axis.Driver.Reference))
+      check bool
+        (Printf.sprintf "babbler violates, batch %d" batch)
+        true
+        (r.Axis.Driver.violations <> []))
     [ 1; 2 ];
   (* transform_batch is the one-matrix-per-lane convenience wrapper *)
   let got = Axis.Driver.transform_batch c inputs in

@@ -1,8 +1,8 @@
 (* The resilience layer (DESIGN.md §11): typed Flow errors for every
-   failure class, the compiled-sim -> interpreter fallback, keep-going
-   sweep semantics, atomic trace writes and the stats diagnostics.  Every
-   fault here is injected through Core.Faultinject with a fixed seed —
-   nothing depends on wall clock or scheduling. *)
+   failure class, keep-going sweep semantics, atomic trace writes and the
+   stats diagnostics.  Every fault here is injected through
+   Core.Faultinject with a fixed seed — nothing depends on wall clock or
+   scheduling. *)
 
 let idct = Core.Kernel.idct
 
@@ -88,8 +88,6 @@ let test_crash_classification () =
     | Core.Flow.Engine_failure _ -> ()
     | c -> Alcotest.fail ("elaborate: " ^ Core.Flow.class_name c));
   crash "simulate" (function
-    (* The probe fires at stage entry, before either engine runs, so the
-       interpreter fallback cannot save it: an engine failure. *)
     | Core.Flow.Engine_failure _ -> ()
     | c -> Alcotest.fail ("simulate: " ^ Core.Flow.class_name c));
   crash "synthesize" (function
@@ -163,34 +161,6 @@ let test_summary_aligns_long_keys () =
           end)
         rows
   | _ -> Alcotest.fail "summary has no header"
-
-(* ---------------- the compiled -> interpreter fallback --------------- *)
-
-let test_engine_fallback_recovers () =
-  let clean = Core.Flow.measure_uncached ~spec:Core.Flow.idct_spec ~matrices:3 victim_design in
-  Core.Faultinject.arm
-    { Core.Faultinject.fault = Engine_crash; target = victim_key; seed = 0 };
-  let degraded =
-    Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
-        Core.Trace.set_enabled true;
-        Fun.protect
-          ~finally:(fun () -> Core.Trace.set_enabled false)
-          (fun () -> Core.Flow.measure_uncached ~spec:Core.Flow.idct_spec ~matrices:3 victim_design))
-  in
-  let spans = Core.Trace.drain () in
-  (* The retry on the reference interpreter reproduces the compiled
-     engine's measurement exactly... *)
-  check bool "interpreter retry is bit-identical" true (clean = degraded);
-  (* ...and the degradation is on the record. *)
-  let fallbacks =
-    List.concat_map
-      (fun (s : Core.Trace.span) ->
-        List.filter (fun (k, _) -> k = "engine_fallback") s.Core.Trace.counters)
-      spans
-  in
-  check (Alcotest.list (Alcotest.pair string int)) "fallback counter"
-    [ ("engine_fallback", 1) ]
-    fallbacks
 
 (* ---------------- keep-going sweeps ---------------- *)
 
@@ -357,6 +327,7 @@ let test_parse_specs () =
   in
   bad "" "empty fault spec";
   bad "meteor:*" "unknown fault";
+  bad "engine-crash:*" "unknown fault";
   bad "poison:x:-1" "bad seed"
 
 (* ---------------- atomic writes and stats diagnostics ---------------- *)
@@ -451,11 +422,6 @@ let () =
           Alcotest.test_case "canonical rendering" `Quick test_error_rendering;
           Alcotest.test_case "summary aligns long keys" `Quick
             test_summary_aligns_long_keys;
-        ] );
-      ( "fallback",
-        [
-          Alcotest.test_case "compiled -> interpreter" `Quick
-            test_engine_fallback_recovers;
         ] );
       ( "keep-going",
         [

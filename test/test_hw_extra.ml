@@ -283,7 +283,7 @@ let test_port_handles () =
   (* A handle resolves once and keeps the string API's diagnostics:
      unknown names list the ports, lanes are range-checked per call. *)
   let c = adder 8 "ph" in
-  let sim = Sim.create_batch ~batch:2 c in
+  let sim = Sim.create ~batch:2 c in
   let raises_with what needle f =
     match f () with
     | exception Invalid_argument msg ->
@@ -295,7 +295,7 @@ let test_port_handles () =
   raises_with "unknown output" "no output port nope" (fun () ->
       Sim.out_port sim "nope");
   raises_with "interp unknown input" "no input port zzz" (fun () ->
-      Interp.in_port (Interp.create c) "zzz");
+      Interp.set (Interp.create c) "zzz" 1);
   let x = Sim.in_port sim "x" and y = Sim.in_port sim "y" in
   let s = Sim.out_port sim "s" in
   raises_with "lane too high" "lane 2 out of range (batch 2)" (fun () ->
@@ -306,7 +306,7 @@ let test_port_handles () =
   Sim.set_port sim y ~lane:1 100;
   check int "lane 1 sums through handles (masked)" 44 (Sim.get_port sim s ~lane:1);
   check int "lane 0 untouched" 0 (Sim.get_port sim s ~lane:0);
-  check int "string API reads the same slot" 44 (Sim.get_lane sim ~lane:1 "s")
+  check int "string API reads the same slot" 44 (Sim.get sim ~lane:1 "s")
 
 (* A shift result may be declared wider than the shifted operand; the
    shift-out guard must compare against the result width, not the operand
