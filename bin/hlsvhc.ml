@@ -27,9 +27,10 @@ let tools_conv =
   in
   Arg.conv (parse, print)
 
-(* A count (blocks, cycles, a budget) of zero or less would run no
-   work and still report a verdict, so it is a usage error naming the
-   option, like any other malformed value. *)
+(* A count (blocks, cycles, a budget, jobs, a serve limit) of zero or
+   less would run no work, or refuse all of it, and still look like a
+   result, so it is a usage error naming the option, like any other
+   malformed value. *)
 let pos_int =
   let parse s =
     match int_of_string_opt s with
@@ -91,7 +92,7 @@ let opt_flag =
 let jobs_opt =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Evaluation worker domains (default: \\$(b,HLSVHC_JOBS) or the \
@@ -177,19 +178,29 @@ let arm_fault = function
           exit 2)
 
 (* Run [f] with tracing enabled when [trace] names a file; the spans are
-   drained and written after [f] finishes, even if it raises. *)
+   drained and written after [f] finishes, even if it raises.  The write
+   runs outside any [~finally], so an unwritable trace path surfaces as
+   the typed [Core.Trace.Write_error]; when [f] itself raised, that
+   exception wins. *)
 let with_trace trace f =
   match trace with
   | None -> f ()
-  | Some file ->
+  | Some file -> (
       Core.Trace.set_enabled true;
-      Fun.protect
-        ~finally:(fun () ->
-          Core.Trace.set_enabled false;
-          let spans = Core.Trace.drain () in
-          Core.Trace.write_json file spans;
-          Printf.eprintf "trace: %d spans -> %s\n%!" (List.length spans) file)
-        f
+      let write () =
+        Core.Trace.set_enabled false;
+        let spans = Core.Trace.drain () in
+        Core.Trace.write_json file spans;
+        Printf.eprintf "trace: %d spans -> %s\n%!" (List.length spans) file
+      in
+      match f () with
+      | v ->
+          write ();
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          (try write () with Core.Trace.Write_error _ -> ());
+          Printexc.raise_with_backtrace e bt)
 
 (* The one driver behind table2, fig1, ablations, comply, sweep and dse:
    arm the fault, attach the store, trace, compute, then one epilogue.
@@ -408,7 +419,8 @@ let waves_cmd =
           done;
           Hw.Waves.step w
         done;
-        Hw.Waves.save w out;
+        Core.Trace.write_atomic out (fun oc ->
+            output_string oc (Hw.Waves.to_string w));
         Printf.printf "wrote %d cycles of %s to %s\n" cycles
           circuit.Hw.Netlist.circuit_name out
   in
@@ -754,10 +766,9 @@ let transfo_cmd =
                 latency;
               Option.iter
                 (fun path ->
-                  let oc = open_out path in
-                  output_string oc
-                    (Hw.Verilog.emit subj.Transfo.Subject.circuit);
-                  close_out oc;
+                  Core.Trace.write_atomic path (fun oc ->
+                      output_string oc
+                        (Hw.Verilog.emit subj.Transfo.Subject.circuit));
                   Printf.eprintf "transfo: wrote %s\n%!" path)
                 out)
   in
@@ -781,7 +792,7 @@ let serve_cmd =
   let max_conns =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "max-conns" ] ~docv:"N"
           ~doc:
             "Drain after serving $(docv) connections (soak tests and \
@@ -790,7 +801,7 @@ let serve_cmd =
   in
   let conn_workers =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "conn-workers" ] ~docv:"N"
           ~doc:
             "Connection-handling worker domains: a slow client occupies one \
@@ -815,7 +826,7 @@ let serve_cmd =
   in
   let max_inflight =
     Arg.(
-      value & opt int 16
+      value & opt pos_int 16
       & info [ "max-inflight" ] ~docv:"N"
           ~doc:
             "Load shedding: beyond $(docv) accepted-but-unfinished \
@@ -824,7 +835,7 @@ let serve_cmd =
   in
   let max_batch =
     Arg.(
-      value & opt int 256
+      value & opt pos_int 256
       & info [ "max-batch" ] ~docv:"N"
           ~doc:
             "Most request lines accepted in one batch; larger batches \
@@ -1004,4 +1015,17 @@ let main =
       emit_cmd; verilog_cmd; sim_cmd; sweep_cmd; transfo_cmd; serve_cmd;
       store_cmd; waves_cmd; stats_cmd ]
 
-let () = exit (Cmd.eval main)
+(* The one place an unwritable output path is reported.  Every artifact
+   file (--json, --trace, -o) is written through Core.Trace.write_atomic,
+   whose typed failure is a one-line error and exit 1.  Any other
+   uncaught exception is still an internal error, exit 125. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception Core.Trace.Write_error { wr_path; wr_reason } ->
+      Printf.eprintf "hlsvhc: cannot write %s: %s\n" wr_path wr_reason;
+      exit 1
+  | exception e ->
+      Printf.eprintf "hlsvhc: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

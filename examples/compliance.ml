@@ -13,9 +13,9 @@ let report name stats_list =
 
 let () =
   report "reference fixed-point model (10000 blocks)"
-    (Idct.Ieee1180.run ~blocks:10000 Idct.Chenwang.idct);
+    (Idct.Ieee1180.run ~blocks:10000 (List.map Idct.Chenwang.idct));
   report "C program via interpreter (2000 blocks)"
-    (Idct.Ieee1180.run ~blocks:2000 Chls.Idct_c.run);
+    (Idct.Ieee1180.run ~blocks:2000 (List.map Chls.Idct_c.run));
   let gate_level tool =
     let d = Core.Kernel.optimized Core.Kernel.idct tool in
     match d.Core.Design.impl with
@@ -24,7 +24,7 @@ let () =
         report
           (Printf.sprintf "%s optimized, gate level (500 blocks)"
              (Core.Design.tool_name tool))
-          (Idct.Ieee1180.run ~blocks:500 (Axis.Driver.transform c))
+          (Idct.Ieee1180.run ~blocks:500 (Axis.Driver.transform_batch c))
     | Core.Design.Pcie _ -> ()
   in
   gate_level Core.Design.Verilog;

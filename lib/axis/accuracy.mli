@@ -10,9 +10,9 @@
 
     The accumulation order is part of the contract: blocks added in
     sequence produce bit-identical float sums whether the device under
-    test ran sequentially or batched, which is what lets the batched
-    compliance path of [Ieee1180.measure_batch] claim numerical identity
-    with the sequential one. *)
+    test ran sequentially or batched, which is what lets
+    [Ieee1180.measure] hand its dut the whole block list at once and
+    still give the verdict a per-block run would. *)
 
 type t
 (** A mutable accumulator over [Block.size * Block.size] positions. *)

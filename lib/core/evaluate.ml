@@ -99,9 +99,8 @@ let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
              dimension: the driver spreads the blocks across simulation
              lanes and one schedule sweep advances all of them.  The
              verdict is identical to per-block [Driver.transform] calls
-             (Ieee1180.measure_batch preserves the draw and accumulation
-             order); only the wall time and the [sim_batch] counter
-             differ. *)
+             (Ieee1180.measure accumulates the errors in draw order);
+             only the wall time and the [sim_batch] counter differ. *)
           Trace.add_counter "sim_batch" (min blocks 64);
           (* The testbench gets its own span, so a trace separates it
              from stimulus generation, the reference and the accuracy

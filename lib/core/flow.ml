@@ -31,7 +31,7 @@ let idct_spec =
             Idct.Reference.fdct (Axis.Block.Rand.block rng ~lo:(-256) ~hi:255)));
     reference = Idct.Chenwang.idct;
     sim_timeout = None;
-    comply = (fun ~blocks dut -> Idct.Ieee1180.compliant_batch ~blocks dut);
+    comply = (fun ~blocks dut -> Idct.Ieee1180.compliant ~blocks dut);
   }
 
 let span_design spec (d : Design.t) =

@@ -128,8 +128,8 @@ let json_escape s =
 (* Atomic file emission: write a sibling temp file, then rename it over
    [path], so a crash mid-write can never leave a truncated artifact
    behind — readers see the old complete file or the new complete file,
-   nothing in between.  (Used for [--trace], the bench JSON files and
-   every persistent-store entry.) *)
+   nothing in between.  (Used for every file the CLI writes, the bench
+   JSON file and every persistent-store entry.) *)
 
 exception Write_error of { wr_path : string; wr_reason : string }
 
@@ -207,7 +207,16 @@ let write_atomic path emit =
   let tmp = fresh_tmp path in
   let oc =
     try open_out tmp
-    with Sys_error m -> raise (Write_error { wr_path = path; wr_reason = m })
+    with Sys_error m ->
+      (* [m] is "TMP: reason"; the temp name is not the caller's path *)
+      let prefix = tmp ^ ": " in
+      let reason =
+        if String.starts_with ~prefix m then
+          String.sub m (String.length prefix)
+            (String.length m - String.length prefix)
+        else m
+      in
+      raise (Write_error { wr_path = path; wr_reason = reason })
   in
   match emit oc with
   | () ->

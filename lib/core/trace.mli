@@ -69,8 +69,8 @@ val write_atomic : string -> (out_channel -> unit) -> unit
     file is removed and the target is untouched.  The temp name carries
     the pid {e and} a per-process atomic counter, so concurrent domains
     writing the same path never clobber each other's temp file.  Shared
-    by {!write_json}, the bench JSON writers and the persistent result
-    store.
+    by {!write_json}, every file the CLI writes, the bench JSON writer
+    and the persistent result store.
     @raise Write_error when the file cannot be created or published *)
 
 val rename_durable : src:string -> dst:string -> unit

@@ -107,8 +107,3 @@ let to_string t =
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
   Buffer.add_buffer buf t.changes;
   Buffer.contents buf
-
-let save t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc

@@ -18,6 +18,3 @@ val run : t -> int -> unit
 
 val to_string : t -> string
 (** The complete VCD document for the recorded window. *)
-
-val save : t -> string -> unit
-(** Write to a file. *)

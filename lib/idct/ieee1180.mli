@@ -26,29 +26,26 @@ val standard_ranges : range list
     each with sign +1 and -1. *)
 
 val measure :
-  ?blocks:int -> ?seed:int -> range -> (Axis.Block.t -> Axis.Block.t) -> stats
-(** [measure range dut] runs [blocks] (default 10000) random blocks. *)
+  ?blocks:int ->
+  ?seed:int ->
+  range ->
+  (Axis.Block.t list -> Axis.Block.t list) ->
+  stats
+(** [measure range dut] runs [blocks] (default 10000) random blocks.  The
+    dut receives the whole coefficient list in one call (and must return
+    outputs in order), so a stream implementation can spread the blocks
+    across simulation lanes; a per-block function [f] is [List.map f].
+    The error statistics accumulate in draw order, so the verdict does
+    not depend on how the dut batches its work. *)
 
 val judge : stats -> verdict
 
-val run : ?blocks:int -> (Axis.Block.t -> Axis.Block.t) -> (range * stats * verdict) list
-(** Full compliance run over {!standard_ranges}. *)
-
-val compliant : ?blocks:int -> (Axis.Block.t -> Axis.Block.t) -> bool
-
-val measure_batch :
-  ?blocks:int -> ?seed:int -> range -> (Axis.Block.t list -> Axis.Block.t list) -> stats
-(** As {!measure}, but the dut receives the whole coefficient list in one
-    call (and must return outputs in order), so a stream implementation
-    can spread the blocks across simulation lanes.  Numerically identical
-    to {!measure} for a dut that maps blocks independently: the random
-    draw sequence and the error-accumulation order are the same. *)
-
-val run_batch :
+val run :
   ?blocks:int ->
   (Axis.Block.t list -> Axis.Block.t list) ->
   (range * stats * verdict) list
+(** Full compliance run over {!standard_ranges}. *)
 
-val compliant_batch : ?blocks:int -> (Axis.Block.t list -> Axis.Block.t list) -> bool
+val compliant : ?blocks:int -> (Axis.Block.t list -> Axis.Block.t list) -> bool
 
 val pp_stats : Format.formatter -> stats -> unit

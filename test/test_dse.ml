@@ -243,6 +243,31 @@ let test_hillclimb_seeded_reproducible () =
   check bool "budget respected" true
     (a.Dse.Engine.res_stats.Dse.Engine.st_evaluated <= 8)
 
+(* The memo counts what a search revisits: a cold exhaustive pass over
+   Verilog and Vivado HLS (3 + 5 candidates) measures every point, and
+   the budgeted strategies that follow read every point back. *)
+let test_cache_hits () =
+  let spaces =
+    List.map Dse.Space.of_tool [ Core.Design.Verilog; Core.Design.Vivado_hls ]
+  in
+  let stats strategy ?budget () =
+    (Dse.Engine.run ~jobs:2 ?budget ~seed:42 ~strategy
+       ~objective:Dse.Engine.Quality spaces)
+      .Dse.Engine.res_stats
+  in
+  Core.Evaluate.clear_measure_cache ();
+  let cold = stats Dse.Strategy.Exhaustive () in
+  check int "cold: every candidate evaluated" 8 cold.Dse.Engine.st_evaluated;
+  check int "cold: no cache hits" 0 cold.Dse.Engine.st_cache_hits;
+  List.iter
+    (fun strategy ->
+      let warm = stats strategy ~budget:8 () in
+      let name = Dse.Strategy.to_string strategy in
+      check int (name ^ ": evaluated") 8 warm.Dse.Engine.st_evaluated;
+      check int (name ^ ": every candidate a cache hit") 8
+        warm.Dse.Engine.st_cache_hits)
+    [ Dse.Strategy.Random; Dse.Strategy.Hillclimb ]
+
 let test_objective_scores () =
   let m =
     {
@@ -309,6 +334,8 @@ let () =
             test_random_distinct_candidates;
           Alcotest.test_case "hillclimb seeded reproducible" `Slow
             test_hillclimb_seeded_reproducible;
+          Alcotest.test_case "cold misses, warm strategies hit" `Slow
+            test_cache_hits;
           Alcotest.test_case "objective scores" `Quick test_objective_scores;
           Alcotest.test_case "failed points recorded, never raised" `Quick
             test_failed_points_recorded;

@@ -88,22 +88,22 @@ let test_ieee1180_pass () =
   List.iter
     (fun (_, _, (v : Idct.Ieee1180.verdict)) ->
       check bool "compliant" true v.passed)
-    (Idct.Ieee1180.run ~blocks:500 Idct.Chenwang.idct)
+    (Idct.Ieee1180.run ~blocks:500 (List.map Idct.Chenwang.idct))
 
 let test_ieee1180_detects_bad () =
   (* An implementation with a systematic bias must fail. *)
   let biased blk = Array.map (fun v -> Axis.Block.clamp_output (v + 1)) (Idct.Chenwang.idct blk) in
-  check bool "biased fails" false (Idct.Ieee1180.compliant ~blocks:100 biased);
+  check bool "biased fails" false (Idct.Ieee1180.compliant ~blocks:100 (List.map biased));
   (* An implementation computing the forward transform must fail hard. *)
   check bool "wrong transform fails" false
-    (Idct.Ieee1180.compliant ~blocks:20 (fun blk -> Idct.Reference.fdct blk))
+    (Idct.Ieee1180.compliant ~blocks:20 (List.map Idct.Reference.fdct))
 
 let test_ieee1180_zero_rule () =
   let sneaky blk =
     let out = Idct.Chenwang.idct blk in
     if Array.for_all (fun v -> v = 0) blk then Array.map (fun _ -> 1) out else out
   in
-  let _, s, v = List.hd (Idct.Ieee1180.run ~blocks:50 sneaky) in
+  let _, s, v = List.hd (Idct.Ieee1180.run ~blocks:50 (List.map sneaky)) in
   check bool "zero rule violated" false s.Idct.Ieee1180.zero_in_zero_out;
   check bool "fails" false v.Idct.Ieee1180.passed
 

@@ -177,6 +177,58 @@ let test_soak () =
             (List.length r.Store.fk_invalid)
       | Error e -> Alcotest.fail ("fsck after soak: " ^ e))
 
+(* Restart survival, in its own daemon so the soak's counters stay its
+   own: after a cold batch, the in-process memo is cleared and the same
+   batch again must be answered entirely from the validated disk store. *)
+let test_warm_store () =
+  let socket = tmp_path "hlsvhc_serve_warm_%d.sock" in
+  let store_dir = tmp_path "hlsvhc_serve_warm_store_%d" in
+  Store.detach ();
+  Core.Evaluate.clear_measure_cache ();
+  let store = Result.get_ok (Store.attach store_dir) in
+  let cfg =
+    {
+      (Serve.default_config ~socket_path:socket) with
+      jobs = Some 2;
+      store = Some store;
+    }
+  in
+  let server = Domain.spawn (fun () -> Serve.run cfg) in
+  let cleanup () =
+    Store.detach ();
+    Core.Evaluate.clear_measure_cache ();
+    try Unix.unlink socket with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      Serve.Client.wait_ready ~socket ();
+      let evals =
+        List.map
+          (fun label ->
+            Serve.Client.eval_line ~tool:"verilog" ~label ~matrices:2 ())
+          [ "initial"; faulted_label; "optimized" ]
+      in
+      let answer who =
+        let rs = Serve.Client.request ~socket evals in
+        check int (who ^ ": one answer per eval") 3 (List.length rs);
+        List.iter
+          (fun r ->
+            match Serve.Client.parse_metrics r with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail (who ^ ": " ^ e))
+          rs
+      in
+      answer "cold";
+      let hits = (Store.stats store).Store.st_hits in
+      Core.Evaluate.clear_measure_cache ();
+      answer "warm";
+      check int "every warm answer is a store hit" (hits + 3)
+        (Store.stats store).Store.st_hits;
+      (match Serve.Client.request ~socket [ "shutdown" ] with
+      | [ "ok\tbye" ] -> ()
+      | rs ->
+          Alcotest.fail ("unexpected shutdown reply: " ^ String.concat "; " rs));
+      ignore (Domain.join server))
+
 let test_bad_requests () =
   let socket = tmp_path "hlsvhc_serve_bad_%d.sock" in
   Store.detach ();
@@ -476,6 +528,8 @@ let () =
             test_soak;
           Alcotest.test_case "malformed requests poison nothing" `Quick
             test_bad_requests;
+          Alcotest.test_case "warm batch served from the store" `Quick
+            test_warm_store;
         ] );
       ( "hardening",
         [

@@ -79,7 +79,14 @@ let test_retime () =
   check int "latency accounted" 2 subj.Subject.latency_added;
   check bool "registers present" true
     (Array.exists Netlist.is_reg subj.Subject.circuit.Netlist.nodes);
-  check (list string) "history" [ "retime 2" ] subj.Subject.history
+  check (list string) "history" [ "retime 2" ] subj.Subject.history;
+  (* the payoff: under the xcvu9p delay model, four stages cut the row
+     datapath's critical path *)
+  let fmax c = (Timing.analyze Device.xcvu9p c).Timing.fmax_mhz in
+  let before = row_comb "rc_retime4" in
+  let r4 = run_exn "retime 4" (Subject.of_circuit before) in
+  check bool "retime 4 raises fmax" true
+    (fmax r4.Engine.rep_subject.Subject.circuit > fmax before)
 
 let test_outreg () =
   let before = row_comb "rc_outreg" in
@@ -110,6 +117,20 @@ let test_strength_reduce () =
   let r = run_exn "strength_reduce" (Subject.of_circuit before) in
   check int "no constant products remain" 0
     (const_muls r.Engine.rep_subject.Subject.circuit)
+
+(* The two cycle-exact rewrites chained on the IDCT row datapath, the
+   default subject of [hlsvhc transfo]: both steps verify, with the node
+   counts that command prints. *)
+let test_reduce_then_narrow () =
+  let r =
+    run_exn "strength_reduce; narrow" (Subject.of_circuit (row_comb "rc_sn"))
+  in
+  check (list (pair int int)) "nodes per step"
+    [ (144, 305); (305, 305) ]
+    (List.map
+       (fun (sr : Engine.step_report) ->
+         (sr.Engine.sr_nodes_before, sr.Engine.sr_nodes_after))
+       r.Engine.rep_steps)
 
 (* Narrowing re-extends at every boundary, so the interesting metric is
    the width of the arithmetic itself, not the node-count (which grows
@@ -357,6 +378,8 @@ let () =
           test_case "outreg" `Quick test_outreg;
           test_case "strength_reduce" `Quick test_strength_reduce;
           test_case "narrow" `Quick test_narrow;
+          test_case "strength_reduce then narrow on the row datapath" `Quick
+            test_reduce_then_narrow;
           test_case "unroll" `Quick test_unroll;
         ] );
       ( "engine",
