@@ -42,7 +42,3 @@ let summarize (acc : t) =
       abs_float
         (Array.fold_left ( +. ) 0.0 acc.sum_err /. (fb *. float_of_int n2));
   }
-
-let bit_true ~reference inputs outputs =
-  List.length inputs = List.length outputs
-  && List.for_all2 (fun i o -> Block.equal (reference i) o) inputs outputs

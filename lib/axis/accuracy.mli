@@ -1,12 +1,8 @@
-(** Kernel-generic accuracy accounting over {!Block} streams.
-
-    Two oracles live here, shared by every registered kernel:
-
-    - a per-position error-statistics accumulator (the arithmetic core of
-      the IEEE 1180-1990 procedure, but nothing IDCT-specific: any
-      block-to-block kernel can accumulate got-vs-want error surfaces
-      with it), and
-    - a bit-true batch comparison against a reference model.
+(** Kernel-generic accuracy accounting over {!Block} streams: a
+    per-position error-statistics accumulator (the arithmetic core of the
+    IEEE 1180-1990 procedure, but nothing IDCT-specific: any
+    block-to-block kernel can accumulate got-vs-want error surfaces with
+    it).
 
     The accumulation order is part of the contract: blocks added in
     sequence produce bit-identical float sums whether the device under
@@ -34,8 +30,3 @@ val add : t -> want:Block.t -> got:Block.t -> unit
     summation order. *)
 
 val summarize : t -> summary
-
-val bit_true :
-  reference:(Block.t -> Block.t) -> Block.t list -> Block.t list -> bool
-(** [bit_true ~reference inputs outputs]: every output block equals the
-    reference model applied to its input block (and lengths match). *)

@@ -17,18 +17,21 @@ let sign_extend w v =
    collected on any lane.  The beat count is finite, so a run always ends. *)
 let watchdog_cycles = 2000
 
-let run ?(batch = 1) ?(input_gap = 0)
-    ?(ready_pattern = fun _ -> true) ?timeout ?(hook = fun _ _ -> ()) circuit
-    matrices =
+let check_wrapped circuit =
   if not (Stream.is_wrapped circuit) then
-    failwith "Driver.run: circuit does not follow the AXI-Stream convention";
-  if batch < 1 then invalid_arg "Driver.run: batch must be >= 1";
+    failwith "Driver.run: circuit does not follow the AXI-Stream convention"
+
+(* The testbench proper, on a simulator in its reset state whose lane
+   count is the run's: [run] builds a fresh one per call, and
+   [transform_batch] resets and reuses one across its full chunks. *)
+let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
+  let circuit = Sim.circuit sim in
   let n_mat = List.length matrices in
   let lanes = Stream.lanes in
   (* Matrices are split across simulation lanes in contiguous chunks, so
      lane outputs concatenate back in order.  Every lane runs its own
      independent copy of the testbench below; only the clock is shared. *)
-  let n_lanes = max 1 (min batch n_mat) in
+  let n_lanes = Sim.batch sim in
   let chunk_start = Array.make n_lanes 0 and chunk_len = Array.make n_lanes 0 in
   let base = n_mat / n_lanes and rem = n_mat mod n_lanes in
   let pos = ref 0 in
@@ -54,7 +57,6 @@ let run ?(batch = 1) ?(input_gap = 0)
     int_of_float
       (ceil (float_of_int (watchdog_cycles + input_gap) /. duty))
   in
-  let sim = Sim.create ~batch:n_lanes circuit in
   hook "sim_thunks" (Sim.compiled_nodes sim);
   if n_lanes > 1 then hook "sim_batch" n_lanes;
   (* The 22 stream ports are resolved once; the cycle loop below touches
@@ -202,6 +204,15 @@ let run ?(batch = 1) ?(input_gap = 0)
   in
   { outputs; latency; periodicity; cycles = !cycle; violations }
 
+let run ?(batch = 1) ?(input_gap = 0) ?(ready_pattern = fun _ -> true)
+    ?timeout ?(hook = fun _ _ -> ()) circuit matrices =
+  check_wrapped circuit;
+  if batch < 1 then invalid_arg "Driver.run: batch must be >= 1";
+  let n_lanes = max 1 (min batch (List.length matrices)) in
+  drive ~input_gap ~ready_pattern ~timeout ~hook
+    (Sim.create ~batch:n_lanes circuit)
+    matrices
+
 let transform circuit matrix =
   match (run circuit [ matrix ]).outputs with
   | [ out ] -> out
@@ -210,11 +221,27 @@ let transform circuit matrix =
 (* Bulk variant of [transform]: each matrix is an independent fresh-reset
    single-matrix run, so it maps onto the batch dimension directly — one
    lane per matrix, capped per simulator instance to bound the value
-   array.  Outputs are byte-for-byte what per-matrix [transform] calls
-   would return. *)
+   array.  Every full chunk runs on one instance, reset in between (a
+   reset instance is indistinguishable from a fresh one to the
+   testbench, which drives every input before reading any output); a
+   short final chunk gets its own instance rather than idle lanes.
+   Outputs are byte-for-byte what per-matrix [transform] calls would
+   return. *)
 let max_transform_lanes = 64
 
-let transform_batch ?hook circuit matrices =
+let transform_batch ?(hook = fun _ _ -> ()) circuit matrices =
+  check_wrapped circuit;
+  let full = ref None in
+  let sim_for n =
+    match !full with
+    | Some sim when n = max_transform_lanes ->
+        Sim.reset sim;
+        sim
+    | _ ->
+        let sim = Sim.create ~batch:n circuit in
+        if n = max_transform_lanes then full := Some sim;
+        sim
+  in
   let rec chunks = function
     | [] -> []
     | l ->
@@ -228,5 +255,8 @@ let transform_batch ?hook circuit matrices =
   in
   List.concat_map
     (fun chunk ->
-      (run ?hook ~batch:(List.length chunk) circuit chunk).outputs)
+      let sim = sim_for (List.length chunk) in
+      (drive ~input_gap:0 ~ready_pattern:(fun _ -> true) ~timeout:None ~hook
+         sim chunk)
+        .outputs)
     (chunks matrices)

@@ -70,4 +70,7 @@ val transform_batch :
     single-matrix run mapped onto its own simulation lane (capped at 64
     lanes per simulator instance), so the outputs are byte-for-byte what
     per-matrix {!transform} calls would return — at a fraction of the
-    schedule sweeps. *)
+    schedule sweeps.  Every full 64-matrix chunk runs on one simulator
+    instance, {!Hw.Sim.reset} between chunks; a shorter final chunk gets
+    an instance of its own width.  [hook] fires as in {!run}, once per
+    chunk. *)

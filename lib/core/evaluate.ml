@@ -87,10 +87,19 @@ let measure_all_result ?jobs ?(matrices = 4) ~spec designs =
 let measure_all ?jobs ?(matrices = 4) ~spec designs =
   Parallel.map ?jobs (measure ~matrices ~spec) designs
 
-let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
-  Trace.with_span ~design:(Flow.span_design spec d) ~stage:"comply" (fun () ->
+(* [check] is [spec.comply ~blocks], applied once per batch: the
+   design-independent stimulus and reference are prepared before the
+   fan-out, and every design, on every domain, is judged by the same pure
+   checker.  The preparation is its own engine-group span. *)
+let prepare_comply ~blocks ~(spec : Flow.spec) =
+  Trace.with_span ~design:("comply/" ^ spec.Flow.spec_name) ~stage:"prepare"
+    (fun () ->
       Trace.add_counter "blocks" blocks;
-      Faultinject.crash_at_stage ~design:(Flow.span_key d) ~stage:"comply";
+      spec.Flow.comply ~blocks)
+
+let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
+  Flow.stage ~spec d "comply" (fun () ->
+      Trace.add_counter "blocks" blocks;
       match d.Design.impl with
       | Design.Stream circuit ->
           let circuit = Design.force circuit in
@@ -103,15 +112,14 @@ let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
              only the wall time and the [sim_batch] counter differ. *)
           Trace.add_counter "sim_batch" (min blocks 64);
           (* The testbench gets its own span, so a trace separates it
-             from stimulus generation, the reference and the accuracy
-             statistics that [spec.comply] runs around it. *)
+             from the accuracy statistics that [check] runs around it. *)
           let hook k v = if k = "cycles" then Trace.add_counter k v in
           let dut_batch blks =
             Trace.with_span ~design:(Flow.span_design spec d)
               ~stage:"testbench" (fun () ->
                 Axis.Driver.transform_batch ~hook circuit blks)
           in
-          spec.Flow.comply ~blocks dut_batch
+          check dut_batch
       | Design.Pcie p ->
           (* The MaxJ kernels are checked by their own stream simulators —
              dispatching on the design under test, so the optimized kernel
@@ -122,9 +130,14 @@ let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
           let got = p.Design.simulate mats in
           List.for_all2 Axis.Block.equal got (List.map spec.Flow.reference mats))
 
+let check_compliance ?(blocks = 500) ~spec d =
+  comply_design ~blocks ~spec (prepare_comply ~blocks ~spec) d
+
 let compliance_all_result ?jobs ?(blocks = 500) ~spec designs =
+  let check = prepare_comply ~blocks ~spec in
   List.combine designs
-    (map_designs ?jobs (check_compliance ~blocks ~spec) designs)
+    (map_designs ?jobs (comply_design ~blocks ~spec check) designs)
 
 let compliance_all ?jobs ?(blocks = 500) ~spec designs =
-  Parallel.map ?jobs (fun d -> (d, check_compliance ~blocks ~spec d)) designs
+  let check = prepare_comply ~blocks ~spec in
+  Parallel.map ?jobs (fun d -> (d, comply_design ~blocks ~spec check d)) designs

@@ -92,7 +92,12 @@ val compliance_all_result :
   (Design.t * (bool, Flow.error) result) list
 (** The compliance sweep on the domain pool: every design checked
     concurrently and paired, in input order, with its verdict or the
-    typed error its check raised. *)
+    typed error its check raised (at stage ["comply"], see
+    {!Flow.stage}).  [spec.comply ~blocks] is applied once per call,
+    before the fan-out, in a ["prepare"] span of the engine group
+    ["comply/<kernel>"]: the design-independent stimulus and reference
+    are computed once, and every design is judged by the same checker.
+    Nothing of it outlives the call. *)
 
 val compliance_all :
   ?jobs:int ->

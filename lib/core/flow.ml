@@ -17,9 +17,16 @@ type spec = {
   comply : blocks:int -> (Axis.Block.t list -> Axis.Block.t list) -> bool;
 }
 
-let bit_true_comply ~stimulus ~reference ~blocks dut_batch =
+(* Staged like [Ieee1180.compliant]: applying [~blocks] draws the
+   stimulus and computes the reference outputs once; the checker it
+   returns only runs the dut and compares. *)
+let bit_true_comply ~stimulus ~reference ~blocks =
   let mats = stimulus blocks in
-  Axis.Accuracy.bit_true ~reference mats (dut_batch mats)
+  let wants = List.map reference mats in
+  fun dut_batch ->
+    let gots = dut_batch mats in
+    List.compare_lengths gots wants = 0
+    && List.for_all2 Axis.Block.equal gots wants
 
 let idct_spec =
   {
@@ -31,7 +38,7 @@ let idct_spec =
             Idct.Reference.fdct (Axis.Block.Rand.block rng ~lo:(-256) ~hi:255)));
     reference = Idct.Chenwang.idct;
     sim_timeout = None;
-    comply = (fun ~blocks dut -> Idct.Ieee1180.compliant ~blocks dut);
+    comply = (fun ~blocks -> Idct.Ieee1180.compliant ~blocks);
   }
 
 let span_design spec (d : Design.t) =
@@ -200,35 +207,36 @@ let exn_message = function
 let classify ~stage e =
   let msg = exn_message e in
   match stage with
-  | "simulate" when is_driver_timeout e -> Sim_timeout msg
-  | "elaborate" | "validate" | "simulate" -> Engine_failure msg
+  | ("simulate" | "comply") when is_driver_timeout e -> Sim_timeout msg
+  | "elaborate" | "validate" | "simulate" | "comply" -> Engine_failure msg
   | "synthesize" -> Synth_failure msg
   | _ -> Unexpected msg
 
+(* Trace spans carry the kernel-qualified identity so mixed-kernel
+   traces stay attributable; fault targeting and error payloads keep the
+   plain ["Tool/label"] key, which is the stable user-facing name. *)
+let stage ~spec (d : Design.t) name f =
+  let key = span_key d in
+  Trace.with_span ~design:(span_design spec d) ~stage:name (fun () ->
+      try
+        Faultinject.crash_at_stage ~design:key ~stage:name;
+        f ()
+      with
+      | Error _ as e -> raise e
+      | e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Printexc.raise_with_backtrace
+            (Error
+               {
+                 err_design = key;
+                 err_stage = name;
+                 err_class = classify ~stage:name e;
+               })
+            bt)
+
 let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
   let key = span_key d in
-  (* Trace spans carry the kernel-qualified identity so mixed-kernel
-     traces stay attributable; fault targeting and error payloads keep
-     the plain ["Tool/label"] key, which is the stable user-facing name. *)
-  let traced = span_design spec d in
-  let stage name f =
-    Trace.with_span ~design:traced ~stage:name (fun () ->
-        try
-          Faultinject.crash_at_stage ~design:key ~stage:name;
-          f ()
-        with
-        | Error _ as e -> raise e
-        | e ->
-            let bt = Printexc.get_raw_backtrace () in
-            Printexc.raise_with_backtrace
-              (Error
-                 {
-                   err_design = key;
-                   err_stage = name;
-                   err_class = classify ~stage:name e;
-                 })
-              bt)
-  in
+  let stage name f = stage ~spec d name f in
   (* One metrics assembly for both implementation kinds: the synthesis
      report supplies the resource counts, each branch the five values its
      own simulation or system model determines. *)

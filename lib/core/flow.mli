@@ -31,7 +31,11 @@ type spec = {
   comply : blocks:int -> (Axis.Block.t list -> Axis.Block.t list) -> bool;
       (** the kernel's compliance procedure over a batched stream
           transform: IEEE 1180-1990 for the IDCT, bit-true-vs-reference
-          ({!bit_true_comply}) for kernels without a statistical spec *)
+          ({!bit_true_comply}) for kernels without a statistical spec.
+          Staged: applying [~blocks] prepares the design-independent
+          data (stimulus and reference outputs), and the returned checker
+          is pure — it never writes to that data, so one checker may be
+          shared by every design on every domain *)
 }
 
 val bit_true_comply :
@@ -42,7 +46,8 @@ val bit_true_comply :
   bool
 (** The default [comply] for exact kernels: draw [blocks] stimulus
     blocks, push them through the batched DUT, require every output
-    bit-identical to the reference model. *)
+    bit-identical to the reference model.  Staged: applying [~blocks]
+    draws the stimulus and computes the reference outputs once. *)
 
 val idct_spec : spec
 (** The paper's kernel: IEEE-1180-seeded FDCT coefficient blocks checked
@@ -118,6 +123,15 @@ val fail_fast : 'a * error list -> 'a
 val render_failure_summary : error list -> string
 (** The failure table: one row per failed design point.  The design
     column is as wide as the longest key (at least 28 characters). *)
+
+val stage : spec:spec -> Design.t -> string -> (unit -> 'a) -> 'a
+(** [stage ~spec d name f] runs [f] as pipeline stage [name] of [d]: in
+    a {!span_design} span, after the [crash@name] fault point, with any
+    exception other than {!Error} raised as an {!Error} at stage [name].
+    Its class comes from the stage: a driver timeout in [simulate] or
+    [comply] is a {!Sim_timeout}, anything else in [elaborate],
+    [validate], [simulate] or [comply] an {!Engine_failure}, anything in
+    [synthesize] a {!Synth_failure}, the rest {!Unexpected}. *)
 
 val measure_uncached : ?matrices:int -> spec:spec -> Design.t -> Metrics.measured
 (** Run the full staged pipeline on one design under [spec]'s kernel.

@@ -34,14 +34,23 @@ let stats_of_summary (s : Axis.Accuracy.summary) ~zero =
     zero_in_zero_out = zero;
   }
 
-(* The dut sees the whole coefficient list in one call, so a stream
-   implementation can spread the blocks across simulation lanes.  The
-   error statistics accumulate in draw order, so the verdict does not
-   depend on how the dut batches its work. *)
-let measure ?(blocks = 10000) ?(seed = 1) range dut =
+(* One condition's stimulus and reference outputs, drawn once and shared
+   read-only by every dut judged against them.  They are stored packed,
+   64 [int16] per block (coefficients are 12-bit, reference samples
+   9-bit), so a prepared run costs a few hundred kilobytes rather than a
+   boxed block list per condition. *)
+type packed = (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type prepared = { range : range; p_blocks : int; coeffs : packed; wants : packed }
+
+let n2 = Axis.Block.size * Axis.Block.size
+
+let prepare ?(blocks = 10000) ?(seed = 1) range =
   let rng = Axis.Block.Rand.create ~seed () in
-  let coeffs_rev = ref [] and wants_rev = ref [] in
-  for _ = 1 to blocks do
+  let packed () = Bigarray.(Array1.create int16_signed c_layout (blocks * n2)) in
+  let coeffs = packed () and wants = packed () in
+  let store dst k b = Array.iteri (fun i v -> dst.{(k * n2) + i} <- v) b in
+  for k = 0 to blocks - 1 do
     let samples = Axis.Block.Rand.block rng ~lo:range.lo ~hi:range.hi in
     let samples =
       if range.sign < 0 then Array.map (fun v -> -v) samples else samples
@@ -49,20 +58,41 @@ let measure ?(blocks = 10000) ?(seed = 1) range dut =
     (* IEEE 1180 clamps the random samples to the 9-bit range before the
        forward transform (relevant for the (-300,300) condition). *)
     let samples = Array.map Axis.Block.clamp_output samples in
-    let coeffs = Reference.fdct samples in
-    coeffs_rev := coeffs :: !coeffs_rev;
-    wants_rev := Reference.idct coeffs :: !wants_rev
+    let c = Reference.fdct samples in
+    store coeffs k c;
+    store wants k (Reference.idct c)
   done;
-  let gots = dut (List.rev !coeffs_rev) in
-  let acc = Axis.Accuracy.create () in
-  List.iter2
-    (fun want got -> Axis.Accuracy.add acc ~want ~got)
-    (List.rev !wants_rev) gots;
+  { range; p_blocks = blocks; coeffs; wants }
+
+(* The judge half: the dut sees the whole coefficient list in one call,
+   so a stream implementation can spread the blocks across simulation
+   lanes.  The error statistics accumulate in draw order, so the verdict
+   does not depend on how the dut batches its work.  Nothing here writes
+   to [p]. *)
+let stats p dut =
+  let unpack k = Array.init n2 (fun i -> p.coeffs.{(k * n2) + i}) in
+  let gots = dut (List.init p.p_blocks unpack) in
+  if List.length gots <> p.p_blocks then
+    invalid_arg
+      (Printf.sprintf "Ieee1180: the dut returned %d blocks for %d"
+         (List.length gots) p.p_blocks);
+  let acc = Axis.Accuracy.create () and want = Axis.Block.create () in
+  List.iteri
+    (fun k got ->
+      for i = 0 to n2 - 1 do
+        want.(i) <- p.wants.{(k * n2) + i}
+      done;
+      Axis.Accuracy.add acc ~want ~got)
+    gots;
   let zero =
     let z = Axis.Block.create () in
     match dut [ z ] with [ got ] -> Axis.Block.equal got z | _ -> false
   in
   stats_of_summary (Axis.Accuracy.summarize acc) ~zero
+
+(* Each entry point is staged: applying everything but the dut prepares
+   the stimulus and reference, and the returned checker only judges. *)
+let measure ?blocks ?seed range = stats (prepare ?blocks ?seed range)
 
 let judge s =
   let checks =
@@ -80,15 +110,18 @@ let judge s =
   in
   { passed = failures = []; failures }
 
-let run ?blocks dut =
-  List.map
-    (fun r ->
-      let s = measure ?blocks r dut in
-      (r, s, judge s))
-    standard_ranges
+let run ?blocks =
+  let ps = List.map (prepare ?blocks) standard_ranges in
+  fun dut ->
+    List.map
+      (fun p ->
+        let s = stats p dut in
+        (p.range, s, judge s))
+      ps
 
-let compliant ?blocks dut =
-  List.for_all (fun (_, _, v) -> v.passed) (run ?blocks dut)
+let compliant ?blocks =
+  let run = run ?blocks in
+  fun dut -> List.for_all (fun (_, _, v) -> v.passed) (run dut)
 
 let pp_stats ppf s =
   Format.fprintf ppf

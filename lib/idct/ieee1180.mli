@@ -36,7 +36,14 @@ val measure :
     outputs in order), so a stream implementation can spread the blocks
     across simulation lanes; a per-block function [f] is [List.map f].
     The error statistics accumulate in draw order, so the verdict does
-    not depend on how the dut batches its work. *)
+    not depend on how the dut batches its work.
+
+    Staged: applying every argument but the dut draws the blocks and
+    runs the double-precision FDCT and reference IDCT once, storing the
+    coefficients and reference outputs packed.  The returned checker only
+    runs the dut and accumulates the statistics; it never writes to the
+    prepared data, so it may be applied to any number of duts, from any
+    domain. *)
 
 val judge : stats -> verdict
 
@@ -44,8 +51,13 @@ val run :
   ?blocks:int ->
   (Axis.Block.t list -> Axis.Block.t list) ->
   (range * stats * verdict) list
-(** Full compliance run over {!standard_ranges}. *)
+(** Full compliance run over {!standard_ranges}, staged like {!measure}:
+    [run ~blocks] prepares all six conditions.  Each condition makes one
+    [blocks]-block dut call and one single-block zero call, in the order
+    of {!standard_ranges}. *)
 
 val compliant : ?blocks:int -> (Axis.Block.t list -> Axis.Block.t list) -> bool
+(** Every condition of {!run} passes.  Staged the same way, and every
+    condition is run even after one fails. *)
 
 val pp_stats : Format.formatter -> stats -> unit

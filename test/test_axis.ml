@@ -318,6 +318,39 @@ let test_driver_batched_matches_sequential () =
   check bool "transform_batch matches" true
     (List.for_all2 Axis.Block.equal got seq.Axis.Driver.outputs)
 
+let test_transform_batch_chunks () =
+  (* 130 matrices are two full 64-lane chunks, which share one simulator
+     reset in between, plus a 2-matrix remainder on its own instance.  The
+     kernel adds a free-running cycle counter to every sample, so a chunk
+     that started from the previous chunk's state would read different
+     outputs than a fresh per-matrix run. *)
+  let kernel b mid =
+    let open Hw in
+    let tick = Builder.reg b ~width:16 "tick" in
+    Builder.connect b tick (Builder.add b tick (Builder.const b ~width:16 1));
+    Array.map
+      (fun s -> Builder.slice b (Builder.add b (Builder.sext b s 16) tick) ~hi:8 ~lo:0)
+      mid
+  in
+  let c = Axis.Adapter.wrap_matrix_kernel ~name:"ticking" ~latency:0 ~kernel () in
+  let inputs = mats 130 in
+  let calls = Hashtbl.create 4 in
+  let hook k _ =
+    Hashtbl.replace calls k (1 + Option.value ~default:0 (Hashtbl.find_opt calls k))
+  in
+  let got = Axis.Driver.transform_batch ~hook c inputs in
+  let want = List.map (Axis.Driver.transform c) inputs in
+  check int "130 outputs" 130 (List.length got);
+  check bool "same as per-matrix transform" true
+    (List.for_all2 Axis.Block.equal got want);
+  check bool "the counter shows in the output" false
+    (List.for_all2 Axis.Block.equal want (List.map passthrough_expected inputs));
+  List.iter
+    (fun k ->
+      check int (k ^ " once per chunk") 3
+        (Option.value ~default:0 (Hashtbl.find_opt calls k)))
+    [ "sim_thunks"; "cycles" ]
+
 let () =
   Alcotest.run "axis"
     [
@@ -342,5 +375,7 @@ let () =
             test_driver_timeout_reports_batch;
           Alcotest.test_case "batched run == sequential run" `Quick
             test_driver_batched_matches_sequential;
+          Alcotest.test_case "transform_batch across chunks" `Quick
+            test_transform_batch_chunks;
         ] );
     ]

@@ -273,11 +273,26 @@ let test_compliance_keeps_going () =
     (fun (d, r) ->
       match r with
       | Error e ->
-          check string "only the victim fails" victim e.Core.Flow.err_design
+          check string "only the victim fails" victim e.Core.Flow.err_design;
+          check string "typed at the comply stage" "comply"
+            e.Core.Flow.err_stage;
+          check string "engine failure" "engine-failure"
+            (Core.Flow.class_name e.Core.Flow.err_class)
       | Ok ok ->
           check bool "survivor passes" true ok;
           check bool "victim must fail" false (Core.Flow.span_key d = victim))
-    outcomes
+    outcomes;
+  (* A testbench that runs out of budget inside the comply stage is a
+     simulation timeout, like one inside simulate. *)
+  match
+    Core.Flow.stage ~spec:(Core.Kernel.spec kernel) (List.hd designs) "comply"
+      (fun () -> failwith "Driver.run(x): timeout after 9 cycles")
+  with
+  | () -> Alcotest.fail "the stage must raise"
+  | exception Core.Flow.Error e ->
+      check string "timeout stage" "comply" e.Core.Flow.err_stage;
+      check string "timeout class" "sim-timeout"
+        (Core.Flow.class_name e.Core.Flow.err_class)
 
 (* ---------------- artifacts cache nothing of their own ---------------- *)
 

@@ -90,9 +90,12 @@ let test_ieee1180_pass () =
       check bool "compliant" true v.passed)
     (Idct.Ieee1180.run ~blocks:500 (List.map Idct.Chenwang.idct))
 
+(* An implementation with a systematic bias. *)
+let biased blk =
+  Array.map (fun v -> Axis.Block.clamp_output (v + 1)) (Idct.Chenwang.idct blk)
+
 let test_ieee1180_detects_bad () =
   (* An implementation with a systematic bias must fail. *)
-  let biased blk = Array.map (fun v -> Axis.Block.clamp_output (v + 1)) (Idct.Chenwang.idct blk) in
   check bool "biased fails" false (Idct.Ieee1180.compliant ~blocks:100 (List.map biased));
   (* An implementation computing the forward transform must fail hard. *)
   check bool "wrong transform fails" false
@@ -106,6 +109,27 @@ let test_ieee1180_zero_rule () =
   let _, s, v = List.hd (Idct.Ieee1180.run ~blocks:50 (List.map sneaky)) in
   check bool "zero rule violated" false s.Idct.Ieee1180.zero_in_zero_out;
   check bool "fails" false v.Idct.Ieee1180.passed
+
+let test_staged_checker_pure () =
+  (* One prepared checker judges a passing and a failing dut, in both
+     orders, and every verdict equals a fresh run's: judging never
+     writes to the prepared stimulus or reference.  300 blocks is about
+     the fewest at which Chen-Wang passes the mean-error criteria. *)
+  let blocks = 300 in
+  let good = List.map Idct.Chenwang.idct and bad = List.map biased in
+  let fresh dut = Idct.Ieee1180.compliant ~blocks dut in
+  check bool "fresh: Chen-Wang passes" true (fresh good);
+  check bool "fresh: biased fails" false (fresh bad);
+  let comply = Core.Flow.idct_spec.Core.Flow.comply ~blocks in
+  List.iter
+    (fun (name, dut) -> check bool name (fresh dut) (comply dut))
+    [ ("good", good); ("bad", bad); ("bad", bad); ("good", good) ];
+  (* The same for the statistics of the staged [run]. *)
+  let run = Idct.Ieee1180.run ~blocks in
+  let bad_first = run bad in
+  check bool "good stats after bad" true
+    (run good = Idct.Ieee1180.run ~blocks good);
+  check bool "bad stats" true (bad_first = Idct.Ieee1180.run ~blocks bad)
 
 let idct_props =
   [
@@ -156,6 +180,7 @@ let () =
           Alcotest.test_case "reference passes" `Slow test_ieee1180_pass;
           Alcotest.test_case "detects bias" `Quick test_ieee1180_detects_bad;
           Alcotest.test_case "zero rule" `Quick test_ieee1180_zero_rule;
+          Alcotest.test_case "staged checker is pure" `Quick test_staged_checker_pure;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest idct_props);
     ]
