@@ -22,8 +22,8 @@ let check_wrapped circuit =
     failwith "Driver.run: circuit does not follow the AXI-Stream convention"
 
 (* The testbench proper, on a simulator in its reset state whose lane
-   count is the run's: [run] builds a fresh one per call, and
-   [transform_batch] resets and reuses one across its full chunks. *)
+   count is the run's: [run] builds a fresh one per call, and a staged
+   [transform_batch] resets and reuses one per lane count. *)
 let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
   let circuit = Sim.circuit sim in
   let n_mat = List.length matrices in
@@ -181,6 +181,7 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
          (n_mat * lanes))
   end;
   hook "cycles" !cycle;
+  hook "evals" (Sim.evaluations sim);
   (* Latency is measured on the final matrix; periodicity between the last
      two matrices of the lane holding it (contiguous chunks put them in
      the same lane whenever that lane has >= 2).  At batch 1 both reduce
@@ -208,6 +209,7 @@ let run ?(batch = 1) ?(input_gap = 0) ?(ready_pattern = fun _ -> true)
     ?timeout ?(hook = fun _ _ -> ()) circuit matrices =
   check_wrapped circuit;
   if batch < 1 then invalid_arg "Driver.run: batch must be >= 1";
+  if matrices = [] then invalid_arg "Driver.run: no matrices";
   let n_lanes = max 1 (min batch (List.length matrices)) in
   drive ~input_gap ~ready_pattern ~timeout ~hook
     (Sim.create ~batch:n_lanes circuit)
@@ -221,25 +223,26 @@ let transform circuit matrix =
 (* Bulk variant of [transform]: each matrix is an independent fresh-reset
    single-matrix run, so it maps onto the batch dimension directly — one
    lane per matrix, capped per simulator instance to bound the value
-   array.  Every full chunk runs on one instance, reset in between (a
-   reset instance is indistinguishable from a fresh one to the
-   testbench, which drives every input before reading any output); a
-   short final chunk gets its own instance rather than idle lanes.
-   Outputs are byte-for-byte what per-matrix [transform] calls would
-   return. *)
+   array.  Staged: applying the circuit sets up a table of simulator
+   instances, one per lane count, that every later call shares; an
+   instance is created on first use and reset on reuse (a reset instance
+   is indistinguishable from a fresh one to the testbench, which drives
+   every input before reading any output).  A short final chunk gets an
+   instance of its own width rather than idle lanes.  Outputs are
+   byte-for-byte what per-matrix [transform] calls would return. *)
 let max_transform_lanes = 64
 
-let transform_batch ?(hook = fun _ _ -> ()) circuit matrices =
+let transform_batch ?(hook = fun _ _ -> ()) circuit =
   check_wrapped circuit;
-  let full = ref None in
+  let sims = ref [] in
   let sim_for n =
-    match !full with
-    | Some sim when n = max_transform_lanes ->
+    match List.assoc_opt n !sims with
+    | Some sim ->
         Sim.reset sim;
         sim
-    | _ ->
+    | None ->
         let sim = Sim.create ~batch:n circuit in
-        if n = max_transform_lanes then full := Some sim;
+        sims := (n, sim) :: !sims;
         sim
   in
   let rec chunks = function
@@ -253,10 +256,11 @@ let transform_batch ?(hook = fun _ _ -> ()) circuit matrices =
         let c, rest = take max_transform_lanes [] l in
         c :: chunks rest
   in
-  List.concat_map
-    (fun chunk ->
-      let sim = sim_for (List.length chunk) in
-      (drive ~input_gap:0 ~ready_pattern:(fun _ -> true) ~timeout:None ~hook
-         sim chunk)
-        .outputs)
-    (chunks matrices)
+  fun matrices ->
+    List.concat_map
+      (fun chunk ->
+        let sim = sim_for (List.length chunk) in
+        (drive ~input_gap:0 ~ready_pattern:(fun _ -> true) ~timeout:None ~hook
+           sim chunk)
+          .outputs)
+      (chunks matrices)

@@ -42,6 +42,8 @@ val run :
   result
 (** [batch] (default 1) is the number of simulation lanes the matrices
     are spread across.
+    @raise Invalid_argument if [batch < 1] or [matrices] is empty
+    (["Driver.run: no matrices"]).
     @raise Failure if the circuit lacks the port convention or the
     simulation runs out of budget.  An explicit [timeout] caps the total
     cycles.  Without one, the budget is a stall watchdog: the run fails
@@ -55,8 +57,10 @@ val run :
     output beats and consumed input beats.  [hook] is a stage hook for
     observability layers: called with [sim_thunks] (compiled schedule
     size) after the simulator is built, [sim_batch] (lane count, only
-    when batching is actually in effect) and [cycles] when the stream
-    drains; it must not affect the result. *)
+    when batching is actually in effect), then [cycles] and [evals]
+    ({!Hw.Sim.evaluations}: the schedule rows evaluated, which a batched
+    run keeps to the rows whose inputs changed) when the stream drains;
+    it must not affect the result. *)
 
 val transform : Hw.Netlist.t -> Block.t -> Block.t
 (** Convenience: push one matrix through and return the result. *)
@@ -70,7 +74,14 @@ val transform_batch :
     single-matrix run mapped onto its own simulation lane (capped at 64
     lanes per simulator instance), so the outputs are byte-for-byte what
     per-matrix {!transform} calls would return — at a fraction of the
-    schedule sweeps.  Every full 64-matrix chunk runs on one simulator
-    instance, {!Hw.Sim.reset} between chunks; a shorter final chunk gets
-    an instance of its own width.  [hook] fires as in {!run}, once per
-    chunk. *)
+    schedule sweeps.  An empty list returns [[]].
+
+    Staged: [transform_batch ?hook circuit] returns a closure that owns
+    one simulator instance per lane count it has run (a full 64-lane
+    chunk, a shorter final chunk), created on first use and
+    {!Hw.Sim.reset} on every reuse, across chunks and across calls.  Apply
+    the circuit once and call the closure many times to build each
+    instance once.  The closure is stateful: do not share it across
+    domains.  [hook] fires as in {!run}, once per chunk.
+    @raise Failure at the application to [circuit] if it lacks the port
+    convention. *)

@@ -112,12 +112,17 @@ let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
              only the wall time and the [sim_batch] counter differ. *)
           Trace.add_counter "sim_batch" (min blocks 64);
           (* The testbench gets its own span, so a trace separates it
-             from the accuracy statistics that [check] runs around it. *)
-          let hook k v = if k = "cycles" then Trace.add_counter k v in
+             from the accuracy statistics that [check] runs around it.
+             The driver is staged once per design, so every call of the
+             procedure reuses its simulator instances; [evals] counts the
+             schedule rows the batched sweep did not skip. *)
+          let hook k v =
+            if k = "cycles" || k = "evals" then Trace.add_counter k v
+          in
+          let transform = Axis.Driver.transform_batch ~hook circuit in
           let dut_batch blks =
             Trace.with_span ~design:(Flow.span_design spec d)
-              ~stage:"testbench" (fun () ->
-                Axis.Driver.transform_batch ~hook circuit blks)
+              ~stage:"testbench" (fun () -> transform blks)
           in
           check dut_batch
       | Design.Pcie p ->

@@ -65,7 +65,11 @@ let wide_random rng =
    cycle, every node (including logic the levelized engine eliminated as
    dead) and all memory words at the end.  Several lanes also catch
    lane-indexing bugs (cross-lane bleed, shared state that should be
-   per-lane). *)
+   per-lane).  The stimulus mixes activity levels, since the batched sweep
+   skips rows whose operands did not change: a seeded schedule holds every
+   input on a quarter of the cycles, redraws one lane on another quarter
+   and all lanes on the rest, and halfway through resets the engine (on a
+   held cycle) against fresh interpreters. *)
 let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   if lanes < 1 then invalid_arg "Equiv.crosscheck: lanes must be >= 1";
   let sc = Sim.create ~batch:lanes c in
@@ -73,7 +77,19 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   let rngs =
     Array.init lanes (fun l -> Random.State.make [| seed; 0x5eed; l |])
   in
-  let ins = List.map fst c.Netlist.inputs in
+  let schedule = Random.State.make [| seed; 0xac7 |] in
+  let ins = Array.of_list (List.map fst c.Netlist.inputs) in
+  let held = Array.init lanes (fun _ -> Array.make (Array.length ins) 0) in
+  let redraw l =
+    Array.iteri
+      (fun k nm ->
+        let v = wide_random rngs.(l) in
+        held.(l).(k) <- v;
+        Interp.set refs.(l) nm v;
+        Sim.set ~lane:l sc nm v)
+      ins
+  in
+  let reset_at = cycles / 2 in
   let outs = List.map fst c.Netlist.outputs in
   let regs =
     Array.to_list c.Netlist.nodes
@@ -95,14 +111,23 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   in
   (try
      for cycle = 0 to cycles - 1 do
-       for l = 0 to lanes - 1 do
-         List.iter
-           (fun nm ->
-             let v = wide_random rngs.(l) in
-             Interp.set refs.(l) nm v;
-             Sim.set ~lane:l sc nm v)
-           ins
-       done;
+       (if cycle = reset_at then begin
+          (* [Sim.reset] keeps the inputs; the fresh interpreters get them
+             back, and the cycle holds them. *)
+          Sim.reset sc;
+          for l = 0 to lanes - 1 do
+            refs.(l) <- Interp.create c;
+            Array.iteri (fun k nm -> Interp.set refs.(l) nm held.(l).(k)) ins
+          done
+        end
+        else
+          match Random.State.int schedule 4 with
+          | 0 -> ()
+          | 1 -> redraw (Random.State.int schedule lanes)
+          | _ ->
+              for l = 0 to lanes - 1 do
+                redraw l
+              done);
        for l = 0 to lanes - 1 do
          List.iter
            (fun nm ->

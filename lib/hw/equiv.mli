@@ -23,7 +23,11 @@ val crosscheck :
 (** Drives ONE simulator instance ({!Sim}) with [lanes] lanes (default
     1) against [lanes] independent reference interpreters ({!Interp}),
     each lane fed its own pseudo-random stream (including
-    all-ones and sign-bit extremes at every width).  Outputs and register
+    all-ones and sign-bit extremes at every width).  A seeded schedule
+    mixes the activity: on a quarter of the cycles no input changes, on
+    another quarter one lane's inputs are redrawn, on the rest every
+    lane's; at cycle [cycles / 2] the simulator is {!Sim.reset} (inputs
+    held) and compared against fresh interpreters.  Outputs and register
     state are compared every cycle; at the end every node value
     (exercising the levelized engine's dead-node fallback) and every
     memory word is compared.  Several lanes also catch per-lane state

@@ -9,8 +9,8 @@
     struct-of-arrays instruction table — integer opcodes with all masks,
     shift amounts and sign constants resolved — and every node's value
     lives in one preallocated [int array].  The steady-state path
-    allocates nothing and makes no indirect calls: settling is a single
-    sweep of the table.
+    allocates nothing and makes no indirect calls: settling is one sweep
+    of the table.
 
     [create ?batch] adds a batch dimension: the value array is laid out
     [uid * batch + lane] and each instruction's inner loop evaluates all
@@ -20,6 +20,12 @@
     driven per lane and the state that evolves from them.  Every accessor
     takes [?lane] (default 0), so single-lane callers never see the batch
     dimension.
+
+    The batched sweep ([batch > 1]) evaluates only the rows with an
+    operand that changed since the previous sweep, in any lane, and the
+    latch skips registers whose [d] and enable did not change since they
+    last latched; {!evaluations} counts the rows it did evaluate.  The
+    single-lane sweep evaluates the whole table.
 
     Dead nodes are eliminated and concat chains fused; {!peek} of an
     eliminated node falls back to per-lane on-demand evaluation.
@@ -103,6 +109,13 @@ val peek_signed : ?lane:int -> t -> Netlist.uid -> int
 
 val cycle_count : t -> int
 (** Number of {!step}s since creation or the last {!reset}. *)
+
+val evaluations : t -> int
+(** Number of instruction-table rows evaluated (each over every lane)
+    since creation or the last {!reset}.  A single-lane instance counts
+    the whole table per settling sweep; a batched one only the rows whose
+    operands changed, so [evaluations / (cycle_count * compiled_nodes)]
+    is the activity factor of the stimulus. *)
 
 val mem_word : ?lane:int -> t -> Netlist.mem_id -> int -> int
 (** Current contents of one memory word in lane [lane] (for state

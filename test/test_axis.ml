@@ -319,11 +319,13 @@ let test_driver_batched_matches_sequential () =
     (List.for_all2 Axis.Block.equal got seq.Axis.Driver.outputs)
 
 let test_transform_batch_chunks () =
-  (* 130 matrices are two full 64-lane chunks, which share one simulator
-     reset in between, plus a 2-matrix remainder on its own instance.  The
-     kernel adds a free-running cycle counter to every sample, so a chunk
-     that started from the previous chunk's state would read different
-     outputs than a fresh per-matrix run. *)
+  (* 130 matrices are two full 64-lane chunks plus a 2-matrix remainder.
+     One staged closure runs 130, then 3, then 130 matrices: its 64-lane
+     instance is reset between chunks and between calls, and the 2- and
+     3-lane instances are built once each.  The kernel adds a free-running
+     cycle counter to every sample, so a chunk that started from an
+     earlier chunk's state would read different outputs than a fresh
+     per-matrix run. *)
   let kernel b mid =
     let open Hw in
     let tick = Builder.reg b ~width:16 "tick" in
@@ -333,23 +335,48 @@ let test_transform_batch_chunks () =
       mid
   in
   let c = Axis.Adapter.wrap_matrix_kernel ~name:"ticking" ~latency:0 ~kernel () in
-  let inputs = mats 130 in
   let calls = Hashtbl.create 4 in
   let hook k _ =
     Hashtbl.replace calls k (1 + Option.value ~default:0 (Hashtbl.find_opt calls k))
   in
-  let got = Axis.Driver.transform_batch ~hook c inputs in
-  let want = List.map (Axis.Driver.transform c) inputs in
-  check int "130 outputs" 130 (List.length got);
-  check bool "same as per-matrix transform" true
-    (List.for_all2 Axis.Block.equal got want);
-  check bool "the counter shows in the output" false
-    (List.for_all2 Axis.Block.equal want (List.map passthrough_expected inputs));
+  let transform = Axis.Driver.transform_batch ~hook c in
+  let first = mats 130 in
+  List.iter
+    (fun (what, inputs) ->
+      let got = transform inputs in
+      let want = List.map (Axis.Driver.transform c) inputs in
+      check int (what ^ ": outputs") (List.length inputs) (List.length got);
+      check bool (what ^ ": same as per-matrix transform") true
+        (List.for_all2 Axis.Block.equal got want);
+      check bool (what ^ ": the counter shows in the output") false
+        (List.for_all2 Axis.Block.equal want
+           (List.map passthrough_expected inputs)))
+    [
+      ("130", first);
+      ("then 3", List.rev (mats 3));
+      ("then 130 again", List.rev first);
+    ];
+  check int "empty call" 0 (List.length (transform []));
   List.iter
     (fun k ->
-      check int (k ^ " once per chunk") 3
+      check int (k ^ " once per chunk") 7
         (Option.value ~default:0 (Hashtbl.find_opt calls k)))
-    [ "sim_thunks"; "cycles" ]
+    [ "sim_thunks"; "cycles"; "evals" ]
+
+let test_run_no_matrices () =
+  let c =
+    Axis.Adapter.wrap_matrix_kernel ~name:"pt" ~latency:0
+      ~kernel:passthrough_kernel ()
+  in
+  List.iter
+    (fun batch ->
+      Alcotest.check_raises
+        (Printf.sprintf "batch %d" batch)
+        (Invalid_argument "Driver.run: no matrices")
+        (fun () -> ignore (Axis.Driver.run ~batch c [])))
+    [ 1; 4 ];
+  check int "transform_batch [] is []" 0
+    (List.length (Axis.Driver.transform_batch c []))
 
 let () =
   Alcotest.run "axis"
@@ -377,5 +404,6 @@ let () =
             test_driver_batched_matches_sequential;
           Alcotest.test_case "transform_batch across chunks" `Quick
             test_transform_batch_chunks;
+          Alcotest.test_case "run on no matrices" `Quick test_run_no_matrices;
         ] );
     ]
