@@ -7,10 +7,11 @@ let () =
   Format.printf "%8s %10s %12s %10s %10s@." "stages" "fmax MHz" "P MOPS" "A"
     "Q=P/A";
   let best = ref (0, neg_infinity) in
+  let kernel = Dslx.Idct_dslx.kernel_circuit () in
   List.iter
     (fun stages ->
       let d =
-        Dslx.Idct_dslx.design ~stages
+        Dslx.Idct_dslx.design ~stages ~kernel
           ~name:(Printf.sprintf "xls_s%d" stages)
           ()
       in

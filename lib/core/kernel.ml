@@ -198,6 +198,9 @@ let bsv =
 
 let dslx =
   let listing = Dslx.Emit.emit Dslx.Idct_dslx.program in
+  (* Type-checked and lowered once per process, on first use (a top-level
+     value would cost every command's start-up); each point retimes it. *)
+  let kernel = Once.make "XLS/kernel" Dslx.Idct_dslx.kernel_circuit in
   let design label stages =
     mk Dslx label
       (if stages = 0 then "combinational"
@@ -207,8 +210,9 @@ let dslx =
       ~listing
       (Stream
          (cell Dslx label
-            (Dslx.Idct_dslx.design ~stages
-               ~name:(Printf.sprintf "xls_s%d" stages))))
+            (fun () ->
+              Dslx.Idct_dslx.design ~stages ~kernel:(Once.force kernel)
+                ~name:(Printf.sprintf "xls_s%d" stages) ())))
   in
   let initial = design "initial" 0 in
   (* One genuine knob: the retiming stage count (0 = combinational). *)

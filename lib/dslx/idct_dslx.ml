@@ -212,10 +212,9 @@ let kernel_circuit () =
   | Error e -> failwith ("dslx idct does not typecheck: " ^ e));
   Lower.circuit program
 
-let design ?(stages = 0) ~name () =
+let design ?(stages = 0) ~kernel ~name () =
   let kernel_net =
-    let c = kernel_circuit () in
-    if stages = 0 then c else Hw.Pipeline.retime ~stages c
+    if stages = 0 then kernel else Hw.Pipeline.retime ~stages kernel
   in
   let kernel b (mid : Hw.Builder.s array) =
     let inputs =

@@ -8,7 +8,10 @@ val program : Ir.program
 val kernel_circuit : unit -> Hw.Netlist.t
 (** Elaborated combinational kernel (ports [m_0..m_63] / [out_0..out_63]). *)
 
-val design : ?stages:int -> name:string -> unit -> Hw.Netlist.t
+val design :
+  ?stages:int -> kernel:Hw.Netlist.t -> name:string -> unit -> Hw.Netlist.t
 (** Complete AXI-Stream design.  [stages = 0] (default) is the
     combinational circuit; [stages = n > 0] pipelines the kernel into [n]
-    ranks — XLS's one knob, swept for the paper's 19 configurations. *)
+    ranks — XLS's one knob, swept for the paper's 19 configurations.
+    [kernel] is the {!kernel_circuit}, lowered once and shared by every
+    point. *)

@@ -15,7 +15,6 @@ type t = {
   cache : (Netlist.kind * int, s) Hashtbl.t;
   mutable ins : (string * Netlist.uid) list;
   mutable outs : (string * Netlist.uid) list;
-  mutable unconnected : (Netlist.uid * string) list;
   mutable mems : (string * int * int) list;          (* reversed: name, size, width *)
   mutable mem_writes : (int * Netlist.write_port) list;
 }
@@ -28,7 +27,6 @@ let create cname =
     cache = Hashtbl.create 256;
     ins = [];
     outs = [];
-    unconnected = [];
     mems = [];
     mem_writes = [];
   }
@@ -232,9 +230,7 @@ let reg t ?enable ?(init = 0) ~width name =
         init = Bits.create ~width init;
       }
   in
-  let s = raw_add t kind width (Some name) in
-  t.unconnected <- (s.suid, name) :: t.unconnected;
-  s
+  raw_add t kind width (Some name)
 
 let connect t q d =
   let cell = t.cells.(q.suid) in
@@ -247,8 +243,7 @@ let connect t q d =
           (Printf.sprintf "Builder.connect: width mismatch (%d vs %d)" q.swidth
              d.swidth);
       cell.nkind <- Netlist.Reg { r with d = d.suid }
-  | _ -> failwith "Builder.connect: not a register");
-  t.unconnected <- List.filter (fun (u, _) -> u <> q.suid) t.unconnected
+  | _ -> failwith "Builder.connect: not a register")
 
 let reg_next t ?enable ?init ?(name = "pipe") d =
   let q = reg t ?enable ?init ~width:d.swidth name in
@@ -286,10 +281,20 @@ let mem_write t m ~enable ~addr ~data =
     (m.mid, { Netlist.w_enable = enable.suid; w_addr = addr.suid; w_data = data.suid })
     :: t.mem_writes
 
+(* The latest-declared register whose input is still the sentinel. *)
+let rec last_unconnected t i =
+  if i < 0 then None
+  else
+    match t.cells.(i) with
+    | { nkind = Netlist.Reg { d; _ }; nname; _ } when d = unconnected_sentinel
+      ->
+        Some (Option.value nname ~default:"?")
+    | _ -> last_unconnected t (i - 1)
+
 let finalize t =
-  (match t.unconnected with
-  | [] -> ()
-  | (_, n) :: _ ->
+  (match last_unconnected t (t.count - 1) with
+  | None -> ()
+  | Some n ->
       failwith
         (Printf.sprintf "Builder.finalize(%s): register %s never connected"
            t.cname n));

@@ -1,11 +1,13 @@
-(* Reference interpreter: walks the full levelized order every settle and
-   dispatches on the node kind each time.  It is only the oracle the
-   simulator ({!Sim}) is cross-checked against; nothing in production
-   runs on it. *)
+(* Reference interpreter: walks every combinational node in levelized
+   order on each settle and dispatches on the node kind each time.  The
+   sources hold their values between settles: constants are loaded at
+   [create], inputs at [set] and registers at [step].  It is only the
+   oracle the simulator ({!Sim}) is cross-checked against; nothing in
+   production runs on it. *)
 
 type t = {
   c : Netlist.t;
-  order : Netlist.uid array;
+  comb : Netlist.node array;         (* non-source nodes, in [comb_order] *)
   values : int array;
   masks : int array;
   widths : int array;
@@ -38,7 +40,14 @@ let create c =
   let t =
     {
       c;
-      order = Netlist.comb_order c;
+      comb =
+        Array.to_list (Netlist.comb_order c)
+        |> List.filter_map (fun u ->
+               let nd = Netlist.node c u in
+               match nd.kind with
+               | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ -> None
+               | _ -> Some nd)
+        |> Array.of_list;
       mem_data =
         Array.map (fun (m : Netlist.mem) -> Array.make m.Netlist.mem_size 0) c.mems;
       values = Array.make n 0;
@@ -51,13 +60,14 @@ let create c =
       dirty = true;
     }
   in
-  (* Load initial register values. *)
+  (* Load constants and initial register values. *)
   Array.iter
-    (fun u ->
-      match (Netlist.node c u).kind with
-      | Netlist.Reg { init; _ } -> t.values.(u) <- Bits.to_int init
-      | _ -> assert false)
-    regs;
+    (fun (nd : Netlist.node) ->
+      match nd.kind with
+      | Netlist.Const b | Netlist.Reg { init = b; _ } ->
+          t.values.(nd.uid) <- Bits.to_int b land masks.(nd.uid)
+      | _ -> ())
+    c.nodes;
   t
 
 let signed_of t uid v =
@@ -72,11 +82,9 @@ let eval_node t (nd : Netlist.node) =
   let r =
     match nd.kind with
     | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ ->
-        (* Inputs and register outputs are sources; constants are loaded
-           once below in [settle]'s first pass via this same match. *)
-        (match nd.kind with
-        | Netlist.Const b -> Bits.to_int b
-        | _ -> v.(nd.uid))
+        (* sources are not in [comb]: their values are loaded, never
+           evaluated *)
+        assert false
     | Netlist.Unop (Netlist.Not, a) -> lnot v.(a)
     | Netlist.Unop (Netlist.Neg, a) -> -v.(a)
     | Netlist.Binop (op, a, b) -> (
@@ -121,7 +129,9 @@ let eval_node t (nd : Netlist.node) =
 
 let settle t =
   if t.dirty then begin
-    Array.iter (fun u -> eval_node t t.c.nodes.(u)) t.order;
+    for i = 0 to Array.length t.comb - 1 do
+      eval_node t t.comb.(i)
+    done;
     t.dirty <- false
   end
 
@@ -165,7 +175,9 @@ let step t =
           t.reg_next.(i) <- (if load then t.values.(d) else t.values.(u))
       | _ -> assert false)
     t.regs;
-  Array.iteri (fun i u -> t.values.(u) <- t.reg_next.(i)) t.regs;
+  Array.iteri
+    (fun i u -> t.values.(u) <- t.reg_next.(i) land t.masks.(u))
+    t.regs;
   (* The gather above consed, so reverse to apply in declared port order:
      when two enabled ports hit one address, the later-declared port wins. *)
   List.iter (fun (mi, a, d) -> t.mem_data.(mi).(a) <- d) (List.rev !mem_updates);

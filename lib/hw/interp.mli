@@ -1,9 +1,11 @@
 (** Reference cycle-accurate interpreter of {!Netlist} circuits: the
     oracle of {!Sim}.
 
-    This is the semantic baseline: it re-dispatches on every node kind on
-    every evaluation pass, with no dead-node elimination and no incremental
-    re-evaluation, so it is easy to audit but slow.  Nothing in production
+    This is the semantic baseline: each settle re-dispatches on the kind of
+    every combinational node, with no dead-node elimination and no
+    incremental re-evaluation, so it is easy to audit but slow.  Sources
+    are never evaluated: constants are loaded by {!create}, inputs by
+    {!set} and registers by {!step}.  Nothing in production
     runs on it; it exists so {!Equiv.crosscheck} can compare the simulator
     against it cycle by cycle (and [bench/main.ml] can time the two).
 

@@ -56,6 +56,70 @@ let verify ~cycles ~seed ob ~before ~after =
               Error (Format.asprintf "batch crosscheck: %a" Equiv.pp_result r)
           | Equiv.Equivalent -> Ok ()))
 
+(* Verdicts by content key, shared by every domain of the process.  A
+   script space lists shared prefixes ("strength_reduce" and
+   "strength_reduce; narrow"), so the same step on the same circuit is
+   verified by more than one candidate.  The key is the digest of
+   everything [verify] reads: the obligation, [cycles], [seed] and both
+   circuits (names included: they appear in verdicts).  Circuits are
+   acyclic, so they marshal without sharing: structurally equal circuits
+   give equal bytes however they were built, and no sharing table is
+   allocated (DESIGN.md §17 has its cost).  An entry holds only the
+   digest and the verdict. *)
+type slot = Running | Settled of (unit, string) result
+
+let verdicts : (Digest.t, slot) Hashtbl.t = Hashtbl.create 64
+let verdicts_lock = Mutex.create ()
+let verdicts_changed = Condition.create ()
+
+let verdict_key ~cycles ~seed ob ~before ~after =
+  Digest.string
+    (Marshal.to_string
+       (ob, cycles, seed, before.Subject.circuit, after.Subject.circuit)
+       [ Marshal.No_sharing ])
+
+(* [verify] at most once per key: a caller that finds the key running on
+   another domain waits for it (as [Core.Once] does) and reuses its
+   verdict.  A verification that raises is forgotten, and its waiters
+   wake up to claim the key again. *)
+let verify_once (tr : tracer) ~cycles ~seed ob ~before ~after =
+  let key = verdict_key ~cycles ~seed ob ~before ~after in
+  let claimed =
+    Mutex.protect verdicts_lock (fun () ->
+        let rec claim () =
+          match Hashtbl.find_opt verdicts key with
+          | Some (Settled v) -> Some v
+          | Some Running ->
+              Condition.wait verdicts_changed verdicts_lock;
+              claim ()
+          | None ->
+              Hashtbl.replace verdicts key Running;
+              None
+        in
+        claim ())
+  in
+  let settle slot =
+    Mutex.protect verdicts_lock (fun () ->
+        (match slot with
+        | Some v -> Hashtbl.replace verdicts key (Settled v)
+        | None -> Hashtbl.remove verdicts key);
+        Condition.broadcast verdicts_changed)
+  in
+  match claimed with
+  | Some v ->
+      tr.counter "verify_reused" 1;
+      v
+  | None -> (
+      tr.counter "verify_cycles" cycles;
+      match verify ~cycles ~seed ob ~before ~after with
+      | v ->
+          settle (Some v);
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          settle None;
+          Printexc.raise_with_backtrace e bt)
+
 let apply_step ?(cycles = 256) ?(seed = 7) (module T : Catalog.TRANSFO) ~arg
     (subject : Subject.t) =
   let tr = Atomic.get tracer in
@@ -81,9 +145,8 @@ let apply_step ?(cycles = 256) ?(seed = 7) (module T : Catalog.TRANSFO) ~arg
           let ob = Verify.obligation_name (T.obligation ~arg) in
           match
             tr.wrap ~design ~stage:"transfo:verify" (fun () ->
-                tr.counter "verify_cycles" cycles;
-                verify ~cycles ~seed (T.obligation ~arg) ~before:subject
-                  ~after)
+                verify_once tr ~cycles ~seed (T.obligation ~arg)
+                  ~before:subject ~after)
           with
           | exception (Failure msg | Invalid_argument msg) -> fail ob msg
           | Error reason -> fail ob reason

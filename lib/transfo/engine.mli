@@ -48,7 +48,15 @@ val apply_step :
     crosscheck the levelized engine against the reference interpreter on
     the result (at batch 1, plus a 4-lane batched crosscheck).
     Exceptions raised by the transformation or the checkers are reported
-    as failures, never propagated. *)
+    as failures, never propagated.
+
+    The verification runs at most once per process for each content key
+    (the obligation, [cycles], [seed] and digests of both circuits): a
+    later call with the same key, on any domain, reuses the verdict, and
+    a concurrent one waits for it.  The step itself is always applied.
+    A reused verdict shows as the counter [verify_reused] on the
+    [transfo:verify] span, a fresh one as [verify_cycles].  A
+    verification that raises is not remembered. *)
 
 val run :
   ?cycles:int ->

@@ -184,13 +184,17 @@ let mats n =
   List.init n (fun _ ->
       Idct.Reference.fdct (Axis.Block.Rand.block rng ~lo:(-256) ~hi:255))
 
+let design ~stages name =
+  Dslx.Idct_dslx.design ~stages ~kernel:(Dslx.Idct_dslx.kernel_circuit ())
+    ~name:(Printf.sprintf "%s%d" name stages) ()
+
 let test_stage_sweep_functional () =
   (* The pipeliner must preserve the function for every stage count. *)
   let inputs = mats 3 in
   let expected = List.map Idct.Chenwang.idct inputs in
   List.iter
     (fun stages ->
-      let d = Dslx.Idct_dslx.design ~stages ~name:(Printf.sprintf "s%d" stages) () in
+      let d = design ~stages "s" in
       let r = Axis.Driver.run d inputs in
       check bool (Printf.sprintf "stages=%d bit-true" stages) true
         (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs expected))
@@ -201,19 +205,14 @@ let test_stage_sweep_monotone_fmax () =
      stages the frequency must have grown by at least 3x over the
      combinational design (the effect the paper exploits). *)
   let fmax stages =
-    (Hw.Synth.run
-       (Dslx.Idct_dslx.design ~stages ~name:(Printf.sprintf "m%d" stages) ()))
-      .Hw.Synth.fmax_mhz
+    (Hw.Synth.run (design ~stages "m")).Hw.Synth.fmax_mhz
   in
   let f0 = fmax 0 and f8 = fmax 8 in
   check bool "8 stages at least 3x faster" true (f8 > 3. *. f0)
 
 let test_stage_latency_grows () =
   let lat stages =
-    (Axis.Driver.run
-       (Dslx.Idct_dslx.design ~stages ~name:(Printf.sprintf "l%d" stages) ())
-       (mats 2))
-      .Axis.Driver.latency
+    (Axis.Driver.run (design ~stages "l") (mats 2)).Axis.Driver.latency
   in
   check int "comb latency 17" 17 (lat 0);
   check int "4-stage latency 21" 21 (lat 4)

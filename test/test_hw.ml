@@ -121,6 +121,24 @@ let test_builder_unconnected () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure for unconnected register")
 
+let test_builder_unconnected_names_latest () =
+  let b = Builder.create "bad2" in
+  let q1 = Builder.reg b ~width:4 "q1" in
+  let _q2 = Builder.reg b ~width:4 "q2" in
+  let _q3 = Builder.reg b ~width:4 "q3" in
+  let q4 = Builder.reg b ~width:4 "q4" in
+  Builder.connect b q1 q1;
+  Builder.connect b q4 q1;
+  (match Builder.connect b q1 q4 with
+  | exception Failure msg ->
+      check Alcotest.string "second connect" "Builder.connect: register already connected" msg
+  | () -> Alcotest.fail "expected failure connecting a register twice");
+  match Builder.finalize b with
+  | exception Failure msg ->
+      check Alcotest.string "names the later unconnected register"
+        "Builder.finalize(bad2): register q3 never connected" msg
+  | _ -> Alcotest.fail "expected failure for unconnected registers"
+
 let test_comb_cycle_detect () =
   (* A combinational cycle through two wires must be rejected. *)
   let b = Builder.create "loop" in
@@ -399,6 +417,8 @@ let () =
           Alcotest.test_case "hash-consing" `Quick test_builder_hashcons;
           Alcotest.test_case "mux_list" `Quick test_builder_mux_list;
           Alcotest.test_case "unconnected register" `Quick test_builder_unconnected;
+          Alcotest.test_case "unconnected names the latest" `Quick
+            test_builder_unconnected_names_latest;
           Alcotest.test_case "register self-loop ok" `Quick test_comb_cycle_detect;
         ] );
       ( "sim",

@@ -239,18 +239,46 @@ let test_width_boundary () =
   | _ -> Alcotest.fail "width 63 must be rejected"
 
 let test_write_port_order () =
+  (* [k]/[r]/[u]: a constant, a register with a non-zero init and an input
+     nobody drives — the interpreter's sources, which it loads rather than
+     evaluates. *)
+  let k = ref 0 and r = ref 0 and u = ref 0 and r1 = ref 0 in
   let c =
     let b = Builder.create "wconf" in
     let m = Builder.mem b "m" ~size:8 ~width:8 in
     let we0 = Builder.input b "we0" 1 and we1 = Builder.input b "we1" 1 in
     let addr = Builder.input b "a" 3 in
-    Builder.mem_write b m ~enable:we0 ~addr
-      ~data:(Builder.const b ~width:8 0xAA);
+    let unset = Builder.input b "unset" 5 in
+    let kaa = Builder.const b ~width:8 0xAA in
+    Builder.mem_write b m ~enable:we0 ~addr ~data:kaa;
     Builder.mem_write b m ~enable:we1 ~addr
       ~data:(Builder.const b ~width:8 0x55);
     Builder.output b "q" (Builder.mem_read b m addr);
+    let cnt = Builder.reg b ~init:0x3E ~width:6 "cnt" in
+    let next = Builder.add b cnt (Builder.one b 6) in
+    Builder.connect b cnt next;
+    Builder.output b "cnt" cnt;
+    Builder.output b "u" unset;
+    k := Builder.uid kaa;
+    r := Builder.uid cnt;
+    u := Builder.uid unset;
+    r1 := Builder.uid next;
     Builder.finalize b
   in
+  let sources what si ~cnt =
+    check int (what ^ ": constant") 0xAA (Interp.peek si !k);
+    check int (what ^ ": register") cnt (Interp.peek si !r);
+    check int (what ^ ": register + 1") ((cnt + 1) land 63) (Interp.peek si !r1);
+    check int (what ^ ": unset input") 0 (Interp.peek si !u)
+  in
+  let si = Interp.create c in
+  sources "after create" si ~cnt:0x3E;
+  Interp.set si "a" 3;
+  sources "after set" si ~cnt:0x3E;
+  Interp.step si;
+  sources "after step" si ~cnt:0x3F;
+  Interp.step si;
+  sources "after a wrapping step" si ~cnt:0;
   let drive set step get =
     set "we0" 1;
     set "we1" 1;

@@ -169,8 +169,10 @@ let designs_under_test () =
          (Kernel.optimized idct Design.Dslx) with
          Design.impl =
            Design.Stream
-             (Design.cell Design.Dslx "it4"
-                (Dslx.Idct_dslx.design ~stages:4 ~name:"it4"));
+             (Design.cell Design.Dslx "it4" (fun () ->
+                  Dslx.Idct_dslx.design ~stages:4
+                    ~kernel:(Dslx.Idct_dslx.kernel_circuit ())
+                    ~name:"it4" ()));
        });
   ]
 

@@ -254,6 +254,145 @@ let test_broken_caught () =
   | Ok _ -> fail "wrong latency claim survived verification"
   | Error e -> fail (Engine.error_to_string e)
 
+(* ---------------- the verdict memo ---------------- *)
+
+(* Records, per finished span, its stage and the counters raised inside
+   it (the innermost open span of the calling domain).  The memo is
+   process-wide, so every case below uses a seed no other case uses: its
+   keys are fresh. *)
+let recorded : (string * (string * int) list) list ref = ref []
+let recorded_lock = Mutex.create ()
+let open_counters = Domain.DLS.new_key (fun () -> ref [])
+
+let recording_tracer =
+  {
+    Engine.wrap =
+      (fun ~design:_ ~stage f ->
+        let cur = Domain.DLS.get open_counters in
+        let outer = !cur in
+        cur := [];
+        Fun.protect
+          ~finally:(fun () ->
+            let mine = List.rev !cur in
+            cur := outer;
+            Mutex.protect recorded_lock (fun () ->
+                recorded := (stage, mine) :: !recorded))
+          f);
+    counter =
+      (fun k v ->
+        let cur = Domain.DLS.get open_counters in
+        cur := (k, v) :: !cur);
+  }
+
+(* The counters of every [transfo:verify] span [f] finishes, in order. *)
+let verify_spans f =
+  Engine.set_tracer recording_tracer;
+  recorded := [];
+  let r = f () in
+  let spans =
+    List.rev !recorded
+    |> List.filter_map (fun (stage, cs) ->
+           if stage = "transfo:verify" then Some cs else None)
+  in
+  (r, spans)
+
+let reused cs = List.assoc_opt "verify_reused" cs = Some 1
+let ran cs = List.assoc_opt "verify_cycles" cs = Some 256
+
+let strength_reduce =
+  match Catalog.find "strength_reduce" with
+  | Some m -> m
+  | None -> failwith "strength_reduce not in the catalogue"
+
+let step_exn ~seed subject =
+  match Engine.apply_step ~seed strength_reduce ~arg:None subject with
+  | Ok (s, _) -> s
+  | Error e -> fail (Engine.error_to_string e)
+
+let test_memo_reuse () =
+  let subject = Subject.of_circuit (row_comb "rc_memo") in
+  let (a, b), spans =
+    verify_spans (fun () ->
+        let a = step_exn ~seed:1001 subject in
+        (a, step_exn ~seed:1001 subject))
+  in
+  check (list bool) "second verification reused" [ false; true ]
+    (List.map reused spans);
+  check (list bool) "first verification ran" [ true; false ]
+    (List.map ran spans);
+  check bool "both steps applied, same subject" true (a = b);
+  check (list string) "history" [ "strength_reduce" ] b.Subject.history
+
+let test_memo_two_domains () =
+  let subject = Subject.of_circuit (row_comb "rc_memo2") in
+  let results, spans =
+    verify_spans (fun () ->
+        let d = Domain.spawn (fun () -> step_exn ~seed:1002 subject) in
+        let here = step_exn ~seed:1002 subject in
+        [ here; Domain.join d ])
+  in
+  check int "two verify spans" 2 (List.length spans);
+  check int "exactly one verification ran" 1
+    (List.length (List.filter ran spans));
+  check int "the other reused its verdict" 1
+    (List.length (List.filter reused spans));
+  match results with
+  | [ a; b ] -> check bool "same subject on both domains" true (a = b)
+  | _ -> fail "two results expected"
+
+let test_memo_failures () =
+  let s = Subject.of_circuit (row_comb "rc_memo_bad") in
+  List.iter
+    (fun (what, m) ->
+      let reasons, spans =
+        verify_spans (fun () ->
+            List.init 2 (fun _ ->
+                match Engine.apply_step ~seed:1003 m ~arg:None s with
+                | Error (Engine.Verify_failed { vf_reason; _ }) -> vf_reason
+                | Ok _ -> fail (what ^ " survived verification")
+                | Error e -> fail (Engine.error_to_string e)))
+      in
+      check (list bool) (what ^ ": second call reused") [ false; true ]
+        (List.map reused spans);
+      match reasons with
+      | [ r1; r2 ] -> check string (what ^ ": identical reason") r1 r2
+      | _ -> fail "two reasons expected")
+    [
+      ("bad_reduce", (module Bad_reduce : Catalog.TRANSFO));
+      ("wrong_latency", (module Wrong_latency : Catalog.TRANSFO));
+    ]
+
+(* Claims two port-suffixed copies but returns the circuit unchanged, so
+   the obligation's checker raises on the first missing port. *)
+module Raising_verify = struct
+  let name = "raising_verify"
+  let aliases = []
+  let description = "deliberately broken (test only)"
+  let precondition = "none"
+  let arg = Catalog.No_arg
+  let check ~arg:_ _ = Ok ()
+  let apply ~arg:_ (s : Subject.t) = s
+  let obligation ~arg:_ = Verify.Replicated 2
+end
+
+let test_memo_forgets_raises () =
+  let s = Subject.of_circuit (row_comb "rc_memo_raise") in
+  let reasons, spans =
+    verify_spans (fun () ->
+        List.init 2 (fun _ ->
+            match
+              Engine.apply_step ~seed:1004 (module Raising_verify) ~arg:None s
+            with
+            | Error (Engine.Verify_failed { vf_reason; _ }) -> vf_reason
+            | Ok _ -> fail "a raising verification passed"
+            | Error e -> fail (Engine.error_to_string e)))
+  in
+  check (list bool) "both calls verified" [ true; true ] (List.map ran spans);
+  check (list bool) "nothing reused" [ false; false ] (List.map reused spans);
+  List.iter
+    (fun r -> check bool ("names the missing port: " ^ r) true (contains r "_r0"))
+    reasons
+
 (* ---------------- rederivation pin ---------------- *)
 
 let test_rederive_chisel () =
@@ -387,6 +526,15 @@ let () =
           test_case "preconditions and diagnostics" `Quick test_preconditions;
           test_case "broken transformations are caught" `Quick
             test_broken_caught;
+        ] );
+      ( "memo",
+        [
+          test_case "a repeated step reuses its verdict" `Quick test_memo_reuse;
+          test_case "two domains verify once" `Quick test_memo_two_domains;
+          test_case "a remembered failure fails again" `Quick
+            test_memo_failures;
+          test_case "a raising verification is not remembered" `Quick
+            test_memo_forgets_raises;
         ] );
       ( "rederive",
         [ test_case "chisel optimized = initial + script" `Quick
