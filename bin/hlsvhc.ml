@@ -158,23 +158,16 @@ let fault_opt =
            $(b,slow-client), $(b,conn-drop) or $(b,shed) (SEED bounds how \
            many connections fire, 0 = all), and TARGET a Tool/label \
            substring ($(b,*) for every design; unused by the connection \
-           faults).  The $(b,HLSVHC_FAULT) environment variable is \
-           equivalent.")
+           faults).")
 
-(* Arm the fault-injection harness from --fault, else from HLSVHC_FAULT;
-   a malformed spec is a usage error, not a measurement result. *)
-let arm_fault = function
-  | Some s -> (
+(* Arm the fault-injection harness from --fault; a malformed spec is a
+   usage error, not a measurement result. *)
+let arm_fault =
+  Option.iter (fun s ->
       match Core.Faultinject.parse s with
       | Ok spec -> Core.Faultinject.arm spec
       | Error e ->
           Printf.eprintf "hlsvhc: --fault %S: %s\n" s e;
-          exit 2)
-  | None -> (
-      match Core.Faultinject.load_env () with
-      | Ok _ -> ()
-      | Error e ->
-          Printf.eprintf "hlsvhc: %s\n" e;
           exit 2)
 
 (* Run [f] with tracing enabled when [trace] names a file; the spans are

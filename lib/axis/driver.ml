@@ -8,6 +8,8 @@ type result = {
   violations : Monitor.violation list;
 }
 
+exception Protocol_violation of Monitor.violation
+
 let sign_extend w v =
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
 
@@ -21,25 +23,20 @@ let check_wrapped circuit =
   if not (Stream.is_wrapped circuit) then
     failwith "Driver.run: circuit does not follow the AXI-Stream convention"
 
-(* The testbench proper, on a simulator in its reset state whose lane
-   count is the run's: [run] builds a fresh one per call, and a staged
-   [transform_batch] resets and reuses one per lane count. *)
+(* The testbench proper, on a simulator in its reset state, in one of
+   two shapes: one lane streams every matrix ([run] builds a fresh
+   simulator per call), or each lane holds one matrix (a staged
+   [transform_batch] resets and reuses one simulator per lane count).
+   Either way lane [l] streams the [per_lane] matrices from
+   [l * per_lane], so lane outputs concatenate back in input order;
+   every lane runs its own independent copy of the testbench below, and
+   only the clock is shared. *)
 let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
   let circuit = Sim.circuit sim in
   let n_mat = List.length matrices in
   let lanes = Stream.lanes in
-  (* Matrices are split across simulation lanes in contiguous chunks, so
-     lane outputs concatenate back in order.  Every lane runs its own
-     independent copy of the testbench below; only the clock is shared. *)
   let n_lanes = Sim.batch sim in
-  let chunk_start = Array.make n_lanes 0 and chunk_len = Array.make n_lanes 0 in
-  let base = n_mat / n_lanes and rem = n_mat mod n_lanes in
-  let pos = ref 0 in
-  for l = 0 to n_lanes - 1 do
-    chunk_start.(l) <- !pos;
-    chunk_len.(l) <- (base + if l < rem then 1 else 0);
-    pos := !pos + chunk_len.(l)
-  done;
+  let per_lane = n_mat / n_lanes in
   (* A slow but correct [ready_pattern] stretches every wait by the
      inverse of its duty cycle, so sample the pattern over a window and
      scale the watchdog accordingly (patterns are pure functions of the
@@ -58,7 +55,6 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
       (ceil (float_of_int (watchdog_cycles + input_gap) /. duty))
   in
   hook "sim_thunks" (Sim.compiled_nodes sim);
-  if n_lanes > 1 then hook "sim_batch" n_lanes;
   (* The 22 stream ports are resolved once; the cycle loop below touches
      only handles. *)
   let s_valid = Sim.in_port sim Stream.s_valid
@@ -71,10 +67,10 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
   and m_data = Array.init lanes (fun c -> Sim.out_port sim (Stream.m_data c)) in
   let inputs = Array.of_list matrices in
   (* Per-lane testbench state.  [mat_idx] is the absolute index into
-     [inputs]; a lane is done when it has collected its whole chunk.
+     [inputs]; a lane is done when it has collected its matrices.
      [rows] counts the beats already in [current], the output matrix
      being assembled. *)
-  let mat_idx = Array.init n_lanes (fun l -> chunk_start.(l)) in
+  let mat_idx = Array.init n_lanes (fun l -> l * per_lane) in
   let beat_idx = Array.make n_lanes 0 and gap_left = Array.make n_lanes 0 in
   let collected = Array.make n_lanes [] in
   let current = Array.init n_lanes (fun _ -> Block.create ()) in
@@ -94,8 +90,7 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
     let progress = ref false in
     (* Drive inputs for this cycle, every lane. *)
     for l = 0 to n_lanes - 1 do
-      let lane_end = chunk_start.(l) + chunk_len.(l) in
-      let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
+      let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
       Sim.set_port sim s_valid ~lane:l (if driving then 1 else 0);
       Sim.set_port sim s_last ~lane:l
         (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
@@ -111,8 +106,7 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
        while [m_valid] is up: that is the only time the monitor or the
        collector looks at them. *)
     for l = 0 to n_lanes - 1 do
-      let lane_end = chunk_start.(l) + chunk_len.(l) in
-      let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
+      let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
       let in_ready = Sim.get_port sim s_ready ~lane:l = 1 in
       let valid = Sim.get_port sim m_valid ~lane:l = 1 in
       let last = Sim.get_port sim m_last ~lane:l = 1 in
@@ -142,8 +136,8 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
           collected.(l) <- current.(l) :: collected.(l);
           current.(l) <- Block.create ();
           rows.(l) <- 0;
-          if out_mat.(l) < chunk_len.(l) then begin
-            last_out_cycle.(chunk_start.(l) + out_mat.(l)) <- !cycle;
+          if out_mat.(l) < per_lane then begin
+            last_out_cycle.((l * per_lane) + out_mat.(l)) <- !cycle;
             decr pending
           end;
           out_mat.(l) <- out_mat.(l) + 1
@@ -176,23 +170,19 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
          (n_mat * lanes)
          (sum (fun l -> out_mat.(l)))
          n_mat
-         (sum (fun l ->
-              ((mat_idx.(l) - chunk_start.(l)) * lanes) + beat_idx.(l)))
+         (sum (fun l -> ((mat_idx.(l) - (l * per_lane)) * lanes) + beat_idx.(l)))
          (n_mat * lanes))
   end;
   hook "cycles" !cycle;
   hook "evals" (Sim.evaluations sim);
-  (* Latency is measured on the final matrix; periodicity between the last
-     two matrices of the lane holding it (contiguous chunks put them in
-     the same lane whenever that lane has >= 2).  At batch 1 both reduce
-     to the historical single-stream definitions. *)
+  (* Latency is measured on the final matrix, periodicity between the
+     final two: only a one-lane stream of several matrices has two. *)
   let latency =
     let last = n_mat - 1 in
     last_out_cycle.(last) - first_in_cycle.(last) + 1
   in
-  let last_lane = n_lanes - 1 in
   let periodicity =
-    if chunk_len.(last_lane) >= 2 then
+    if per_lane >= 2 then
       first_in_cycle.(n_mat - 1) - first_in_cycle.(n_mat - 2)
     else latency
   in
@@ -205,15 +195,11 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
   in
   { outputs; latency; periodicity; cycles = !cycle; violations }
 
-let run ?(batch = 1) ?(input_gap = 0) ?(ready_pattern = fun _ -> true)
-    ?timeout ?(hook = fun _ _ -> ()) circuit matrices =
+let run ?(input_gap = 0) ?(ready_pattern = fun _ -> true) ?timeout
+    ?(hook = fun _ _ -> ()) circuit matrices =
   check_wrapped circuit;
-  if batch < 1 then invalid_arg "Driver.run: batch must be >= 1";
   if matrices = [] then invalid_arg "Driver.run: no matrices";
-  let n_lanes = max 1 (min batch (List.length matrices)) in
-  drive ~input_gap ~ready_pattern ~timeout ~hook
-    (Sim.create ~batch:n_lanes circuit)
-    matrices
+  drive ~input_gap ~ready_pattern ~timeout ~hook (Sim.create circuit) matrices
 
 let transform circuit matrix =
   match (run circuit [ matrix ]).outputs with
@@ -229,7 +215,8 @@ let transform circuit matrix =
    is indistinguishable from a fresh one to the testbench, which drives
    every input before reading any output).  A short final chunk gets an
    instance of its own width rather than idle lanes.  Outputs are
-   byte-for-byte what per-matrix [transform] calls would return. *)
+   byte-for-byte what per-matrix [transform] calls would return; the
+   first protocol violation, in input order, is raised. *)
 let max_transform_lanes = 64
 
 let transform_batch ?(hook = fun _ _ -> ()) circuit =
@@ -260,7 +247,11 @@ let transform_batch ?(hook = fun _ _ -> ()) circuit =
     List.concat_map
       (fun chunk ->
         let sim = sim_for (List.length chunk) in
-        (drive ~input_gap:0 ~ready_pattern:(fun _ -> true) ~timeout:None ~hook
-           sim chunk)
-          .outputs)
+        let r =
+          drive ~input_gap:0 ~ready_pattern:(fun _ -> true) ~timeout:None
+            ~hook sim chunk
+        in
+        match r.violations with
+        | v :: _ -> raise (Protocol_violation v)
+        | [] -> r.outputs)
       (chunks matrices)

@@ -9,14 +9,14 @@
     streaming contract); [input_gap] idle cycles may be inserted between
     matrices, and [ready_pattern] can exercise back-pressure.
 
-    With [batch > 1] the matrix list is split into contiguous chunks, one
-    per simulation lane of the levelized engine, and every lane runs its
-    own independent copy of the testbench on a shared clock — one pass
-    over the compiled schedule advances all of them.  Results concatenate
-    back in input order; protocol monitoring runs per lane, online
-    ({!Monitor.observe}).  The testbench drives {!Hw.Sim} directly: its
-    stream ports are resolved to handles once per run, so a cycle does no
-    name lookup and no allocation. *)
+    The testbench has two shapes.  {!run} streams every matrix through
+    one simulation lane.  {!transform_batch} gives each matrix its own
+    lane of the levelized engine, and every lane runs its own
+    independent copy of the testbench on a shared clock — one pass over
+    the compiled schedule advances all of them.  Protocol monitoring runs
+    per lane, online ({!Monitor.observe}).  The testbench drives
+    {!Hw.Sim} directly: its stream ports are resolved to handles once
+    per run, so a cycle does no name lookup and no allocation. *)
 
 type result = {
   outputs : Block.t list;
@@ -24,15 +24,16 @@ type result = {
       (** steady-state cycles from a matrix's first input beat to its last
           output beat (measured on the final matrix) *)
   periodicity : int;
-      (** steady-state distance in cycles between consecutive matrices'
-          first input beats; in a batched run, measured within the lane
-          holding the final matrix *)
+      (** steady-state distance in cycles between the final two
+          matrices' first input beats (the latency for one matrix) *)
   cycles : int;              (** total simulated cycles *)
   violations : Monitor.violation list;
 }
 
+exception Protocol_violation of Monitor.violation
+(** Raised by {!transform_batch} on an AXI-Stream violation. *)
+
 val run :
-  ?batch:int ->
   ?input_gap:int ->
   ?ready_pattern:(int -> bool) ->
   ?timeout:int ->
@@ -40,9 +41,8 @@ val run :
   Hw.Netlist.t ->
   Block.t list ->
   result
-(** [batch] (default 1) is the number of simulation lanes the matrices
-    are spread across.
-    @raise Invalid_argument if [batch < 1] or [matrices] is empty
+(** Streams the matrices, in order, through one simulator lane.
+    @raise Invalid_argument if [matrices] is empty
     (["Driver.run: no matrices"]).
     @raise Failure if the circuit lacks the port convention or the
     simulation runs out of budget.  An explicit [timeout] caps the total
@@ -56,8 +56,7 @@ val run :
     sampled duty cycle, the batch width, and collected-vs-expected
     output beats and consumed input beats.  [hook] is a stage hook for
     observability layers: called with [sim_thunks] (compiled schedule
-    size) after the simulator is built, [sim_batch] (lane count, only
-    when batching is actually in effect), then [cycles] and [evals]
+    size) after the simulator is built, then [cycles] and [evals]
     ({!Hw.Sim.evaluations}: the schedule rows evaluated, which a batched
     run keeps to the rows whose inputs changed) when the stream drains;
     it must not affect the result. *)
@@ -83,5 +82,9 @@ val transform_batch :
     the circuit once and call the closure many times to build each
     instance once.  The closure is stateful: do not share it across
     domains.  [hook] fires as in {!run}, once per chunk.
+
+    Every lane's protocol {!Monitor} verdict is checked: a call raises
+    {!Protocol_violation} with the first violation of the lowest lane
+    that has one, in the first chunk that has one.
     @raise Failure at the application to [circuit] if it lacks the port
-    convention. *)
+    convention, and from the closure as {!run} does on a timeout. *)

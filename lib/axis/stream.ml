@@ -18,7 +18,7 @@ type ports = {
   m_ready : Hw.Builder.s;
 }
 
-let declare_inputs ?(in_width = in_width) b =
+let declare_inputs b =
   let open Hw in
   {
     s_valid = Builder.input b s_valid 1;

@@ -41,8 +41,7 @@ type ports = {
 }
 (** Input-side signals of a wrapper under construction. *)
 
-val declare_inputs :
-  ?in_width:int -> Hw.Builder.t -> ports
+val declare_inputs : Hw.Builder.t -> ports
 (** Adds the slave-side and [m_ready] input ports to a builder. *)
 
 val expose_outputs :

@@ -33,7 +33,6 @@ type store_backend = {
 
 let store_backend : store_backend option Atomic.t = Atomic.make None
 let set_store_backend b = Atomic.set store_backend b
-let active_store_backend () = Atomic.get store_backend
 
 (* The measurement itself is Flow.measure_uncached — the staged
    elaborate/validate/simulate/verify/synthesize/metrics pipeline.  This
@@ -83,9 +82,6 @@ let map_designs ?jobs f designs =
 
 let measure_all_result ?jobs ?(matrices = 4) ~spec designs =
   map_designs ?jobs (measure ~matrices ~spec) designs
-
-let measure_all ?jobs ?(matrices = 4) ~spec designs =
-  Parallel.map ?jobs (measure ~matrices ~spec) designs
 
 (* [check] is [spec.comply ~blocks], applied once per batch: the
    design-independent stimulus and reference are prepared before the

@@ -46,8 +46,6 @@ val set_store_backend : store_backend option -> unit
     Attach before fanning out: workers observe the backend through an
     atomic. *)
 
-val active_store_backend : unit -> store_backend option
-
 val measure_key : matrices:int -> spec:Flow.spec -> Design.t -> string
 (** The content key a measurement is cached (and stored) under:
     spec × tool × label × digest(config, listing) × matrices.  Exposed
@@ -69,11 +67,6 @@ val measure_all_result :
     keep input order, and a failed point carries its typed {!Flow.error}
     in its own slot.  Each design's circuit cell is built inside the job
     that first forces it, so builder state never crosses domains. *)
-
-val measure_all :
-  ?jobs:int -> ?matrices:int -> spec:Flow.spec -> Design.t list -> Metrics.measured list
-(** The raising view of the same batch ({!Parallel.map}): the
-    lowest-index failing design's {!Flow.Error} is re-raised. *)
 
 val check_compliance : ?blocks:int -> spec:Flow.spec -> Design.t -> bool
 (** The kernel's compliance procedure ([spec.comply] — IEEE 1180-1990

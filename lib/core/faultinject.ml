@@ -97,16 +97,6 @@ let disarm () =
 
 let armed () = Atomic.get cell
 
-let load_env () =
-  match Sys.getenv_opt "HLSVHC_FAULT" with
-  | None | Some "" -> Ok None
-  | Some text -> (
-      match parse text with
-      | Ok s ->
-          arm s;
-          Ok (Some s)
-      | Error e -> Error (Printf.sprintf "HLSVHC_FAULT=%S: %s" text e))
-
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
   m = 0

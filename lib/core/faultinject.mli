@@ -5,10 +5,9 @@
     [--keep-going] sweeps, the failure summary — is proved by injecting
     faults at the Flow stage boundaries and watching the system degrade
     exactly as documented.  Injection is off unless a {!spec} is
-    {!arm}ed (by a test, the [--fault] flag, or the [HLSVHC_FAULT]
-    environment variable), and with nothing armed every probe is a cheap
-    no-op, so the measurement pipeline is byte-identical to the
-    uninstrumented one.
+    {!arm}ed (by a test or the [--fault] flag), and with nothing armed
+    every probe is a cheap no-op, so the measurement pipeline is
+    byte-identical to the uninstrumented one.
 
     A spec is fully deterministic: it names the fault, the targeted
     designs (a substring of the ["Tool/label"] span key; [""] or ["*"]
@@ -69,10 +68,6 @@ val arm : spec -> unit
 
 val disarm : unit -> unit
 val armed : unit -> spec option
-
-val load_env : unit -> (spec option, string) result
-(** Arm from [HLSVHC_FAULT] when the variable is set; [Ok None] when it
-    is unset, [Error _] when it does not parse. *)
 
 (** {1 Probes}
 

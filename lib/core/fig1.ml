@@ -91,10 +91,48 @@ let write_json ?(kernel = Kernel.idct) path series =
 
 let caption = "\nPerformance (MOPS, log)  x  Area (LUT*+FF*, log)\n"
 
-let legend_line kernel =
-  "legend: "
-  ^ String.concat " " (List.map Registry.legend (Kernel.tools kernel))
-  ^ "\n"
+let scatter ~legend_suffix kernel points =
+  let buf = Buffer.create 2048 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let lx (area, _, _) = log10 (float_of_int (max 1 area)) in
+  let ly (_, mops, _) = log10 (Float.max 0.01 mops) in
+  let min_x = List.fold_left (fun a p -> Float.min a (lx p)) infinity points in
+  let max_x =
+    List.fold_left (fun a p -> Float.max a (lx p)) neg_infinity points
+  in
+  let min_y = List.fold_left (fun a p -> Float.min a (ly p)) infinity points in
+  let max_y =
+    List.fold_left (fun a p -> Float.max a (ly p)) neg_infinity points
+  in
+  let w = 72 and h = 24 in
+  let grid = Array.make_matrix h w ' ' in
+  List.iter
+    (fun ((_, _, glyph) as p) ->
+      let x =
+        int_of_float
+          ((lx p -. min_x) /. Float.max 1e-9 (max_x -. min_x)
+          *. float_of_int (w - 1))
+      in
+      let y =
+        int_of_float
+          ((ly p -. min_y) /. Float.max 1e-9 (max_y -. min_y)
+          *. float_of_int (h - 1))
+      in
+      grid.(h - 1 - y).(x) <- glyph)
+    points;
+  pr "%s" caption;
+  pr "legend: %s%s\n"
+    (String.concat " " (List.map Registry.legend (Kernel.tools kernel)))
+    legend_suffix;
+  for r = 0 to h - 1 do
+    pr "|%s|\n" (String.init w (fun c -> grid.(r).(c)))
+  done;
+  pr "%s\n" (String.make (w + 2) '-');
+  if points = [] then pr "area: no points   throughput: no points\n"
+  else
+    pr "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
+      (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y);
+  Buffer.contents buf
 
 let render_series ?(kernel = Kernel.idct) series =
   let buf = Buffer.create 4096 in
@@ -112,41 +150,12 @@ let render_series ?(kernel = Kernel.idct) series =
             p.throughput_mops p.fmax_mhz)
         s.points)
     series;
-  (* ASCII scatter, log10 axes. *)
-  let all = List.concat_map (fun s -> s.points) series in
-  let lx p = log10 (float_of_int (max 1 p.area)) in
-  let ly p = log10 (Float.max 0.01 p.throughput_mops) in
-  let min_x = List.fold_left (fun a p -> Float.min a (lx p)) infinity all in
-  let max_x = List.fold_left (fun a p -> Float.max a (lx p)) neg_infinity all in
-  let min_y = List.fold_left (fun a p -> Float.min a (ly p)) infinity all in
-  let max_y = List.fold_left (fun a p -> Float.max a (ly p)) neg_infinity all in
-  let w = 72 and h = 24 in
-  let grid = Array.make_matrix h w ' ' in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun p ->
-          let x =
-            int_of_float
-              ((lx p -. min_x) /. Float.max 1e-9 (max_x -. min_x)
-              *. float_of_int (w - 1))
-          in
-          let y =
-            int_of_float
-              ((ly p -. min_y) /. Float.max 1e-9 (max_y -. min_y)
-              *. float_of_int (h - 1))
-          in
-          grid.(h - 1 - y).(x) <- Registry.glyph s.tool)
-        s.points)
-    series;
-  pr "%s" caption;
-  pr "%s" (legend_line kernel);
-  for r = 0 to h - 1 do
-    pr "|%s|\n" (String.init w (fun c -> grid.(r).(c)))
-  done;
-  pr "%s\n" (String.make (w + 2) '-');
-  if all = [] then pr "area: no points   throughput: no points\n"
-  else
-    pr "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
-      (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y);
+  Buffer.add_string buf
+    (scatter ~legend_suffix:"" kernel
+       (List.concat_map
+          (fun s ->
+            List.map
+              (fun p -> (p.area, p.throughput_mops, Registry.glyph s.tool))
+              s.points)
+          series));
   Buffer.contents buf

@@ -53,12 +53,13 @@ val write_json :
     ["kernel"] field; the IDCT artifact is byte-identical to the
     pre-kernel format. *)
 
-val caption : string
-(** The scatter's axis caption (Performance x Area, log-log). *)
-
-val legend_line : Kernel.t -> string
-(** The legend line for the kernel's tools, from each {!Registry.entry}'s
-    legend (trailing newline). *)
+val scatter :
+  legend_suffix:string -> Kernel.t -> (int * float * char) list -> string
+(** The Fig. 1 projection: [(area, throughput_mops, glyph)] points on a
+    72x24 log-log grid, drawn in list order (a later point takes its
+    cell), under the axis caption and a legend line naming the kernel's
+    tools ({!Registry.entry} legends) followed by [legend_suffix], then
+    the axis ranges — ["no points"] when the list is empty. *)
 
 val render_series :
   ?kernel:Kernel.t -> series list -> string

@@ -200,16 +200,22 @@ let exn_message = function
   | Faultinject.Injected m -> m
   | e -> Printexc.to_string e
 
+let violation v =
+  Protocol_violation (Format.asprintf "%a" Axis.Monitor.pp_violation v)
+
 (* Classify an untyped exception by the stage it escaped from: the
+   testbench's protocol verdict is a violation wherever it escapes, the
    simulator's own cycle-budget failure is a timeout, anything else out
-   of elaborate/validate/simulate is the engine's fault, synthesize
-   failures are the synthesizer's, and the rest is unexpected. *)
+   of elaborate/validate/simulate/comply is the engine's fault,
+   synthesize failures are the synthesizer's, and the rest is
+   unexpected. *)
 let classify ~stage e =
   let msg = exn_message e in
-  match stage with
-  | ("simulate" | "comply") when is_driver_timeout e -> Sim_timeout msg
-  | "elaborate" | "validate" | "simulate" | "comply" -> Engine_failure msg
-  | "synthesize" -> Synth_failure msg
+  match (stage, e) with
+  | _, Axis.Driver.Protocol_violation v -> violation v
+  | ("simulate" | "comply"), _ when is_driver_timeout e -> Sim_timeout msg
+  | ("elaborate" | "validate" | "simulate" | "comply"), _ -> Engine_failure msg
+  | "synthesize", _ -> Synth_failure msg
   | _ -> Unexpected msg
 
 (* Trace spans carry the kernel-qualified identity so mixed-kernel
@@ -289,16 +295,7 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
             Faultinject.inject_violation ~design:key r.Axis.Driver.violations
           with
           | [] -> ()
-          | v :: _ ->
-              raise
-                (Error
-                   {
-                     err_design = key;
-                     err_stage = "verify";
-                     err_class =
-                       Protocol_violation
-                         (Format.asprintf "%a" Axis.Monitor.pp_violation v);
-                   }));
+          | v :: _ -> raise (Axis.Driver.Protocol_violation v));
       let rep =
         stage "synthesize" (fun () ->
             Hw.Synth.run ~hook:Trace.add_counter circuit)

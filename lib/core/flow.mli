@@ -128,7 +128,9 @@ val stage : spec:spec -> Design.t -> string -> (unit -> 'a) -> 'a
 (** [stage ~spec d name f] runs [f] as pipeline stage [name] of [d]: in
     a {!span_design} span, after the [crash@name] fault point, with any
     exception other than {!Error} raised as an {!Error} at stage [name].
-    Its class comes from the stage: a driver timeout in [simulate] or
+    Its class comes from the exception and the stage: an
+    {!Axis.Driver.Protocol_violation} in any stage is a
+    {!Protocol_violation}, a driver timeout in [simulate] or
     [comply] is a {!Sim_timeout}, anything else in [elaborate],
     [validate], [simulate] or [comply] an {!Engine_failure}, anything in
     [synthesize] a {!Synth_failure}, the rest {!Unexpected}. *)

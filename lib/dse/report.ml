@@ -1,43 +1,5 @@
 let pr buf fmt = Printf.ksprintf (Buffer.add_string buf) fmt
 
-(* The same log-log projection as the Fig. 1 scatter, so the explored
-   cloud and the paper's figure line up visually; frontier points are
-   drawn last, as '*'. *)
-let render_scatter buf kernel (cloud : (Pareto.point * char) list) frontier =
-  let lx (p : Pareto.point) = log10 (float_of_int (max 1 p.Pareto.pt_area)) in
-  let ly (p : Pareto.point) = log10 (Float.max 0.01 p.Pareto.pt_perf) in
-  let pts = List.map fst cloud in
-  let min_x = List.fold_left (fun a p -> Float.min a (lx p)) infinity pts in
-  let max_x = List.fold_left (fun a p -> Float.max a (lx p)) neg_infinity pts in
-  let min_y = List.fold_left (fun a p -> Float.min a (ly p)) infinity pts in
-  let max_y = List.fold_left (fun a p -> Float.max a (ly p)) neg_infinity pts in
-  let w = 72 and h = 24 in
-  let grid = Array.make_matrix h w ' ' in
-  let plot (p, glyph) =
-    let x =
-      int_of_float
-        ((lx p -. min_x) /. Float.max 1e-9 (max_x -. min_x) *. float_of_int (w - 1))
-    in
-    let y =
-      int_of_float
-        ((ly p -. min_y) /. Float.max 1e-9 (max_y -. min_y) *. float_of_int (h - 1))
-    in
-    grid.(h - 1 - y).(x) <- glyph
-  in
-  List.iter plot cloud;
-  List.iter (fun p -> plot (p, '*')) frontier;
-  (* Axis caption and legend are Fig. 1's; the frontier glyph is the
-     report's own addition. *)
-  pr buf "%s" Core.Fig1.caption;
-  pr buf "%s  *=Pareto frontier\n"
-    (String.trim (Core.Fig1.legend_line kernel));
-  for r = 0 to h - 1 do
-    pr buf "|%s|\n" (String.init w (fun c -> grid.(r).(c)))
-  done;
-  pr buf "%s\n" (String.make (w + 2) '-');
-  pr buf "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
-    (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y)
-
 (* The kernel the run explored, from its spaces.  Default-kernel (idct)
    reports carry no tag, keeping the baseline report byte-identical. *)
 let kernel_tag (r : Engine.result) =
@@ -91,7 +53,18 @@ let render (r : Engine.result) =
     in
     Option.value (Core.Kernel.find name) ~default:Core.Kernel.idct
   in
-  if cloud <> [] then render_scatter buf kernel cloud r.Engine.res_frontier;
+  (* Fig. 1's projection, so the explored cloud and the paper's figure
+     line up visually; frontier points are drawn last, as '*'. *)
+  if cloud <> [] then
+    Buffer.add_string buf
+      (Core.Fig1.scatter ~legend_suffix:"  *=Pareto frontier" kernel
+         (List.map
+            (fun ((p : Pareto.point), glyph) ->
+              (p.Pareto.pt_area, p.Pareto.pt_perf, glyph))
+            cloud
+         @ List.map
+             (fun (p : Pareto.point) -> (p.Pareto.pt_area, p.Pareto.pt_perf, '*'))
+             r.Engine.res_frontier));
   pr buf "\nPareto frontier (area asc):\n";
   List.iter
     (fun (p : Pareto.point) ->

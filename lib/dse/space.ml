@@ -49,14 +49,14 @@ let of_tool ?(kernel = Core.Kernel.idct) tool =
   in
   { tool; charts = List.rev charts; spec = Core.Kernel.spec kernel }
 
-let default_scripts = [ "strength_reduce"; "narrow"; "strength_reduce; narrow" ]
+let scripts = [ "strength_reduce"; "narrow"; "strength_reduce; narrow" ]
 
 (* A transformation-sequence axis: the initial design plus each script
    applied to it, as one extra single-axis chart.  Derived designs are
    cells like every other inventory entry; forcing one replays the script
    through the verified engine, so an unsound rewrite can never produce
    a measurable candidate. *)
-let with_scripts ?(scripts = default_scripts) t =
+let with_scripts t =
   let initial =
     List.find_map
       (fun ch ->

@@ -37,15 +37,14 @@ val of_tool : ?kernel:Core.Kernel.t -> Core.Design.tool -> t
     sweep exactly — the registry invariant a misdeclared space breaks —
     or if the kernel has no inventory for [tool]. *)
 
-val with_scripts : ?scripts:string list -> t -> t
+val with_scripts : t -> t
 (** Extend the space with a transformation-sequence axis (DESIGN.md
     §17): one extra chart whose single ["script"] axis enumerates
-    [(none)] plus each given {!Transfo.Script} source, applied to the
-    tool's [initial] design.  Derived designs force through
+    [(none)] plus the cycle-exact netlist rewrites ["strength_reduce"],
+    ["narrow"] and their composition, each a {!Transfo.Script} applied
+    to the tool's [initial] design.  Derived designs force through
     {!Transfo.Engine.run}, so every candidate the search can visit is
-    equivalence-verified at force time.  Defaults to the cycle-exact
-    netlist rewrites ["strength_reduce"], ["narrow"] and their
-    composition.  Tools without an [initial] stream design (PCIe-only
+    equivalence-verified at force time.  Tools without an [initial] stream design (PCIe-only
     inventories) are returned unchanged. *)
 
 val size : t -> int

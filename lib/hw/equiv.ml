@@ -10,7 +10,7 @@ let rec draw rng w =
   if w <= 30 then Random.State.bits rng land ((1 lsl w) - 1)
   else (draw rng (w - 30) lsl 30) lor Random.State.bits rng
 
-let check ?(cycles = 64) ?(seed = 42) ?(settle = 0) (ca : Netlist.t)
+let check ?(cycles = 64) ?(seed = 42) (ca : Netlist.t)
     (cb : Netlist.t) =
   let ports c =
     List.map (fun (nm, u) -> (nm, (Netlist.node c u).Netlist.width)) c.Netlist.inputs
@@ -32,15 +32,14 @@ let check ?(cycles = 64) ?(seed = 42) ?(settle = 0) (ca : Netlist.t)
            Sim.set sa nm v;
            Sim.set sb nm v)
          (ports ca);
-       if cycle >= settle then
-         List.iter
-           (fun (nm, _) ->
-             let a = Sim.get sa nm and b = Sim.get sb nm in
-             if a <> b then begin
-               result := Mismatch { cycle; port = nm; a; b };
-               raise Exit
-             end)
-           (outs ca);
+       List.iter
+         (fun (nm, _) ->
+           let a = Sim.get sa nm and b = Sim.get sb nm in
+           if a <> b then begin
+             result := Mismatch { cycle; port = nm; a; b };
+             raise Exit
+           end)
+         (outs ca);
        Sim.step sa;
        Sim.step sb
      done
@@ -68,8 +67,8 @@ let wide_random rng =
    per-lane).  The stimulus mixes activity levels, since the batched sweep
    skips rows whose operands did not change: a seeded schedule holds every
    input on a quarter of the cycles, redraws one lane on another quarter
-   and all lanes on the rest, and halfway through resets the engine (on a
-   held cycle) against fresh interpreters. *)
+   and all lanes on the rest, and halfway through resets the engine and
+   the interpreters alike (on a held cycle: both keep their inputs). *)
 let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   if lanes < 1 then invalid_arg "Equiv.crosscheck: lanes must be >= 1";
   let sc = Sim.create ~batch:lanes c in
@@ -78,13 +77,11 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
     Array.init lanes (fun l -> Random.State.make [| seed; 0x5eed; l |])
   in
   let schedule = Random.State.make [| seed; 0xac7 |] in
-  let ins = Array.of_list (List.map fst c.Netlist.inputs) in
-  let held = Array.init lanes (fun _ -> Array.make (Array.length ins) 0) in
+  let ins = List.map fst c.Netlist.inputs in
   let redraw l =
-    Array.iteri
-      (fun k nm ->
+    List.iter
+      (fun nm ->
         let v = wide_random rngs.(l) in
-        held.(l).(k) <- v;
         Interp.set refs.(l) nm v;
         Sim.set ~lane:l sc nm v)
       ins
@@ -112,13 +109,8 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   (try
      for cycle = 0 to cycles - 1 do
        (if cycle = reset_at then begin
-          (* [Sim.reset] keeps the inputs; the fresh interpreters get them
-             back, and the cycle holds them. *)
           Sim.reset sc;
-          for l = 0 to lanes - 1 do
-            refs.(l) <- Interp.create c;
-            Array.iteri (fun k nm -> Interp.set refs.(l) nm held.(l).(k)) ins
-          done
+          Array.iter Interp.reset refs
         end
         else
           match Random.State.int schedule 4 with

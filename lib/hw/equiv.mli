@@ -9,11 +9,9 @@
 
 type result = Equivalent | Mismatch of { cycle : int; port : string; a : int; b : int }
 
-val check :
-  ?cycles:int -> ?seed:int -> ?settle:int -> Netlist.t -> Netlist.t -> result
-(** The circuits must have identical input and output port names/widths
-    ([settle] initial cycles are driven but not compared — use it for
-    circuits whose pipeline depths differ).  Stimulus covers the full
+val check : ?cycles:int -> ?seed:int -> Netlist.t -> Netlist.t -> result
+(** The circuits must have identical input and output port names/widths;
+    outputs are compared from the first cycle on.  Stimulus covers the full
     port width: draws wider than 30 bits are composed from several 30-bit
     chunks, so high bits of wide datapaths are exercised too.
     @raise Invalid_argument on port mismatches. *)
@@ -26,8 +24,8 @@ val crosscheck :
     all-ones and sign-bit extremes at every width).  A seeded schedule
     mixes the activity: on a quarter of the cycles no input changes, on
     another quarter one lane's inputs are redrawn, on the rest every
-    lane's; at cycle [cycles / 2] the simulator is {!Sim.reset} (inputs
-    held) and compared against fresh interpreters.  Outputs and register
+    lane's; at cycle [cycles / 2] the simulator is {!Sim.reset} and the
+    interpreters {!Interp.reset} (inputs held).  Outputs and register
     state are compared every cycle; at the end every node value
     (exercising the levelized engine's dead-node fallback) and every
     memory word is compared.  Several lanes also catch per-lane state

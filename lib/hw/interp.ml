@@ -19,6 +19,19 @@ type t = {
   mutable dirty : bool;
 }
 
+(* Registers back to [init], memories zeroed; constants and inputs keep
+   their values. *)
+let reset t =
+  Array.iter (fun m -> Array.fill m 0 (Array.length m) 0) t.mem_data;
+  Array.iter
+    (fun u ->
+      match (Netlist.node t.c u).kind with
+      | Netlist.Reg { init; _ } ->
+          t.values.(u) <- Bits.to_int init land t.masks.(u)
+      | _ -> assert false)
+    t.regs;
+  t.dirty <- true
+
 let create c =
   let n = Netlist.num_nodes c in
   let masks = Array.make n 0 in
@@ -60,14 +73,13 @@ let create c =
       dirty = true;
     }
   in
-  (* Load constants and initial register values. *)
   Array.iter
     (fun (nd : Netlist.node) ->
       match nd.kind with
-      | Netlist.Const b | Netlist.Reg { init = b; _ } ->
-          t.values.(nd.uid) <- Bits.to_int b land masks.(nd.uid)
+      | Netlist.Const b -> t.values.(nd.uid) <- Bits.to_int b land masks.(nd.uid)
       | _ -> ())
     c.nodes;
+  reset t;
   t
 
 let signed_of t uid v =

@@ -5,7 +5,7 @@
     every combinational node, with no dead-node elimination and no
     incremental re-evaluation, so it is easy to audit but slow.  Sources
     are never evaluated: constants are loaded by {!create}, inputs by
-    {!set} and registers by {!step}.  Nothing in production
+    {!set} and registers by {!step} and {!reset}.  Nothing in production
     runs on it; it exists so {!Equiv.crosscheck} can compare the simulator
     against it cycle by cycle (and [bench/main.ml] can time the two).
 
@@ -17,6 +17,10 @@ type t
 val create : Netlist.t -> t
 (** Builds evaluation tables and loads every register with its [init]
     value; memories start zeroed.  The circuit must already be valid. *)
+
+val reset : t -> unit
+(** Loads every register with its [init] value and zeroes the memories,
+    as {!Sim.reset} does.  Inputs keep their current values. *)
 
 val set : t -> string -> int -> unit
 (** [set sim port v] drives input [port] with [v] (masked to the port width;

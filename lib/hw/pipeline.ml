@@ -1,4 +1,6 @@
-let compute_stages ?(device = Device.xcvu9p) ~stages (c : Netlist.t) =
+(* The stage (1-based) of every node: delay-balanced against the xcvu9p
+   delay model, and never earlier than an operand's stage. *)
+let compute_stages ~stages (c : Netlist.t) =
   if stages < 1 then invalid_arg "Pipeline: stages must be positive";
   if Array.exists Netlist.is_reg c.nodes || Array.length c.mems > 0 then
     invalid_arg "Pipeline.retime: circuit must be combinational";
@@ -9,7 +11,7 @@ let compute_stages ?(device = Device.xcvu9p) ~stages (c : Netlist.t) =
   Array.iter
     (fun u ->
       let nd = Netlist.node c u in
-      let d = Timing.node_delay device ~use_dsp:true c nd in
+      let d = Timing.node_delay Device.xcvu9p ~use_dsp:true c nd in
       let base =
         List.fold_left
           (fun acc op -> Float.max acc arrival.(op))
@@ -36,10 +38,8 @@ let compute_stages ?(device = Device.xcvu9p) ~stages (c : Netlist.t) =
     order;
   stage
 
-let stage_of_nodes ?device ~stages c = compute_stages ?device ~stages c
-
-let retime ?device ~stages (c : Netlist.t) =
-  let stage = compute_stages ?device ~stages c in
+let retime ~stages (c : Netlist.t) =
+  let stage = compute_stages ~stages c in
   let b = Builder.create (c.Netlist.circuit_name ^ "_pipelined") in
   let n = Netlist.num_nodes c in
   (* delayed.(u) holds the signal for node u as seen at its own stage; a

@@ -7,9 +7,6 @@
     so the result has a latency of [stages] cycles at an initiation
     interval of one. *)
 
-val retime : ?device:Device.t -> stages:int -> Netlist.t -> Netlist.t
-(** @raise Invalid_argument if [stages < 1] or the circuit has registers. *)
-
-val stage_of_nodes : ?device:Device.t -> stages:int -> Netlist.t -> int array
-(** The stage (1-based) assigned to each node — exposed for inspection and
-    tests. *)
+val retime : stages:int -> Netlist.t -> Netlist.t
+(** Stages are balanced against the {!Device.xcvu9p} delay model.
+    @raise Invalid_argument if [stages < 1] or the circuit has registers. *)

@@ -36,8 +36,8 @@
    fan-in cone of an output, register input or
    memory write port are scheduled, and fanout-1 concat chains collapse
    into their apex (leaves gathered through a side table).  [peek] on an
-   eliminated node falls back to per-lane on-demand evaluation memoized
-   per state generation, so waves and debugging still observe everything. *)
+   eliminated node evaluates its cone on demand, in one lane, from the
+   settled values, and nothing of that evaluation is kept past the call. *)
 
 type t = {
   c : Netlist.t;
@@ -90,9 +90,6 @@ type t = {
   w_live : Bytes.t;                   (* gather scratch, nports * batch *)
   w_addr_s : int array;
   w_data_s : int array;
-  (* On-demand evaluation of eliminated nodes, memoized per lane. *)
-  dead_gen : int array;               (* slot * batch + lane *)
-  mutable generation : int;
   mutable dirty : bool;
   mutable cycles : int;
 }
@@ -529,8 +526,6 @@ let create ?(batch = 1) c =
       w_live = Bytes.make (nports * batch) '\000';
       w_addr_s = Array.make (nports * batch) 0;
       w_data_s = Array.make (nports * batch) 0;
-      dead_gen = Array.make (n * batch) (-1);
-      generation = 0;
       dirty = true;
       cycles = 0;
     }
@@ -1020,7 +1015,6 @@ let set_port t p ~lane v =
   if t.vals.(idx) <> v then begin
     t.vals.(idx) <- v;
     t.stamp.(t.slot.(p)) <- t.epoch;
-    t.generation <- t.generation + 1;
     t.dirty <- true
   end
 
@@ -1124,7 +1118,6 @@ let step t =
       end
     done
   done;
-  t.generation <- t.generation + 1;
   t.dirty <- true;
   t.cycles <- t.cycles + 1
 
@@ -1148,76 +1141,75 @@ let reset t =
     t.regs;
   let n = Array.length t.slot in
   Array.iteri (fun mi _ -> t.stamp.(n + mi) <- t.epoch) t.mem_data;
-  t.generation <- t.generation + 1;
   t.dirty <- true;
   t.cycles <- 0;
   t.evals <- 0
 
-(* On-demand evaluation of nodes outside the compiled schedule, memoized
-   per lane and state generation.  Only reachable from [peek]; the netlist
-   is a DAG so the recursion terminates, and resident operands are already
-   settled by the caller. *)
-let rec force t lane u =
+(* On-demand evaluation of a node outside the compiled schedule (dead
+   logic or an absorbed concat), for [peek].  The memo lives for one
+   [peek] call, so a shared cone is walked once and no value outlives a
+   state change.  The netlist is a DAG, so the recursion terminates;
+   resident operands (every source among them) are already settled by
+   the caller. *)
+let rec force t memo lane u =
   let b = t.batch in
-  let idx = (t.slot.(u) * b) + lane in
-  if t.resident.(u) || t.dead_gen.(idx) = t.generation then t.vals.(idx)
-  else begin
-    let nd = Netlist.node t.c u in
-    let value o =
-      if t.resident.(o) then t.vals.((t.slot.(o) * b) + lane)
-      else force t lane o
-    in
-    let r =
-      match nd.kind with
-      | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ -> t.vals.(idx)
-      | Netlist.Unop (Netlist.Not, a) -> lnot (value a)
-      | Netlist.Unop (Netlist.Neg, a) -> -value a
-      | Netlist.Binop (op, a, b) -> (
-          let x = value a and y = value b in
-          match op with
-          | Netlist.Add -> x + y
-          | Netlist.Sub -> x - y
-          | Netlist.Mul ->
-              if t.widths.(a) <= 31 then x * y
-              else ((x land 0xFFFF) * y) + (((x lsr 16) * y) lsl 16)
-          | Netlist.And -> x land y
-          | Netlist.Or -> x lor y
-          | Netlist.Xor -> x lxor y
-          | Netlist.Shl -> if y >= t.widths.(nd.uid) then 0 else x lsl y
-          | Netlist.Shr -> if y >= t.widths.(a) then 0 else x lsr y
-          | Netlist.Sra ->
-              let s = min y (t.widths.(a) - 1) in
-              signed_of t a x asr s
-          | Netlist.Eq -> if x = y then 1 else 0
-          | Netlist.Ne -> if x <> y then 1 else 0
-          | Netlist.Lt Netlist.Unsigned -> if x < y then 1 else 0
-          | Netlist.Lt Netlist.Signed ->
-              if signed_of t a x < signed_of t b y then 1 else 0
-          | Netlist.Le Netlist.Unsigned -> if x <= y then 1 else 0
-          | Netlist.Le Netlist.Signed ->
-              if signed_of t a x <= signed_of t b y then 1 else 0)
-      | Netlist.Mux (s, a, b) -> if value s <> 0 then value a else value b
-      | Netlist.Slice (a, _, lo) -> value a lsr lo
-      | Netlist.Concat (a, b) -> value a lsl t.widths.(b) lor value b
-      | Netlist.Uext a -> value a
-      | Netlist.Sext a -> signed_of t a (value a)
-      | Netlist.Mem_read (mem, addr) ->
-          let contents = t.mem_data.(mem) in
-          let a = value addr in
-          if a < t.c.Netlist.mems.(mem).Netlist.mem_size then
-            contents.((a * b) + lane)
-          else 0
-    in
-    t.vals.(idx) <- r land t.masks.(u);
-    t.dead_gen.(idx) <- t.generation;
-    t.vals.(idx)
-  end
+  if t.resident.(u) then t.vals.((t.slot.(u) * b) + lane)
+  else
+    match Hashtbl.find_opt memo u with
+    | Some v -> v
+    | None ->
+        let nd = Netlist.node t.c u in
+        let value o = force t memo lane o in
+        let r =
+          match nd.kind with
+          | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ -> assert false
+          | Netlist.Unop (Netlist.Not, a) -> lnot (value a)
+          | Netlist.Unop (Netlist.Neg, a) -> -value a
+          | Netlist.Binop (op, a, b) -> (
+              let x = value a and y = value b in
+              match op with
+              | Netlist.Add -> x + y
+              | Netlist.Sub -> x - y
+              | Netlist.Mul ->
+                  if t.widths.(a) <= 31 then x * y
+                  else ((x land 0xFFFF) * y) + (((x lsr 16) * y) lsl 16)
+              | Netlist.And -> x land y
+              | Netlist.Or -> x lor y
+              | Netlist.Xor -> x lxor y
+              | Netlist.Shl -> if y >= t.widths.(nd.uid) then 0 else x lsl y
+              | Netlist.Shr -> if y >= t.widths.(a) then 0 else x lsr y
+              | Netlist.Sra ->
+                  let s = min y (t.widths.(a) - 1) in
+                  signed_of t a x asr s
+              | Netlist.Eq -> if x = y then 1 else 0
+              | Netlist.Ne -> if x <> y then 1 else 0
+              | Netlist.Lt Netlist.Unsigned -> if x < y then 1 else 0
+              | Netlist.Lt Netlist.Signed ->
+                  if signed_of t a x < signed_of t b y then 1 else 0
+              | Netlist.Le Netlist.Unsigned -> if x <= y then 1 else 0
+              | Netlist.Le Netlist.Signed ->
+                  if signed_of t a x <= signed_of t b y then 1 else 0)
+          | Netlist.Mux (s, a, b) -> if value s <> 0 then value a else value b
+          | Netlist.Slice (a, _, lo) -> value a lsr lo
+          | Netlist.Concat (a, b) -> value a lsl t.widths.(b) lor value b
+          | Netlist.Uext a -> value a
+          | Netlist.Sext a -> signed_of t a (value a)
+          | Netlist.Mem_read (mem, addr) ->
+              let contents = t.mem_data.(mem) in
+              let a = value addr in
+              if a < t.c.Netlist.mems.(mem).Netlist.mem_size then
+                contents.((a * b) + lane)
+              else 0
+        in
+        let v = r land t.masks.(u) in
+        Hashtbl.replace memo u v;
+        v
 
 let peek ?(lane = 0) t uid =
   lane_check t "Sim.peek" lane;
   settle t;
   if t.resident.(uid) then t.vals.((t.slot.(uid) * t.batch) + lane)
-  else force t lane uid
+  else force t (Hashtbl.create 16) lane uid
 
 let peek_signed ?(lane = 0) t uid = signed_of t uid (peek ~lane t uid)
 

@@ -28,7 +28,7 @@
     single-lane sweep evaluates the whole table.
 
     Dead nodes are eliminated and concat chains fused; {!peek} of an
-    eliminated node falls back to per-lane on-demand evaluation.
+    eliminated node evaluates it on demand.
     {!Equiv.crosscheck} checks this engine, lane by lane, against the
     reference interpreter that defines the semantics. *)
 
@@ -47,7 +47,8 @@ val batch : t -> int
 
 val compiled_nodes : t -> int
 (** Number of instructions in the levelized schedule (after dead-node
-    elimination, source removal and concat fusion). *)
+    elimination, source removal and concat fusion).  The nodes left out
+    are still observable through {!peek}. *)
 
 val reset : t -> unit
 (** Loads every register with its [init] value and zeroes the memories,
@@ -101,9 +102,11 @@ val step_n : t -> int -> unit
 
 val peek : ?lane:int -> t -> Netlist.uid -> int
 (** Unsigned value of an arbitrary node in lane [lane] (default 0), after
-    settling.  Nodes eliminated from the schedule are evaluated on demand
-    (memoized per lane until the next state change), so waveform
-    recording over dead logic still works. *)
+    settling.  A node outside the schedule (dead logic, or a concat fused
+    into its consumer) is evaluated on demand from the settled values,
+    each call afresh: its cone is walked once per call and nothing is
+    cached between calls, so waveform recording over dead logic still
+    works at the cost of that walk. *)
 
 val peek_signed : ?lane:int -> t -> Netlist.uid -> int
 

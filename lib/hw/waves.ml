@@ -17,17 +17,14 @@ let ident_of k =
   in
   go k ""
 
-let create ?(all_nodes = false) sim =
+let create sim =
   let c = Sim.circuit sim in
   let named =
     Array.to_list c.Netlist.nodes
     |> List.filter_map (fun (nd : Netlist.node) ->
-           match nd.Netlist.name with
-           | Some nm -> Some (nd.Netlist.uid, nm, nd.Netlist.width)
-           | None ->
-               if all_nodes then
-                 Some (nd.Netlist.uid, Printf.sprintf "n%d" nd.Netlist.uid, nd.Netlist.width)
-               else None)
+           Option.map
+             (fun nm -> (nd.Netlist.uid, nm, nd.Netlist.width))
+             nd.Netlist.name)
   in
   let outputs =
     List.map

@@ -103,9 +103,9 @@ let output k name s =
    stage bounds the achievable period. *)
 let target_period_ns = Device.xcvu9p.Device.dsp_delay
 
-let finalize ?(pipeline = true) k =
+let finalize k =
   let c = Builder.finalize k.b in
-  if (not pipeline) || k.has_state then c
+  if k.has_state then c
   else
     let t = Timing.analyze Device.xcvu9p c in
     let stages =

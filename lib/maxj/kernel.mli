@@ -36,10 +36,10 @@ val hold : t -> enable:stream -> stream -> stream
 
 val output : t -> string -> stream -> unit
 
-val finalize : ?pipeline:bool -> t -> Hw.Netlist.t
-(** [pipeline = true] (default) retimes a feed-forward kernel to the
-    compiler's target clock (kernels with holds/counters are emitted as
-    constructed).  Returns the kernel circuit (plain ports, no AXI). *)
+val finalize : t -> Hw.Netlist.t
+(** Retimes a feed-forward kernel to the compiler's target clock
+    (kernels with holds/counters are emitted as constructed).  Returns
+    the kernel circuit (plain ports, no AXI). *)
 
 val listing : t -> string
 (** MaxJ-like source, from the construction recording. *)

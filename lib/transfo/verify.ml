@@ -148,6 +148,10 @@ let stream_blocks ~seed ~blocks (a : Netlist.t) (b : Netlist.t) =
       in
       cmp 0 (oa, ob)
   | exception Failure msg -> Error ("stream testbench: " ^ msg)
+  | exception Axis.Driver.Protocol_violation v ->
+      Error
+        (Format.asprintf "stream testbench: violates AXI-Stream: %a"
+           Axis.Monitor.pp_violation v)
 
 let discharge ?(cycles = 256) ?(seed = 7) ?(blocks = 4) ob ~before ~after =
   let a = before.Subject.circuit and b = after.Subject.circuit in

@@ -18,7 +18,8 @@ type obligation =
           lane must match the original under its own stimulus *)
   | Stream_blocks
       (** architectures differ cycle-for-cycle; equality is
-          block-for-block through the {!Axis.Driver} stream testbench *)
+          block-for-block through the {!Axis.Driver} stream testbench,
+          and an AXI-Stream violation of either side fails it *)
 
 val obligation_name : obligation -> string
 

@@ -227,8 +227,9 @@ let test_driver_timeout () =
   | _ -> Alcotest.fail "expected the watchdog to fire"
 
 let test_driver_timeout_reports_batch () =
-  (* The diagnostic must carry the lane count and per-lane progress, and
-     keep the "timeout after" marker the flow layer keys on. *)
+  (* The diagnostic of a one-matrix-per-lane run must carry the lane
+     count and the progress summed over the lanes, and keep the "timeout
+     after" marker the flow layer keys on. *)
   let b = Hw.Builder.create "dead" in
   ignore (Axis.Stream.declare_inputs b);
   Axis.Stream.expose_outputs b
@@ -237,11 +238,14 @@ let test_driver_timeout_reports_batch () =
     ~m_last:(Hw.Builder.zero b 1)
     ~m_data:(Array.init 8 (fun _ -> Hw.Builder.zero b 9));
   let c = Hw.Builder.finalize b in
-  match Axis.Driver.run ~batch:4 ~timeout:200 c (mats 8) with
+  match Axis.Driver.transform_batch c (mats 4) with
   | exception Failure msg ->
       check bool "mentions timeout after" true (contains msg "timeout after");
       check bool "mentions batch" true (contains msg "batch 4");
-      check bool "mentions duty" true (contains msg "duty")
+      check bool "mentions duty" true (contains msg "duty");
+      check bool msg true
+        (contains msg "collected 0/32 output beats (0/4 matrices)"
+        && String.ends_with ~suffix:"consumed 32/32 input beats" msg)
   | _ -> Alcotest.fail "expected timeout"
 
 (* A master that never waits and never frames: [m_valid] stuck high,
@@ -259,11 +263,11 @@ let babbler () =
   Hw.Builder.finalize b
 
 let test_driver_batched_matches_sequential () =
-  (* Lane-parallel runs must reproduce the sequential outputs exactly,
-     for every split of matrices across lanes (including uneven ones),
-     under back-pressure and input gaps too.  The simulator itself is
-     checked lane by lane against the reference interpreter on both
-     testbench circuits. *)
+  (* One matrix per lane ([transform_batch]) must reproduce per-matrix
+     [transform] runs exactly, and so must a one-lane stream of the same
+     matrices, under back-pressure and input gaps too.  The simulator
+     itself is checked lane by lane against the reference interpreter on
+     both testbench circuits. *)
   let c =
     Axis.Adapter.wrap_matrix_kernel ~name:"pt" ~latency:0
       ~kernel:passthrough_kernel ()
@@ -277,46 +281,42 @@ let test_driver_batched_matches_sequential () =
             Hw.Equiv.pp_result r)
     [ ("passthrough", c); ("babbler", babbler ()) ];
   let inputs = mats 7 in
-  let seq = Axis.Driver.run c inputs in
-  let stimuli =
+  let want = List.map (Axis.Driver.transform c) inputs in
+  check bool "transform_batch matches" true
+    (List.for_all2 Axis.Block.equal (Axis.Driver.transform_batch c inputs) want);
+  List.iter
+    (fun (name, input_gap, ready_pattern) ->
+      let r = Axis.Driver.run ~input_gap ~ready_pattern c inputs in
+      check int (name ^ ": clean protocol") 0
+        (List.length r.Axis.Driver.violations);
+      check bool (name ^ ": same outputs") true
+        (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs want))
     [
       ("plain", 0, fun _ -> true);
       ("back-pressure", 0, fun t -> t mod 3 = 0);
       ("gaps", 5, fun _ -> true);
       ("gaps + back-pressure", 3, fun t -> t mod 2 = 0);
-    ]
+    ];
+  (* A protocol-violating master: [run] reports it, [transform_batch]
+     raises the first violation of its lowest lane — the babbler ignores
+     its input, so that is the violation a one-matrix [run] reports
+     first. *)
+  check bool "babbler violates" true
+    ((Axis.Driver.run ~ready_pattern:(fun t -> t mod 3 = 0) (babbler ())
+        (mats 2))
+       .Axis.Driver.violations <> []);
+  let first =
+    List.hd (Axis.Driver.run (babbler ()) (mats 1)).Axis.Driver.violations
   in
   List.iter
-    (fun batch ->
-      List.iter
-        (fun (name, input_gap, ready_pattern) ->
-          let what = Printf.sprintf "batch %d, %s" batch name in
-          let r =
-            Axis.Driver.run ~batch ~input_gap ~ready_pattern c inputs
-          in
-          check int (what ^ ": clean protocol") 0
-            (List.length r.Axis.Driver.violations);
-          check bool (what ^ ": same outputs") true
-            (List.for_all2 Axis.Block.equal r.Axis.Driver.outputs
-               seq.Axis.Driver.outputs))
-        stimuli)
-    [ 1; 3; 7; 16 ];
-  (* A protocol-violating master is reported at every batch width. *)
-  List.iter
-    (fun batch ->
-      let r =
-        Axis.Driver.run ~batch ~ready_pattern:(fun t -> t mod 3 = 0)
-          (babbler ()) (mats 2)
-      in
-      check bool
-        (Printf.sprintf "babbler violates, batch %d" batch)
-        true
-        (r.Axis.Driver.violations <> []))
-    [ 1; 2 ];
-  (* transform_batch is the one-matrix-per-lane convenience wrapper *)
-  let got = Axis.Driver.transform_batch c inputs in
-  check bool "transform_batch matches" true
-    (List.for_all2 Axis.Block.equal got seq.Axis.Driver.outputs)
+    (fun n ->
+      match Axis.Driver.transform_batch (babbler ()) (mats n) with
+      | exception Axis.Driver.Protocol_violation v ->
+          check bool
+            (Printf.sprintf "babbler raises its first violation, %d lanes" n)
+            true (v = first)
+      | _ -> Alcotest.failf "babbler passed transform_batch, %d lanes" n)
+    [ 1; 3; 70 ]
 
 let test_transform_batch_chunks () =
   (* 130 matrices are two full 64-lane chunks plus a 2-matrix remainder.
@@ -368,13 +368,8 @@ let test_run_no_matrices () =
     Axis.Adapter.wrap_matrix_kernel ~name:"pt" ~latency:0
       ~kernel:passthrough_kernel ()
   in
-  List.iter
-    (fun batch ->
-      Alcotest.check_raises
-        (Printf.sprintf "batch %d" batch)
-        (Invalid_argument "Driver.run: no matrices")
-        (fun () -> ignore (Axis.Driver.run ~batch c [])))
-    [ 1; 4 ];
+  Alcotest.check_raises "run []" (Invalid_argument "Driver.run: no matrices")
+    (fun () -> ignore (Axis.Driver.run c []));
   check int "transform_batch [] is []" 0
     (List.length (Axis.Driver.transform_batch c []))
 

@@ -191,7 +191,13 @@ let test_keep_going_sweep () =
         Core.Evaluate.measure_all_result ~spec:Core.Flow.idct_spec ~jobs:2 ~matrices:3 designs)
   in
   Core.Evaluate.clear_measure_cache ();
-  let clean = Core.Evaluate.measure_all ~spec:Core.Flow.idct_spec ~jobs:2 ~matrices:3 designs in
+  let clean =
+    let rs =
+      Core.Evaluate.measure_all_result ~spec:Core.Flow.idct_spec ~jobs:2
+        ~matrices:3 designs
+    in
+    Core.Flow.fail_fast (List.filter_map Result.to_option rs, Core.Flow.errors rs)
+  in
   check int "one outcome per design" (List.length designs)
     (List.length faulted);
   List.iteri
@@ -293,6 +299,43 @@ let test_compliance_keeps_going () =
       check string "timeout stage" "comply" e.Core.Flow.err_stage;
       check string "timeout class" "sim-timeout"
         (Core.Flow.class_name e.Core.Flow.err_class)
+
+let test_compliance_protocol_violation () =
+  (* A master that never frames ([m_last] stuck low) fails compliance
+     through the testbench's own monitor: a protocol-violation at the
+     comply stage, attributed to it alone. *)
+  let kernel = Option.get (Core.Kernel.parse_kernel "fir8") in
+  let good = Core.Kernel.optimized kernel (List.hd (Core.Kernel.tools kernel)) in
+  let unframed () =
+    let b = Hw.Builder.create "unframed" in
+    ignore (Axis.Stream.declare_inputs b);
+    Axis.Stream.expose_outputs b ~s_ready:(Hw.Builder.one b 1)
+      ~m_valid:(Hw.Builder.one b 1) ~m_last:(Hw.Builder.zero b 1)
+      ~m_data:(Array.init 8 (fun _ -> Hw.Builder.zero b 9));
+    Hw.Builder.finalize b
+  in
+  let bad =
+    {
+      good with
+      Core.Design.label = "unframed";
+      impl =
+        Core.Design.Stream
+          (Core.Design.cell good.Core.Design.tool "unframed" unframed);
+    }
+  in
+  match
+    Core.Evaluate.compliance_all_result ~jobs:1 ~blocks:16
+      ~spec:(Core.Kernel.spec kernel) [ good; bad ]
+  with
+  | [ (_, Ok true); (_, Error e) ] ->
+      check string "attributed" (Core.Flow.span_key bad) e.Core.Flow.err_design;
+      check string "typed at the comply stage" "comply" e.Core.Flow.err_stage;
+      check string "protocol violation" "protocol-violation"
+        (Core.Flow.class_name e.Core.Flow.err_class);
+      check bool "carries the monitor verdict" true
+        (contains ~sub:"missing m_last on beat 8"
+           (Core.Flow.class_detail e.Core.Flow.err_class))
+  | _ -> Alcotest.fail "expected the good design to pass and the bad to fail"
 
 (* ---------------- artifacts cache nothing of their own ---------------- *)
 
@@ -446,6 +489,8 @@ let () =
             test_keep_going_all_run;
           Alcotest.test_case "compliance keeps going" `Quick
             test_compliance_keeps_going;
+          Alcotest.test_case "compliance catches a protocol violation" `Quick
+            test_compliance_protocol_violation;
         ] );
       ( "caches",
         [
