@@ -299,6 +299,16 @@ let comply_cmd =
     Arg.(value & opt pos_int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
   in
   let run kernel blocks jobs trace keep_going fault =
+    (* The batched testbench runs every block to completion: there is no
+       cycle budget for a [stall] fault to clamp, so it is refused rather
+       than silently ignored. *)
+    (match Option.map Core.Faultinject.parse fault with
+    | Some (Ok { Core.Faultinject.fault = Stall; _ }) ->
+        prerr_endline
+          "hlsvhc comply: cannot inject stall: the batched testbench has no \
+           cycle budget";
+        exit 2
+    | _ -> ());
     run_batch ~fault ~trace ~keep_going (fun () ->
         let spec = Core.Kernel.spec kernel in
         let designs =

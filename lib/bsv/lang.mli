@@ -13,14 +13,14 @@
     An expression is a DAG: a [let]-bound subexpression used by several
     parents is one node, and a deep datapath can share a handful of nodes
     exponentially many times over.  Every elaboration walk ({!validate},
-    {!read_set}, {!Compile}, {!Emit}) keys on node identity ({!memo},
-    {!Tbl}), so it visits each distinct node once.  Only the reference
-    {!Semantics} evaluates the tree. *)
+    {!read_set}, {!Compile}) keys on node identity ({!memo}), so it visits
+    each distinct node once.  Only the reference {!Semantics} evaluates
+    the tree. *)
 
 type expr = private { id : int; node : node }
 (** [id] is unique to the node: the constructors below draw it from a
-    process-wide counter, so tables keyed by it ({!Tbl}) hash in O(1)
-    and never confuse two structurally equal nodes. *)
+    process-wide counter, so tables keyed by it hash in O(1) and never
+    confuse two structurally equal nodes. *)
 
 and node =
   | Const of Hw.Bits.t
@@ -51,17 +51,11 @@ type modul = {
   outputs : (string * expr) list;
 }
 
-module Tbl : Hashtbl.S with type key = expr
-(** Tables keyed by node identity. *)
-
 val memo : ((expr -> 'a) -> expr -> 'a) -> expr -> 'a
 (** [memo f] is the walk [self] with [self e = f self e], computed at most
     once per distinct node: later visits return the first result.  One
     [memo f] value shares its table across every root it is applied to.
     A raising [f] records nothing. *)
-
-val children : expr -> expr list
-(** The operands of a node, in evaluation order. *)
 
 val infer_width : expr -> int
 (** @raise Failure on operand width mismatches (the language's type

@@ -15,6 +15,8 @@ let rec guard_facts (e : Lang.expr) =
       [ (r.Lang.rid, k) ]
   | _ -> []
 
+(* Syntactic disjointness: both guards test the same register against
+   different constants. *)
 let guards_disjoint (r1 : Lang.rule) (r2 : Lang.rule) =
   let f1 = guard_facts r1.Lang.guard and f2 = guard_facts r2.Lang.guard in
   List.exists

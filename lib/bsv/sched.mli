@@ -23,10 +23,6 @@ type t = {
 
 val analyze : ?options:Options.t -> Lang.modul -> t
 
-val guards_disjoint : Lang.rule -> Lang.rule -> bool
-(** Syntactic disjointness: both guards contain [Eq (Read r, Const k)]
-    conjuncts for the same register with different constants. *)
-
 val serial_witness : t -> fired:int list -> int list option
 (** A sequential order of the fired rule indices consistent with
     [precede], or [None] if (unexpectedly) cyclic. *)

@@ -2,7 +2,6 @@
     (the LOC metric counts these lines). *)
 
 val expr_to_string : Ast.expr -> string
-val emit_func : ?pragmas:string list -> Ast.func -> string
 val emit : ?pragmas:(string * string list) list -> Ast.program -> string
 (** [pragmas] maps function names to pragma lines printed at the top of
     the function body (Vivado HLS style). *)

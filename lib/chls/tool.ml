@@ -156,10 +156,6 @@ let bambu_circuit ?name c =
   sequential_circuit ~name (bambu_schedule_config c)
     Transform.default_options Idct_c.program
 
-(* The equivalent of the hand-written Verilog AXI-Stream adapter the paper
-   pairs with Bambu (deserializer, FSM handshake, serializer). *)
-let bambu_adapter_loc = 58
-
 (* ---------------- Vivado HLS ---------------- *)
 
 type vhls_config = { inline : bool; partition : bool; pipeline : int }

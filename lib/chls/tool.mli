@@ -61,10 +61,6 @@ val vhls_clock_target_ns : float
 val vhls_pragmas : vhls_config -> string list
 (** Pragma source lines (counted by the LOC metric). *)
 
-val bambu_adapter_loc : int
-(** Lines of the hand-written stream adapter Bambu needs (the I/O regions
-    expressed in Verilog). *)
-
 (** {1 Building blocks} *)
 
 val io_load_regions : ?par:int -> string -> Transform.region list

@@ -94,6 +94,7 @@ let prepare_comply ~blocks ~(spec : Flow.spec) =
       spec.Flow.comply ~blocks)
 
 let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
+  let key = Flow.span_key d in
   Flow.stage ~spec d "comply" (fun () ->
       Trace.add_counter "blocks" blocks;
       match d.Design.impl with
@@ -116,9 +117,17 @@ let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
             if k = "cycles" || k = "evals" then Trace.add_counter k v
           in
           let transform = Axis.Driver.transform_batch ~hook circuit in
+          (* The measure path's [poison] and [protocol] probes, on every
+             testbench call: a poisoned block reaches the checker, an
+             injected violation raises as the driver's own would. *)
           let dut_batch blks =
             Trace.with_span ~design:(Flow.span_design spec d)
-              ~stage:"testbench" (fun () -> transform blks)
+              ~stage:"testbench" (fun () ->
+                let out = transform blks in
+                (match Faultinject.inject_violation ~design:key [] with
+                | v :: _ -> raise (Axis.Driver.Protocol_violation v)
+                | [] -> ());
+                Faultinject.poison_blocks ~design:key out)
           in
           check dut_batch
       | Design.Pcie p ->
@@ -128,7 +137,9 @@ let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
              bit-true against the kernel reference: the statistical
              procedure needs the batched AXI-Stream path). *)
           let mats = spec.Flow.stimulus blocks in
-          let got = p.Design.simulate mats in
+          let got =
+            Faultinject.poison_blocks ~design:key (p.Design.simulate mats)
+          in
           List.for_all2 Axis.Block.equal got (List.map spec.Flow.reference mats))
 
 let check_compliance ?(blocks = 500) ~spec d =

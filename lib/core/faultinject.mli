@@ -71,9 +71,11 @@ val armed : unit -> spec option
 
 (** {1 Probes}
 
-    Called by {!Flow} (and only by {!Flow}) at the injection points.
-    Each probe is a no-op unless the armed spec matches both the design
-    and the probe's fault kind. *)
+    Called by {!Flow} at the injection points, and by the compliance
+    path of {!Evaluate} ([poison] and [protocol]; [comply] has no cycle
+    budget, so the CLI refuses [stall] there).  Each probe is a no-op
+    unless the armed spec matches both the design and the probe's fault
+    kind. *)
 
 val crash_at_stage : design:string -> stage:string -> unit
 (** Raise {!Injected} when a [Crash stage] spec targets this design. *)

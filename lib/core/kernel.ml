@@ -58,6 +58,16 @@ let mk_shared tool label config_desc ~shared ~listing impl =
   mk tool label config_desc ~fu ~axi:(Loc.count listing - fu) ~conf:0 ~listing
     impl
 
+(* Hand-written AXI-Stream adapters (Section III-C), counted as L^AXI.
+   The paper pairs XLS's bare kernel and Bambu's bare datapath each with
+   a hand-crafted Verilog adapter: for XLS the deserializer/serializer of
+   Axis.Adapter (the size of the Verilog baseline's adapter portion), for
+   Bambu a deserializer, FSM handshake and serializer.  Vivado HLS
+   generates its interface from a pragma and MaxCompiler its PCIe
+   manager, so their L^AXI is 0. *)
+let dslx_adapter_loc = 52
+let bambu_adapter_loc = 58
+
 (* A tool's knob space, exposed as data next to the sweep that realises
    it.  A chart is one product block of the sweep: row-major enumeration
    of its axes (last axis fastest) covers a contiguous run of the sweep,
@@ -205,7 +215,7 @@ let dslx =
     mk Dslx label
       (if stages = 0 then "combinational"
        else Printf.sprintf "--pipeline_stages=%d" stages)
-      ~fu:(Loc.count listing) ~axi:Tool_adapters.dslx_adapter_loc
+      ~fu:(Loc.count listing) ~axi:dslx_adapter_loc
       ~conf:(if stages = 0 then 0 else 1)
       ~listing
       (Stream
@@ -255,7 +265,7 @@ let bambu =
       + if c.chain_effort <> 1 then 1 else 0
     in
     mk Bambu label (Chls.Tool.describe_bambu c) ~fu:(Loc.count listing)
-      ~axi:Chls.Tool.bambu_adapter_loc ~conf ~listing
+      ~axi:bambu_adapter_loc ~conf ~listing
       (Stream (cell Bambu label (fun () -> Chls.Tool.bambu_circuit c)))
   in
   (* The full 7 x 2 x 3 option grid, axes in the nesting order of

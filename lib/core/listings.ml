@@ -1,6 +1,6 @@
 (* Source listings for the front ends embedded in OCaml (Chisel, BSV,
    MaxJ).  Our mini-languages lack the vector/loop sugar of the real ones,
-   so their mechanical dumps unroll aggregates; these listings are the
+   so a mechanical dump would unroll aggregates; these listings are the
    equivalent sources as a user of the real language writes them — the
    text the labor metric L should count.  The elaborated circuits are
    generated from the same structures (see Chisel.Idct_gen, Bsv.Idct_bsv,

@@ -17,7 +17,6 @@
 type t = Exhaustive | Random | Hillclimb
 
 val to_string : t -> string
-val all_names : string list
 
 val parse : string -> (t, string) result
 (** Case-insensitive; an unknown name lists the valid strategies. *)

@@ -1,5 +1,4 @@
 (** DSLX-style source listing, generated from the same AST the compiler
     elaborates (the LOC metric counts these lines). *)
 
-val emit_fn : Ir.fn -> string
 val emit : Ir.program -> string

@@ -5,8 +5,5 @@
     the declared return types.  Elaboration ({!Lower}) assumes a checked
     program. *)
 
-val check_fn : Ir.program -> Ir.fn -> (Ir.ty, string) result
-(** Returns the function's (checked) return type. *)
-
 val check_program : Ir.program -> (unit, string) result
 (** Checks every function and the presence of [top]. *)

@@ -1,4 +1,4 @@
-let stamp ?enable b (inst : Netlist.t) ~inputs =
+let stamp b (inst : Netlist.t) ~inputs =
   let n = Netlist.num_nodes inst in
   let map = Array.make n None in
   let mem_map =
@@ -17,8 +17,7 @@ let stamp ?enable b (inst : Netlist.t) ~inputs =
   Array.iter
     (fun (nd : Netlist.node) ->
       match nd.kind with
-      | Netlist.Reg { init; enable = en; _ } ->
-          ignore en;
+      | Netlist.Reg { init; _ } ->
           let name =
             Option.value nd.name ~default:(Printf.sprintf "i%d" nd.uid)
           in
@@ -82,13 +81,8 @@ let stamp ?enable b (inst : Netlist.t) ~inputs =
     (fun mi (m : Netlist.mem) ->
       List.iter
         (fun (w : Netlist.write_port) ->
-          let en =
-            match enable with
-            | None -> get w.Netlist.w_enable
-            | Some e -> Builder.and_ b e (get w.Netlist.w_enable)
-          in
-          Builder.mem_write b mem_map.(mi) ~enable:en ~addr:(get w.Netlist.w_addr)
-            ~data:(get w.Netlist.w_data))
+          Builder.mem_write b mem_map.(mi) ~enable:(get w.Netlist.w_enable)
+            ~addr:(get w.Netlist.w_addr) ~data:(get w.Netlist.w_data))
         m.Netlist.mem_writes)
     inst.mems;
   (* Connect the registers. *)
@@ -97,15 +91,10 @@ let stamp ?enable b (inst : Netlist.t) ~inputs =
       match nd.kind with
       | Netlist.Reg { d; enable = en; _ } ->
           let q = get nd.uid in
-          let inner_en = Option.map get en in
-          let eff_en =
-            match (enable, inner_en) with
-            | None, e | e, None -> e
-            | Some a, Some b' -> Some (Builder.and_ b a b')
-          in
-          (match eff_en with
-          | None -> Builder.connect b q (get d)
-          | Some e -> Builder.connect b q (Builder.mux b e (get d) q))
+          Builder.connect b q
+            (match en with
+            | None -> get d
+            | Some e -> Builder.mux b (get e) (get d) q)
       | _ -> ())
     inst.nodes;
   List.map (fun (name, u) -> (name, get u)) inst.outputs

@@ -2,11 +2,10 @@
 
     Copies every node of the instanced circuit into the target builder,
     substituting the given signals for its input ports.  Registers are
-    recreated (optionally gated by [enable], on top of their own enables),
-    so stamping a sequential circuit yields an independent instance. *)
+    recreated with their own enables, so stamping a sequential circuit
+    yields an independent instance. *)
 
 val stamp :
-  ?enable:Builder.s ->
   Builder.t ->
   Netlist.t ->
   inputs:(string * Builder.s) list ->

@@ -4,12 +4,9 @@
     cosine-basis transform evaluated in double precision, with outputs
     rounded to the nearest integer and clamped to the 9-bit sample range. *)
 
-val idct_exact : Axis.Block.t -> float array
-(** Unrounded inverse transform of a coefficient block (row-major 64). *)
-
 val idct : Axis.Block.t -> Axis.Block.t
-(** Reference IDCT: {!idct_exact}, rounded to nearest, clamped to
-    [-256, 255]. *)
+(** Reference IDCT: the unrounded inverse transform of a coefficient
+    block, rounded to nearest, clamped to [-256, 255]. *)
 
 val fdct_exact : Axis.Block.t -> float array
 (** Unrounded forward transform of a sample block. *)

@@ -95,7 +95,7 @@ let col_pass k ins =
 (* Initial kernel: a whole matrix per tick                             *)
 (* ------------------------------------------------------------------ *)
 
-let build_initial () =
+let initial_kernel () =
   let k = Kernel.create "idct_matrix" in
   let m =
     Array.init 64 (fun i -> Kernel.input k (Printf.sprintf "m_%d" i) 12)
@@ -113,10 +113,8 @@ let build_initial () =
       Kernel.output k (Printf.sprintf "out_%d" ((r * 8) + c)) cols.(c).(r)
     done
   done;
-  k
+  Kernel.finalize k
 
-let initial_kernel () = Kernel.finalize (build_initial ())
-let initial_listing () = Kernel.listing (build_initial ())
 let initial_system () = Manager.build ~kernel:(initial_kernel ()) ~ticks_per_op:1 ()
 
 (* ------------------------------------------------------------------ *)
@@ -208,33 +206,6 @@ let opt_kernel () = let c, _, _ = build_opt () in c
 let opt_system () =
   let c, kr, kc = build_opt () in
   Manager.build ~depth:(kr + kc + opt_slack) ~kernel:c ~ticks_per_op:8 ()
-
-let unit_listing name pass in_width =
-  let k = Kernel.create name in
-  let ins =
-    Array.init 8 (fun i -> Kernel.input k (Printf.sprintf "u_%d" i) in_width)
-  in
-  Array.iteri
-    (fun i s -> Kernel.output k (Printf.sprintf "q_%d" i) s)
-    (pass k ins);
-  Kernel.listing k
-
-let opt_listing () =
-  (* The streaming engine around the two passes, plus their dataflow. *)
-  String.concat "\n"
-    ([
-       "class IdctRowStream extends Kernel {";
-       "DFEVar cnt = control.count.simpleCounter(4);";
-       "DFEVar wrow = stream.offset(cnt, -ROW_LATENCY).slice(0, 3);";
-       "DFEVar wbank = stream.offset(cnt, -ROW_LATENCY).slice(3, 1);";
-       "// transpose buffer: 2 banks of 8x8 stream holds";
-       "DFEVector<DFEVar> held = Reductions.streamHold(rowOut, wrow === r & wbank === b);";
-       "DFEVector<DFEVar> colIn = control.mux(wbank # wrow, held);";
-       "io.output(\"col\", colOut, colType);";
-       "}";
-     ]
-    @ [ unit_listing "IdctRowPass" row_pass 12 ]
-    @ [ unit_listing "IdctColPass" col_pass 16 ])
 
 (* ------------------------------------------------------------------ *)
 (* Bit-true simulation                                                  *)

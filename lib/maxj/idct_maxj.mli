@@ -11,11 +11,9 @@
 
 val initial_kernel : unit -> Hw.Netlist.t
 val initial_system : unit -> Manager.system
-val initial_listing : unit -> string
 
 val opt_kernel : unit -> Hw.Netlist.t
 val opt_system : unit -> Manager.system
-val opt_listing : unit -> string
 
 (** Each call of a [*_kernel] or [*_system] function builds a fresh
     kernel; callers that share one keep it themselves (the registry's

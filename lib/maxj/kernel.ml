@@ -2,68 +2,45 @@ open Hw
 
 type stream = Builder.s
 
-type t = {
-  b : Builder.t;
-  kname : string;
-  mutable trace : string list;      (* MaxJ-like lines, most recent first *)
-  mutable has_state : bool;
-  mutable fresh : int;
-}
+type t = { b : Builder.t; mutable has_state : bool; mutable fresh : int }
 
-let create kname =
-  { b = Builder.create kname; kname; trace = []; has_state = false; fresh = 0 }
-
-let log k fmt = Printf.ksprintf (fun s -> k.trace <- s :: k.trace) fmt
+let create name = { b = Builder.create name; has_state = false; fresh = 0 }
 
 let fresh k prefix =
   k.fresh <- k.fresh + 1;
   Printf.sprintf "%s%d" prefix k.fresh
 
-let input k name w =
-  log k "DFEVar %s = io.input(\"%s\", dfeInt(%d));" name name w;
-  Builder.input k.b name w
+let input k name w = Builder.input k.b name w
 
-let const k ~width v =
-  log k "DFEVar c%d = constant.var(dfeInt(%d), %d);" v width v;
-  Builder.const k.b ~width v
+let const k ~width v = Builder.const k.b ~width v
 
 (* Signed helpers: operands are sign-extended to the result width. *)
 let widen2 k f a b =
   let w = 1 + max (Builder.width a) (Builder.width b) in
   f k.b (Builder.sext k.b a w) (Builder.sext k.b b w)
 
-let add k a b =
-  log k "DFEVar %s = a + b;" (fresh k "s");
-  widen2 k Builder.add a b
+let add k a b = widen2 k Builder.add a b
 
-let sub k a b =
-  log k "DFEVar %s = a - b;" (fresh k "d");
-  widen2 k Builder.sub a b
+let sub k a b = widen2 k Builder.sub a b
 
 let mulc k c a =
-  log k "DFEVar %s = x * %d;" (fresh k "m") c;
   let wc = Bits.width_for_signed_range c c in
   let w = wc + Builder.width a in
   Builder.mul k.b (Builder.const k.b ~width:w c) (Builder.sext k.b a w)
 
 let shl k a n =
-  log k "DFEVar %s = x << %d;" (fresh k "l") n;
   Builder.shl_const k.b (Builder.sext k.b a (Builder.width a + n)) n
 
 let asr_ k a n =
-  log k "DFEVar %s = x >> %d;" (fresh k "r") n;
   let w = Builder.width a in
   if n >= w then Builder.slice k.b a ~hi:(w - 1) ~lo:(w - 1)
   else Builder.slice k.b a ~hi:(w - 1) ~lo:n
 
 let cast k a w =
-  log k "DFEVar %s = x.cast(dfeInt(%d));" (fresh k "t") w;
   if w <= Builder.width a then Builder.slice k.b a ~hi:(w - 1) ~lo:0
   else Builder.sext k.b a w
 
 let clamp k ~lo ~hi a =
-  log k "DFEVar %s = KernelMath.max(KernelMath.min(x, %d), %d);" (fresh k "c")
-    hi lo;
   let w = max (Builder.width a) (Bits.width_for_signed_range lo hi) in
   let ax = Builder.sext k.b a w in
   let clo = Builder.const k.b ~width:w lo and chi = Builder.const k.b ~width:w hi in
@@ -74,7 +51,6 @@ let clamp k ~lo ~hi a =
   Builder.slice k.b sat ~hi:(wr - 1) ~lo:0
 
 let mux k sel a b =
-  log k "DFEVar %s = sel ? a : b;" (fresh k "x");
   let w = max (Builder.width a) (Builder.width b) in
   Builder.mux k.b sel (Builder.sext k.b a w) (Builder.sext k.b b w)
 
@@ -83,21 +59,17 @@ let counter k ~modulo =
   let rec lg n = if n <= 1 then 0 else 1 + lg (n / 2) in
   let w = max 1 (lg modulo) in
   if 1 lsl w <> modulo then invalid_arg "Kernel.counter: modulo must be a power of two";
-  log k "DFEVar cnt = control.count.simpleCounter(%d);" w;
   let q = Builder.reg k.b ~width:w (fresh k "cnt") in
   Builder.connect k.b q (Builder.add k.b q (Builder.const k.b ~width:w 1));
   q
 
 let hold k ~enable a =
   k.has_state <- true;
-  log k "DFEVar %s = Reductions.streamHold(x, en);" (fresh k "h");
   let q = Builder.reg k.b ~enable ~width:(Builder.width a) (fresh k "hold") in
   Builder.connect k.b q a;
   q
 
-let output k name s =
-  log k "io.output(\"%s\", %s, dfeInt(%d));" name name (Builder.width s);
-  Builder.output k.b name s
+let output k name s = Builder.output k.b name s
 
 (* MaxCompiler pipelines kernels to its stream clock; one DSP traversal per
    stage bounds the achievable period. *)
@@ -113,11 +85,6 @@ let finalize k =
       max 1 (int_of_float (ceil (t.Timing.period_ns /. (0.75 *. target_period_ns))))
     in
     Pipeline.retime ~stages c
-
-let listing k =
-  String.concat "\n"
-    ((Printf.sprintf "class %s extends Kernel {" k.kname :: List.rev k.trace)
-    @ [ "}" ])
 
 let pipeline_depth (c : Netlist.t) =
   let n = Netlist.num_nodes c in

@@ -5,8 +5,8 @@
     tick; state appears only as counters and enabled holds.  Compilation
     deep-pipelines feed-forward kernels to the compiler's target clock
     period, the behaviour the paper observes (47-stage pipeline at
-    403 MHz).  Every construction call is recorded, and the recording is
-    pretty-printed as a MaxJ-like listing for the LOC metric. *)
+    403 MHz).  The LOC metric does not read kernels: it counts the curated
+    MaxJ listings of [Core.Listings]. *)
 
 type t
 type stream
@@ -40,9 +40,6 @@ val finalize : t -> Hw.Netlist.t
 (** Retimes a feed-forward kernel to the compiler's target clock
     (kernels with holds/counters are emitted as constructed).  Returns
     the kernel circuit (plain ports, no AXI). *)
-
-val listing : t -> string
-(** MaxJ-like source, from the construction recording. *)
 
 val pipeline_depth : Hw.Netlist.t -> int
 (** Register ranks between inputs and outputs (the kernel latency). *)

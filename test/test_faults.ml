@@ -337,6 +337,33 @@ let test_compliance_protocol_violation () =
            (Core.Flow.class_detail e.Core.Flow.err_class))
   | _ -> Alcotest.fail "expected the good design to pass and the bad to fail"
 
+let test_compliance_poison () =
+  (* The measure path's poison probe reaches the compliance checker too: a
+     corrupted block fails the targeted design's verdict, on the batched
+     stream path and on the PCIe path alike, and no other design's. *)
+  let with_poison d f =
+    Core.Faultinject.arm
+      { Core.Faultinject.fault = Poison; target = Core.Flow.span_key d; seed = 3 };
+    Fun.protect ~finally:Core.Faultinject.disarm f
+  in
+  let kernel = Option.get (Core.Kernel.parse_kernel "fir8") in
+  let designs =
+    List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
+  in
+  let verdicts =
+    with_poison (List.hd designs) (fun () ->
+        Core.Evaluate.compliance_all_result ~jobs:1 ~blocks:16
+          ~spec:(Core.Kernel.spec kernel) designs)
+  in
+  check (Alcotest.list bool) "only the victim fails" [ false; true; true ]
+    (List.map
+       (function _, Ok v -> v | _, Error _ -> Alcotest.fail "no typed error")
+       verdicts);
+  let maxj = Core.Kernel.optimized idct Core.Design.Maxj in
+  check bool "PCIe design poisoned" false
+    (with_poison maxj (fun () ->
+         Core.Evaluate.check_compliance ~blocks:4 ~spec:Core.Flow.idct_spec maxj))
+
 (* ---------------- artifacts cache nothing of their own ---------------- *)
 
 let test_artifacts_recompute_after_clear () =
@@ -491,6 +518,8 @@ let () =
             test_compliance_keeps_going;
           Alcotest.test_case "compliance catches a protocol violation" `Quick
             test_compliance_protocol_violation;
+          Alcotest.test_case "compliance sees poisoned blocks" `Quick
+            test_compliance_poison;
         ] );
       ( "caches",
         [

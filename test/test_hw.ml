@@ -341,23 +341,29 @@ let test_stamp_comb () =
   check int "two instances compose" 11 (Sim.get sim "y")
 
 let test_stamp_seq () =
+  (* A counter gated by its own enable port: each stamped instance keeps
+     the gate and its own state. *)
   let inner =
     let b = Builder.create "cnt" in
-    let q = Builder.reg b ~width:8 "q" in
+    let en = Builder.input b "en" 1 in
+    let q = Builder.reg b ~enable:en ~width:8 "q" in
     Builder.connect b q (Builder.add b q (Builder.one b 8));
     Builder.output b "q" q;
     Builder.finalize b
   in
   let b = Builder.create "outer" in
   let en = Builder.input b "en" 1 in
-  let o = Instantiate.stamp ~enable:en b inner ~inputs:[] in
-  Builder.output b "q" (List.assoc "q" o);
+  let gated = Instantiate.stamp b inner ~inputs:[ ("en", en) ] in
+  let free = Instantiate.stamp b inner ~inputs:[ ("en", Builder.one b 1) ] in
+  Builder.output b "gated" (List.assoc "q" gated);
+  Builder.output b "free" (List.assoc "q" free);
   let sim = Sim.create (Builder.finalize b) in
   Sim.set sim "en" 1;
   Sim.step_n sim 4;
   Sim.set sim "en" 0;
   Sim.step_n sim 4;
-  check int "gated instance counter" 4 (Sim.get sim "q")
+  check int "gated instance counter" 4 (Sim.get sim "gated");
+  check int "independent instance counter" 8 (Sim.get sim "free")
 
 (* ---------------- Verilog emission round-trip ---------------- *)
 

@@ -12,24 +12,6 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* ---------------- BSV emitter ---------------- *)
-
-let test_bsv_emit () =
-  let src = Bsv.Emit.emit Bsv.Idct_bsv.optimized_design in
-  check bool "has rules" true (contains src "rule load");
-  check bool "has commit rule" true (contains src "rule load_commit");
-  check bool "has interface" true (contains src "interface");
-  check bool "registers declared" true (contains src "mkReg");
-  (* shared subexpressions are printed once, as lets: the tree form of
-     this design is over 3 MB *)
-  check bool "under 100 KB" true (String.length src < 100_000)
-
-let test_bsv_expr_string () =
-  let e =
-    Bsv.Lang.(read { rid = 0; rname = "a"; rwidth = 4; rinit = 0 } +: cst 4 3)
-  in
-  check bool "renders" true (contains (Bsv.Emit.expr_to_string e) "a + 4'd3")
-
 (* ---------------- DSLX emitter ---------------- *)
 
 let test_dslx_emit () =
@@ -209,8 +191,6 @@ let () =
     [
       ( "emitters",
         [
-          Alcotest.test_case "bsv module" `Quick test_bsv_emit;
-          Alcotest.test_case "bsv expressions" `Quick test_bsv_expr_string;
           Alcotest.test_case "dslx program" `Quick test_dslx_emit;
           Alcotest.test_case "c program" `Quick test_cprint;
           Alcotest.test_case "c pragmas" `Quick test_cprint_pragmas;

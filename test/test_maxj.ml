@@ -40,14 +40,6 @@ let test_counter_modulo_check () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected power-of-two check")
 
-let test_listing_records () =
-  let k = Maxj.Kernel.create "trace" in
-  let x = Maxj.Kernel.input k "x" 8 in
-  Maxj.Kernel.output k "y" (Maxj.Kernel.add k x x);
-  let l = Maxj.Kernel.listing k in
-  check bool "has class header" true
-    (String.length l > 0 && String.sub l 0 5 = "class")
-
 let mats n =
   let rng = Axis.Block.Rand.create ~seed:51 () in
   List.init n (fun _ ->
@@ -101,7 +93,6 @@ let () =
           Alcotest.test_case "auto pipelining" `Quick test_kernel_pipelining;
           Alcotest.test_case "stateful kernels kept" `Quick test_kernel_stateful_not_retimed;
           Alcotest.test_case "counter modulo" `Quick test_counter_modulo_check;
-          Alcotest.test_case "construction trace" `Quick test_listing_records;
         ] );
       ( "idct",
         [
