@@ -299,16 +299,26 @@ let comply_cmd =
     Arg.(value & opt pos_int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
   in
   let run kernel blocks jobs trace keep_going fault =
-    (* The batched testbench runs every block to completion: there is no
-       cycle budget for a [stall] fault to clamp, so it is refused rather
-       than silently ignored. *)
+    (* comply probes only [crash@comply], [poison] and [protocol]; any
+       other fault would be silently ignored, so it is refused.  The
+       batched testbench runs every block to completion: there is no
+       cycle budget for a [stall] fault to clamp. *)
+    let refuse fault why =
+      Printf.eprintf "hlsvhc comply: cannot inject %s: %s\n"
+        (Core.Faultinject.fault_to_string fault)
+        why;
+      exit 2
+    in
     (match Option.map Core.Faultinject.parse fault with
     | Some (Ok { Core.Faultinject.fault = Stall; _ }) ->
-        prerr_endline
-          "hlsvhc comply: cannot inject stall: the batched testbench has no \
-           cycle budget";
-        exit 2
-    | _ -> ());
+        refuse Stall "the batched testbench has no cycle budget"
+    | Some
+        (Ok { Core.Faultinject.fault = Crash "comply" | Poison | Protocol; _ })
+    | Some (Error _)
+    | None ->
+        ()
+    | Some (Ok { Core.Faultinject.fault; _ }) ->
+        refuse fault "comply injects only crash@comply, poison and protocol");
     run_batch ~fault ~trace ~keep_going (fun () ->
         let spec = Core.Kernel.spec kernel in
         let designs =

@@ -80,6 +80,13 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
   let out_mat = Array.make n_lanes 0 in
   let monitors = Array.init n_lanes (fun _ -> Monitor.online ()) in
   let data = Array.make lanes 0 in
+  (* One row per port: lane [l]'s value at index [l], moved to and from
+     the simulator with one call per port per cycle. *)
+  let row () = Array.make n_lanes 0 in
+  let valid_in = row () and last_in = row () and ready_in = row () in
+  let data_in = Array.init lanes (fun _ -> row ()) in
+  let ready_out = row () and valid_out = row () and last_out = row () in
+  let data_out = Array.init lanes (fun _ -> row ()) in
   let pending = ref n_mat in
   let cycle = ref 0 and idle = ref 0 in
   let in_budget () =
@@ -91,29 +98,44 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
     (* Drive inputs for this cycle, every lane. *)
     for l = 0 to n_lanes - 1 do
       let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
-      Sim.set_port sim s_valid ~lane:l (if driving then 1 else 0);
-      Sim.set_port sim s_last ~lane:l
-        (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
-      for c = 0 to lanes - 1 do
-        Sim.set_port sim s_data.(c) ~lane:l
-          (if driving then
-             Block.get inputs.(mat_idx.(l)) ~row:beat_idx.(l) ~col:c
-           else 0)
-      done;
-      Sim.set_port sim m_ready ~lane:l (if ready then 1 else 0)
+      valid_in.(l) <- (if driving then 1 else 0);
+      last_in.(l) <- (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
+      if driving then begin
+        let m = inputs.(mat_idx.(l)) and r = beat_idx.(l) in
+        for c = 0 to lanes - 1 do
+          data_in.(c).(l) <- Block.get m ~row:r ~col:c
+        done
+      end
+      else
+        for c = 0 to lanes - 1 do
+          data_in.(c).(l) <- 0
+        done
     done;
-    (* Observe handshakes, every lane.  The data lanes are only read
-       while [m_valid] is up: that is the only time the monitor or the
-       collector looks at them. *)
+    Array.fill ready_in 0 n_lanes (if ready then 1 else 0);
+    Sim.set_row sim s_valid valid_in;
+    Sim.set_row sim s_last last_in;
+    for c = 0 to lanes - 1 do
+      Sim.set_row sim s_data.(c) data_in.(c)
+    done;
+    Sim.set_row sim m_ready ready_in;
+    (* Observe handshakes, every lane.  The data rows are only read when
+       some lane has [m_valid] up: that is the only time the monitor or
+       the collector looks at them. *)
+    Sim.get_row sim s_ready ready_out;
+    Sim.get_row sim m_valid valid_out;
+    Sim.get_row sim m_last last_out;
+    if Array.exists (fun v -> v = 1) valid_out then
+      for c = 0 to lanes - 1 do
+        Sim.get_row sim m_data.(c) data_out.(c)
+      done;
     for l = 0 to n_lanes - 1 do
       let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
-      let in_ready = Sim.get_port sim s_ready ~lane:l = 1 in
-      let valid = Sim.get_port sim m_valid ~lane:l = 1 in
-      let last = Sim.get_port sim m_last ~lane:l = 1 in
+      let in_ready = ready_out.(l) = 1 in
+      let valid = valid_out.(l) = 1 in
+      let last = last_out.(l) = 1 in
       if valid then
         for c = 0 to lanes - 1 do
-          data.(c) <-
-            sign_extend Stream.out_width (Sim.get_port sim m_data.(c) ~lane:l)
+          data.(c) <- sign_extend Stream.out_width data_out.(c).(l)
         done;
       Monitor.observe monitors.(l) ~cycle:!cycle ~valid ~ready ~last data;
       if driving && in_ready then begin

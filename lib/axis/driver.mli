@@ -16,7 +16,10 @@
     the compiled schedule advances all of them.  Protocol monitoring runs
     per lane, online ({!Monitor.observe}).  The testbench drives
     {!Hw.Sim} directly: its stream ports are resolved to handles once
-    per run, so a cycle does no name lookup and no allocation. *)
+    per run, and each cycle moves every port's lanes in one
+    {!Hw.Sim.set_row} or {!Hw.Sim.get_row} call (11 input rows, 3
+    handshake rows, and the 8 [m_data] rows only when some lane has
+    [m_valid] up), so a cycle does no name lookup and no allocation. *)
 
 type result = {
   outputs : Block.t list;

@@ -66,30 +66,33 @@ let online () =
     found = [];
   }
 
+let report m cycle rule = m.found <- { at_cycle = cycle; rule } :: m.found
+
 let observe m ~cycle ~valid ~ready ~last data =
-  let report rule = m.found <- { at_cycle = cycle; rule } :: m.found in
   if m.stalled then begin
-    if not valid then report "m_valid deasserted while a beat was stalled"
+    if not valid then
+      report m cycle "m_valid deasserted while a beat was stalled"
     else begin
       let same = ref true in
       for i = 0 to Stream.lanes - 1 do
         if data.(i) <> m.stalled_data.(i) then same := false
       done;
-      if not !same then report "m_data changed while a beat was stalled";
+      if not !same then
+        report m cycle "m_data changed while a beat was stalled";
       if last <> m.stalled_last then
-        report "m_last changed while a beat was stalled"
+        report m cycle "m_last changed while a beat was stalled"
     end
   end;
-  if last && not valid then report "m_last asserted without m_valid";
+  if last && not valid then report m cycle "m_last asserted without m_valid";
   if valid && ready then begin
     m.beats <- m.beats + 1;
     let should_last = m.beats mod Stream.lanes = 0 in
     if last && not should_last then
-      report
+      report m cycle
         (Printf.sprintf "m_last on beat %d (expected every %dth)" m.beats
            Stream.lanes);
     if should_last && not last then
-      report (Printf.sprintf "missing m_last on beat %d" m.beats)
+      report m cycle (Printf.sprintf "missing m_last on beat %d" m.beats)
   end;
   m.stalled <- valid && not ready;
   if m.stalled then begin

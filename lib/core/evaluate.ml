@@ -67,26 +67,26 @@ let measure ?(matrices = 4) ~(spec : Flow.spec) (d : Design.t) :
    process), which the store coherence tests pin down. *)
 let clear_measure_cache = Measure_cache.clear
 
+(* A pool slot's outcome, typed as a flow error of design [d]. *)
+let typed d =
+  Result.map_error (fun (e, _bt) ->
+      Flow.error_of_exn ~design:(Flow.span_key d) e)
+
 (* A batch of independent designs on the domain pool: every design runs,
    results come back in input order, and a failed design's slot carries
    its typed flow error.  Each design's circuit cell is built inside the
    job that first forces it, so no builder state is shared across
    domains. *)
 let map_designs ?jobs f designs =
-  List.map2
-    (fun d ->
-      Result.map_error (fun (e, _bt) ->
-          Flow.error_of_exn ~design:(Flow.span_key d) e))
-    designs
-    (Parallel.map_result ?jobs f designs)
+  List.map2 typed designs (Parallel.map_result ?jobs f designs)
 
 let measure_all_result ?jobs ?(matrices = 4) ~spec designs =
   map_designs ?jobs (measure ~matrices ~spec) designs
 
 (* [check] is [spec.comply ~blocks], applied once per batch: the
-   design-independent stimulus and reference are prepared before the
-   fan-out, and every design, on every domain, is judged by the same pure
-   checker.  The preparation is its own engine-group span. *)
+   design-independent stimulus and reference are prepared once, and
+   every design, on every domain, is judged by the same pure checker.
+   The preparation is its own engine-group span. *)
 let prepare_comply ~blocks ~(spec : Flow.spec) =
   Trace.with_span ~design:("comply/" ^ spec.Flow.spec_name) ~stage:"prepare"
     (fun () ->
@@ -145,11 +145,84 @@ let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
 let check_compliance ?(blocks = 500) ~spec d =
   comply_design ~blocks ~spec (prepare_comply ~blocks ~spec) d
 
-let compliance_all_result ?jobs ?(blocks = 500) ~spec designs =
-  let check = prepare_comply ~blocks ~spec in
-  List.combine designs
-    (map_designs ?jobs (comply_design ~blocks ~spec check) designs)
+(* Pass 1 of the compliance batch, per design: force its netlist or
+   system in an ["elaborate"] span, then, for a stream design, time one
+   zero matrix through a throwaway single-lane testbench.  The key
+   [cycles * sim_thunks] orders pass 2, costliest first; a PCIe design's
+   key is 0.  A probe that raises only gives up the ordering (key 0):
+   pass 2 reruns the design and reports its failure as it always has. *)
+let stage_design ~(spec : Flow.spec) (d : Design.t) =
+  let design = Flow.span_design spec d in
+  let elaborate cell =
+    Trace.with_span ~design ~stage:"elaborate" (fun () -> Design.force cell)
+  in
+  match d.Design.impl with
+  | Design.Pcie p ->
+      ignore (elaborate p.Design.system);
+      0
+  | Design.Stream cell ->
+      let circuit = elaborate cell in
+      Trace.with_span ~design ~stage:"probe" (fun () ->
+          let cycles = ref 0 and thunks = ref 0 in
+          let hook k v =
+            if k = "cycles" then cycles := v
+            else if k = "sim_thunks" then thunks := v
+          in
+          let key =
+            match
+              Axis.Driver.transform_batch ~hook circuit [ Axis.Block.create () ]
+            with
+            | _ -> !cycles * !thunks
+            | exception _ -> 0
+          in
+          Trace.add_counter "key" key;
+          key)
 
-let compliance_all ?jobs ?(blocks = 500) ~spec designs =
-  let check = prepare_comply ~blocks ~spec in
-  Parallel.map ?jobs (fun d -> (d, comply_design ~blocks ~spec check d)) designs
+type comply_job = Prepare | Stage of Design.t
+type 'c comply_staged = Prepared of 'c | Staged of int
+
+(* Two pool maps.  Pass 1 prepares the stimulus and reference (claimed
+   first) while the other domains stage the designs, so no domain waits
+   on the preparation alone.  Pass 2 runs the testbenches in descending
+   key order, so the longest one starts first instead of last; results
+   are put back in input order.  Nothing staged crosses the passes but
+   the key: each design's driver lives only inside its pass-2 job.  A
+   design whose staging raised skips its testbench, and its pass-2 job
+   raises that exception inside the ["comply"] stage, typed exactly as
+   when the stage itself forced the design. *)
+let compliance_all_result ?jobs ?(blocks = 500) ~spec designs =
+  let staged =
+    Parallel.map_result ?jobs
+      (function
+        | Prepare -> Prepared (prepare_comply ~blocks ~spec)
+        | Stage d -> Staged (stage_design ~spec d))
+      (Prepare :: List.map (fun d -> Stage d) designs)
+  in
+  let check, staged =
+    match staged with
+    | Ok (Prepared check) :: staged -> (check, staged)
+    | Error (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+    | _ -> assert false
+  in
+  let key = function Ok (Staged k) -> k | _ -> 0 in
+  let order =
+    List.stable_sort
+      (fun (_, _, a) (_, _, b) -> compare (key b) (key a))
+      (List.mapi (fun i (d, s) -> (i, d, s)) (List.combine designs staged))
+  in
+  let comply (_, d, s) =
+    match s with
+    | Error (e, bt) ->
+        Flow.stage ~spec d "comply" (fun () ->
+            Printexc.raise_with_backtrace e bt)
+    | Ok _ -> comply_design ~blocks ~spec check d
+  in
+  List.combine order (Parallel.map_result ?jobs comply order)
+  |> List.sort (fun ((i, _, _), _) ((j, _, _), _) -> compare i j)
+  |> List.map (fun ((_, d, _), r) -> (d, typed d r))
+
+let compliance_all ?jobs ?blocks ~spec designs =
+  List.map
+    (fun (d, r) ->
+      match r with Ok v -> (d, v) | Error e -> raise (Flow.Error e))
+    (compliance_all_result ?jobs ?blocks ~spec designs)

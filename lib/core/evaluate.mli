@@ -86,11 +86,18 @@ val compliance_all_result :
 (** The compliance sweep on the domain pool: every design checked
     concurrently and paired, in input order, with its verdict or the
     typed error its check raised (at stage ["comply"], see
-    {!Flow.stage}).  [spec.comply ~blocks] is applied once per call,
-    before the fan-out, in a ["prepare"] span of the engine group
-    ["comply/<kernel>"]: the design-independent stimulus and reference
-    are computed once, and every design is judged by the same checker.
-    Nothing of it outlives the call. *)
+    {!Flow.stage}).  Two pool maps.  The first applies
+    [spec.comply ~blocks] once, as its first item, in a ["prepare"]
+    span of the engine group ["comply/<kernel>"], while its other items
+    force each design (an ["elaborate"] span) and time one zero matrix
+    through a stream design's testbench (a ["probe"] span whose [key]
+    counter is [cycles * sim_thunks]; 0 for a PCIe design).  The second
+    runs the checks costliest key first, every design judged by the
+    same checker.  Slots do not depend on the job count or on which
+    design is claimed first.  A design whose force raised gets, without
+    running its testbench, the error its ["comply"] stage would have
+    raised.  Nothing of it outlives the call.
+    @raise e if [spec.comply ~blocks] raises [e]. *)
 
 val compliance_all :
   ?jobs:int ->
@@ -98,4 +105,6 @@ val compliance_all :
   spec:Flow.spec ->
   Design.t list ->
   (Design.t * bool) list
-(** The raising view of {!compliance_all_result}. *)
+(** The raising view of {!compliance_all_result}: the same run, then
+    the {!Flow.Error} of the first failed design in input order is
+    raised. *)

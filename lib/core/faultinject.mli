@@ -59,6 +59,9 @@ val parse : string -> (spec, string) result
     [TARGET] a span-key substring ([*] for all designs; unused by the
     connection faults); [SEED] a non-negative integer (default 0). *)
 
+val fault_to_string : fault -> string
+(** The [FAULT] field of a spec, as {!parse} reads it. *)
+
 val to_string : spec -> string
 
 val arm : spec -> unit
@@ -72,10 +75,12 @@ val armed : unit -> spec option
 (** {1 Probes}
 
     Called by {!Flow} at the injection points, and by the compliance
-    path of {!Evaluate} ([poison] and [protocol]; [comply] has no cycle
-    budget, so the CLI refuses [stall] there).  Each probe is a no-op
-    unless the armed spec matches both the design and the probe's fault
-    kind. *)
+    path of {!Evaluate}: its ["comply"] stage ([crash@comply]) and its
+    testbench ([poison] and [protocol]).  Those three are the only
+    faults [hlsvhc comply] can inject, so the CLI refuses every other
+    spec there ([stall] has no cycle budget to clamp in the batched
+    testbench).  Each probe is a no-op unless the armed spec matches
+    both the design and the probe's fault kind. *)
 
 val crash_at_stage : design:string -> stage:string -> unit
 (** Raise {!Injected} when a [Crash stage] spec targets this design. *)

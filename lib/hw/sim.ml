@@ -1023,6 +1023,36 @@ let get_port t p ~lane =
   settle t;
   t.vals.((t.slot.(p) * t.batch) + lane)
 
+(* A port's lanes are contiguous ([slot * batch + lane]), so a row is one
+   masked compare-and-store loop that stamps the slot once if any lane
+   changed, or one blit after settling. *)
+let row_check t caller row =
+  if Array.length row <> t.batch then
+    invalid_arg
+      (Printf.sprintf "%s: row of %d lanes (batch %d)" caller
+         (Array.length row) t.batch)
+
+let set_row t p row =
+  row_check t "Sim.set_row" row;
+  let m = t.masks.(p) and base = t.slot.(p) * t.batch and vals = t.vals in
+  let changed = ref false in
+  for l = 0 to t.batch - 1 do
+    let v = Array.unsafe_get row l land m in
+    if Array.unsafe_get vals (base + l) <> v then begin
+      Array.unsafe_set vals (base + l) v;
+      changed := true
+    end
+  done;
+  if !changed then begin
+    t.stamp.(t.slot.(p)) <- t.epoch;
+    t.dirty <- true
+  end
+
+let get_row t p row =
+  row_check t "Sim.get_row" row;
+  settle t;
+  Array.blit t.vals (t.slot.(p) * t.batch) row 0 t.batch
+
 let signed_of t uid v =
   let w = t.widths.(uid) in
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v

@@ -19,7 +19,8 @@
     clock ({!step} advances every lane); they differ only in the inputs
     driven per lane and the state that evolves from them.  Every accessor
     takes [?lane] (default 0), so single-lane callers never see the batch
-    dimension.
+    dimension; {!set_row}/{!get_row} move one port's values of every
+    lane in one call, for testbenches that drive all lanes each cycle.
 
     The batched sweep ([batch > 1]) evaluates only the rows with an
     operand that changed since the previous sweep, in any lane, and the
@@ -79,6 +80,17 @@ val get_port : t -> port -> lane:int -> int
 (** Unsigned value of output [p] in lane [lane], after settling the
     fabric.
     @raise Invalid_argument on an out-of-range lane. *)
+
+val set_row : t -> port -> int array -> unit
+(** [set_row sim p row] is [set_port sim p ~lane:l row.(l)] for every
+    lane [l], in one call: lane values are stored contiguously, so the
+    row costs one masked compare-and-store loop.
+    @raise Invalid_argument unless [Array.length row = batch sim]. *)
+
+val get_row : t -> port -> int array -> unit
+(** [get_row sim p row] stores [get_port sim p ~lane:l] in [row.(l)] for
+    every lane [l]: one settle, one blit.
+    @raise Invalid_argument unless [Array.length row = batch sim]. *)
 
 val set : ?lane:int -> t -> string -> int -> unit
 (** [set ~lane sim port v] is {!set_port} on [in_port sim port], lane

@@ -2,7 +2,13 @@
 
     This is the accuracy yardstick of IEEE 1180-1990: the separable
     cosine-basis transform evaluated in double precision, with outputs
-    rounded to the nearest integer and clamped to the 9-bit sample range. *)
+    rounded to the nearest integer and clamped to the 9-bit sample range.
+    Both directions evaluate the literal quadruple sum over the cosine
+    basis, term by term in a fixed order, so every result is
+    bit-reproducible. *)
+
+val idct_exact : Axis.Block.t -> float array
+(** Unrounded inverse transform of a coefficient block. *)
 
 val idct : Axis.Block.t -> Axis.Block.t
 (** Reference IDCT: the unrounded inverse transform of a coefficient

@@ -2,22 +2,18 @@ open Hw
 
 type stream = Builder.s
 
-type t = { b : Builder.t; mutable has_state : bool; mutable fresh : int }
+type t = Builder.t
 
-let create name = { b = Builder.create name; has_state = false; fresh = 0 }
+let create = Builder.create
 
-let fresh k prefix =
-  k.fresh <- k.fresh + 1;
-  Printf.sprintf "%s%d" prefix k.fresh
+let input k name w = Builder.input k name w
 
-let input k name w = Builder.input k.b name w
-
-let const k ~width v = Builder.const k.b ~width v
+let const k ~width v = Builder.const k ~width v
 
 (* Signed helpers: operands are sign-extended to the result width. *)
 let widen2 k f a b =
   let w = 1 + max (Builder.width a) (Builder.width b) in
-  f k.b (Builder.sext k.b a w) (Builder.sext k.b b w)
+  f k (Builder.sext k a w) (Builder.sext k b w)
 
 let add k a b = widen2 k Builder.add a b
 
@@ -26,65 +22,49 @@ let sub k a b = widen2 k Builder.sub a b
 let mulc k c a =
   let wc = Bits.width_for_signed_range c c in
   let w = wc + Builder.width a in
-  Builder.mul k.b (Builder.const k.b ~width:w c) (Builder.sext k.b a w)
+  Builder.mul k (Builder.const k ~width:w c) (Builder.sext k a w)
 
 let shl k a n =
-  Builder.shl_const k.b (Builder.sext k.b a (Builder.width a + n)) n
+  Builder.shl_const k (Builder.sext k a (Builder.width a + n)) n
 
 let asr_ k a n =
   let w = Builder.width a in
-  if n >= w then Builder.slice k.b a ~hi:(w - 1) ~lo:(w - 1)
-  else Builder.slice k.b a ~hi:(w - 1) ~lo:n
+  if n >= w then Builder.slice k a ~hi:(w - 1) ~lo:(w - 1)
+  else Builder.slice k a ~hi:(w - 1) ~lo:n
 
 let cast k a w =
-  if w <= Builder.width a then Builder.slice k.b a ~hi:(w - 1) ~lo:0
-  else Builder.sext k.b a w
+  if w <= Builder.width a then Builder.slice k a ~hi:(w - 1) ~lo:0
+  else Builder.sext k a w
 
 let clamp k ~lo ~hi a =
   let w = max (Builder.width a) (Bits.width_for_signed_range lo hi) in
-  let ax = Builder.sext k.b a w in
-  let clo = Builder.const k.b ~width:w lo and chi = Builder.const k.b ~width:w hi in
-  let below = Builder.lt k.b ~signed:true ax clo in
-  let above = Builder.gt k.b ~signed:true ax chi in
-  let sat = Builder.mux k.b below clo (Builder.mux k.b above chi ax) in
+  let ax = Builder.sext k a w in
+  let clo = Builder.const k ~width:w lo and chi = Builder.const k ~width:w hi in
+  let below = Builder.lt k ~signed:true ax clo in
+  let above = Builder.gt k ~signed:true ax chi in
+  let sat = Builder.mux k below clo (Builder.mux k above chi ax) in
   let wr = Bits.width_for_signed_range lo hi in
-  Builder.slice k.b sat ~hi:(wr - 1) ~lo:0
+  Builder.slice k sat ~hi:(wr - 1) ~lo:0
 
 let mux k sel a b =
   let w = max (Builder.width a) (Builder.width b) in
-  Builder.mux k.b sel (Builder.sext k.b a w) (Builder.sext k.b b w)
+  Builder.mux k sel (Builder.sext k a w) (Builder.sext k b w)
 
-let counter k ~modulo =
-  k.has_state <- true;
-  let rec lg n = if n <= 1 then 0 else 1 + lg (n / 2) in
-  let w = max 1 (lg modulo) in
-  if 1 lsl w <> modulo then invalid_arg "Kernel.counter: modulo must be a power of two";
-  let q = Builder.reg k.b ~width:w (fresh k "cnt") in
-  Builder.connect k.b q (Builder.add k.b q (Builder.const k.b ~width:w 1));
-  q
-
-let hold k ~enable a =
-  k.has_state <- true;
-  let q = Builder.reg k.b ~enable ~width:(Builder.width a) (fresh k "hold") in
-  Builder.connect k.b q a;
-  q
-
-let output k name s = Builder.output k.b name s
+let output k name s = Builder.output k name s
 
 (* MaxCompiler pipelines kernels to its stream clock; one DSP traversal per
    stage bounds the achievable period. *)
 let target_period_ns = Device.xcvu9p.Device.dsp_delay
 
 let finalize k =
-  let c = Builder.finalize k.b in
-  if k.has_state then c
-  else
-    let t = Timing.analyze Device.xcvu9p c in
-    let stages =
-      (* Aim below the target so stage imbalance still closes timing. *)
-      max 1 (int_of_float (ceil (t.Timing.period_ns /. (0.75 *. target_period_ns))))
-    in
-    Pipeline.retime ~stages c
+  let c = Builder.finalize k in
+  let t = Timing.analyze Device.xcvu9p c in
+  let stages =
+    (* Aim below the target so stage imbalance still closes timing. *)
+    max 1
+      (int_of_float (ceil (t.Timing.period_ns /. (0.75 *. target_period_ns))))
+  in
+  Pipeline.retime ~stages c
 
 let pipeline_depth (c : Netlist.t) =
   let n = Netlist.num_nodes c in

@@ -2,8 +2,8 @@
     stand-in).
 
     A kernel describes the computation applied to data streams on every
-    tick; state appears only as counters and enabled holds.  Compilation
-    deep-pipelines feed-forward kernels to the compiler's target clock
+    tick; kernels are feed-forward (no state).  Compilation
+    deep-pipelines them to the compiler's target clock
     period, the behaviour the paper observes (47-stage pipeline at
     403 MHz).  The LOC metric does not read kernels: it counts the curated
     MaxJ listings of [Core.Listings]. *)
@@ -27,19 +27,11 @@ val cast : t -> stream -> int -> stream
 val clamp : t -> lo:int -> hi:int -> stream -> stream
 val mux : t -> stream -> stream -> stream -> stream
 
-val counter : t -> modulo:int -> stream
-(** Free-running tick counter modulo [modulo] (a power of two). *)
-
-val hold : t -> enable:stream -> stream -> stream
-(** Register sampling the stream when [enable] is high (Maxeler's
-    stream-hold; the opt kernel's on-chip buffer is built from these). *)
-
 val output : t -> string -> stream -> unit
 
 val finalize : t -> Hw.Netlist.t
-(** Retimes a feed-forward kernel to the compiler's target clock
-    (kernels with holds/counters are emitted as constructed).  Returns
-    the kernel circuit (plain ports, no AXI). *)
+(** Retimes the kernel to the compiler's target clock.  Returns the
+    kernel circuit (plain ports, no AXI). *)
 
 val pipeline_depth : Hw.Netlist.t -> int
 (** Register ranks between inputs and outputs (the kernel latency). *)

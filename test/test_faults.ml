@@ -364,6 +364,46 @@ let test_compliance_poison () =
     (with_poison maxj (fun () ->
          Core.Evaluate.check_compliance ~blocks:4 ~spec:Core.Flow.idct_spec maxj))
 
+(* ---------------- the compliance schedule ---------------- *)
+
+let test_compliance_schedule_order () =
+  (* Pass 2 claims designs costliest first (Bambu's testbench is the
+     longest), yet every design's slot, in input order, is the same at
+     every job count and in either input order. *)
+  let kernel = Option.get (Core.Kernel.parse_kernel "fir8") in
+  let designs =
+    List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
+  in
+  let slots ~jobs designs =
+    Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+        Core.Faultinject.arm
+          { Core.Faultinject.fault = Poison; target = "Bambu"; seed = 0 };
+        List.map
+          (fun (d, r) ->
+            ( Core.Flow.span_key d,
+              match r with
+              | Ok v -> string_of_bool v
+              | Error e -> Core.Flow.render_failure_summary [ e ] ))
+          (Core.Evaluate.compliance_all_result ~jobs ~blocks:16
+             ~spec:(Core.Kernel.spec kernel) designs))
+  in
+  let slot = Alcotest.(list (pair string string)) in
+  let serial = slots ~jobs:1 designs in
+  check (Alcotest.list string) "input order"
+    (List.map Core.Flow.span_key designs)
+    (List.map fst serial);
+  check (Alcotest.list string) "only Bambu is poisoned"
+    [ "true"; "true"; "false" ]
+    (List.map snd serial);
+  List.iter
+    (fun jobs ->
+      check slot (Printf.sprintf "-j %d" jobs) serial (slots ~jobs designs);
+      check slot
+        (Printf.sprintf "-j %d, reversed input" jobs)
+        (List.rev serial)
+        (slots ~jobs (List.rev designs)))
+    [ 1; 2; 3 ]
+
 (* ---------------- artifacts cache nothing of their own ---------------- *)
 
 let test_artifacts_recompute_after_clear () =
@@ -532,5 +572,10 @@ let () =
         [
           Alcotest.test_case "atomic writes" `Quick test_write_atomic;
           Alcotest.test_case "stats diagnostics" `Quick test_stats_diagnostics;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "compliance slots independent of claim order"
+            `Quick test_compliance_schedule_order;
         ] );
     ]

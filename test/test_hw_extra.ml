@@ -519,6 +519,76 @@ let test_peek_every_node () =
       done)
     (c0 :: List.init 12 random_circuit)
 
+(* [Sim.set_row]/[Sim.get_row] against per-lane [set_port]/[get_port]:
+   two instances of one circuit, one driven a row at a time and one a
+   lane at a time, with values that differ per lane (and some lanes
+   kept from the previous cycle), must read the same outputs in every
+   lane, mid-cycle and after a step, before and after a reset, and
+   evaluate the same number of schedule rows. *)
+let test_rows_match_ports () =
+  List.iter
+    (fun lanes ->
+      List.iter
+        (fun c ->
+          let by_row = Sim.create ~batch:lanes c
+          and by_lane = Sim.create ~batch:lanes c in
+          let rng = Random.State.make [| lanes; 0x20e5 |] in
+          let ins =
+            List.map (fun (nm, _) -> Sim.in_port by_row nm) c.Netlist.inputs
+          and outs =
+            List.map (fun (nm, _) -> Sim.out_port by_row nm) c.Netlist.outputs
+          in
+          let row = Array.make lanes 0 in
+          let compare_outputs cycle =
+            List.iter
+              (fun p ->
+                Sim.get_row by_row p row;
+                Array.iteri
+                  (fun l got ->
+                    let want = Sim.get_port by_lane p ~lane:l in
+                    if got <> want then
+                      Alcotest.failf
+                        "%s, %d lanes: lane %d cycle %d: row %d, port %d"
+                        c.Netlist.circuit_name lanes l cycle got want)
+                  row)
+              outs
+          in
+          let current = List.map (fun _ -> Array.make lanes 0) ins in
+          for cycle = 0 to 30 do
+            if cycle = 15 then begin
+              Sim.reset by_row;
+              Sim.reset by_lane
+            end;
+            List.iter2
+              (fun p cur ->
+                for l = 0 to lanes - 1 do
+                  if Random.State.int rng 3 > 0 then
+                    cur.(l) <-
+                      (Random.State.bits rng lor (Random.State.bits rng lsl 30))
+                      * if Random.State.bool rng then 1 else -1
+                done;
+                Sim.set_row by_row p cur;
+                Array.iteri (fun l v -> Sim.set_port by_lane p ~lane:l v) cur)
+              ins current;
+            compare_outputs cycle;
+            Sim.step by_row;
+            Sim.step by_lane;
+            if cycle mod 4 = 0 then compare_outputs cycle
+          done;
+          check int
+            (Printf.sprintf "%s, %d lanes: same rows evaluated"
+               c.Netlist.circuit_name lanes)
+            (Sim.evaluations by_lane) (Sim.evaluations by_row))
+        (List.init 6 random_circuit))
+    [ 1; 3; 64 ];
+  let sim = Sim.create ~batch:3 (random_circuit 0) in
+  let p = Sim.in_port sim (fst (List.hd (random_circuit 0).Netlist.inputs)) in
+  match Sim.set_row sim p (Array.make 2 0) with
+  | exception Invalid_argument msg ->
+      check bool ("short row: " ^ msg) true
+        (contains msg "row of 2 lanes (batch 3)")
+  | () -> Alcotest.fail "a row of the wrong width must be refused"
+
 let engine_crosscheck_prop =
   crosscheck_prop ~name:"interpreter == levelized" ~count:15 ~cycles:1000 1
 
@@ -559,6 +629,8 @@ let () =
              Alcotest.test_case "port handles" `Quick test_port_handles;
              Alcotest.test_case "peek every node mid-run" `Quick
                test_peek_every_node;
+             Alcotest.test_case "rows agree with per-lane ports" `Quick
+               test_rows_match_ports;
            ] );
       ( "device",
         [

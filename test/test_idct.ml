@@ -131,6 +131,98 @@ let test_staged_checker_pure () =
     (run good = Idct.Ieee1180.run ~blocks good);
   check bool "bad stats" true (bad_first = Idct.Ieee1180.run ~blocks bad)
 
+(* The double-precision reference, written as the literal quadruple sum
+   over a 2-D basis table: the oracle [Reference] must match bit for bit
+   (same loop order, each term rounded as [(c * b_ux) * b_vy]). *)
+let oracle_basis =
+  Array.init 8 (fun u ->
+      Array.init 8 (fun x ->
+          let cu = if u = 0 then 1.0 /. sqrt 2.0 else 1.0 in
+          cu /. 2.0
+          *. cos
+               (float_of_int ((2 * x) + 1) *. float_of_int u *. Float.pi
+              /. 16.0)))
+
+let oracle_idct blk =
+  let out = Array.make 64 0.0 in
+  for x = 0 to 7 do
+    for y = 0 to 7 do
+      let acc = ref 0.0 in
+      for u = 0 to 7 do
+        for v = 0 to 7 do
+          acc :=
+            !acc
+            +. (float_of_int (Axis.Block.get blk ~row:u ~col:v)
+               *. oracle_basis.(u).(x)
+               *. oracle_basis.(v).(y))
+        done
+      done;
+      out.((x * 8) + y) <- !acc
+    done
+  done;
+  out
+
+let oracle_fdct blk =
+  let out = Array.make 64 0.0 in
+  for u = 0 to 7 do
+    for v = 0 to 7 do
+      let acc = ref 0.0 in
+      for x = 0 to 7 do
+        for y = 0 to 7 do
+          acc :=
+            !acc
+            +. (float_of_int (Axis.Block.get blk ~row:x ~col:y)
+               *. oracle_basis.(u).(x)
+               *. oracle_basis.(v).(y))
+        done
+      done;
+      out.((u * 8) + v) <- !acc
+    done
+  done;
+  out
+
+let same_bits what want got =
+  Array.iteri
+    (fun i w ->
+      if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+        Alcotest.failf "%s: element %d is %h, the oracle gives %h" what i
+          got.(i) w)
+    want
+
+let test_reference_bit_identical () =
+  (* Every IEEE 1180 condition's samples through the FDCT, and the
+     resulting coefficients through the IDCT, plus the all-zero block
+     and blocks at the sample and coefficient extremes. *)
+  let check_block b =
+    same_bits "fdct_exact" (oracle_fdct b) (Idct.Reference.fdct_exact b);
+    same_bits "idct_exact" (oracle_idct b) (Idct.Reference.idct_exact b)
+  in
+  List.iteri
+    (fun k (r : Idct.Ieee1180.range) ->
+      let rng = Axis.Block.Rand.create ~seed:(100 + k) () in
+      for _ = 1 to 1000 do
+        let samples =
+          Array.map
+            (fun v -> Axis.Block.clamp_output (r.sign * v))
+            (Axis.Block.Rand.block rng ~lo:r.lo ~hi:r.hi)
+        in
+        check_block samples;
+        check_block (Idct.Reference.fdct samples)
+      done)
+    Idct.Ieee1180.standard_ranges;
+  let filled f = Array.init 64 f in
+  List.iter check_block
+    [
+      filled (fun _ -> 0);
+      filled (fun _ -> 255);
+      filled (fun _ -> -256);
+      filled (fun _ -> 2047);
+      filled (fun _ -> -2048);
+      filled (fun i ->
+          if ((i / 8) + (i mod 8)) land 1 = 0 then 2047 else -2048);
+      filled (fun i -> if i = 0 then 2047 else 0);
+    ]
+
 let idct_props =
   [
     QCheck.Test.make ~name:"linearity in DC" ~count:200
@@ -183,4 +275,9 @@ let () =
           Alcotest.test_case "staged checker is pure" `Quick test_staged_checker_pure;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest idct_props);
+      ( "reference",
+        [
+          Alcotest.test_case "bit-identical to the literal sum" `Quick
+            test_reference_bit_identical;
+        ] );
     ]

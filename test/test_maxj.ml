@@ -18,28 +18,6 @@ let test_kernel_pipelining () =
   let t = Hw.Timing.analyze Hw.Device.xcvu9p c in
   check bool "meets a reasonable clock" true (t.Hw.Timing.period_ns < 5.0)
 
-let test_kernel_stateful_not_retimed () =
-  let k = Maxj.Kernel.create "st" in
-  let x = Maxj.Kernel.input k "x" 8 in
-  let cnt = Maxj.Kernel.counter k ~modulo:8 in
-  let en =
-    let b = Maxj.Kernel.create "tmp" in
-    ignore b;
-    cnt
-  in
-  ignore en;
-  let h = Maxj.Kernel.hold k ~enable:(Maxj.Kernel.cast k cnt 1) x in
-  Maxj.Kernel.output k "y" h;
-  let c = Maxj.Kernel.finalize k in
-  (* holds and counters survive as registers (no retime attempted) *)
-  check bool "has state" true (Array.exists Hw.Netlist.is_reg c.Hw.Netlist.nodes)
-
-let test_counter_modulo_check () =
-  let k = Maxj.Kernel.create "bad" in
-  (match Maxj.Kernel.counter k ~modulo:6 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected power-of-two check")
-
 let mats n =
   let rng = Axis.Block.Rand.create ~seed:51 () in
   List.init n (fun _ ->
@@ -91,8 +69,6 @@ let () =
       ( "kernel",
         [
           Alcotest.test_case "auto pipelining" `Quick test_kernel_pipelining;
-          Alcotest.test_case "stateful kernels kept" `Quick test_kernel_stateful_not_retimed;
-          Alcotest.test_case "counter modulo" `Quick test_counter_modulo_check;
         ] );
       ( "idct",
         [
