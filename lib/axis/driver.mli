@@ -60,8 +60,8 @@ val run :
     output beats and consumed input beats.  [hook] is a stage hook for
     observability layers: called with [sim_thunks] (compiled schedule
     size) after the simulator is built, then [cycles] and [evals]
-    ({!Hw.Sim.evaluations}: the schedule rows evaluated, which a batched
-    run keeps to the rows whose inputs changed) when the stream drains;
+    ({!Hw.Sim.evaluations}: the schedule rows evaluated, only those whose
+    inputs changed) when the stream drains;
     it must not affect the result. *)
 
 val transform : Hw.Netlist.t -> Block.t -> Block.t

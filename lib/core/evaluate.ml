@@ -112,7 +112,7 @@ let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
              from the accuracy statistics that [check] runs around it.
              The driver is staged once per design, so every call of the
              procedure reuses its simulator instances; [evals] counts the
-             schedule rows the batched sweep did not skip. *)
+             schedule rows the sweep did not skip. *)
           let hook k v =
             if k = "cycles" || k = "evals" then Trace.add_counter k v
           in

@@ -64,11 +64,12 @@ let wide_random rng =
    cycle, every node (including logic the levelized engine eliminated as
    dead) and all memory words at the end.  Several lanes also catch
    lane-indexing bugs (cross-lane bleed, shared state that should be
-   per-lane).  The stimulus mixes activity levels, since the batched sweep
-   skips rows whose operands did not change: a seeded schedule holds every
-   input on a quarter of the cycles, redraws one lane on another quarter
-   and all lanes on the rest, and halfway through resets the engine and
-   the interpreters alike (on a held cycle: both keep their inputs). *)
+   per-lane).  The stimulus mixes activity levels, since the sweep skips
+   rows whose operands did not change, at any lane count: a seeded
+   schedule holds every input on a quarter of the cycles, redraws one
+   lane on another quarter and all lanes on the rest, and halfway through
+   resets the engine and the interpreters alike (on a held cycle: both
+   keep their inputs). *)
 let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   if lanes < 1 then invalid_arg "Equiv.crosscheck: lanes must be >= 1";
   let sc = Sim.create ~batch:lanes c in

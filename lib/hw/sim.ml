@@ -16,21 +16,20 @@
    data-level parallelism is: compliance/DSE workloads, where hundreds
    of independent single-matrix runs share one netlist.
 
-   Activity: the batched sweep skips every row none of whose operands
-   changed since the previous sweep.  Each value slot (plus one entry per
-   memory) carries the number of the sweep that last saw it change: an
-   input change, a register latch or an applied memory write stamps the
-   upcoming sweep's [epoch], and a row that runs stamps its destination
-   when its result differs from the old one in any lane.  A row runs iff
-   one of its (at most three, precomputed) operand stamps is the current
-   epoch, so the check is a few int loads per row amortized over the
-   lanes; the decision is per row, never per lane.  Under the IEEE 1180
-   testbench only 16-55% of the rows have a changed operand on a given
-   cycle (FSM controllers idle, pipelines drain), which is what the check
+   Activity: the sweep skips every row none of whose operands changed
+   since the previous sweep, at any lane count.  Each value slot (plus
+   one entry per memory) carries the number of the sweep that last saw it
+   change: an input change, a register latch or an applied memory write
+   stamps the upcoming sweep's [epoch], and a row that runs stamps its
+   destination when its result differs from the old one in any lane.  A
+   row runs iff one of its (at most three, precomputed) operand stamps is
+   the current epoch, so the check is a few int loads per row amortized
+   over the lanes; the decision is per row, never per lane.  Under the
+   IEEE 1180 testbench only 16-55% of the rows have a changed operand on
+   a given cycle (FSM controllers idle, pipelines drain), and single-lane
+   design points evaluate about 15% of theirs; that is what the check
    harvests.  The latch skips a register whose [d] and [enable] stamps
-   predate its last latch ([q' = en ? d : q] is idempotent then).  The
-   single-lane sweep [exec1] keeps the plain whole-table walk: at batch 1
-   the check would cost as much as the row it saves.
+   predate its last latch ([q' = en ? d : q] is idempotent then).
 
    Dead-logic elimination and concat-chain fusion: only nodes in the
    fan-in cone of an output, register input or
@@ -424,8 +423,7 @@ let create ?(batch = 1) c =
   let first_dst = if n_ins = 0 then 0 else dst.(0) in
   (* The operand and destination fields address the value array directly:
      pre-scale the slot numbers by the batch stride so the sweep does no
-     per-instruction multiplies.  (At batch 1 this is the identity, which
-     is what [exec1] relies on.) *)
+     per-instruction multiplies. *)
   let scale a = Array.iteri (fun i s -> a.(i) <- s * batch) a in
   scale dst;
   scale a0;
@@ -566,8 +564,9 @@ let compiled_nodes t = t.n_ins
    addresses are still range-checked.  The operand bases come pre-scaled
    by the batch stride and are hoisted out of the lane loop, so per lane
    each opcode is a handful of array word ops plus the fold of the
-   change into [df]. *)
-let rec leaves_changed st cd e l stop =
+   change into [df].  [leaves_changed] takes [st] annotated: unannotated,
+   its [=] is the polymorphic compare, a C call per leaf. *)
+let rec leaves_changed (st : int array) cd e l stop =
   l < stop
   && (Array.unsafe_get st (Array.unsafe_get cd l) = e
      || leaves_changed st cd e (l + 1) stop)
@@ -849,142 +848,9 @@ let exec t =
   done;
   t.evals <- t.evals + !evals
 
-(* The same sweep specialized for batch = 1 — the flow's simulate stage
-   and every interactive caller run single-lane, and dropping the inner
-   lane loops (and the [* b] slot scaling) is worth ~25% there. *)
-let exec1 t =
-  let v = t.vals in
-  let op = t.op
-  and dst = t.dst
-  and a0 = t.a0
-  and a1 = t.a1
-  and a2 = t.a2
-  and k0 = t.k0
-  and k1 = t.k1
-  and k2 = t.k2
-  and k3 = t.k3 in
-  for i = 0 to t.n_ins - 1 do
-    let d = Array.unsafe_get dst i in
-    let x = Array.unsafe_get a0 i in
-    let y = Array.unsafe_get a1 i in
-    let m = Array.unsafe_get k0 i in
-    match Array.unsafe_get op i with
-    | 0 -> Array.unsafe_set v d (lnot (Array.unsafe_get v x) land m)
-    | 1 -> Array.unsafe_set v d (-Array.unsafe_get v x land m)
-    | 2 ->
-        Array.unsafe_set v d
-          ((Array.unsafe_get v x + Array.unsafe_get v y) land m)
-    | 3 ->
-        Array.unsafe_set v d
-          ((Array.unsafe_get v x - Array.unsafe_get v y) land m)
-    | 4 ->
-        Array.unsafe_set v d
-          (Array.unsafe_get v x * Array.unsafe_get v y land m)
-    | 5 ->
-        let p = Array.unsafe_get v x and q = Array.unsafe_get v y in
-        Array.unsafe_set v d
-          ((((p land 0xFFFF) * q) + (((p lsr 16) * q) lsl 16)) land m)
-    | 6 ->
-        Array.unsafe_set v d (Array.unsafe_get v x land Array.unsafe_get v y)
-    | 7 ->
-        Array.unsafe_set v d (Array.unsafe_get v x lor Array.unsafe_get v y)
-    | 8 ->
-        Array.unsafe_set v d (Array.unsafe_get v x lxor Array.unsafe_get v y)
-    | 9 ->
-        let s = Array.unsafe_get v y in
-        Array.unsafe_set v d
-          (if s >= Array.unsafe_get k1 i then 0
-           else Array.unsafe_get v x lsl s land m)
-    | 10 ->
-        let s = Array.unsafe_get v y in
-        Array.unsafe_set v d
-          (if s >= Array.unsafe_get k1 i then 0 else Array.unsafe_get v x lsr s)
-    | 11 ->
-        let p = Array.unsafe_get v x in
-        let p = if p land Array.unsafe_get k1 i <> 0 then p - Array.unsafe_get k2 i else p in
-        let hi = Array.unsafe_get k3 i in
-        let s = Array.unsafe_get v y in
-        let s = if s < hi then s else hi in
-        Array.unsafe_set v d (p asr s land m)
-    | 12 ->
-        Array.unsafe_set v d
-          (if Array.unsafe_get v x = Array.unsafe_get v y then 1 else 0)
-    | 13 ->
-        Array.unsafe_set v d
-          (if Array.unsafe_get v x <> Array.unsafe_get v y then 1 else 0)
-    | 14 ->
-        Array.unsafe_set v d
-          (if Array.unsafe_get v x < Array.unsafe_get v y then 1 else 0)
-    | 15 ->
-        Array.unsafe_set v d
-          (if Array.unsafe_get v x <= Array.unsafe_get v y then 1 else 0)
-    | 16 ->
-        let p = Array.unsafe_get v x and q = Array.unsafe_get v y in
-        let p = if p land m <> 0 then p - Array.unsafe_get k1 i else p in
-        let q = if q land Array.unsafe_get k2 i <> 0 then q - Array.unsafe_get k3 i else q in
-        Array.unsafe_set v d (if p < q then 1 else 0)
-    | 17 ->
-        let p = Array.unsafe_get v x and q = Array.unsafe_get v y in
-        let p = if p land m <> 0 then p - Array.unsafe_get k1 i else p in
-        let q = if q land Array.unsafe_get k2 i <> 0 then q - Array.unsafe_get k3 i else q in
-        Array.unsafe_set v d (if p <= q then 1 else 0)
-    | 18 ->
-        Array.unsafe_set v d
-          (if Array.unsafe_get v x <> 0 then Array.unsafe_get v y
-           else Array.unsafe_get v (Array.unsafe_get a2 i))
-    | 19 ->
-        Array.unsafe_set v d
-          (Array.unsafe_get v x lsr Array.unsafe_get k1 i land m)
-    | 20 ->
-        Array.unsafe_set v d
-          (Array.unsafe_get v x
-           lsl Array.unsafe_get k1 i
-          lor Array.unsafe_get v y lsl Array.unsafe_get k2 i)
-    | 21 ->
-        Array.unsafe_set v d
-          (Array.unsafe_get v x
-           lsl Array.unsafe_get k1 i
-          lor Array.unsafe_get v y lsl Array.unsafe_get k2 i
-          lor Array.unsafe_get v (Array.unsafe_get a2 i)
-              lsl Array.unsafe_get k3 i)
-    | 22 ->
-        let start = Array.unsafe_get k1 i in
-        let count = Array.unsafe_get k2 i in
-        let cu = t.cc_uid and cs = t.cc_shift in
-        let acc = ref (Array.unsafe_get k3 i) in
-        for l = start to start + count - 1 do
-          acc :=
-            !acc
-            lor Array.unsafe_get v (Array.unsafe_get cu l)
-                lsl Array.unsafe_get cs l
-        done;
-        Array.unsafe_set v d !acc
-    | 23 -> Array.unsafe_set v d (Array.unsafe_get v x)
-    | 24 ->
-        let p = Array.unsafe_get v x in
-        Array.unsafe_set v d
-          ((if p land Array.unsafe_get k1 i <> 0 then
-              p - Array.unsafe_get k2 i
-            else p)
-          land m)
-    | 25 ->
-        let md = Array.unsafe_get t.mem_data (Array.unsafe_get k1 i) in
-        let a = Array.unsafe_get v x in
-        Array.unsafe_set v d
-          (if a < Array.unsafe_get k2 i then Array.unsafe_get md a else 0)
-    | _ ->
-        Array.unsafe_set v d
-          (Array.unsafe_get k3 i
-          lor Array.unsafe_get v x lsl Array.unsafe_get k1 i)
-  done
-
 let settle t =
   if t.dirty then begin
-    if t.batch = 1 then begin
-      exec1 t;
-      t.evals <- t.evals + t.n_ins
-    end
-    else exec t;
+    exec t;
     t.epoch <- t.epoch + 1;
     t.dirty <- false
   end
@@ -1093,18 +959,17 @@ let step t =
     done
   done;
   (* The latch is two-phase (every [reg_next] from pre-edge values, then
-     every [q]).  Batched, a register whose [d] and [enable] have not
-     changed since its last latch keeps its [q]: [reg_at] is that latch's
-     epoch, and any later change stamps [d] or [enable] with at least it
-     ([reset] sets [reg_at] to -1, below every stamp).  Single-lane,
-     [exec1] stamps nothing, so every register latches. *)
-  let st = t.stamp and e = t.epoch and all = b = 1 in
+     every [q]).  A register whose [d] and [enable] have not changed
+     since its last latch keeps its [q]: [reg_at] is that latch's epoch,
+     and any later change stamps [d] or [enable] with at least it
+     ([reset] sets [reg_at] to -1, below every stamp). *)
+  let st = t.stamp and e = t.epoch in
   let nr = Array.length t.regs in
   for i = 0 to nr - 1 do
     let ds = Array.unsafe_get t.reg_d i
     and es = Array.unsafe_get t.reg_en i
     and at = Array.unsafe_get t.reg_at i in
-    if all || st.(ds) >= at || (es >= 0 && st.(es) >= at) then begin
+    if st.(ds) >= at || (es >= 0 && st.(es) >= at) then begin
       Array.unsafe_set t.reg_at i e;
       let d = ds * b and nx = i * b in
       if es < 0 then

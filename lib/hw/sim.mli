@@ -22,11 +22,11 @@
     dimension; {!set_row}/{!get_row} move one port's values of every
     lane in one call, for testbenches that drive all lanes each cycle.
 
-    The batched sweep ([batch > 1]) evaluates only the rows with an
-    operand that changed since the previous sweep, in any lane, and the
-    latch skips registers whose [d] and enable did not change since they
-    last latched; {!evaluations} counts the rows it did evaluate.  The
-    single-lane sweep evaluates the whole table.
+    The sweep evaluates only the rows with an operand that changed since
+    the previous sweep, in any lane, and the latch skips registers whose
+    [d] and enable did not change since they last latched; {!evaluations}
+    counts the rows it did evaluate.  This holds at every lane count,
+    single-lane included.
 
     Dead nodes are eliminated and concat chains fused; {!peek} of an
     eliminated node evaluates it on demand.
@@ -127,10 +127,10 @@ val cycle_count : t -> int
 
 val evaluations : t -> int
 (** Number of instruction-table rows evaluated (each over every lane)
-    since creation or the last {!reset}.  A single-lane instance counts
-    the whole table per settling sweep; a batched one only the rows whose
-    operands changed, so [evaluations / (cycle_count * compiled_nodes)]
-    is the activity factor of the stimulus. *)
+    since creation or the last {!reset}: only the rows that ran, those
+    with an operand that changed, so [evaluations / (cycle_count *
+    compiled_nodes)] is the activity factor of the stimulus, at any lane
+    count. *)
 
 val mem_word : ?lane:int -> t -> Netlist.mem_id -> int -> int
 (** Current contents of one memory word in lane [lane] (for state

@@ -589,6 +589,63 @@ let test_rows_match_ports () =
         (contains msg "row of 2 lanes (batch 3)")
   | () -> Alcotest.fail "a row of the wrong width must be refused"
 
+(* The activity check is the same at one lane as at many: a batch-1
+   instance and a batch-4 instance whose lanes all carry the same input
+   schedule (each input held or redrawn per cycle) evaluate the same rows
+   on every sweep.  A sweep after which no input and no register changed
+   evaluates no row, at either lane count. *)
+let test_single_lane_activity () =
+  let lanes = 4 in
+  List.iter
+    (fun c ->
+      let one = Sim.create c and many = Sim.create ~batch:lanes c in
+      let rng = Random.State.make [| 0x51a1 |] in
+      let ins =
+        List.map (fun (nm, _) -> Sim.in_port one nm) c.Netlist.inputs
+      in
+      for cycle = 0 to 40 do
+        List.iter
+          (fun p ->
+            if cycle = 0 || Random.State.int rng 3 = 0 then begin
+              let v =
+                Random.State.bits rng lor (Random.State.bits rng lsl 30)
+              in
+              Sim.set_port one p ~lane:0 v;
+              Sim.set_row many p (Array.make lanes v)
+            end)
+          ins;
+        Sim.step one;
+        Sim.step many;
+        check int
+          (Printf.sprintf "%s cycle %d: 1 and %d lanes evaluate the same rows"
+             c.Netlist.circuit_name cycle lanes)
+          (Sim.evaluations many) (Sim.evaluations one)
+      done)
+    (List.init 6 random_circuit);
+  (* [r] accumulates [x] while [en] is high; with [en] low and [x] held,
+     two sweeps later nothing changes any more. *)
+  let b = Builder.create "hold" in
+  let x = Builder.input b "x" 8 and en = Builder.input b "en" 1 in
+  let r = Builder.reg b ~enable:en ~width:8 "r" in
+  Builder.connect b r (Builder.add b r x);
+  Builder.output b "o" (Builder.xor_ b r (Builder.not_ b x));
+  let c = Builder.finalize b in
+  List.iter
+    (fun batch ->
+      let sim = Sim.create ~batch c in
+      Sim.set sim "x" 3;
+      Sim.set sim "en" 1;
+      Sim.step_n sim 2;
+      Sim.set sim "en" 0;
+      Sim.step_n sim 2;
+      let before = Sim.evaluations sim in
+      Sim.step_n sim 3;
+      check int (Printf.sprintf "batch %d: quiet sweeps evaluate no row" batch)
+        before (Sim.evaluations sim);
+      check int (Printf.sprintf "batch %d: r held" batch) 6
+        (Sim.get sim "o" lxor 0xFC))
+    [ 1; lanes ]
+
 let engine_crosscheck_prop =
   crosscheck_prop ~name:"interpreter == levelized" ~count:15 ~cycles:1000 1
 
@@ -631,6 +688,8 @@ let () =
                test_peek_every_node;
              Alcotest.test_case "rows agree with per-lane ports" `Quick
                test_rows_match_ports;
+             Alcotest.test_case "one lane skips rows like many" `Quick
+               test_single_lane_activity;
            ] );
       ( "device",
         [
