@@ -59,8 +59,8 @@ let wide_random rng =
 
 (* Random cross-check of the levelized engine against the reference
    interpreter on ONE circuit: one [Sim] instance with [lanes] lanes
-   against [lanes] independent [Interp] instances, each lane driven by its
-   own random stream.  Outputs and register state are compared every
+   against one [Interp] instance with [lanes] lanes, each lane driven by
+   its own random stream.  Outputs and register state are compared every
    cycle, every node (including logic the levelized engine eliminated as
    dead) and all memory words at the end.  Several lanes also catch
    lane-indexing bugs (cross-lane bleed, shared state that should be
@@ -68,12 +68,12 @@ let wide_random rng =
    rows whose operands did not change, at any lane count: a seeded
    schedule holds every input on a quarter of the cycles, redraws one
    lane on another quarter and all lanes on the rest, and halfway through
-   resets the engine and the interpreters alike (on a held cycle: both
+   resets the engine and the interpreter alike (on a held cycle: both
    keep their inputs). *)
 let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   if lanes < 1 then invalid_arg "Equiv.crosscheck: lanes must be >= 1";
   let sc = Sim.create ~batch:lanes c in
-  let refs = Array.init lanes (fun _ -> Interp.create c) in
+  let itp = Interp.create ~lanes c in
   let rngs =
     Array.init lanes (fun l -> Random.State.make [| seed; 0x5eed; l |])
   in
@@ -83,7 +83,7 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
     List.iter
       (fun nm ->
         let v = wide_random rngs.(l) in
-        Interp.set refs.(l) nm v;
+        Interp.set ~lane:l itp nm v;
         Sim.set ~lane:l sc nm v)
       ins
   in
@@ -111,7 +111,7 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
      for cycle = 0 to cycles - 1 do
        (if cycle = reset_at then begin
           Sim.reset sc;
-          Array.iter Interp.reset refs
+          Interp.reset itp
         end
         else
           match Random.State.int schedule 4 with
@@ -124,17 +124,17 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
        for l = 0 to lanes - 1 do
          List.iter
            (fun nm ->
-             compare cycle l (fun () -> nm) (Interp.get refs.(l) nm)
+             compare cycle l (fun () -> nm) (Interp.get ~lane:l itp nm)
                (Sim.get ~lane:l sc nm))
            outs;
          List.iter
            (fun u ->
              compare cycle l
                (fun () -> Printf.sprintf "reg n%d" u)
-               (Interp.peek refs.(l) u) (Sim.peek ~lane:l sc u))
+               (Interp.peek ~lane:l itp u) (Sim.peek ~lane:l sc u))
            regs
        done;
-       Array.iter Interp.step refs;
+       Interp.step itp;
        Sim.step sc
      done;
      (* Final architectural and combinational state, node by node — this
@@ -143,14 +143,14 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
        for u = 0 to Netlist.num_nodes c - 1 do
          compare cycles l
            (fun () -> Printf.sprintf "n%d" u)
-           (Interp.peek refs.(l) u) (Sim.peek ~lane:l sc u)
+           (Interp.peek ~lane:l itp u) (Sim.peek ~lane:l sc u)
        done;
        Array.iteri
          (fun mi (m : Netlist.mem) ->
            for a = 0 to m.Netlist.mem_size - 1 do
              compare cycles l
                (fun () -> Printf.sprintf "%s[%d]" m.Netlist.mem_name a)
-               (Interp.mem_word refs.(l) mi a)
+               (Interp.mem_word ~lane:l itp mi a)
                (Sim.mem_word ~lane:l sc mi a)
            done)
          c.Netlist.mems

@@ -19,13 +19,13 @@ val check : ?cycles:int -> ?seed:int -> Netlist.t -> Netlist.t -> result
 val crosscheck :
   ?cycles:int -> ?seed:int -> ?lanes:int -> Netlist.t -> result
 (** Drives ONE simulator instance ({!Sim}) with [lanes] lanes (default
-    1) against [lanes] independent reference interpreters ({!Interp}),
+    1) against one reference interpreter ({!Interp}) with [lanes] lanes,
     each lane fed its own pseudo-random stream (including
     all-ones and sign-bit extremes at every width).  A seeded schedule
     mixes the activity: on a quarter of the cycles no input changes, on
     another quarter one lane's inputs are redrawn, on the rest every
     lane's; at cycle [cycles / 2] the simulator is {!Sim.reset} and the
-    interpreters {!Interp.reset} (inputs held).  Outputs and register
+    interpreter {!Interp.reset} (inputs held).  Outputs and register
     state are compared every cycle; at the end every node value
     (exercising the levelized engine's dead-node fallback) and every
     memory word is compared.  Several lanes also catch per-lane state

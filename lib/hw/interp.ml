@@ -3,36 +3,48 @@
    sources hold their values between settles: constants are loaded at
    [create], inputs at [set] and registers at [step].  It is only the
    oracle the simulator ({!Sim}) is cross-checked against; nothing in
-   production runs on it. *)
+   production runs on it.
+
+   Lanes: [create ~lanes] runs that many independent simulations of the
+   circuit in lockstep.  Each lane owns its value array and its memory
+   arrays, so no lane can read another's state; [settle] walks [comb]
+   once and evaluates every lane inside each arm of the match on the
+   node kind. *)
 
 type t = {
   c : Netlist.t;
   comb : Netlist.node array;         (* non-source nodes, in [comb_order] *)
-  values : int array;
+  values : int array array;          (* by lane, then uid *)
   masks : int array;
   widths : int array;
   regs : Netlist.uid array;
   reg_next : int array;              (* scratch for atomic register update *)
-  mem_data : int array array;        (* per memory, current contents *)
+  mem_data : int array array array;  (* by lane, then memory: contents *)
   input_ids : (string, Netlist.uid) Hashtbl.t;
   output_ids : (string, Netlist.uid) Hashtbl.t;
   mutable dirty : bool;
 }
 
+let lanes t = Array.length t.values
+
 (* Registers back to [init], memories zeroed; constants and inputs keep
    their values. *)
 let reset t =
-  Array.iter (fun m -> Array.fill m 0 (Array.length m) 0) t.mem_data;
+  Array.iter
+    (Array.iter (fun m -> Array.fill m 0 (Array.length m) 0))
+    t.mem_data;
   Array.iter
     (fun u ->
       match (Netlist.node t.c u).kind with
       | Netlist.Reg { init; _ } ->
-          t.values.(u) <- Bits.to_int init land t.masks.(u)
+          let v = Bits.to_int init land t.masks.(u) in
+          Array.iter (fun values -> values.(u) <- v) t.values
       | _ -> assert false)
     t.regs;
   t.dirty <- true
 
-let create c =
+let create ?(lanes = 1) c =
+  if lanes < 1 then invalid_arg "Interp.create: lanes must be >= 1";
   let n = Netlist.num_nodes c in
   let masks = Array.make n 0 in
   let widths = Array.make n 0 in
@@ -62,8 +74,11 @@ let create c =
                | _ -> Some nd)
         |> Array.of_list;
       mem_data =
-        Array.map (fun (m : Netlist.mem) -> Array.make m.Netlist.mem_size 0) c.mems;
-      values = Array.make n 0;
+        Array.init lanes (fun _ ->
+            Array.map
+              (fun (m : Netlist.mem) -> Array.make m.Netlist.mem_size 0)
+              c.mems);
+      values = Array.init lanes (fun _ -> Array.make n 0);
       masks;
       widths;
       regs;
@@ -76,7 +91,9 @@ let create c =
   Array.iter
     (fun (nd : Netlist.node) ->
       match nd.kind with
-      | Netlist.Const b -> t.values.(nd.uid) <- Bits.to_int b land masks.(nd.uid)
+      | Netlist.Const b ->
+          let v = Bits.to_int b land masks.(nd.uid) in
+          Array.iter (fun values -> values.(nd.uid) <- v) t.values
       | _ -> ())
     c.nodes;
   reset t;
@@ -88,64 +105,169 @@ let signed_of t uid v =
      wraps modulo 2^63 to the right negative value. *)
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
 
-let eval_node t (nd : Netlist.node) =
-  let v = t.values in
-  let m = t.masks.(nd.uid) in
-  let r =
-    match nd.kind with
-    | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ ->
-        (* sources are not in [comb]: their values are loaded, never
-           evaluated *)
-        assert false
-    | Netlist.Unop (Netlist.Not, a) -> lnot v.(a)
-    | Netlist.Unop (Netlist.Neg, a) -> -v.(a)
-    | Netlist.Binop (op, a, b) -> (
-        let x = v.(a) and y = v.(b) in
-        match op with
-        | Netlist.Add -> x + y
-        | Netlist.Sub -> x - y
-        | Netlist.Mul ->
-            if t.widths.(a) <= 31 then x * y
-            else ((x land 0xFFFF) * y) + (((x lsr 16) * y) lsl 16)
-        | Netlist.And -> x land y
-        | Netlist.Or -> x lor y
-        | Netlist.Xor -> x lxor y
-        | Netlist.Shl ->
-            (* The guard is against the *result* width: a shift whose result
-               node is wider than its operand keeps bits the operand width
-               would discard. *)
-            if y >= t.widths.(nd.uid) then 0 else x lsl y
-        | Netlist.Shr -> if y >= t.widths.(a) then 0 else x lsr y
-        | Netlist.Sra ->
-            let s = min y (t.widths.(a) - 1) in
-            signed_of t a x asr s
-        | Netlist.Eq -> if x = y then 1 else 0
-        | Netlist.Ne -> if x <> y then 1 else 0
-        | Netlist.Lt Netlist.Unsigned -> if x < y then 1 else 0
-        | Netlist.Lt Netlist.Signed ->
-            if signed_of t a x < signed_of t b y then 1 else 0
-        | Netlist.Le Netlist.Unsigned -> if x <= y then 1 else 0
-        | Netlist.Le Netlist.Signed ->
-            if signed_of t a x <= signed_of t b y then 1 else 0)
-    | Netlist.Mux (s, a, b) -> if v.(s) <> 0 then v.(a) else v.(b)
-    | Netlist.Slice (a, _, lo) -> v.(a) lsr lo
-    | Netlist.Concat (a, b) -> (v.(a) lsl t.widths.(b)) lor v.(b)
-    | Netlist.Uext a -> v.(a)
-    | Netlist.Sext a -> signed_of t a v.(a)
-    | Netlist.Mem_read (mem, addr) ->
-        let contents = t.mem_data.(mem) in
-        let a = v.(addr) in
-        if a < Array.length contents then contents.(a) else 0
-  in
-  v.(nd.uid) <- r land m
-
+(* One walk of [comb]: each node is matched once and evaluated in every
+   lane inside its arm.  The walk is one function, with no call per
+   node, so one lane costs no more than the walk of a single-lane
+   interpreter. *)
 let settle t =
   if t.dirty then begin
-    for i = 0 to Array.length t.comb - 1 do
-      eval_node t t.comb.(i)
+    let vs = t.values and comb = t.comb in
+    let last = Array.length vs - 1 in
+    for i = 0 to Array.length comb - 1 do
+      let nd = comb.(i) in
+      let u = nd.uid in
+      let m = t.masks.(u) in
+      match nd.kind with
+      | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ ->
+          (* sources are not in [comb]: their values are loaded, never
+             evaluated *)
+          assert false
+      | Netlist.Unop (Netlist.Not, a) ->
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- lnot v.(a) land m
+          done
+      | Netlist.Unop (Netlist.Neg, a) ->
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- -v.(a) land m
+          done
+      | Netlist.Binop (op, a, b) -> (
+          let wa = t.widths.(a) in
+          match op with
+          | Netlist.Add ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- (v.(a) + v.(b)) land m
+              done
+          | Netlist.Sub ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- (v.(a) - v.(b)) land m
+              done
+          | Netlist.Mul when wa <= 31 ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- v.(a) * v.(b) land m
+              done
+          | Netlist.Mul ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                let x = v.(a) and y = v.(b) in
+                v.(u) <-
+                  (((x land 0xFFFF) * y) + (((x lsr 16) * y) lsl 16)) land m
+              done
+          | Netlist.And ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- v.(a) land v.(b) land m
+              done
+          | Netlist.Or ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- (v.(a) lor v.(b)) land m
+              done
+          | Netlist.Xor ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- (v.(a) lxor v.(b)) land m
+              done
+          | Netlist.Shl ->
+              (* The guard is against the *result* width: a shift whose
+                 result node is wider than its operand keeps bits the
+                 operand width would discard. *)
+              let w = t.widths.(u) in
+              for l = 0 to last do
+                let v = vs.(l) in
+                let y = v.(b) in
+                v.(u) <- (if y >= w then 0 else v.(a) lsl y) land m
+              done
+          | Netlist.Shr ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                let y = v.(b) in
+                v.(u) <- (if y >= wa then 0 else v.(a) lsr y) land m
+              done
+          | Netlist.Sra ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                let s = min v.(b) (wa - 1) in
+                v.(u) <- signed_of t a v.(a) asr s land m
+              done
+          | Netlist.Eq ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- Bool.to_int (v.(a) = v.(b)) land m
+              done
+          | Netlist.Ne ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- Bool.to_int (v.(a) <> v.(b)) land m
+              done
+          | Netlist.Lt Netlist.Unsigned ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- Bool.to_int (v.(a) < v.(b)) land m
+              done
+          | Netlist.Lt Netlist.Signed ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                let x = signed_of t a v.(a) and y = signed_of t b v.(b) in
+                v.(u) <- Bool.to_int (x < y) land m
+              done
+          | Netlist.Le Netlist.Unsigned ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                v.(u) <- Bool.to_int (v.(a) <= v.(b)) land m
+              done
+          | Netlist.Le Netlist.Signed ->
+              for l = 0 to last do
+                let v = vs.(l) in
+                let x = signed_of t a v.(a) and y = signed_of t b v.(b) in
+                v.(u) <- Bool.to_int (x <= y) land m
+              done)
+      | Netlist.Mux (s, a, b) ->
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- (if v.(s) <> 0 then v.(a) else v.(b)) land m
+          done
+      | Netlist.Slice (a, _, lo) ->
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- (v.(a) lsr lo) land m
+          done
+      | Netlist.Concat (a, b) ->
+          let wb = t.widths.(b) in
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- ((v.(a) lsl wb) lor v.(b)) land m
+          done
+      | Netlist.Uext a ->
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- v.(a) land m
+          done
+      | Netlist.Sext a ->
+          for l = 0 to last do
+            let v = vs.(l) in
+            v.(u) <- signed_of t a v.(a) land m
+          done
+      | Netlist.Mem_read (mem, addr) ->
+          for l = 0 to last do
+            let v = vs.(l) and contents = t.mem_data.(l).(mem) in
+            let a = v.(addr) in
+            let r = if a < Array.length contents then contents.(a) else 0 in
+            v.(u) <- r land m
+          done
     done;
     t.dirty <- false
   end
+
+let lane_check t caller lane =
+  if lane < 0 || lane >= lanes t then
+    invalid_arg
+      (Printf.sprintf "%s: lane %d out of range (lanes %d)" caller lane
+         (lanes t))
 
 let resolve t dir ~caller name =
   let tbl = match dir with `In -> t.input_ids | `Out -> t.output_ids in
@@ -153,28 +275,30 @@ let resolve t dir ~caller name =
   | Some u -> u
   | None -> Netlist.port_error t.c dir ~caller name
 
-let set t name v =
+let set ?(lane = 0) t name v =
   let p = resolve t `In ~caller:"Interp.set" name in
-  t.values.(p) <- v land t.masks.(p);
+  lane_check t "Interp.set" lane;
+  t.values.(lane).(p) <- v land t.masks.(p);
   t.dirty <- true
 
-let get t name =
+let get ?(lane = 0) t name =
   let p = resolve t `Out ~caller:"Interp.get" name in
+  lane_check t "Interp.get" lane;
   settle t;
-  t.values.(p)
+  t.values.(lane).(p)
 
-let step t =
-  settle t;
+(* One lane's clock edge, from its settled values. *)
+let step_lane t values mem_data =
   (* Memory writes: gather first (reads of this cycle see old contents). *)
   let mem_updates = ref [] in
   Array.iteri
     (fun mi (m : Netlist.mem) ->
       List.iter
         (fun (w : Netlist.write_port) ->
-          if t.values.(w.Netlist.w_enable) <> 0 then
-            let a = t.values.(w.Netlist.w_addr) in
-            if a < t.c.mems.(mi).Netlist.mem_size then
-              mem_updates := (mi, a, t.values.(w.Netlist.w_data)) :: !mem_updates)
+          if values.(w.Netlist.w_enable) <> 0 then
+            let a = values.(w.Netlist.w_addr) in
+            if a < m.Netlist.mem_size then
+              mem_updates := (mi, a, values.(w.Netlist.w_data)) :: !mem_updates)
         m.Netlist.mem_writes)
     t.c.mems;
   Array.iteri
@@ -182,21 +306,28 @@ let step t =
       match (Netlist.node t.c u).kind with
       | Netlist.Reg { d; enable; _ } ->
           let load =
-            match enable with None -> true | Some e -> t.values.(e) <> 0
+            match enable with None -> true | Some e -> values.(e) <> 0
           in
-          t.reg_next.(i) <- (if load then t.values.(d) else t.values.(u))
+          t.reg_next.(i) <- (if load then values.(d) else values.(u))
       | _ -> assert false)
     t.regs;
   Array.iteri
-    (fun i u -> t.values.(u) <- t.reg_next.(i) land t.masks.(u))
+    (fun i u -> values.(u) <- t.reg_next.(i) land t.masks.(u))
     t.regs;
   (* The gather above consed, so reverse to apply in declared port order:
      when two enabled ports hit one address, the later-declared port wins. *)
-  List.iter (fun (mi, a, d) -> t.mem_data.(mi).(a) <- d) (List.rev !mem_updates);
+  List.iter (fun (mi, a, d) -> mem_data.(mi).(a) <- d) (List.rev !mem_updates)
+
+let step t =
+  settle t;
+  Array.iteri (fun l values -> step_lane t values t.mem_data.(l)) t.values;
   t.dirty <- true
 
-let peek t uid =
+let peek ?(lane = 0) t uid =
+  lane_check t "Interp.peek" lane;
   settle t;
-  t.values.(uid)
+  t.values.(lane).(uid)
 
-let mem_word t mem addr = t.mem_data.(mem).(addr)
+let mem_word ?(lane = 0) t mem addr =
+  lane_check t "Interp.mem_word" lane;
+  t.mem_data.(lane).(mem).(addr)

@@ -348,6 +348,13 @@ let create ?(batch = 1) c =
                      false
                  | _ -> true)
         in
+        (* A concat of constants only keeps its first leaf as the operand
+           (or-ing it into the base again changes nothing): a constant's
+           stamp matches the first sweep alone, so the row runs once, and
+           every leaf-table row has a leaf to check. *)
+        let variable =
+          if variable = [] then [ (concat_plan u).(0) ] else variable
+        in
         match (variable, !base) with
         | [ (a, sa) ], b0 ->
             op.(i) <- op_concat1;
@@ -398,7 +405,8 @@ let create ?(batch = 1) c =
   and cc_shift = Array.of_list (List.map snd cc_list) in
   (* The activity check's operands, unscaled: a row depends on the slots it
      reads (a [memrd] also on its memory's entry, a leaf-table concat on
-     its leaves); unused operands point at the sentinel. *)
+     its leaves: the first three here, the rest walked in [cc_dep] only
+     when none of those changed); unused operands point at the sentinel. *)
   let n_mems = Array.length c.Netlist.mems in
   let sentinel = n + n_mems in
   let dep0 = Array.make n_ins sentinel
@@ -410,7 +418,13 @@ let create ?(batch = 1) c =
         dep0.(i) <- a0.(i);
         dep1.(i) <- n + k1.(i)
       end
-      else if o <> op_concatn then begin
+      else if o = op_concatn then begin
+        let leaf j = if j < k2.(i) then cc_uid.(k1.(i) + j) else sentinel in
+        dep0.(i) <- leaf 0;
+        dep1.(i) <- leaf 1;
+        dep2.(i) <- leaf 2
+      end
+      else begin
         dep0.(i) <- a0.(i);
         let binary = (o >= op_add && o <= op_les) || o = op_concat2 in
         let ternary = o = op_mux || o = op_concat3 in
@@ -592,7 +606,7 @@ let exec t =
       || Array.unsafe_get st (Array.unsafe_get p1 i) = e
       || Array.unsafe_get st (Array.unsafe_get p2 i) = e
       || o = op_concatn
-         && leaves_changed st t.cc_dep e (Array.unsafe_get k1 i)
+         && leaves_changed st t.cc_dep e (Array.unsafe_get k1 i + 3)
               (Array.unsafe_get k1 i + Array.unsafe_get k2 i)
     then begin
       incr evals;

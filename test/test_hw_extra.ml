@@ -59,7 +59,13 @@ let test_concat_list () =
   let parts = List.map (fun v -> Builder.const b ~width:4 v) [ 0xA; 0xB; 0xC ] in
   Builder.output b "o" (Builder.concat_list b parts);
   let sim = Sim.create (Builder.finalize b) in
-  check int "abc" 0xABC (Sim.get sim "o")
+  check int "abc" 0xABC (Sim.get sim "o");
+  (* A fused concat of constants only: its row runs on the first sweep
+     and never again. *)
+  check int "one row, run once" 1 (Sim.evaluations sim);
+  Sim.step sim;
+  check int "abc after a step" 0xABC (Sim.get sim "o");
+  check int "still run once" 1 (Sim.evaluations sim)
 
 let test_mux_list_narrow_select () =
   let b = Builder.create "ml" in
@@ -445,7 +451,7 @@ let random_circuit seed =
   Builder.finalize b
 
 (* [crosscheck] runs the levelized engine behind Hw.Sim against the
-   reference interpreter, one interpreter per lane. *)
+   reference interpreter, lane by lane. *)
 let crosscheck_prop ~name ~count ~cycles lanes =
   QCheck.Test.make ~name ~count
     QCheck.(int_range 0 10_000)
@@ -646,6 +652,116 @@ let test_single_lane_activity () =
         (Sim.get sim "o" lxor 0xFC))
     [ 1; lanes ]
 
+(* The interpreter's lanes are independent: one [Interp] with three
+   lanes against three one-lane interpreters, each lane fed its own
+   stream of wide values under a seeded schedule that holds every input,
+   redraws one lane or redraws all lanes, with a reset halfway.  Every
+   node and every memory word of every lane must agree on every cycle. *)
+let test_interp_lanes_independent () =
+  let lanes = 3 in
+  List.iter
+    (fun c ->
+      let many = Interp.create ~lanes c in
+      let ones = Array.init lanes (fun _ -> Interp.create c) in
+      let rngs =
+        Array.init lanes (fun l -> Random.State.make [| 0x1a4e; l |])
+      in
+      let schedule = Random.State.make [| 0x5c4e |] in
+      let redraw l =
+        List.iter
+          (fun (nm, _) ->
+            let r = rngs.(l) in
+            let v =
+              Random.State.bits r
+              lor (Random.State.bits r lsl 30)
+              lor (Random.State.bits r lsl 60)
+            in
+            Interp.set ~lane:l many nm v;
+            Interp.set ones.(l) nm v)
+          c.Netlist.inputs
+      in
+      let fail what l cycle want got =
+        Alcotest.failf "%s: %s lane %d cycle %d: one-lane %d, lockstep %d"
+          c.Netlist.circuit_name what l cycle want got
+      in
+      for cycle = 0 to 40 do
+        (if cycle = 20 then begin
+           Interp.reset many;
+           Array.iter Interp.reset ones
+         end
+         else
+           match Random.State.int schedule 3 with
+           | 0 -> ()
+           | 1 -> redraw (Random.State.int schedule lanes)
+           | _ ->
+               for l = 0 to lanes - 1 do
+                 redraw l
+               done);
+        Array.iteri
+          (fun l one ->
+            for u = 0 to Netlist.num_nodes c - 1 do
+              let want = Interp.peek one u
+              and got = Interp.peek ~lane:l many u in
+              if want <> got then fail (Printf.sprintf "n%d" u) l cycle want got
+            done;
+            Array.iteri
+              (fun mi (m : Netlist.mem) ->
+                for a = 0 to m.Netlist.mem_size - 1 do
+                  let want = Interp.mem_word one mi a
+                  and got = Interp.mem_word ~lane:l many mi a in
+                  if want <> got then
+                    fail (Printf.sprintf "%s[%d]" m.Netlist.mem_name a) l cycle
+                      want got
+                done)
+              c.Netlist.mems)
+          ones;
+        Interp.step many;
+        Array.iter Interp.step ones
+      done)
+    (List.init 8 random_circuit);
+  let c = random_circuit 0 in
+  let itp = Interp.create ~lanes c in
+  let input = fst (List.hd c.Netlist.inputs)
+  and output = fst (List.hd c.Netlist.outputs) in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | exception Invalid_argument msg ->
+          check bool (what ^ ": " ^ msg) true (contains msg "out of range")
+      | _ -> Alcotest.failf "%s: expected Invalid_argument" what)
+    [
+      ("set lane 3", fun () -> Interp.set ~lane:3 itp input 1; 0);
+      ("get lane -1", fun () -> Interp.get ~lane:(-1) itp output);
+      ("peek lane 3", fun () -> Interp.peek ~lane:3 itp 0);
+      ("mem_word lane 3", fun () -> Interp.mem_word ~lane:3 itp 0 0);
+    ]
+
+(* A fused concat of six input leaves is one leaf-table row; changing
+   any single leaf, one at a time, must re-run it, at one lane and at
+   two. *)
+let test_leaf_table_every_leaf () =
+  let b = Builder.create "leaves" in
+  let xs = List.init 6 (fun i -> Builder.input b (Printf.sprintf "x%d" i) 4) in
+  Builder.output b "o" (Builder.concat_list b xs);
+  let c = Builder.finalize b in
+  check int "one scheduled row" 1 (Sim.compiled_nodes (Sim.create c));
+  List.iter
+    (fun batch ->
+      let sim = Sim.create ~batch c in
+      let cur = Array.make 6 0 in
+      for k = 1 to 24 do
+        let i = k mod 6 in
+        cur.(i) <- (cur.(i) + k) land 15;
+        Sim.set ~lane:(batch - 1) sim (Printf.sprintf "x%d" i) cur.(i);
+        let want = Array.fold_left (fun acc v -> (acc lsl 4) lor v) 0 cur in
+        check int
+          (Printf.sprintf "batch %d, leaf %d changed" batch i)
+          want
+          (Sim.get ~lane:(batch - 1) sim "o");
+        Sim.step sim
+      done)
+    [ 1; 2 ]
+
 let engine_crosscheck_prop =
   crosscheck_prop ~name:"interpreter == levelized" ~count:15 ~cycles:1000 1
 
@@ -690,6 +806,10 @@ let () =
                test_rows_match_ports;
              Alcotest.test_case "one lane skips rows like many" `Quick
                test_single_lane_activity;
+             Alcotest.test_case "interpreter lanes are independent" `Quick
+               test_interp_lanes_independent;
+             Alcotest.test_case "leaf-table concat sees every leaf" `Quick
+               test_leaf_table_every_leaf;
            ] );
       ( "device",
         [
