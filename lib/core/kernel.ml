@@ -20,16 +20,24 @@ type inventory = {
 
 type t = { spec : Flow.spec; aliases : string list; inventories : inventory list }
 
-(* lib/transfo cannot depend on Core.Trace (Core depends on transfo), so
-   the engine's tracing is injected here, where both sides are visible.
-   Kernel is linked into every entry point, so the hook is always in
-   place before a script runs. *)
+(* lib/transfo cannot depend on Core.Trace or Core.Parallel (Core
+   depends on transfo), so the engine's tracing and its fork onto spare
+   pool domains are injected here, where both sides are visible.  Kernel
+   is linked into every entry point, so the hooks are always in place
+   before a script runs. *)
 let () =
   Transfo.Engine.set_tracer
     {
       Transfo.Engine.wrap =
         (fun ~design ~stage f -> Trace.with_span ~design ~stage f);
       counter = Trace.add_counter;
+    };
+  Transfo.Engine.set_forker
+    {
+      Transfo.Engine.fork =
+        (fun f ->
+          let fk = Parallel.fork f in
+          ((fun () -> Parallel.join fk), fun () -> Parallel.drop fk));
     }
 
 (* ------------------------------------------------------------------ *)

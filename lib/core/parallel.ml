@@ -22,7 +22,16 @@
    Jobs must not share mutable builder state: a design's circuit cell
    ([Once]) is built inside the single job that first forces it, so every
    [Hw.Builder] hash-cons table lives and dies within one domain (see
-   DESIGN.md §9). *)
+   DESIGN.md §9).
+
+   A map owns [jobs] domains but may run fewer workers: a 1-item batch
+   runs inline, and a spawned worker whose claim loop has ended idles
+   until the join.  Those slots are lent to a process-wide spare count,
+   from which [fork] borrows one to start a thunk on a helper domain.  A
+   map lends only from the top level (a map nested in a pool job or a
+   helper already runs on a slot it does not own), and takes every slot
+   it lent back before it returns, waiting for a borrower's join when it
+   must, so concurrent maps never lend more than they own. *)
 
 let env_warned = Atomic.make false
 
@@ -49,11 +58,50 @@ let default_jobs () =
   | Some n -> n
   | None -> Domain.recommended_domain_count ()
 
-let clamp_jobs jobs n =
-  let requested =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
-  max 1 (min requested n)
+(* Spare capacity: the slots the running maps lend and no helper holds.
+   The lock guards the count; [returned] wakes a map taking its slots
+   back. *)
+let spare_slots = ref 0
+let spare_lock = Mutex.create ()
+let returned = Condition.create ()
+let spare () = Mutex.protect spare_lock (fun () -> !spare_slots)
+
+let lend k =
+  if k > 0 then
+    Mutex.protect spare_lock (fun () ->
+        spare_slots := !spare_slots + k;
+        Condition.broadcast returned)
+
+(* Slot by slot, so a slot once taken back stays taken even while a
+   borrower still holds another. *)
+let take_back k =
+  Mutex.protect spare_lock (fun () ->
+      let need = ref k in
+      while !need > 0 do
+        if !spare_slots = 0 then Condition.wait returned spare_lock
+        else begin
+          let got = min !need !spare_slots in
+          spare_slots := !spare_slots - got;
+          need := !need - got
+        end
+      done)
+
+let borrow () =
+  Mutex.protect spare_lock (fun () ->
+      !spare_slots > 0
+      && begin
+           decr spare_slots;
+           true
+         end)
+
+(* Whether this domain is running on a slot it does not own: inside a
+   pool job, or as a fork's helper. *)
+let in_pool = Domain.DLS.new_key (fun () -> false)
+
+let pooled f =
+  let outer = Domain.DLS.get in_pool in
+  Domain.DLS.set in_pool true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set in_pool outer) f
 
 (* The pool: an atomic cursor over the input array; each worker claims
    the next index, runs the job and stores its outcome — the value, or
@@ -65,7 +113,14 @@ let clamp_jobs jobs n =
 let map_result ?jobs f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
-  let jobs = clamp_jobs jobs n in
+  let owned =
+    match jobs with Some j -> max 1 j | None -> default_jobs ()
+  in
+  let jobs = max 1 (min owned n) in
+  (* A top-level map lends the slots it owns but runs no worker on, and
+     each spawned worker's slot once its claim loop ends. *)
+  let lends = not (Domain.DLS.get in_pool) in
+  let lent = ref (if lends then owned - jobs else 0) in
   let results = Array.make n None in
   let run i =
     results.(i) <-
@@ -107,18 +162,30 @@ let map_result ?jobs f xs =
   in
   let spawn_and_join () =
     let domains =
-      List.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1)))
+      List.init (jobs - 1) (fun k ->
+          let d =
+            Domain.spawn (fun () ->
+                Domain.DLS.set in_pool true;
+                worker (k + 1) ();
+                if lends then lend 1)
+          in
+          if lends then incr lent;
+          d)
     in
-    worker 0 ();
+    pooled (worker 0);
     List.iter Domain.join domains
   in
-  if jobs = 1 then for i = 0 to n - 1 do run i done
-  else if traced then
-    Trace.with_span ~design:"pool" ~stage:"map" (fun () ->
-        Trace.add_counter "jobs" jobs;
-        Trace.add_counter "items" n;
-        spawn_and_join ())
-  else spawn_and_join ();
+  lend !lent;
+  Fun.protect
+    ~finally:(fun () -> take_back !lent)
+    (fun () ->
+      if jobs = 1 then pooled (fun () -> for i = 0 to n - 1 do run i done)
+      else if traced then
+        Trace.with_span ~design:"pool" ~stage:"map" (fun () ->
+            Trace.add_counter "jobs" jobs;
+            Trace.add_counter "items" n;
+            spawn_and_join ())
+      else spawn_and_join ());
   Array.to_list (Array.map Option.get results)
 
 (* Fail-fast is a view of the keep-going result: the lowest-index
@@ -127,6 +194,45 @@ let map ?jobs f xs =
   List.map
     (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
     (map_result ?jobs f xs)
+
+(* Fork/join on spare capacity.  A fork that borrows a slot runs on a
+   helper domain that holds it until the join, so the helpers alive at
+   once never outnumber the lent slots; one that finds none defers its
+   thunk to the join.  The helper catches the thunk's exception with its
+   backtrace, so the join re-raises exactly what an inline run would. *)
+type 'a fork =
+  | Spawned of ('a, exn * Printexc.raw_backtrace) result Domain.t
+  | Deferred of (unit -> 'a)
+
+let fork f =
+  if not (borrow ()) then Deferred f
+  else
+    match
+      Domain.spawn (fun () ->
+          Domain.DLS.set in_pool true;
+          match f () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    with
+    | d -> Spawned d
+    | exception _ ->
+        lend 1;
+        Deferred f
+
+let finish d =
+  Fun.protect ~finally:(fun () -> lend 1) (fun () -> Domain.join d)
+
+let join = function
+  | Deferred f -> f ()
+  | Spawned d -> (
+      match
+        Trace.with_inner_span ~default:"pool" ~stage:"wait" (fun () ->
+            finish d)
+      with
+      | Ok v -> v
+      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+
+let drop = function Deferred _ -> () | Spawned d -> ignore (finish d)
 
 (* Content-keyed in-memory result cache, shared across domains behind a
    mutex.  The mutex guards only table access, never the computation: two

@@ -8,6 +8,15 @@
     batch.  {!map} is its raising view.  {!Memo} is the shared,
     mutex-protected result cache the evaluation pipeline layers on top.
 
+    A map owns the [jobs] domains it was asked for.  The ones it runs no
+    worker on (a batch shorter than [jobs]; a 1-item batch runs inline)
+    and the slot of each spawned worker whose claim loop has ended are
+    lent to a process-wide {!spare} count, and taken back before the map
+    returns.  {!fork} borrows a spare slot to start a thunk on a helper
+    domain; without one, the thunk runs inline at {!join}.  Only a map
+    called outside any pool job lends, so a fork inside a saturated map
+    runs inline, and [~jobs:1] never spawns a helper (DESIGN.md §9).
+
     Jobs must not share mutable builder state across domains: a design's
     circuit cell ({!Once}) is built inside the single job that first
     forces it (see DESIGN.md §9). *)
@@ -43,6 +52,27 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f xs] is [List.map f xs] computed by {!map_result}: the
     whole batch runs, then the exception of the lowest-index failing
     item is re-raised — the same exception at every job count. *)
+
+val spare : unit -> int
+(** The slots the running maps lend that no helper holds: the number of
+    {!fork}s that would start a helper right now. *)
+
+type 'a fork
+(** A thunk started by {!fork}; {!join} it or {!drop} it exactly once. *)
+
+val fork : (unit -> 'a) -> 'a fork
+(** [fork f] starts [f] on a helper domain when a spare slot is free,
+    holding the slot until the join.  Otherwise [f] is deferred: it runs
+    at {!join} on the joining domain, or never if the fork is dropped. *)
+
+val join : 'a fork -> 'a
+(** The value of the forked thunk, or its exception re-raised with its
+    backtrace.  Waiting for a helper is a ["wait"] span on the caller's
+    innermost open span (see {!Trace.with_inner_span}). *)
+
+val drop : 'a fork -> unit
+(** Discard a fork: a deferred thunk never runs; a helper is joined (its
+    slot returns to the spare count) and its outcome ignored. *)
 
 module Memo (V : sig
   type t

@@ -22,24 +22,38 @@ let check ?(cycles = 64) ?(seed = 42) (ca : Netlist.t)
   in
   if outs ca <> outs cb then invalid_arg "Equiv.check: output ports differ";
   let sa = Sim.create ca and sb = Sim.create cb in
+  (* Ports are resolved once; the loop then moves integers only. *)
+  let ins =
+    Array.of_list
+      (List.map
+         (fun (nm, w) -> (w, Sim.in_port sa nm, Sim.in_port sb nm))
+         (ports ca))
+  in
+  let outs =
+    Array.of_list
+      (List.map
+         (fun (nm, _) -> (nm, Sim.out_port sa nm, Sim.out_port sb nm))
+         (outs ca))
+  in
   let rng = Random.State.make [| seed |] in
   let result = ref Equivalent in
   (try
      for cycle = 0 to cycles - 1 do
-       List.iter
-         (fun (nm, w) ->
+       Array.iter
+         (fun (w, pa, pb) ->
            let v = draw rng w in
-           Sim.set sa nm v;
-           Sim.set sb nm v)
-         (ports ca);
-       List.iter
-         (fun (nm, _) ->
-           let a = Sim.get sa nm and b = Sim.get sb nm in
+           Sim.set_port sa pa ~lane:0 v;
+           Sim.set_port sb pb ~lane:0 v)
+         ins;
+       Array.iter
+         (fun (nm, pa, pb) ->
+           let a = Sim.get_port sa pa ~lane:0
+           and b = Sim.get_port sb pb ~lane:0 in
            if a <> b then begin
              result := Mismatch { cycle; port = nm; a; b };
              raise Exit
            end)
-         (outs ca);
+         outs;
        Sim.step sa;
        Sim.step sb
      done
@@ -88,24 +102,20 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
       ins
   in
   let reset_at = cycles / 2 in
-  let outs = List.map fst c.Netlist.outputs in
-  let regs =
-    Array.to_list c.Netlist.nodes
-    |> List.filter Netlist.is_reg
-    |> List.map (fun (nd : Netlist.node) -> nd.Netlist.uid)
+  let outs =
+    Array.of_list
+      (List.map (fun (nm, _) -> (nm, Sim.out_port sc nm)) c.Netlist.outputs)
   in
+  let regs = Netlist.reg_uids c in
   let result = ref Equivalent in
   (* The interpreter value is the reference [a], the levelized engine's
      [b]; the label is only built on a mismatch. *)
-  let compare cycle l label a b =
-    if a <> b then begin
-      let port =
-        if lanes = 1 then label ()
-        else Printf.sprintf "%s [lane %d]" (label ()) l
-      in
-      result := Mismatch { cycle; port; a; b };
-      raise Exit
-    end
+  let mismatch cycle l label a b =
+    let port =
+      if lanes = 1 then label else Printf.sprintf "%s [lane %d]" label l
+    in
+    result := Mismatch { cycle; port; a; b };
+    raise Exit
   in
   (try
      for cycle = 0 to cycles - 1 do
@@ -122,17 +132,17 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
                 redraw l
               done);
        for l = 0 to lanes - 1 do
-         List.iter
-           (fun nm ->
-             compare cycle l (fun () -> nm) (Interp.get ~lane:l itp nm)
-               (Sim.get ~lane:l sc nm))
-           outs;
-         List.iter
-           (fun u ->
-             compare cycle l
-               (fun () -> Printf.sprintf "reg n%d" u)
-               (Interp.peek ~lane:l itp u) (Sim.peek ~lane:l sc u))
-           regs
+         let lane = Some l in
+         for i = 0 to Array.length outs - 1 do
+           let nm, p = outs.(i) in
+           let a = Interp.get ?lane itp nm and b = Sim.get_port sc p ~lane:l in
+           if a <> b then mismatch cycle l nm a b
+         done;
+         for i = 0 to Array.length regs - 1 do
+           let u = regs.(i) in
+           let a = Interp.peek ?lane itp u and b = Sim.peek ?lane sc u in
+           if a <> b then mismatch cycle l (Printf.sprintf "reg n%d" u) a b
+         done
        done;
        Interp.step itp;
        Sim.step sc
@@ -140,18 +150,22 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
      (* Final architectural and combinational state, node by node — this
         exercises the levelized engine's on-demand path for dead nodes. *)
      for l = 0 to lanes - 1 do
+       let lane = Some l in
+       let got = Sim.peek_all ?lane sc in
        for u = 0 to Netlist.num_nodes c - 1 do
-         compare cycles l
-           (fun () -> Printf.sprintf "n%d" u)
-           (Interp.peek ~lane:l itp u) (Sim.peek ~lane:l sc u)
+         let a = Interp.peek ?lane itp u in
+         if a <> got.(u) then
+           mismatch cycles l (Printf.sprintf "n%d" u) a got.(u)
        done;
        Array.iteri
          (fun mi (m : Netlist.mem) ->
-           for a = 0 to m.Netlist.mem_size - 1 do
-             compare cycles l
-               (fun () -> Printf.sprintf "%s[%d]" m.Netlist.mem_name a)
-               (Interp.mem_word ~lane:l itp mi a)
-               (Sim.mem_word ~lane:l sc mi a)
+           for addr = 0 to m.Netlist.mem_size - 1 do
+             let a = Interp.mem_word ?lane itp mi addr
+             and b = Sim.mem_word ?lane sc mi addr in
+             if a <> b then
+               mismatch cycles l
+                 (Printf.sprintf "%s[%d]" m.Netlist.mem_name addr)
+                 a b
            done)
          c.Netlist.mems
      done

@@ -53,12 +53,7 @@ let create ?(lanes = 1) c =
       masks.(nd.uid) <- Bits.mask nd.width;
       widths.(nd.uid) <- nd.width)
     c.nodes;
-  let regs =
-    Array.of_list
-      (Array.to_list c.nodes
-      |> List.filter Netlist.is_reg
-      |> List.map (fun (nd : Netlist.node) -> nd.uid))
-  in
+  let regs = Netlist.reg_uids c in
   let input_ids = Hashtbl.create 16 and output_ids = Hashtbl.create 16 in
   List.iter (fun (nm, u) -> Hashtbl.replace input_ids nm u) c.inputs;
   List.iter (fun (nm, u) -> Hashtbl.replace output_ids nm u) c.outputs;
@@ -66,13 +61,16 @@ let create ?(lanes = 1) c =
     {
       c;
       comb =
-        Array.to_list (Netlist.comb_order c)
-        |> List.filter_map (fun u ->
-               let nd = Netlist.node c u in
-               match nd.kind with
-               | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ -> None
-               | _ -> Some nd)
-        |> Array.of_list;
+        (let order = Netlist.comb_order c and k = ref 0 in
+         Array.iter
+           (fun u ->
+             match (Netlist.node c u).kind with
+             | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ -> ()
+             | _ ->
+                 order.(!k) <- u;
+                 incr k)
+           order;
+         Array.map (Netlist.node c) (Array.sub order 0 !k));
       mem_data =
         Array.init lanes (fun _ ->
             Array.map

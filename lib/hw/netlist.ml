@@ -74,6 +74,17 @@ let reg_inputs n =
 
 let is_reg n = match n.kind with Reg _ -> true | _ -> false
 
+let reg_uids t =
+  let out = Array.make (Array.length t.nodes) 0 and k = ref 0 in
+  Array.iter
+    (fun nd ->
+      if is_reg nd then begin
+        out.(!k) <- nd.uid;
+        incr k
+      end)
+    t.nodes;
+  Array.sub out 0 !k
+
 let find_input t name = List.assoc name t.inputs
 let find_output t name = List.assoc name t.outputs
 
@@ -127,34 +138,63 @@ let fail_node t uid fmt =
         (Printf.sprintf "circuit %s: node n%d: %s" t.circuit_name uid msg))
     fmt
 
+(* [f consumer operand] for each combinational edge into [nd], in
+   [operands] order, without building the list. *)
+let iter_edges f nd =
+  let u = nd.uid in
+  match nd.kind with
+  | Input _ | Const _ | Reg _ -> ()
+  | Mem_read (_, a) | Unop (_, a) | Slice (a, _, _) | Uext a | Sext a -> f u a
+  | Binop (_, a, b) | Concat (a, b) ->
+      f u a;
+      f u b
+  | Mux (s, a, b) ->
+      f u s;
+      f u a;
+      f u b
+
 let comb_order t =
   (* Kahn's algorithm over combinational edges (register data inputs are not
-     edges).  Any node left unprocessed lies on a combinational cycle. *)
+     edges).  Any node left unprocessed lies on a combinational cycle.  The
+     dependents of node [r] are the slice [start.(r) .. start.(r + 1) - 1]
+     of [deps], walked from its end (the latest consumer first), and
+     [order] doubles as the FIFO queue: a node is appended once all its
+     operands are, and the queue is read front to back.  Every simulator
+     and interpreter builds one, so it allocates arrays only. *)
   let n = num_nodes t in
-  let indegree = Array.make n 0 in
+  let indegree = Array.make n 0 and start = Array.make (n + 1) 0 in
   Array.iter
-    (fun nd -> indegree.(nd.uid) <- List.length (operands nd))
+    (iter_edges (fun u r ->
+         indegree.(u) <- indegree.(u) + 1;
+         start.(r + 1) <- start.(r + 1) + 1))
     t.nodes;
-  let dependents = Array.make n [] in
+  for r = 1 to n do
+    start.(r) <- start.(r) + start.(r - 1)
+  done;
+  let deps = Array.make start.(n) 0 and fill = Array.sub start 0 n in
   Array.iter
-    (fun nd ->
-      List.iter (fun r -> dependents.(r) <- nd.uid :: dependents.(r)) (operands nd))
+    (iter_edges (fun u r ->
+         deps.(fill.(r)) <- u;
+         fill.(r) <- fill.(r) + 1))
     t.nodes;
   let order = Array.make n 0 in
-  let pos = ref 0 in
-  let queue = Queue.create () in
-  Array.iter (fun nd -> if indegree.(nd.uid) = 0 then Queue.add nd.uid queue) t.nodes;
-  while not (Queue.is_empty queue) do
-    let uid = Queue.take queue in
-    order.(!pos) <- uid;
-    incr pos;
-    List.iter
-      (fun d ->
-        indegree.(d) <- indegree.(d) - 1;
-        if indegree.(d) = 0 then Queue.add d queue)
-      dependents.(uid)
+  let tail = ref 0 in
+  let push u =
+    order.(!tail) <- u;
+    incr tail
+  in
+  Array.iter (fun nd -> if indegree.(nd.uid) = 0 then push nd.uid) t.nodes;
+  let head = ref 0 in
+  while !head < !tail do
+    let uid = order.(!head) in
+    incr head;
+    for k = start.(uid + 1) - 1 downto start.(uid) do
+      let d = deps.(k) in
+      indegree.(d) <- indegree.(d) - 1;
+      if indegree.(d) = 0 then push d
+    done
   done;
-  if !pos <> n then begin
+  if !tail <> n then begin
     let stuck = ref (-1) in
     Array.iteri (fun i deg -> if deg > 0 && !stuck < 0 then stuck := i) indegree;
     failwith

@@ -80,6 +80,13 @@ val operands : node -> uid list
 (** Combinational operands.  For a register this is [[]] — the [d] input is
     sequential and obtained via {!reg_inputs}. *)
 
+val iter_edges : (uid -> uid -> unit) -> node -> unit
+(** [iter_edges f nd] is [f nd.uid o] for each [o] of [operands nd], in
+    order, without building the list. *)
+
+val reg_uids : t -> uid array
+(** The registers' uids, ascending. *)
+
 val reg_inputs : node -> uid list
 (** [d] and optional [enable] for a register, [[]] otherwise. *)
 

@@ -149,9 +149,9 @@ let create ?(batch = 1) c =
   let rec mark u =
     if not live.(u) then begin
       live.(u) <- true;
-      List.iter mark (Netlist.operands (Netlist.node c u))
+      Netlist.iter_edges mark_operand (Netlist.node c u)
     end
-  in
+  and mark_operand _ o = mark o in
   List.iter (fun (_, u) -> mark u) c.Netlist.outputs;
   Array.iter
     (fun (nd : Netlist.node) ->
@@ -175,14 +175,12 @@ let create ?(batch = 1) c =
      its consumer; the surviving apex reads the chain's leaves directly. *)
   let uses = Array.make n 0 and sole_user = Array.make n (-1) in
   let rooted = Array.make n false in
+  let use u o =
+    uses.(o) <- uses.(o) + 1;
+    sole_user.(o) <- u
+  in
   Array.iter
-    (fun (nd : Netlist.node) ->
-      if live.(nd.uid) then
-        List.iter
-          (fun o ->
-            uses.(o) <- uses.(o) + 1;
-            sole_user.(o) <- nd.uid)
-          (Netlist.operands nd))
+    (fun (nd : Netlist.node) -> if live.(nd.uid) then Netlist.iter_edges use nd)
     c.Netlist.nodes;
   List.iter (fun (_, u) -> rooted.(u) <- true) c.Netlist.outputs;
   Array.iter
@@ -231,14 +229,19 @@ let create ?(batch = 1) c =
         Array.of_list (leaves_of a wb (leaves_of b 0 []))
     | _ -> assert false
   in
-  (* Schedule = live non-source, non-absorbed nodes in levelized order. *)
+  (* Schedule = live non-source, non-absorbed nodes in levelized order,
+     compacted in place. *)
   let sched_uid =
-    Netlist.comb_order c |> Array.to_list
-    |> List.filter (fun u ->
-           live.(u)
-           && (not (is_source (Netlist.node c u)))
-           && not absorbed.(u))
-    |> Array.of_list
+    let order = Netlist.comb_order c and k = ref 0 in
+    Array.iter
+      (fun u ->
+        if live.(u) && (not (is_source (Netlist.node c u))) && not absorbed.(u)
+        then begin
+          order.(!k) <- u;
+          incr k
+        end)
+      order;
+    Array.sub order 0 !k
   in
   let n_ins = Array.length sched_uid in
   let resident = Array.make n false in
@@ -447,12 +450,7 @@ let create ?(batch = 1) c =
   let ports_in = Hashtbl.create 16 and ports_out = Hashtbl.create 16 in
   List.iter (fun (nm, u) -> Hashtbl.replace ports_in nm u) c.Netlist.inputs;
   List.iter (fun (nm, u) -> Hashtbl.replace ports_out nm u) c.Netlist.outputs;
-  let reg_uids =
-    Array.of_list
-      (Array.to_list c.Netlist.nodes
-      |> List.filter Netlist.is_reg
-      |> List.map (fun (nd : Netlist.node) -> nd.uid))
-  in
+  let reg_uids = Netlist.reg_uids c in
   let nregs = Array.length reg_uids in
   (* The latch loop works purely in value slots. *)
   let regs = Array.map (fun u -> slot.(u)) reg_uids in
@@ -1055,11 +1053,11 @@ let reset t =
   t.evals <- 0
 
 (* On-demand evaluation of a node outside the compiled schedule (dead
-   logic or an absorbed concat), for [peek].  The memo lives for one
-   [peek] call, so a shared cone is walked once and no value outlives a
-   state change.  The netlist is a DAG, so the recursion terminates;
-   resident operands (every source among them) are already settled by
-   the caller. *)
+   logic or an absorbed concat), for [peek] and [peek_all].  The memo
+   lives for one [peek] call or one [peek_all] pass, so a shared cone is
+   walked once and no value outlives a state change.  The netlist is a
+   DAG, so the recursion terminates; resident operands (every source
+   among them) are already settled by the caller. *)
 let rec force t memo lane u =
   let b = t.batch in
   if t.resident.(u) then t.vals.((t.slot.(u) * b) + lane)
@@ -1119,6 +1117,14 @@ let peek ?(lane = 0) t uid =
   settle t;
   if t.resident.(uid) then t.vals.((t.slot.(uid) * t.batch) + lane)
   else force t (Hashtbl.create 16) lane uid
+
+let peek_all ?(lane = 0) t =
+  lane_check t "Sim.peek_all" lane;
+  settle t;
+  let memo = Hashtbl.create 64 in
+  Array.init (Netlist.num_nodes t.c) (fun u ->
+      if t.resident.(u) then t.vals.((t.slot.(u) * t.batch) + lane)
+      else force t memo lane u)
 
 let peek_signed ?(lane = 0) t uid = signed_of t uid (peek ~lane t uid)
 

@@ -120,6 +120,11 @@ val peek : ?lane:int -> t -> Netlist.uid -> int
     cached between calls, so waveform recording over dead logic still
     works at the cost of that walk. *)
 
+val peek_all : ?lane:int -> t -> int array
+(** [peek_all ~lane sim] is the array of [peek ~lane sim u] for every
+    node [u], indexed by uid: one settle, and one memo for the whole
+    pass, so a dead cone shared by several nodes is walked once. *)
+
 val peek_signed : ?lane:int -> t -> Netlist.uid -> int
 
 val cycle_count : t -> int

@@ -10,6 +10,12 @@ let null_tracer = { wrap = (fun ~design:_ ~stage:_ f -> f ()); counter = (fun _ 
 let tracer = Atomic.make null_tracer
 let set_tracer t = Atomic.set tracer t
 
+type forker = { fork : 'a. (unit -> 'a) -> (unit -> 'a) * (unit -> unit) }
+
+(* Without an injected pool, a fork is deferred to its join. *)
+let forker = Atomic.make { fork = (fun f -> (f, ignore)) }
+let set_forker f = Atomic.set forker f
+
 type error =
   | Unknown_transfo of string
   | Precondition_failed of { pf_step : string; pf_reason : string }
@@ -36,25 +42,45 @@ type step_report = {
 
 type report = { rep_subject : Subject.t; rep_steps : step_report list }
 
-let verify ~cycles ~seed ob ~before ~after =
-  match Verify.discharge ~cycles ~seed ob ~before ~after with
-  | Error _ as e -> e
-  | Ok () -> (
-      (* the step-specific obligation relates before and after; the
-         crosschecks establish that the levelized engine simulates the
-         result itself exactly like the reference interpreter, at batch 1
-         and across 4 lanes *)
-      let c = after.Subject.circuit in
-      match Equiv.crosscheck ~cycles ~seed c with
-      | Equiv.Mismatch _ as r ->
-          Error (Format.asprintf "crosscheck: %a" Equiv.pp_result r)
-      | Equiv.Equivalent -> (
-          match
-            Equiv.crosscheck ~cycles:(max 32 (cycles / 2)) ~seed ~lanes:4 c
-          with
-          | Equiv.Mismatch _ as r ->
-              Error (Format.asprintf "batch crosscheck: %a" Equiv.pp_result r)
-          | Equiv.Equivalent -> Ok ()))
+(* The step-specific obligation relates before and after; the
+   crosschecks establish that the levelized engine simulates the result
+   itself exactly like the reference interpreter, at batch 1 and across 4
+   lanes.  The 4-lane crosscheck is forked first: on a spare domain it
+   runs beside the other two, and its outcome is read only when both pass,
+   so the verdict and its precedence are those of running the three in
+   order.  A fork that found no spare domain runs at the join, after the
+   other two, or not at all. *)
+let verify (tr : tracer) ~design ~cycles ~seed ob ~before ~after =
+  let c = after.Subject.circuit in
+  let batch () =
+    match Equiv.crosscheck ~cycles:(max 32 (cycles / 2)) ~seed ~lanes:4 c with
+    | Equiv.Mismatch _ as r ->
+        Error (Format.asprintf "batch crosscheck: %a" Equiv.pp_result r)
+    | Equiv.Equivalent -> Ok ()
+  in
+  let home = Domain.self () in
+  let join, drop =
+    (Atomic.get forker).fork (fun () ->
+        if Domain.self () = home then batch ()
+        else tr.wrap ~design ~stage:"transfo:verify" batch)
+  in
+  match
+    match Verify.discharge ~cycles ~seed ob ~before ~after with
+    | Error _ as e -> e
+    | Ok () -> (
+        match Equiv.crosscheck ~cycles ~seed c with
+        | Equiv.Mismatch _ as r ->
+            Error (Format.asprintf "crosscheck: %a" Equiv.pp_result r)
+        | Equiv.Equivalent -> Ok ())
+  with
+  | Ok () -> join ()
+  | Error _ as e ->
+      drop ();
+      e
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      drop ();
+      Printexc.raise_with_backtrace e bt
 
 (* Verdicts by content key, shared by every domain of the process.  A
    script space lists shared prefixes ("strength_reduce" and
@@ -82,7 +108,7 @@ let verdict_key ~cycles ~seed ob ~before ~after =
    another domain waits for it (as [Core.Once] does) and reuses its
    verdict.  A verification that raises is forgotten, and its waiters
    wake up to claim the key again. *)
-let verify_once (tr : tracer) ~cycles ~seed ob ~before ~after =
+let verify_once (tr : tracer) ~design ~cycles ~seed ob ~before ~after =
   let key = verdict_key ~cycles ~seed ob ~before ~after in
   let claimed =
     Mutex.protect verdicts_lock (fun () ->
@@ -111,7 +137,7 @@ let verify_once (tr : tracer) ~cycles ~seed ob ~before ~after =
       v
   | None -> (
       tr.counter "verify_cycles" cycles;
-      match verify ~cycles ~seed ob ~before ~after with
+      match verify tr ~design ~cycles ~seed ob ~before ~after with
       | v ->
           settle (Some v);
           v
@@ -145,7 +171,7 @@ let apply_step ?(cycles = 256) ?(seed = 7) (module T : Catalog.TRANSFO) ~arg
           let ob = Verify.obligation_name (T.obligation ~arg) in
           match
             tr.wrap ~design ~stage:"transfo:verify" (fun () ->
-                verify_once tr ~cycles ~seed (T.obligation ~arg)
+                verify_once tr ~design ~cycles ~seed (T.obligation ~arg)
                   ~before:subject ~after)
           with
           | exception (Failure msg | Invalid_argument msg) -> fail ob msg

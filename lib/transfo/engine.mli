@@ -3,7 +3,13 @@
     Every applied step is immediately followed by the discharge of its
     {!Verify.obligation} {e and} a {!Hw.Equiv.crosscheck} of the result
     (at batch 1 and across 4 lanes), so a broken transformation is caught
-    at the step that introduced it, with the step name in the error. *)
+    at the step that introduced it, with the step name in the error.
+
+    The 4-lane crosscheck is handed to the injected {!forker} before the
+    other two checks run on the caller, and its outcome is read only when
+    both pass: on a spare domain it overlaps them, otherwise it runs after
+    them, as a deferred thunk, or not at all.  Either way the verdict is
+    that of the three checks in order. *)
 
 type tracer = {
   wrap : 'a. design:string -> stage:string -> (unit -> 'a) -> 'a;
@@ -15,6 +21,17 @@ type tracer = {
     module initialisation. *)
 
 val set_tracer : tracer -> unit
+
+type forker = { fork : 'a. (unit -> 'a) -> (unit -> 'a) * (unit -> unit) }
+(** [fork f] starts [f] where it sees fit and returns its [(join, drop)]:
+    [join ()] is [f ()]'s value or exception, [drop ()] discards [f]
+    without waiting on anything but a run already started.  Injected for
+    the reason {!tracer} is ([Core.Kernel] installs [Core.Parallel.fork]);
+    the default defers [f] to [join].  A thunk run on another domain than
+    the one that forked it is wrapped in a ["transfo:verify"] span of the
+    tracer there. *)
+
+val set_forker : forker -> unit
 
 type error =
   | Unknown_transfo of string

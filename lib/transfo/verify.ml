@@ -41,23 +41,36 @@ let delayed ~cycles ~seed ~lat (a : Netlist.t) (b : Netlist.t) =
     let sa = Sim.create a and sb = Sim.create b in
     Sim.reset sa;
     Sim.reset sb;
+    let ins =
+      Array.of_list
+        (List.map (fun (nm, w) -> (w, Sim.in_port sa nm, Sim.in_port sb nm)) ins)
+    in
+    let outs =
+      Array.of_list
+        (List.map
+           (fun (nm, _) -> (nm, Sim.out_port sa nm, Sim.out_port sb nm))
+           outs)
+    in
     let rng = Random.State.make [| seed; 0x7A5F |] in
     let total = cycles + lat in
-    let hist = Array.make total [] in
+    let hist = Array.make_matrix total (Array.length outs) 0 in
     let result = ref (Ok ()) in
     (try
        for t = 0 to total - 1 do
-         List.iter
-           (fun (nm, w) ->
+         Array.iter
+           (fun (w, pa, pb) ->
              let v = draw rng w in
-             Sim.set sa nm v;
-             Sim.set sb nm v)
+             Sim.set_port sa pa ~lane:0 v;
+             Sim.set_port sb pb ~lane:0 v)
            ins;
-         hist.(t) <- List.map (fun (nm, _) -> (nm, Sim.get sa nm)) outs;
+         Array.iteri
+           (fun i (_, pa, _) -> hist.(t).(i) <- Sim.get_port sa pa ~lane:0)
+           outs;
          if t >= lat then
-           List.iter2
-             (fun (nm, _) (_, expect) ->
-               let got = Sim.get sb nm in
+           Array.iteri
+             (fun i (nm, _, pb) ->
+               let expect = hist.(t - lat).(i) in
+               let got = Sim.get_port sb pb ~lane:0 in
                if got <> expect then begin
                  result :=
                    Error
@@ -67,8 +80,7 @@ let delayed ~cycles ~seed ~lat (a : Netlist.t) (b : Netlist.t) =
                         lat nm t expect got);
                  raise Exit
                end)
-             outs
-             hist.(t - lat);
+             outs;
          Sim.step sa;
          Sim.step sb
        done
@@ -79,33 +91,48 @@ let delayed ~cycles ~seed ~lat (a : Netlist.t) (b : Netlist.t) =
 (* b holds [k] copies of a with ports suffixed "_r<j>"; each copy must
    match a fresh run of a under its own stimulus. *)
 let replicated ~cycles ~seed ~k (a : Netlist.t) (b : Netlist.t) =
-  let ins = port_widths a a.Netlist.inputs in
-  let outs = port_widths a a.Netlist.outputs in
+  let ins = Array.of_list (port_widths a a.Netlist.inputs) in
+  let outs = Array.of_list (port_widths a a.Netlist.outputs) in
   let sa = Sim.create a and sb = Sim.create b in
   Sim.reset sa;
   Sim.reset sb;
+  (* Copy [j]'s port of each name, resolved once, copy by copy: the first
+     port [b] lacks is the one the first cycle's [Sim.set]/[Sim.get] by
+     name met first, and it is reported as they reported it. *)
+  let copy_ports dir resolve ~caller ports =
+    Array.init k (fun j ->
+        Array.map
+          (fun (nm, _) ->
+            let name = Printf.sprintf "%s_r%d" nm j in
+            try resolve sb name
+            with Invalid_argument _ -> Netlist.port_error b dir ~caller name)
+          ports)
+  in
+  let b_ins = copy_ports `In Sim.in_port ~caller:"Sim.set" ins in
+  let b_outs = copy_ports `Out Sim.out_port ~caller:"Sim.get" outs in
+  let a_ins = Array.map (fun (nm, _) -> Sim.in_port sa nm) ins in
+  let a_outs = Array.map (fun (nm, _) -> Sim.out_port sa nm) outs in
   let rng = Random.State.make [| seed; 0x4E9B |] in
+  let stim = Array.make_matrix k (Array.length ins) 0 in
   let result = ref (Ok ()) in
   (try
      for t = 0 to cycles - 1 do
-       let stim =
-         Array.init k (fun _ -> List.map (fun (nm, w) -> (nm, draw rng w)) ins)
-       in
+       Array.iter
+         (fun vals -> Array.iteri (fun i (_, w) -> vals.(i) <- draw rng w) ins)
+         stim;
        Array.iteri
          (fun j vals ->
-           List.iter
-             (fun (nm, v) -> Sim.set sb (Printf.sprintf "%s_r%d" nm j) v)
-             vals)
+           Array.iteri (fun i v -> Sim.set_port sb b_ins.(j).(i) ~lane:0 v) vals)
          stim;
        Array.iteri
          (fun j vals ->
            (* the original is purely combinational (the transformation's
               precondition), so one instance re-driven per lane suffices *)
-           List.iter (fun (nm, v) -> Sim.set sa nm v) vals;
-           List.iter
-             (fun (nm, _) ->
-               let expect = Sim.get sa nm in
-               let got = Sim.get sb (Printf.sprintf "%s_r%d" nm j) in
+           Array.iteri (fun i v -> Sim.set_port sa a_ins.(i) ~lane:0 v) vals;
+           Array.iteri
+             (fun i (nm, _) ->
+               let expect = Sim.get_port sa a_outs.(i) ~lane:0 in
+               let got = Sim.get_port sb b_outs.(j).(i) ~lane:0 in
                if got <> expect then begin
                  result :=
                    Error

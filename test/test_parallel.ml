@@ -258,6 +258,92 @@ let test_loc_alpha_consistency () =
          [ Core.Kernel.initial idct t; Core.Kernel.optimized idct t ])
        (Core.Kernel.tools idct))
 
+(* ---------------- fork on spare capacity ---------------- *)
+
+let self () = (Domain.self () :> int)
+
+(* The one result of a 1-item map. *)
+let in_map ~jobs f =
+  match Core.Parallel.map ~jobs f [ () ] with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "one result expected"
+
+let test_fork_borrows_a_spare_domain () =
+  let caller = self () in
+  let lent, held, helper, returned, third =
+    in_map ~jobs:2 (fun () ->
+        let lent = Core.Parallel.spare () in
+        let fk = Core.Parallel.fork self in
+        let held = Core.Parallel.spare () in
+        (* no slot is left: a second fork is deferred to its join *)
+        let third = Core.Parallel.join (Core.Parallel.fork self) in
+        let helper = Core.Parallel.join fk in
+        (lent, held, helper, Core.Parallel.spare (), third))
+  in
+  check int "a 1-item map at jobs 2 lends one slot" 1 lent;
+  check int "the helper holds it until the join" 0 held;
+  check bool "the thunk ran on another domain" true (helper <> caller);
+  check int "the join returns it" 1 returned;
+  check int "without a slot, the thunk runs on the joiner" caller third;
+  check int "the map took its slot back" 0 (Core.Parallel.spare ())
+
+(* Before the join, at the join, and never when dropped. *)
+let fork_runs_inline () =
+  let caller = self () in
+  let ran = ref false and dropped = ref false in
+  let fk =
+    Core.Parallel.fork (fun () ->
+        ran := true;
+        self ())
+  in
+  let before = !ran in
+  let d = Core.Parallel.join fk in
+  Core.Parallel.drop (Core.Parallel.fork (fun () -> dropped := true));
+  [ before; d = caller; !ran; !dropped ]
+
+let test_fork_inline_without_spare () =
+  let inline = [ false; true; true; false ] in
+  check (Alcotest.list bool) "outside any map" inline (fork_runs_inline ());
+  check (Alcotest.list bool) "inside a map at jobs 1" inline
+    (in_map ~jobs:1 fork_runs_inline);
+  check int "jobs 1 lends nothing" 0
+    (in_map ~jobs:1 (fun () -> Core.Parallel.spare ()));
+  check (Alcotest.list bool) "after a lending map returned" inline
+    (ignore (in_map ~jobs:2 Core.Parallel.spare);
+     fork_runs_inline ())
+
+let raise_forked () = failwith "forked"
+
+let test_fork_reraises_with_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  let outcome () =
+    match Core.Parallel.join (Core.Parallel.fork raise_forked) with
+    | () -> Alcotest.fail "the fork's exception was lost"
+    | exception Failure m ->
+        (m, Printexc.raw_backtrace_length (Printexc.get_raw_backtrace ()) > 0)
+  in
+  let pair = Alcotest.(pair string bool) in
+  check pair "on a helper domain" ("forked", true) (in_map ~jobs:2 outcome);
+  check pair "inline" ("forked", true) (outcome ())
+
+let test_spare_count_bounds_helpers () =
+  check int "a 1-item map lends all but its own domain" 3
+    (in_map ~jobs:4 Core.Parallel.spare);
+  (* plus the slot of each spawned worker that has run out of items *)
+  check bool "a 3-item map at jobs 4 lends at least the fourth" true
+    (List.for_all
+       (fun n -> n >= 1)
+       (Core.Parallel.map ~jobs:4 (fun _ -> Core.Parallel.spare ()) [ 0; 1; 2 ]));
+  check int "a nested map lends nothing" 1
+    (in_map ~jobs:2 (fun () -> in_map ~jobs:4 Core.Parallel.spare));
+  check int "a helper runs on the borrowed slot" 0
+    (in_map ~jobs:2 (fun () ->
+         Core.Parallel.join (Core.Parallel.fork Core.Parallel.spare)));
+  check int "every map took its slots back" 0 (Core.Parallel.spare ())
+
 let () =
   Alcotest.run "parallel"
     [
@@ -276,6 +362,14 @@ let () =
             test_map_result_order_and_capture;
           Alcotest.test_case "map_result runs everything" `Quick
             test_map_result_runs_everything;
+          Alcotest.test_case "fork borrows a spare domain" `Quick
+            test_fork_borrows_a_spare_domain;
+          Alcotest.test_case "fork runs inline without a spare" `Quick
+            test_fork_inline_without_spare;
+          Alcotest.test_case "fork re-raises with its backtrace" `Quick
+            test_fork_reraises_with_backtrace;
+          Alcotest.test_case "spare count bounds the helpers" `Quick
+            test_spare_count_bounds_helpers;
         ] );
       ( "memo",
         [

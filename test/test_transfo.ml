@@ -390,8 +390,87 @@ let test_memo_forgets_raises () =
   check (list bool) "both calls verified" [ true; true ] (List.map ran spans);
   check (list bool) "nothing reused" [ false; false ] (List.map reused spans);
   List.iter
-    (fun r -> check bool ("names the missing port: " ^ r) true (contains r "_r0"))
+    (fun r ->
+      check bool ("names the missing port: " ^ r) true (contains r "_r0");
+      check bool ("as the first cycle's Sim.set: " ^ r) true
+        (contains r "Sim.set: no input port"))
     reasons
+
+(* ---------------- verification beside a spare domain ---------------- *)
+
+(* The one result of a 1-item map: at [~jobs:2] the map lends its second
+   domain, and the step's 4-lane crosscheck runs there. *)
+let in_map ~jobs f =
+  match Core.Parallel.map ~jobs f [ () ] with
+  | [ r ] -> r
+  | _ -> fail "one result expected"
+
+(* The failure of one broken step at [~jobs:1] and beside a spare domain.
+   A remembered failure would be reused, so the two runs verify circuits
+   of different names unless the step raises (it is not remembered, and
+   its reason names the circuit). *)
+let test_fork_same_failures () =
+  List.iter
+    (fun (what, m, shared) ->
+      let failure name =
+        let s = Subject.of_circuit (row_comb name) in
+        match Engine.apply_step ~seed:1005 m ~arg:None s with
+        | Error (Engine.Verify_failed { vf_obligation; vf_reason; _ }) ->
+            (vf_obligation, vf_reason)
+        | Ok _ -> fail (what ^ " survived verification")
+        | Error e -> fail (Engine.error_to_string e)
+      in
+      let name j = if shared then "rc_fork" else "rc_fork_j" ^ j in
+      check (pair string string) what
+        (in_map ~jobs:1 (fun () -> failure (name "1")))
+        (in_map ~jobs:2 (fun () -> failure (name "2"))))
+    [
+      ("bad_reduce", (module Bad_reduce : Catalog.TRANSFO), false);
+      ("wrong_latency", (module Wrong_latency : Catalog.TRANSFO), false);
+      ("raising_verify", (module Raising_verify : Catalog.TRANSFO), true);
+    ]
+
+let test_fork_counts_once () =
+  let subject = Subject.of_circuit (row_comb "rc_fork_count") in
+  let _, spans =
+    verify_spans (fun () ->
+        in_map ~jobs:2 (fun () -> step_exn ~seed:1006 subject))
+  in
+  check int "the caller's span and the helper's" 2 (List.length spans);
+  check int "one verification counted" 1
+    (List.length (List.filter ran spans));
+  check int "nothing reused" 0 (List.length (List.filter reused spans))
+
+(* A failing or raising obligation drops the 4-lane check (a deferred
+   one never runs); a passing step joins it.  The logging forker forks
+   as the one Core.Kernel installs does. *)
+let test_fork_dropped_on_failure () =
+  let log = ref [] in
+  Engine.set_forker
+    {
+      Engine.fork =
+        (fun f ->
+          let fk = Core.Parallel.fork f in
+          ( (fun () ->
+              log := "join" :: !log;
+              Core.Parallel.join fk),
+            fun () ->
+              log := "drop" :: !log;
+              Core.Parallel.drop fk ));
+    };
+  let outcome m name =
+    log := [];
+    ignore
+      (Engine.apply_step ~seed:1007 m ~arg:None
+         (Subject.of_circuit (row_comb name)));
+    List.rev !log
+  in
+  check (list string) "failing obligation" [ "drop" ]
+    (outcome (module Bad_reduce : Catalog.TRANSFO) "rc_fork_drop");
+  check (list string) "raising obligation" [ "drop" ]
+    (outcome (module Raising_verify : Catalog.TRANSFO) "rc_fork_drop");
+  check (list string) "passing step" [ "join" ]
+    (outcome strength_reduce "rc_fork_join")
 
 (* ---------------- rederivation pin ---------------- *)
 
@@ -540,4 +619,13 @@ let () =
         [ test_case "chisel optimized = initial + script" `Quick
             test_rederive_chisel ] );
       ("property", [ QCheck_alcotest.to_alcotest transfo_script_prop ]);
+      ( "fork",
+        [
+          test_case "failures are the same beside a spare domain" `Quick
+            test_fork_same_failures;
+          test_case "a forked verification is counted once" `Quick
+            test_fork_counts_once;
+          test_case "a failed check drops the fork" `Quick
+            test_fork_dropped_on_failure;
+        ] );
     ]
