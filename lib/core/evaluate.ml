@@ -62,10 +62,13 @@ let measure ?(matrices = 4) ~(spec : Flow.spec) (d : Design.t) :
                   sb.sb_add key m;
                   m)))
 
-(* Clears the in-process memo only: entries in an attached persistent
+(* Clears the in-process memos only (the measurements and the flow's
+   shared simulations and syntheses): entries in an attached persistent
    store survive (the store is the whole point — results outliving the
    process), which the store coherence tests pin down. *)
-let clear_measure_cache = Measure_cache.clear
+let clear_measure_cache () =
+  Measure_cache.clear ();
+  Flow.clear_shared ()
 
 (* A pool slot's outcome, typed as a flow error of design [d]. *)
 let typed d =

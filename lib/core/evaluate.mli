@@ -21,9 +21,11 @@ val measure : ?matrices:int -> spec:Flow.spec -> Design.t -> Metrics.measured
     [matrices]), shared across domains behind a mutex. *)
 
 val clear_measure_cache : unit -> unit
-(** Drop every memoized measurement (tests and benchmarks).  Only the
-    in-process memo is cleared: entries in an attached persistent store
-    survive, so a subsequent {!measure} re-reads them from disk. *)
+(** Drop every memoized measurement, and the simulations and syntheses
+    {!Flow.measure_uncached} shares between design points (tests and
+    benchmarks).  Only in-process memos are cleared: entries in an
+    attached persistent store survive, so a subsequent {!measure}
+    re-reads them from disk. *)
 
 (** {1 Persistent store backend}
 

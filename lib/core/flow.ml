@@ -240,6 +240,53 @@ let stage ~spec (d : Design.t) name f =
                })
             bt)
 
+(* ---------------- content-shared simulation and synthesis ---------------- *)
+
+(* Design points whose elaborated netlists are equal up to the circuit
+   name share one simulation and one synthesis: BSC's 26 option points
+   elaborate to 9 netlists and Bambu's 42 to 22.  The content key is the
+   digest of the marshalled nodes, memories and ports, without sharing
+   and without the name, as [Transfo.Engine.verdict_key] keys circuits; a
+   simulation is keyed also by the spec, the stimulus length and the
+   cycle budget, so a [stall] fault, which shrinks the budget, changes the
+   key.  A computation that raises is not stored ([Parallel.Memo]): a
+   failing duplicate runs again and its error names its own circuit.  The
+   validation, the bit-true check, every fault probe and the metrics stay
+   per design point.  A span served from the share carries the counter
+   [shared] = 1 instead of the counters of the work it skipped.  Two
+   domains that miss one key at once both compute it and the first store
+   wins, so at [-j 2] a trace can show fewer [shared] points (and more
+   [cycles]) than at [-j 1]; the results are the same. *)
+module Shared_sim = Parallel.Memo (struct
+  type t = Axis.Driver.result
+end)
+
+module Shared_synth = Parallel.Memo (struct
+  type t = Hw.Synth.report
+end)
+
+let clear_shared () =
+  Shared_sim.clear ();
+  Shared_synth.clear ()
+
+let content_key (c : Hw.Netlist.t) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (c.Hw.Netlist.nodes, c.Hw.Netlist.mems, c.Hw.Netlist.inputs,
+           c.Hw.Netlist.outputs)
+          [ Marshal.No_sharing ]))
+
+let shared find_or_compute ~key f =
+  let ran = ref false in
+  let v =
+    find_or_compute ~key (fun () ->
+        ran := true;
+        f ())
+  in
+  if not !ran then Trace.add_counter "shared" 1;
+  v
+
 let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
   let key = span_key d in
   let stage name f = stage ~spec d name f in
@@ -272,6 +319,7 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
             c)
       in
       stage "validate" (fun () -> Hw.Netlist.validate circuit);
+      let content = content_key circuit in
       let mats = spec.stimulus matrices in
       let r =
         stage "simulate" (fun () ->
@@ -280,7 +328,14 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
               Faultinject.stall_timeout ~design:key spec.sim_timeout
             in
             let r =
-              Axis.Driver.run ?timeout ~hook:Trace.add_counter circuit mats
+              shared Shared_sim.find_or_compute
+                ~key:
+                  (Printf.sprintf "%s/%s@%d/%s" content spec.spec_name matrices
+                     (match timeout with
+                     | None -> "-"
+                     | Some t -> string_of_int t))
+                (fun () ->
+                  Axis.Driver.run ?timeout ~hook:Trace.add_counter circuit mats)
             in
             {
               r with
@@ -298,7 +353,8 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
           | v :: _ -> raise (Axis.Driver.Protocol_violation v));
       let rep =
         stage "synthesize" (fun () ->
-            Hw.Synth.run ~hook:Trace.add_counter circuit)
+            shared Shared_synth.find_or_compute ~key:content (fun () ->
+                Hw.Synth.run ~hook:Trace.add_counter circuit))
       in
       metrics rep ~fmax_mhz:rep.Hw.Synth.fmax_mhz
         ~throughput_mops:

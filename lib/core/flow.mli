@@ -141,7 +141,18 @@ val measure_uncached : ?matrices:int -> spec:spec -> Design.t -> Metrics.measure
     is explicit at every call site; pass [Flow.idct_spec] (or go through
     {!Kernel}) to measure the paper's IDCT.
 
+    A stream design's [simulate] and [synthesize] are shared with every
+    earlier point whose netlist has the same content (the circuit name
+    aside) and, for the simulation, the same spec name, [matrices] and
+    cycle budget; a span served from the share carries the counter
+    [shared] in place of the driver's or synthesizer's counters.
+    Failures are never shared.
+
     @raise Error if a stage fails: not bit-true against
     [spec.reference], an AXI-Stream protocol violation, a simulation
     timeout, an engine failure, a synthesis failure, or an unexpected
     exception. *)
+
+val clear_shared : unit -> unit
+(** Forget every shared simulation and synthesis (see
+    {!measure_uncached}); {!Evaluate.clear_measure_cache} calls it. *)

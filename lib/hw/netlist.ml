@@ -153,14 +153,47 @@ let iter_edges f nd =
       f u a;
       f u b
 
-let comb_order t =
+(* Per-netlist memos.  A netlist is levelized by the builder, validated
+   by the flow, then simulated, interpreted, timed and retimed: each of
+   those asks for the same order, so it is computed once per [nodes]
+   array, and a passed validation once per record.  Keys are compared
+   physically and held weakly (a collected netlist drops its entries);
+   the hash reads only contents, which survive a GC move.  A failure is
+   never stored: it raises again, with its diagnostic, on every call.
+   Ephemeron tables are not domain-safe, hence the one lock. *)
+let shape_hash (nodes : node array) =
+  let n = Array.length nodes in
+  if n = 0 then 0 else Hashtbl.hash (n, nodes.(n / 2), nodes.(n - 1))
+
+module Orders = Ephemeron.K1.Make (struct
+  type t = node array
+
+  let equal = ( == )
+  let hash = shape_hash
+end)
+
+type netlist = t
+
+module Validated = Ephemeron.K1.Make (struct
+  type t = netlist
+
+  let equal = ( == )
+  let hash t = Hashtbl.hash (t.circuit_name, shape_hash t.nodes)
+end)
+
+let memo_lock = Mutex.create ()
+let orders : uid array Orders.t = Orders.create 64
+let validated : unit Validated.t = Validated.create 64
+let memo_find tbl find k = Mutex.protect memo_lock (fun () -> find tbl k)
+let memo_add tbl add k v = Mutex.protect memo_lock (fun () -> add tbl k v)
+
+let levelize t =
   (* Kahn's algorithm over combinational edges (register data inputs are not
      edges).  Any node left unprocessed lies on a combinational cycle.  The
      dependents of node [r] are the slice [start.(r) .. start.(r + 1) - 1]
      of [deps], walked from its end (the latest consumer first), and
      [order] doubles as the FIFO queue: a node is appended once all its
-     operands are, and the queue is read front to back.  Every simulator
-     and interpreter builds one, so it allocates arrays only. *)
+     operands are, and the queue is read front to back. *)
   let n = num_nodes t in
   let indegree = Array.make n 0 and start = Array.make (n + 1) 0 in
   Array.iter
@@ -203,19 +236,32 @@ let comb_order t =
   end;
   order
 
-let validate t =
+let shared_order t =
+  match memo_find orders Orders.find_opt t.nodes with
+  | Some order -> order
+  | None ->
+      let order = levelize t in
+      memo_add orders Orders.replace t.nodes order;
+      order
+
+(* The caller owns the copy: [Sim] and [Interp] compact it in place. *)
+let comb_order t = Array.copy (shared_order t)
+
+(* The checks, in the order their diagnostics take precedence: a node's
+   uid and width, its operand references, then its kind's widths; then
+   the ports, the memory write ports, and the combinational cycles. *)
+let check t =
   let n = num_nodes t in
   let check_ref uid r =
     if r < 0 || r >= n then fail_node t uid "dangling reference n%d" r
   in
+  let w r = t.nodes.(r).width in
   Array.iteri
     (fun i nd ->
       if nd.uid <> i then fail_node t i "uid/index mismatch (%d)" nd.uid;
       if nd.width < 1 || nd.width > Bits.max_width then
         fail_node t i "bad width %d" nd.width;
-      List.iter (check_ref i) (operands nd);
-      List.iter (check_ref i) (reg_inputs nd);
-      let w r = t.nodes.(r).width in
+      iter_edges check_ref nd;
       match nd.kind with
       | Input _ -> ()
       | Const b ->
@@ -244,28 +290,28 @@ let validate t =
       | Uext a | Sext a ->
           if nd.width < w a then
             fail_node t i "extension narrows %d -> %d" (w a) nd.width
-      | Mem_read (m, a) ->
+      | Mem_read (m, _) ->
           if m < 0 || m >= Array.length t.mems then
             fail_node t i "dangling memory reference m%d" m;
-          let mem = t.mems.(m) in
-          if nd.width <> mem.mem_width then
-            fail_node t i "memory read width mismatch";
-          ignore a
-      | Reg { d; enable; init } ->
+          if nd.width <> t.mems.(m).mem_width then
+            fail_node t i "memory read width mismatch"
+      | Reg { d; enable; init } -> (
+          check_ref i d;
+          (match enable with Some e -> check_ref i e | None -> ());
           if w d <> nd.width then fail_node t i "reg d width mismatch";
           if Bits.width init <> nd.width then
             fail_node t i "reg init width mismatch";
-          Option.iter
-            (fun e ->
-              if w e <> 1 then fail_node t i "reg enable must be 1 bit")
-            enable)
+          match enable with
+          | Some e when w e <> 1 -> fail_node t i "reg enable must be 1 bit"
+          | _ -> ()))
     t.nodes;
-  List.iter
-    (fun (name, r) ->
-      if r < 0 || r >= n then
-        failwith
-          (Printf.sprintf "circuit %s: port %s dangling" t.circuit_name name))
-    (t.inputs @ t.outputs);
+  let check_port (name, r) =
+    if r < 0 || r >= n then
+      failwith
+        (Printf.sprintf "circuit %s: port %s dangling" t.circuit_name name)
+  in
+  List.iter check_port t.inputs;
+  List.iter check_port t.outputs;
   Array.iter
     (fun m ->
       List.iter
@@ -289,7 +335,13 @@ let validate t =
                  t.circuit_name m.mem_name))
         m.mem_writes)
     t.mems;
-  ignore (comb_order t)
+  ignore (shared_order t)
+
+let validate t =
+  if not (memo_find validated Validated.mem t) then begin
+    check t;
+    memo_add validated Validated.replace t ()
+  end
 
 let stats t =
   let tbl = Hashtbl.create 16 in

@@ -104,11 +104,16 @@ val port_error : t -> [ `In | `Out ] -> caller:string -> string -> 'a
 
 val validate : t -> unit
 (** Checks widths, operand references and the absence of combinational
-    cycles.  @raise Failure with a diagnostic on an ill-formed circuit. *)
+    cycles.  A passed validation is remembered per record (physical
+    identity), so validating the same netlist again costs a lookup.
+    @raise Failure with a diagnostic on an ill-formed circuit (on every
+    call: a failure is not remembered). *)
 
 val comb_order : t -> uid array
 (** Topological order of all nodes for combinational evaluation (registers
     appear as sources; their [d] operands are not considered edges).
+    The order is computed once per [nodes] array (physical identity) and
+    shared; each call returns a fresh copy that the caller owns.
     @raise Failure on a combinational cycle. *)
 
 val stats : t -> (string * int) list

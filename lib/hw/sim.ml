@@ -16,20 +16,19 @@
    data-level parallelism is: compliance/DSE workloads, where hundreds
    of independent single-matrix runs share one netlist.
 
-   Activity: the sweep skips every row none of whose operands changed
-   since the previous sweep, at any lane count.  Each value slot (plus
-   one entry per memory) carries the number of the sweep that last saw it
-   change: an input change, a register latch or an applied memory write
-   stamps the upcoming sweep's [epoch], and a row that runs stamps its
-   destination when its result differs from the old one in any lane.  A
-   row runs iff one of its (at most three, precomputed) operand stamps is
-   the current epoch, so the check is a few int loads per row amortized
-   over the lanes; the decision is per row, never per lane.  Under the
-   IEEE 1180 testbench only 16-55% of the rows have a changed operand on
-   a given cycle (FSM controllers idle, pipelines drain), and single-lane
-   design points evaluate about 15% of theirs; that is what the check
-   harvests.  The latch skips a register whose [d] and [enable] stamps
-   predate its last latch ([q' = en ? d : q] is idempotent then).
+   Activity: at any lane count, the sweep skips every row none of whose
+   operands changed since the previous sweep, and the latch every
+   register whose [d] and [enable] did not change since it last latched
+   ([q' = en ? d : q] is idempotent then).  Rows and registers each have
+   a pending byte, and [create] builds a fanout table from each value
+   slot (plus one entry per memory) to its readers.  The producers of a
+   change set their readers' bytes: a row whose result changed in any
+   lane, an input change, a latch that changed [q], an applied memory
+   write (changed word or not) and [reset]; [create] sets every byte.
+   A skipped row costs one byte load, decided per row, never per lane.
+   Under the IEEE 1180 testbench only 16-55% of the rows have a changed
+   operand on a given cycle (FSM controllers idle, pipelines drain), and
+   single-lane design points evaluate about 15% of theirs.
 
    Dead-logic elimination and concat-chain fusion: only nodes in the
    fan-in cone of an output, register input or
@@ -57,17 +56,15 @@ type t = {
   k3 : int array;
   cc_uid : int array;                 (* fused-concat leaf table, slots *)
   cc_shift : int array;
-  (* Activity: [stamp] by unscaled value slot, then one entry per memory,
-     then the sentinel (stamped 0 once: it matches only the first sweep).
-     Row [i]'s destination is slot [first_dst + i]. *)
-  dep0 : int array;                   (* operand stamp indices, by row *)
-  dep1 : int array;
-  dep2 : int array;
-  cc_dep : int array;                 (* the leaf table, unscaled *)
+  (* Activity (see the header): [pend] by reader, the rows, then the
+     registers ([n_ins + r]); the readers of activity index [x] (a value
+     slot, or [n + mem]) are [fan_row.(fan_start.(x)) ..
+     fan_row.(fan_start.(x + 1) - 1)].  Row [i]'s destination is slot
+     [first_dst + i]. *)
+  pend : Bytes.t;
+  fan_start : int array;
+  fan_row : int array;
   first_dst : int;
-  stamp : int array;
-  mutable epoch : int;                (* the number of the next sweep *)
-  reg_at : int array;                 (* epoch of each register's last latch *)
   mutable evals : int;
   slot : int array;                   (* uid -> value slot (a bijection) *)
   resident : bool array;              (* uid: value current after [settle] *)
@@ -79,6 +76,7 @@ type t = {
   reg_en : int array;                 (* -1 = always enabled *)
   reg_init : int array;
   reg_next : int array;               (* scratch, nregs * batch *)
+  latched : int array;                (* scratch: the registers latching *)
   (* Memories (word-major: addr * batch + lane) and their write ports. *)
   mem_data : int array array;
   wp_mem : int array;
@@ -352,9 +350,9 @@ let create ?(batch = 1) c =
                  | _ -> true)
         in
         (* A concat of constants only keeps its first leaf as the operand
-           (or-ing it into the base again changes nothing): a constant's
-           stamp matches the first sweep alone, so the row runs once, and
-           every leaf-table row has a leaf to check. *)
+           (or-ing it into the base again changes nothing): no producer
+           ever marks a constant's readers, so the row runs once, on the
+           first sweep. *)
         let variable =
           if variable = [] then [ (concat_plan u).(0) ] else variable
         in
@@ -406,47 +404,6 @@ let create ?(batch = 1) c =
   let cc_list = List.rev !cc in
   let cc_uid = Array.of_list (List.map fst cc_list)
   and cc_shift = Array.of_list (List.map snd cc_list) in
-  (* The activity check's operands, unscaled: a row depends on the slots it
-     reads (a [memrd] also on its memory's entry, a leaf-table concat on
-     its leaves: the first three here, the rest walked in [cc_dep] only
-     when none of those changed); unused operands point at the sentinel. *)
-  let n_mems = Array.length c.Netlist.mems in
-  let sentinel = n + n_mems in
-  let dep0 = Array.make n_ins sentinel
-  and dep1 = Array.make n_ins sentinel
-  and dep2 = Array.make n_ins sentinel in
-  Array.iteri
-    (fun i o ->
-      if o = op_memrd then begin
-        dep0.(i) <- a0.(i);
-        dep1.(i) <- n + k1.(i)
-      end
-      else if o = op_concatn then begin
-        let leaf j = if j < k2.(i) then cc_uid.(k1.(i) + j) else sentinel in
-        dep0.(i) <- leaf 0;
-        dep1.(i) <- leaf 1;
-        dep2.(i) <- leaf 2
-      end
-      else begin
-        dep0.(i) <- a0.(i);
-        let binary = (o >= op_add && o <= op_les) || o = op_concat2 in
-        let ternary = o = op_mux || o = op_concat3 in
-        if binary || ternary then dep1.(i) <- a1.(i);
-        if ternary then dep2.(i) <- a2.(i)
-      end)
-    op;
-  let cc_dep = Array.copy cc_uid in
-  (* Rows write consecutive slots (the slot assignment above). *)
-  let first_dst = if n_ins = 0 then 0 else dst.(0) in
-  (* The operand and destination fields address the value array directly:
-     pre-scale the slot numbers by the batch stride so the sweep does no
-     per-instruction multiplies. *)
-  let scale a = Array.iteri (fun i s -> a.(i) <- s * batch) a in
-  scale dst;
-  scale a0;
-  scale a1;
-  scale a2;
-  scale cc_uid;
   let ports_in = Hashtbl.create 16 and ports_out = Hashtbl.create 16 in
   List.iter (fun (nm, u) -> Hashtbl.replace ports_in nm u) c.Netlist.inputs;
   List.iter (fun (nm, u) -> Hashtbl.replace ports_out nm u) c.Netlist.outputs;
@@ -466,6 +423,59 @@ let create ?(batch = 1) c =
           reg_init.(i) <- Bits.to_int init
       | _ -> assert false)
     reg_uids;
+  (* The fanout table, from the unscaled slots: reader [i < n_ins] is a
+     row, which reads the slots of its operands (a [memrd] also its
+     memory's entry [n + mem], a leaf-table concat every leaf); reader
+     [n_ins + r] is register [r], which reads its [d] and enable. *)
+  let n_mems = Array.length c.Netlist.mems in
+  let reads i f =
+    if i >= n_ins then begin
+      f reg_d.(i - n_ins);
+      if reg_en.(i - n_ins) >= 0 then f reg_en.(i - n_ins)
+    end
+    else if op.(i) = op_concatn then
+      for l = k1.(i) to k1.(i) + k2.(i) - 1 do
+        f cc_uid.(l)
+      done
+    else begin
+      let o = op.(i) in
+      f a0.(i);
+      if o = op_memrd then f (n + k1.(i));
+      if (o >= op_add && o <= op_mux) || o = op_concat2 || o = op_concat3 then
+        f a1.(i);
+      if o = op_mux || o = op_concat3 then f a2.(i)
+    end
+  in
+  let fan_start = Array.make (n + n_mems + 1) 0 in
+  let count x = fan_start.(x + 1) <- fan_start.(x + 1) + 1 in
+  for i = 0 to n_ins + nregs - 1 do
+    reads i count
+  done;
+  for x = 1 to n + n_mems do
+    fan_start.(x) <- fan_start.(x) + fan_start.(x - 1)
+  done;
+  let fan_row = Array.make fan_start.(n + n_mems) 0
+  and fill = Array.sub fan_start 0 (n + n_mems)
+  and reader = ref 0 in
+  let place x =
+    fan_row.(fill.(x)) <- !reader;
+    fill.(x) <- fill.(x) + 1
+  in
+  for i = 0 to n_ins + nregs - 1 do
+    reader := i;
+    reads i place
+  done;
+  (* Rows write consecutive slots (the slot assignment above). *)
+  let first_dst = if n_ins = 0 then 0 else dst.(0) in
+  (* The operand and destination fields address the value array directly:
+     pre-scale the slot numbers by the batch stride so the sweep does no
+     per-instruction multiplies. *)
+  let scale a = Array.iteri (fun i s -> a.(i) <- s * batch) a in
+  scale dst;
+  scale a0;
+  scale a1;
+  scale a2;
+  scale cc_uid;
   let wports =
     Array.to_list c.Netlist.mems
     |> List.concat_map (fun (m : Netlist.mem) ->
@@ -495,14 +505,10 @@ let create ?(batch = 1) c =
       k3;
       cc_uid;
       cc_shift;
-      dep0;
-      dep1;
-      dep2;
-      cc_dep;
+      pend = Bytes.make (n_ins + nregs) '\001';
+      fan_start;
+      fan_row;
       first_dst;
-      stamp = Array.make (sentinel + 1) 0;
-      epoch = 0;
-      reg_at = Array.make nregs (-1);
       evals = 0;
       slot;
       resident;
@@ -513,6 +519,7 @@ let create ?(batch = 1) c =
       reg_en;
       reg_init;
       reg_next = Array.make (nregs * batch) 0;
+      latched = Array.make nregs 0;
       mem_data =
         Array.map
           (fun (m : Netlist.mem) -> Array.make (m.Netlist.mem_size * batch) 0)
@@ -576,12 +583,7 @@ let compiled_nodes t = t.n_ins
    addresses are still range-checked.  The operand bases come pre-scaled
    by the batch stride and are hoisted out of the lane loop, so per lane
    each opcode is a handful of array word ops plus the fold of the
-   change into [df].  [leaves_changed] takes [st] annotated: unannotated,
-   its [=] is the polymorphic compare, a C call per leaf. *)
-let rec leaves_changed (st : int array) cd e l stop =
-  l < stop
-  && (Array.unsafe_get st (Array.unsafe_get cd l) = e
-     || leaves_changed st cd e (l + 1) stop)
+   change into [df]; a row whose result changed marks its readers. *)
 
 let exec t =
   let v = t.vals and b = t.batch in
@@ -594,20 +596,13 @@ let exec t =
   and k1 = t.k1
   and k2 = t.k2
   and k3 = t.k3 in
-  let st = t.stamp and e = t.epoch in
-  let p0 = t.dep0 and p1 = t.dep1 and p2 = t.dep2 in
+  let pend = t.pend and fs = t.fan_start and fr = t.fan_row in
   let evals = ref 0 in
   for i = 0 to t.n_ins - 1 do
-    let o = Array.unsafe_get op i in
-    if
-      Array.unsafe_get st (Array.unsafe_get p0 i) = e
-      || Array.unsafe_get st (Array.unsafe_get p1 i) = e
-      || Array.unsafe_get st (Array.unsafe_get p2 i) = e
-      || o = op_concatn
-         && leaves_changed st t.cc_dep e (Array.unsafe_get k1 i + 3)
-              (Array.unsafe_get k1 i + Array.unsafe_get k2 i)
-    then begin
+    if Bytes.unsafe_get pend i <> '\000' then begin
+      Bytes.unsafe_set pend i '\000';
       incr evals;
+      let o = Array.unsafe_get op i in
       let d = Array.unsafe_get dst i in
       let x = Array.unsafe_get a0 i in
       let y = Array.unsafe_get a1 i in
@@ -855,15 +850,26 @@ let exec t =
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done);
-      if !df <> 0 then Array.unsafe_set st (t.first_dst + i) e
+      if !df <> 0 then begin
+        let s = t.first_dst + i in
+        for k = Array.unsafe_get fs s to Array.unsafe_get fs (s + 1) - 1 do
+          Bytes.unsafe_set pend (Array.unsafe_get fr k) '\001'
+        done
+      end
     end
   done;
   t.evals <- t.evals + !evals
 
+(* A producer's mark: every reader of activity index [x] runs on the next
+   sweep, or latches on the next step. *)
+let mark t x =
+  for k = t.fan_start.(x) to t.fan_start.(x + 1) - 1 do
+    Bytes.unsafe_set t.pend (Array.unsafe_get t.fan_row k) '\001'
+  done
+
 let settle t =
   if t.dirty then begin
     exec t;
-    t.epoch <- t.epoch + 1;
     t.dirty <- false
   end
 
@@ -892,7 +898,7 @@ let set_port t p ~lane v =
   let idx = (t.slot.(p) * t.batch) + lane in
   if t.vals.(idx) <> v then begin
     t.vals.(idx) <- v;
-    t.stamp.(t.slot.(p)) <- t.epoch;
+    mark t t.slot.(p);
     t.dirty <- true
   end
 
@@ -902,7 +908,7 @@ let get_port t p ~lane =
   t.vals.((t.slot.(p) * t.batch) + lane)
 
 (* A port's lanes are contiguous ([slot * batch + lane]), so a row is one
-   masked compare-and-store loop that stamps the slot once if any lane
+   masked compare-and-store loop that marks the slot once if any lane
    changed, or one blit after settling. *)
 let row_check t caller row =
   if Array.length row <> t.batch then
@@ -922,7 +928,7 @@ let set_row t p row =
     end
   done;
   if !changed then begin
-    t.stamp.(t.slot.(p)) <- t.epoch;
+    mark t t.slot.(p);
     t.dirty <- true
   end
 
@@ -971,19 +977,17 @@ let step t =
     done
   done;
   (* The latch is two-phase (every [reg_next] from pre-edge values, then
-     every [q]).  A register whose [d] and [enable] have not changed
-     since its last latch keeps its [q]: [reg_at] is that latch's epoch,
-     and any later change stamps [d] or [enable] with at least it
-     ([reset] sets [reg_at] to -1, below every stamp). *)
-  let st = t.stamp and e = t.epoch in
-  let nr = Array.length t.regs in
-  for i = 0 to nr - 1 do
-    let ds = Array.unsafe_get t.reg_d i
-    and es = Array.unsafe_get t.reg_en i
-    and at = Array.unsafe_get t.reg_at i in
-    if st.(ds) >= at || (es >= 0 && st.(es) >= at) then begin
-      Array.unsafe_set t.reg_at i e;
-      let d = ds * b and nx = i * b in
+     every [q]), and only marked registers latch: [q' = en ? d : q] is
+     idempotent until [d] or [enable] changes. *)
+  let pend = t.pend and hot = t.latched and nhot = ref 0 in
+  for i = 0 to Array.length t.regs - 1 do
+    if Bytes.unsafe_get pend (t.n_ins + i) <> '\000' then begin
+      Bytes.unsafe_set pend (t.n_ins + i) '\000';
+      Array.unsafe_set hot !nhot i;
+      incr nhot;
+      let d = Array.unsafe_get t.reg_d i * b
+      and es = Array.unsafe_get t.reg_en i
+      and nx = i * b in
       if es < 0 then
         for j = 0 to b - 1 do
           Array.unsafe_set t.reg_next (nx + j) (Array.unsafe_get v (d + j))
@@ -998,32 +1002,34 @@ let step t =
       end
     end
   done;
-  for i = 0 to nr - 1 do
-    if Array.unsafe_get t.reg_at i = e then begin
-      let qs = Array.unsafe_get t.regs i in
-      let q = qs * b and nx = i * b in
-      let df = ref 0 in
-      for j = 0 to b - 1 do
-        let r = Array.unsafe_get t.reg_next (nx + j) in
-        df := !df lor (r lxor Array.unsafe_get v (q + j));
-        Array.unsafe_set v (q + j) r
-      done;
-      if !df <> 0 then st.(qs) <- e
-    end
+  for k = 0 to !nhot - 1 do
+    let i = Array.unsafe_get hot k in
+    let qs = Array.unsafe_get t.regs i in
+    let q = qs * b and nx = i * b in
+    let df = ref 0 in
+    for j = 0 to b - 1 do
+      let r = Array.unsafe_get t.reg_next (nx + j) in
+      df := !df lor (r lxor Array.unsafe_get v (q + j));
+      Array.unsafe_set v (q + j) r
+    done;
+    if !df <> 0 then mark t qs
   done;
   (* Apply the writes in declared port order: on an address conflict the
-     later-declared port wins — per lane. *)
+     later-declared port wins — per lane.  A port that wrote in any lane
+     marks its memory's readers, whether or not the word changed. *)
   let n = Array.length t.slot in
   for i = 0 to nw - 1 do
     let mi = t.wp_mem.(i) in
     let md = t.mem_data.(mi) in
+    let wrote = ref false in
     for j = 0 to b - 1 do
       let idx = (i * b) + j in
       if Bytes.unsafe_get t.w_live idx <> '\000' then begin
         md.((t.w_addr_s.(idx) * b) + j) <- t.w_data_s.(idx);
-        st.(n + mi) <- e
+        wrote := true
       end
-    done
+    done;
+    if !wrote then mark t (n + mi)
   done;
   t.dirty <- true;
   t.cycles <- t.cycles + 1
@@ -1043,11 +1049,11 @@ let reset t =
       for j = 0 to t.batch - 1 do
         t.vals.(base + j) <- t.reg_init.(i)
       done;
-      t.stamp.(q) <- t.epoch;
-      t.reg_at.(i) <- -1)
+      mark t q;
+      Bytes.set t.pend (t.n_ins + i) '\001')
     t.regs;
   let n = Array.length t.slot in
-  Array.iteri (fun mi _ -> t.stamp.(n + mi) <- t.epoch) t.mem_data;
+  Array.iteri (fun mi _ -> mark t (n + mi)) t.mem_data;
   t.dirty <- true;
   t.cycles <- 0;
   t.evals <- 0

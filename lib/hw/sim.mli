@@ -25,8 +25,13 @@
     The sweep evaluates only the rows with an operand that changed since
     the previous sweep, in any lane, and the latch skips registers whose
     [d] and enable did not change since they last latched; {!evaluations}
-    counts the rows it did evaluate.  This holds at every lane count,
-    single-lane included.
+    counts the rows it did evaluate.  The producers of a change mark the
+    rows and registers that read it: a row whose result changed,
+    {!set_port} or {!set_row} of a new value, a latch that changed a
+    register, an applied memory write (even of the word already stored)
+    and {!reset} each set a pending byte per reader, and the sweep tests
+    one byte per row.  This holds at every lane count, single-lane
+    included.
 
     Dead nodes are eliminated and concat chains fused; {!peek} of an
     eliminated node evaluates it on demand.

@@ -426,7 +426,21 @@ let test_artifacts_recompute_after_clear () =
       expect_elaborate_error "fig1" (fun () ->
           ignore (Core.Fig1.compute ~jobs:1 ~tools:verilog ()));
       expect_elaborate_error "table2" (fun () ->
-          ignore (Core.Table2.compute ~jobs:1 ())))
+          ignore (Core.Table2.compute ~jobs:1 ())));
+  (* The clear also forgets the simulations shared between design points:
+     a re-measure runs the driver again. *)
+  let d = Core.Kernel.initial Core.Kernel.idct Core.Design.Verilog in
+  let measure () = ignore (Core.Evaluate.measure ~spec:Core.Flow.idct_spec d) in
+  measure ();
+  Core.Evaluate.clear_measure_cache ();
+  Core.Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Core.Trace.set_enabled false) measure;
+  let simulate =
+    List.filter (fun s -> s.Core.Trace.stage = "simulate") (Core.Trace.drain ())
+  in
+  check int "one simulate span" 1 (List.length simulate);
+  check bool "the re-measure simulated" true
+    (List.mem_assoc "cycles" (List.hd simulate).Core.Trace.counters)
 
 (* ---------------- fault-spec parsing ---------------- *)
 

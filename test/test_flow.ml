@@ -437,6 +437,111 @@ let test_slow_designs_do_not_time_out () =
   ok ~matrices:8 Core.Design.Vivado_hls;
   ok ~matrices:12 Core.Design.Bambu
 
+(* Two design points whose netlists differ only in the circuit name: the
+   Verilog-initial netlist under the labels "twin-a" and "twin-b" (fault
+   targets "twin-a", "twin-b" and "twin" pick one or both). *)
+let twins () =
+  let d = Core.Kernel.initial idct Core.Design.Verilog in
+  let c =
+    match d.Core.Design.impl with
+    | Core.Design.Stream cell -> Core.Design.force cell
+    | Core.Design.Pcie _ -> assert false
+  in
+  let twin x =
+    let label = "twin-" ^ x in
+    {
+      d with
+      Core.Design.label;
+      impl =
+        Core.Design.Stream
+          (Core.Design.cell d.Core.Design.tool label (fun () ->
+               { c with Hw.Netlist.circuit_name = "twin_" ^ x }));
+    }
+  in
+  (twin "a", twin "b")
+
+let measure_twin d =
+  Core.Flow.measure_uncached ~matrices:2 ~spec:Core.Flow.idct_spec d
+
+let counter_of spans ~label ~stage name =
+  match
+    List.find_opt
+      (fun s ->
+        s.Core.Trace.stage = stage
+        && Filename.basename s.Core.Trace.design = label)
+      spans
+  with
+  | Some s -> List.assoc_opt name s.Core.Trace.counters
+  | None -> Alcotest.failf "no %s span of %s" stage label
+
+let with_fault text f =
+  match Core.Faultinject.parse text with
+  | Error e -> Alcotest.fail e
+  | Ok spec ->
+      Core.Faultinject.arm spec;
+      Fun.protect ~finally:Core.Faultinject.disarm f
+
+let test_twins_share () =
+  cold ();
+  let a, b = twins () in
+  let (ma, mb), spans =
+    traced (fun () ->
+        let ma = measure_twin a in
+        (ma, measure_twin b))
+  in
+  check bool "identical metrics" true (ma = mb);
+  List.iter
+    (fun stage ->
+      check (Alcotest.option int) ("twin-a runs " ^ stage) None
+        (counter_of spans ~label:"twin-a" ~stage "shared");
+      check (Alcotest.option int) ("twin-b shares " ^ stage) (Some 1)
+        (counter_of spans ~label:"twin-b" ~stage "shared"))
+    [ "simulate"; "synthesize" ];
+  check bool "twin-a's simulate counts cycles" true
+    (counter_of spans ~label:"twin-a" ~stage:"simulate" "cycles" <> None);
+  check (Alcotest.option int) "twin-b's simulate skipped the driver" None
+    (counter_of spans ~label:"twin-b" ~stage:"simulate" "cycles")
+
+let expect_timeout d =
+  match measure_twin d with
+  | _ -> Alcotest.failf "%s measured under a stall" d.Core.Design.label
+  | exception Core.Flow.Error e ->
+      check Alcotest.string "stage" "simulate" e.Core.Flow.err_stage;
+      check Alcotest.string "class" "sim-timeout"
+        (Core.Flow.class_name e.Core.Flow.err_class);
+      e
+
+let test_twin_stall_stays_put () =
+  let a, b = twins () in
+  let metrics = (cold (); measure_twin b) in
+  (* the stalled twin first, then the clean one... *)
+  cold ();
+  with_fault "stall:twin-a" (fun () ->
+      ignore (expect_timeout a);
+      check bool "twin-b unaffected after twin-a" true (measure_twin b = metrics));
+  (* ...and the clean one first: its stored run has another budget *)
+  cold ();
+  with_fault "stall:twin-a" (fun () ->
+      ignore (measure_twin b);
+      ignore (expect_timeout a))
+
+let test_twin_timeout_not_shared () =
+  cold ();
+  let a, b = twins () in
+  with_fault "stall:twin" (fun () ->
+      List.iter
+        (fun (d, circuit) ->
+          let e = expect_timeout d in
+          check Alcotest.string "error names the point" (Core.Flow.span_key d)
+            e.Core.Flow.err_design;
+          check bool
+            ("detail names " ^ circuit)
+            true
+            (String.starts_with
+               ~prefix:("Driver.run(" ^ circuit ^ "): timeout")
+               (Core.Flow.class_detail e.Core.Flow.err_class)))
+        [ (a, "twin_a"); (b, "twin_b") ])
+
 let () =
   Alcotest.run "flow"
     [
@@ -468,5 +573,11 @@ let () =
             test_second_kernel_through_flow;
           Alcotest.test_case "slow designs do not time out" `Quick
             test_slow_designs_do_not_time_out;
+          Alcotest.test_case "name-only twins share one measurement" `Quick
+            test_twins_share;
+          Alcotest.test_case "a stall on one twin spares the other" `Quick
+            test_twin_stall_stays_put;
+          Alcotest.test_case "a timed-out share is not remembered" `Quick
+            test_twin_timeout_not_shared;
         ] );
     ]

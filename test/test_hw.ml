@@ -404,6 +404,24 @@ let test_verilog_emit_mem () =
   let src = Verilog.emit (Builder.finalize b) in
   check bool "declares memory" true (contains src "ram [0:7];")
 
+(* [comb_order] is computed once per netlist and shared: the engines that
+   compact it into their schedules must leave the shared order alone. *)
+let test_comb_order_shared () =
+  let b = Builder.create "order" in
+  let x = Builder.input b "x" 8 in
+  let r = Builder.reg b ~width:8 "r" in
+  Builder.connect b r (Builder.add b x r);
+  ignore (Builder.not_ b x);
+  Builder.output b "o" (Builder.concat b (Builder.slice b r ~hi:3 ~lo:0) x);
+  let c = Builder.finalize b in
+  let before = Array.copy (Netlist.comb_order c) in
+  ignore (Sim.create c);
+  ignore (Interp.create ~lanes:2 c);
+  check (Alcotest.array int) "order unchanged by Sim/Interp" before
+    (Netlist.comb_order c);
+  check bool "each call owns its copy" true
+    (Netlist.comb_order c != Netlist.comb_order c)
+
 let () =
   let qsuite name props = (name, List.map QCheck_alcotest.to_alcotest props) in
   Alcotest.run "hw"
@@ -456,5 +474,10 @@ let () =
         [
           Alcotest.test_case "emit/parse round trip" `Quick test_verilog_roundtrip;
           Alcotest.test_case "memory emission" `Quick test_verilog_emit_mem;
+        ] );
+      ( "netlist-memo",
+        [
+          Alcotest.test_case "comb_order survives the engines" `Quick
+            test_comb_order_shared;
         ] );
     ]

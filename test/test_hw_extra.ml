@@ -762,6 +762,70 @@ let test_leaf_table_every_leaf () =
       done)
     [ 1; 2 ]
 
+(* Producers mark only on a change: driving an input with the value it
+   already holds marks nothing, so the sweeps that steps force run no
+   row; a changed value re-runs its one reader. *)
+let test_unchanged_input_runs_nothing () =
+  let b = Builder.create "idle" in
+  let x = Builder.input b "x" 8 and y = Builder.input b "y" 8 in
+  Builder.output b "o" (Builder.add b x y);
+  let c = Builder.finalize b in
+  List.iter
+    (fun batch ->
+      let sim = Sim.create ~batch c in
+      let y = Sim.in_port sim "y" in
+      Sim.set ~lane:(batch - 1) sim "x" 5;
+      Sim.set_row sim y (Array.make batch 7);
+      check int "settled" 12 (Sim.get ~lane:(batch - 1) sim "o");
+      let settled = Sim.evaluations sim in
+      for _ = 1 to 4 do
+        Sim.set ~lane:(batch - 1) sim "x" 5;
+        Sim.set_row sim y (Array.make batch 7);
+        Sim.step sim;
+        ignore (Sim.get sim "o")
+      done;
+      check int
+        (Printf.sprintf "batch %d: unchanged inputs run no row" batch)
+        settled (Sim.evaluations sim);
+      Sim.set ~lane:(batch - 1) sim "x" 6;
+      check int "a changed input re-runs its reader" 13
+        (Sim.get ~lane:(batch - 1) sim "o");
+      check int "one row ran" (settled + 1) (Sim.evaluations sim))
+    [ 1; 2 ]
+
+(* An applied memory write marks the memory's readers whether or not the
+   word changed, and only an applied write does. *)
+let test_rewritten_word_reruns_readers () =
+  let b = Builder.create "rewrite" in
+  let m = Builder.mem b "ram" ~size:16 ~width:8 in
+  let we = Builder.input b "we" 1 in
+  let addr = Builder.input b "addr" 4 in
+  Builder.mem_write b m ~enable:we ~addr ~data:(Builder.const b ~width:8 77);
+  Builder.output b "q" (Builder.mem_read b m addr);
+  let c = Builder.finalize b in
+  List.iter
+    (fun batch ->
+      let sim = Sim.create ~batch c in
+      Sim.set sim "we" 1;
+      Sim.set sim "addr" 3;
+      Sim.step sim;
+      check int "written" 77 (Sim.get sim "q");
+      let runs () =
+        let e = Sim.evaluations sim in
+        Sim.step sim;
+        ignore (Sim.get sim "q");
+        Sim.evaluations sim - e
+      in
+      for k = 1 to 3 do
+        check int
+          (Printf.sprintf "batch %d, rewrite %d re-runs the read" batch k)
+          1 (runs ())
+      done;
+      Sim.set sim "we" 0;
+      check int "a step without a write runs nothing" 0 (runs ());
+      check int "word kept" 77 (Sim.get sim "q"))
+    [ 1; 2 ]
+
 let engine_crosscheck_prop =
   crosscheck_prop ~name:"interpreter == levelized" ~count:15 ~cycles:1000 1
 
@@ -810,6 +874,10 @@ let () =
                test_interp_lanes_independent;
              Alcotest.test_case "leaf-table concat sees every leaf" `Quick
                test_leaf_table_every_leaf;
+             Alcotest.test_case "an unchanged input runs no row" `Quick
+               test_unchanged_input_runs_nothing;
+             Alcotest.test_case "a rewritten word re-runs its readers" `Quick
+               test_rewritten_word_reruns_readers;
            ] );
       ( "device",
         [
