@@ -997,8 +997,18 @@ let stats_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE.json")
   in
-  let run file =
-    match Core.Trace.render_stats file with
+  let by_tool =
+    Arg.(
+      value
+      & opt (enum [ ("stage", false); ("tool", true) ]) false
+      & info [ "by" ] ~docv:"KEY"
+          ~doc:
+            "Group the time table by $(b,stage), or by $(b,tool): one row \
+             per stage and tool (a design point's tool, or an engine \
+             group), self time first.")
+  in
+  let run by_tool file =
+    match Core.Trace.render_stats ~by_tool file with
     | s -> print_string s
     | exception Sys_error e ->
         Printf.eprintf "hlsvhc stats: %s\n" e;
@@ -1016,7 +1026,7 @@ let stats_cmd =
        ~doc:
          "Summarize a trace recorded with --trace: per-domain busy time, \
           per-stage inclusive and self wall time, and counter totals.")
-    Term.(const run $ file)
+    Term.(const run $ by_tool $ file)
 
 let main =
   Cmd.group

@@ -31,22 +31,9 @@ let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
         | Lang.In (name, _) -> Hashtbl.find inputs name
         | Lang.Unop (Netlist.Not, x) -> Builder.not_ b (expr x)
         | Lang.Unop (Netlist.Neg, x) -> Builder.neg b (expr x)
-        | Lang.Binop (op, x, y) -> (
-            let sx = expr x and sy = expr y in
-            match op with
-            | Netlist.Add -> Builder.add b sx sy
-            | Netlist.Sub -> Builder.sub b sx sy
-            | Netlist.Mul -> Builder.mul b sx sy
-            | Netlist.And -> Builder.and_ b sx sy
-            | Netlist.Or -> Builder.or_ b sx sy
-            | Netlist.Xor -> Builder.xor_ b sx sy
-            | Netlist.Shl -> Builder.shl b sx sy
-            | Netlist.Shr -> Builder.shr b sx sy
-            | Netlist.Sra -> Builder.sra b sx sy
-            | Netlist.Eq -> Builder.eq b sx sy
-            | Netlist.Ne -> Builder.ne b sx sy
-            | Netlist.Lt s -> Builder.lt b ~signed:(s = Netlist.Signed) sx sy
-            | Netlist.Le s -> Builder.le b ~signed:(s = Netlist.Signed) sx sy)
+        | Lang.Binop (op, x, y) ->
+            let sx = expr x in
+            Builder.binop b op sx (expr y)
         | Lang.Mux (s, x, y) -> Builder.mux b (expr s) (expr x) (expr y)
         | Lang.Slice (x, hi, lo) -> Builder.slice b (expr x) ~hi ~lo
         | Lang.Uext (x, w) -> Builder.uext b (expr x) w
@@ -98,24 +85,29 @@ let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
       (Builder.name b will_fire.(i)
          ("WILL_FIRE_" ^ sched.Sched.rules.(i).Lang.rule_name))
   done;
-  (* Register write networks. *)
+  (* Register write networks: each register's writers, in rule order and
+     then action order. *)
+  let actions = Array.make nregs [] in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun (a : Lang.action) ->
+        let rid = a.Lang.target.Lang.rid in
+        if rid < nregs then actions.(rid) <- (i, a) :: actions.(rid))
+      (List.rev sched.Sched.rules.(i).Lang.actions)
+  done;
   List.iter
     (fun (r : Lang.reg) ->
-      let writers = ref [] in
-      Array.iteri
-        (fun i (ru : Lang.rule) ->
-          List.iter
-            (fun (a : Lang.action) ->
-              if a.Lang.target.Lang.rid = r.Lang.rid then
-                let en =
-                  match a.Lang.when_ with
-                  | None -> will_fire.(i)
-                  | Some w -> Builder.and_ b will_fire.(i) (expr w)
-                in
-                writers := (en, expr a.Lang.value) :: !writers)
-            ru.Lang.actions)
-        sched.Sched.rules;
-      let writers = List.rev !writers in
+      let writers =
+        List.map
+          (fun (i, (a : Lang.action)) ->
+            let en =
+              match a.Lang.when_ with
+              | None -> will_fire.(i)
+              | Some w -> Builder.and_ b will_fire.(i) (expr w)
+            in
+            (en, expr a.Lang.value))
+          actions.(r.Lang.rid)
+      in
       match writers with
       | [] -> Builder.connect b (reg_sig r.Lang.rid) (reg_sig r.Lang.rid)
       | _ ->

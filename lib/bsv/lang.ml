@@ -15,7 +15,13 @@ and reg = { rid : int; rname : string; rwidth : int; rinit : int }
 
 type action = { target : reg; when_ : expr option; value : expr }
 
-type rule = { rule_name : string; guard : expr; actions : action list }
+type rule = {
+  rule_name : string;
+  guard : expr;
+  actions : action list;
+  reads : int list;
+  writes : int list;
+}
 
 type modul = {
   mod_name : string;
@@ -137,7 +143,7 @@ let children e =
 
 let dedup l = List.sort_uniq Int.compare l
 
-let read_set (ru : rule) =
+let reads_of guard actions =
   let rids = ref [] in
   let visit =
     memo (fun visit e ->
@@ -145,23 +151,24 @@ let read_set (ru : rule) =
         | Read r -> rids := r.rid :: !rids
         | _ -> List.iter visit (children e))
   in
-  visit ru.guard;
+  visit guard;
   List.iter
     (fun a ->
       visit a.value;
       Option.iter visit a.when_)
-    ru.actions;
+    actions;
   dedup !rids
 
-let write_set (ru : rule) = dedup (List.map (fun a -> a.target.rid) ru.actions)
+let read_set ru = ru.reads
+let write_set ru = ru.writes
 
 type builder = {
   bname : string;
   mutable next_rid : int;
   mutable bregs : reg list;
-  mutable binputs : (string * int) list;
-  mutable brules : rule list;
-  mutable bouts : (string * expr) list;
+  mutable binputs : (string * int) list;      (* reversed *)
+  mutable brules : rule list;                 (* reversed *)
+  mutable bouts : (string * expr) list;       (* reversed *)
 }
 
 let builder bname =
@@ -175,22 +182,33 @@ let mk_reg b ?(init = 0) rname rwidth =
 
 let mk_input b name w =
   if not (List.mem_assoc name b.binputs) then
-    b.binputs <- b.binputs @ [ (name, w) ];
+    b.binputs <- (name, w) :: b.binputs;
   make (In (name, w))
 
+(* A rule's read and write sets depend only on the rule, so they are
+   computed once here, not by every schedule of the module. *)
 let mk_rule b name ~guard actions =
-  b.brules <- b.brules @ [ { rule_name = name; guard; actions } ]
+  let rule =
+    {
+      rule_name = name;
+      guard;
+      actions;
+      reads = reads_of guard actions;
+      writes = dedup (List.map (fun a -> a.target.rid) actions);
+    }
+  in
+  b.brules <- rule :: b.brules
 
-let mk_output b name e = b.bouts <- b.bouts @ [ (name, e) ]
+let mk_output b name e = b.bouts <- (name, e) :: b.bouts
 
 let mk_module b =
   let m =
     {
       mod_name = b.bname;
-      inputs = b.binputs;
+      inputs = List.rev b.binputs;
       regs = List.rev b.bregs;
-      rules = b.brules;
-      outputs = b.bouts;
+      rules = List.rev b.brules;
+      outputs = List.rev b.bouts;
     }
   in
   validate m;

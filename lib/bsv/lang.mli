@@ -41,7 +41,13 @@ type action = {
   value : expr;
 }
 
-type rule = { rule_name : string; guard : expr; actions : action list }
+type rule = private {
+  rule_name : string;
+  guard : expr;
+  actions : action list;
+  reads : int list;   (** {!read_set}, computed by {!mk_rule} *)
+  writes : int list;  (** {!write_set}, computed by {!mk_rule} *)
+}
 
 type modul = {
   mod_name : string;
@@ -72,10 +78,12 @@ val validate : modul -> unit
     is an atomic action). *)
 
 val read_set : rule -> int list
-(** Ids of registers the rule's guard, conditions or values read. *)
+(** Ids of registers the rule's guard, conditions or values read,
+    ascending and without duplicates. *)
 
 val write_set : rule -> int list
-(** Ids of registers the rule may write. *)
+(** Ids of registers the rule may write, ascending and without
+    duplicates. *)
 
 (** {1 Construction helpers} *)
 

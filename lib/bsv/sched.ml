@@ -4,21 +4,24 @@ type t = {
   precede : bool array array;
 }
 
-let intersects a b = List.exists (fun x -> List.mem x b) a
+(* Whether two ascending lists share an element. *)
+let rec intersects a b =
+  match (a, b) with
+  | x :: a', y :: b' -> x = y || if x < y then intersects a' b else intersects a b'
+  | _ -> false
 
 (* Collect [reg == const] facts implied by a guard (conjunctions only). *)
-let rec guard_facts (e : Lang.expr) =
+let rec guard_facts acc (e : Lang.expr) =
   match e.Lang.node with
-  | Lang.Binop (Hw.Netlist.And, a, b) -> guard_facts a @ guard_facts b
+  | Lang.Binop (Hw.Netlist.And, a, b) -> guard_facts (guard_facts acc b) a
   | Lang.Binop (Hw.Netlist.Eq, { node = Read r; _ }, { node = Const k; _ })
   | Lang.Binop (Hw.Netlist.Eq, { node = Const k; _ }, { node = Read r; _ }) ->
-      [ (r.Lang.rid, k) ]
-  | _ -> []
+      (r.Lang.rid, k) :: acc
+  | _ -> acc
 
 (* Syntactic disjointness: both guards test the same register against
    different constants. *)
-let guards_disjoint (r1 : Lang.rule) (r2 : Lang.rule) =
-  let f1 = guard_facts r1.Lang.guard and f2 = guard_facts r2.Lang.guard in
+let guards_disjoint f1 f2 =
   List.exists
     (fun (rid, k1) ->
       List.exists
@@ -38,7 +41,10 @@ let analyze ?(options = Options.default) (m : Lang.modul) =
   let writes = Array.map Lang.write_set rules in
   let conflict = Array.make_matrix n n false in
   let precede = Array.make_matrix n n false in
-  let disjoint i j = options.Options.effort >= 2 && guards_disjoint rules.(i) rules.(j) in
+  let facts = Array.map (fun (ru : Lang.rule) -> guard_facts [] ru.Lang.guard) rules in
+  let disjoint i j =
+    options.Options.effort >= 2 && guards_disjoint facts.(i) facts.(j)
+  in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if disjoint i j then ()

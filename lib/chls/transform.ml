@@ -229,11 +229,17 @@ let add_array ctx (a, t, n) =
   if not (List.exists (fun (a', _, _, _) -> a' = a) ctx.all_arrays) then
     ctx.all_arrays <- ctx.all_arrays @ [ (a, t, n, partitioned) ]
 
-(* Append a region, merging adjacent straight-line blocks. *)
+(* Append a region to a reversed region list, merging adjacent
+   straight-line blocks.  While a list is built its blocks hold their
+   statements newest first, so a merge costs the new statements only;
+   [close] puts a finished block in order. *)
 let append regions r =
   match (r, regions) with
-  | RStraight b, RStraight b' :: rest -> RStraight (b' @ b) :: rest
+  | RStraight b, RStraight b' :: rest -> RStraight (List.rev_append b b') :: rest
+  | RStraight b, _ -> RStraight (List.rev b) :: regions
   | _ -> r :: regions
+
+let close = function RStraight b -> RStraight (List.rev b) | r -> r
 
 let clean_stmt prog s =
   match s with
@@ -267,7 +273,7 @@ and emit_stmt ctx var_map arr_map acc (st : Ast.stmt) =
         !acc
       else begin
         add_var ctx ivar Ast.int_t;
-        let inner = List.rev (emit_stmts ctx var_map arr_map [] body) in
+        let inner = List.rev_map close (emit_stmts ctx var_map arr_map [] body) in
         RLoop { ivar; bound; body = inner } :: acc
       end
   | Ast.CallStmt (fn, args) ->
@@ -333,7 +339,11 @@ let lower opts (p : Ast.program) =
     top.Ast.params;
   List.iter (fun (x, t) -> add_var ctx x t) top.Ast.locals;
   List.iter (fun (a, t, n) -> add_array ctx (a, t, n)) top.Ast.arrays;
-  let regions = List.rev_map fold_region (emit_stmts ctx [] [] [] top.Ast.body) in
+  let regions =
+    List.rev_map
+      (fun r -> fold_region (close r))
+      (emit_stmts ctx [] [] [] top.Ast.body)
+  in
   {
     pname = top.Ast.fname;
     arrays = ctx.all_arrays;

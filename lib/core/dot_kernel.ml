@@ -173,7 +173,8 @@ let dslx_design t ?(stages = 4) ~name () =
       Array.to_list (Array.mapi (fun k s -> (Printf.sprintf "m_%d" k, s)) mid)
     in
     let outs = Hw.Instantiate.stamp kb net ~inputs in
-    Array.init 64 (fun k -> List.assoc (Printf.sprintf "out_%d" k) outs)
+    (* The outputs are out_0 .. out_63, in declaration order. *)
+    Array.of_list (List.map snd outs)
   in
   Axis.Adapter.wrap_matrix_kernel ~name ~latency:stages ~kernel ()
 

@@ -61,10 +61,13 @@ let mk tool label config_desc ~fu ~axi ~conf ~listing impl =
    remainder as L^AXI. *)
 let glue shared body = shared ^ "\n\n" ^ body
 
-let mk_shared tool label config_desc ~shared ~listing impl =
-  let fu = Loc.count shared in
-  mk tool label config_desc ~fu ~axi:(Loc.count listing - fu) ~conf:0 ~listing
-    impl
+let mk_shared tool label config_desc ~shared_loc (listing, listing_loc) impl =
+  mk tool label config_desc ~fu:shared_loc ~axi:(listing_loc - shared_loc)
+    ~conf:0 ~listing impl
+
+(* A listing with its line count: an inventory counts each listing once,
+   not once per design point. *)
+let counted listing = (listing, Loc.count listing)
 
 (* Hand-written AXI-Stream adapters (Section III-C), counted as L^AXI.
    The paper pairs XLS's bare kernel and Bambu's bare datapath each with
@@ -153,35 +156,39 @@ let derive_chisel_optimized () =
         ("chisel optimized rederivation: " ^ Transfo.Engine.error_to_string e)
 
 let chisel =
+  let shared_loc = Loc.count Listings.chisel_butterfly in
+  let initial = counted Listings.chisel_initial in
   let design label config_desc listing circuit =
-    mk_shared Chisel label config_desc ~shared:Listings.chisel_butterfly
-      ~listing (Stream (cell Chisel label circuit))
+    mk_shared Chisel label config_desc ~shared_loc listing
+      (Stream (cell Chisel label circuit))
   in
   ladder
     [
       design "initial" "width inference, combinational kernel"
-        Listings.chisel_initial (fun () ->
+        initial (fun () ->
           Chisel.Idct_gen.design_comb Chisel.Idct_gen.Inferred
             ~name:"chisel_initial");
-      design "1 row + 8 col units" "width inference" Listings.chisel_initial
-        (fun () ->
+      design "1 row + 8 col units" "width inference" initial (fun () ->
           Chisel.Idct_gen.design_row8col Chisel.Idct_gen.Inferred
             ~name:"chisel_row8col");
       design "optimized" "width inference, macro-pipeline"
-        Listings.chisel_optimized derive_chisel_optimized;
+        (counted Listings.chisel_optimized) derive_chisel_optimized;
     ]
 
 (* ---------------- BSV ---------------- *)
 
 let bsv =
-  let listing_optimized = glue Listings.bsv_shared Listings.bsv_optimized in
+  let listing_optimized =
+    counted (glue Listings.bsv_shared Listings.bsv_optimized)
+  in
+  let shared_loc = Loc.count Listings.bsv_shared in
   let design label config_desc listing modul options =
-    mk_shared Bsv label config_desc ~shared:Listings.bsv_shared ~listing
+    mk_shared Bsv label config_desc ~shared_loc listing
       (Stream (cell Bsv label (fun () -> Bsv.Idct_bsv.circuit ~options modul)))
   in
   let initial =
     design "initial" "BSC defaults"
-      (glue Listings.bsv_shared Listings.bsv_initial)
+      (counted (glue Listings.bsv_shared Listings.bsv_initial))
       Bsv.Idct_bsv.initial_design Bsv.Options.default
   in
   let optimized =
@@ -219,11 +226,12 @@ let dslx =
   (* Type-checked and lowered once per process, on first use (a top-level
      value would cost every command's start-up); each point retimes it. *)
   let kernel = Once.make "XLS/kernel" Dslx.Idct_dslx.kernel_circuit in
+  let fu = Loc.count listing in
   let design label stages =
     mk Dslx label
       (if stages = 0 then "combinational"
        else Printf.sprintf "--pipeline_stages=%d" stages)
-      ~fu:(Loc.count listing) ~axi:dslx_adapter_loc
+      ~fu ~axi:dslx_adapter_loc
       ~conf:(if stages = 0 then 0 else 1)
       ~listing
       (Stream
@@ -267,12 +275,13 @@ let maxj =
 
 let bambu =
   let listing = Chls.Cprint.emit Chls.Idct_c.program in
+  let fu = Loc.count listing in
   let design label (c : Chls.Tool.bambu_config) =
     let conf =
       1 (* preset *) + (if c.sdc then 1 else 0)
       + if c.chain_effort <> 1 then 1 else 0
     in
-    mk Bambu label (Chls.Tool.describe_bambu c) ~fu:(Loc.count listing)
+    mk Bambu label (Chls.Tool.describe_bambu c) ~fu
       ~axi:bambu_adapter_loc ~conf ~listing
       (Stream (cell Bambu label (fun () -> Chls.Tool.bambu_circuit c)))
   in

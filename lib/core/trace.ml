@@ -381,23 +381,25 @@ let self_times spans =
 
 type row = {
   sum_stage : string;
+  sum_tool : string;
   sum_count : int;
   sum_total_s : float;
   sum_self_s : float;
   sum_counters : (string * int) list;
 }
 
-(* Aggregate by stage name, in order of total time. *)
-let summarize spans =
-  let tbl : (string, row) Hashtbl.t = Hashtbl.create 16 in
+(* Aggregate by [key sp] (a stage and a tool), in order of total time. *)
+let summarize key spans =
+  let tbl = Hashtbl.create 16 in
   List.iter
     (fun (sp, self) ->
+      let k = key sp in
       let r =
-        match Hashtbl.find_opt tbl sp.stage with
+        match Hashtbl.find_opt tbl k with
         | Some r -> r
         | None ->
-            { sum_stage = sp.stage; sum_count = 0; sum_total_s = 0.0;
-              sum_self_s = 0.0; sum_counters = [] }
+            { sum_stage = fst k; sum_tool = snd k; sum_count = 0;
+              sum_total_s = 0.0; sum_self_s = 0.0; sum_counters = [] }
       in
       let counters =
         List.fold_left
@@ -407,7 +409,7 @@ let summarize spans =
             | Some prev -> (k, prev + v) :: List.remove_assoc k acc)
           r.sum_counters sp.counters
       in
-      Hashtbl.replace tbl sp.stage
+      Hashtbl.replace tbl k
         {
           r with
           sum_count = r.sum_count + 1;
@@ -429,9 +431,17 @@ let kernel_of design =
       if String.contains k '/' then None else Some k
   | None -> None
 
-let render_stats path =
+(* The tool of a design point ("kernel:Tool/label"), or an engine
+   group's name. *)
+let tool_of design =
+  let first = List.hd (String.split_on_char '/' design) in
+  match (kernel_of design, String.index_opt first ':') with
+  | Some _, Some i -> String.sub first (i + 1) (String.length first - i - 1)
+  | _ -> first
+
+let render_stats ?(by_tool = false) path =
   let spans = load_json path in
-  let rows = summarize spans in
+  let rows = summarize (fun sp -> (sp.stage, "")) spans in
   let buf = Buffer.create 2048 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (* Shares are of the traced wall interval, first start to last end, so
@@ -474,25 +484,50 @@ let render_stats path =
   let w =
     List.fold_left (fun a r -> max a (String.length r.sum_stage)) 5 rows
   in
-  pr "%-*s %7s %10s %10s %10s %7s\n" w "stage" "count" "total s" "self s"
-    "mean ms" "share";
-  List.iter
-    (fun r ->
-      pr "%-*s %7d %10.3f %10.3f %10.3f %6.1f%%\n" w r.sum_stage r.sum_count
-        r.sum_total_s r.sum_self_s
-        (r.sum_total_s *. 1e3 /. float_of_int (max 1 r.sum_count))
-        (100. *. r.sum_total_s /. Float.max 1e-9 wall))
-    rows;
-  let with_counters = List.filter (fun r -> r.sum_counters <> []) rows in
-  if with_counters <> [] then begin
-    pr "counters:\n";
+  if by_tool then begin
+    (* Stages in the order of their total time, each stage's tools by
+       self time (ties by name). *)
+    let rank = List.mapi (fun i r -> (r.sum_stage, i)) rows in
+    let tools =
+      summarize (fun sp -> (sp.stage, tool_of sp.design)) spans
+      |> List.sort (fun a b ->
+             compare
+               (List.assoc a.sum_stage rank, -.a.sum_self_s, a.sum_tool)
+               (List.assoc b.sum_stage rank, -.b.sum_self_s, b.sum_tool))
+    in
+    let tw =
+      List.fold_left (fun a r -> max a (String.length r.sum_tool)) 4 tools
+    in
+    pr "%-*s %-*s %7s %10s %10s %10s\n" w "stage" tw "tool" "count" "total s"
+      "self s" "mean ms";
     List.iter
       (fun r ->
-        pr "  %-*s %s\n" w r.sum_stage
-          (String.concat "  "
-             (List.map
-                (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                (List.sort compare r.sum_counters))))
-      with_counters
+        pr "%-*s %-*s %7d %10.3f %10.3f %10.3f\n" w r.sum_stage tw r.sum_tool
+          r.sum_count r.sum_total_s r.sum_self_s
+          (r.sum_total_s *. 1e3 /. float_of_int (max 1 r.sum_count)))
+      tools
+  end
+  else begin
+    pr "%-*s %7s %10s %10s %10s %7s\n" w "stage" "count" "total s" "self s"
+      "mean ms" "share";
+    List.iter
+      (fun r ->
+        pr "%-*s %7d %10.3f %10.3f %10.3f %6.1f%%\n" w r.sum_stage r.sum_count
+          r.sum_total_s r.sum_self_s
+          (r.sum_total_s *. 1e3 /. float_of_int (max 1 r.sum_count))
+          (100. *. r.sum_total_s /. Float.max 1e-9 wall))
+      rows;
+    let with_counters = List.filter (fun r -> r.sum_counters <> []) rows in
+    if with_counters <> [] then begin
+      pr "counters:\n";
+      List.iter
+        (fun r ->
+          pr "  %-*s %s\n" w r.sum_stage
+            (String.concat "  "
+               (List.map
+                  (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+                  (List.sort compare r.sum_counters))))
+        with_counters
+    end
   end;
   Buffer.contents buf

@@ -96,10 +96,14 @@ val self_times : span list -> (span * float) list
 (** Each span with its self time: its duration minus the summed
     durations of the spans whose [parent] is its [id]. *)
 
-val render_stats : string -> string
+val render_stats : ?by_tool:bool -> string -> string
 (** The [hlsvhc stats] report of a trace file: design points (the
     kernel-qualified names) and engine groups, each domain's busy time
     (its root spans) next to the traced wall, then per stage the count,
     inclusive and self time, mean and share.  A share is the summed
     inclusive time over the traced wall interval (first start to last
-    end), so a stage busy on several domains at once can exceed 100%. *)
+    end), so a stage busy on several domains at once can exceed 100%.
+    With [~by_tool:true] the table has one row per stage and tool (a
+    design point's tool, or an engine group's name) instead, stages in
+    the order of their total time and each stage's tools by self time,
+    and no counters. *)

@@ -221,6 +221,7 @@ let design ?(stages = 0) ~kernel ~name () =
       Array.to_list (Array.mapi (fun i s -> (Printf.sprintf "m_%d" i, s)) mid)
     in
     let outs = Hw.Instantiate.stamp b kernel_net ~inputs in
-    Array.init 64 (fun i -> List.assoc (Printf.sprintf "out_%d" i) outs)
+    (* The outputs are out_0 .. out_63, in declaration order. *)
+    Array.of_list (List.map snd outs)
   in
   Axis.Adapter.wrap_matrix_kernel ~name ~latency:stages ~kernel ()

@@ -181,22 +181,7 @@ let circuit (p : Ir.program) =
     let width = Builder.width
     let const ~width v = Builder.const b ~width v
 
-    let bin (op : Netlist.binop) x y =
-      match op with
-      | Netlist.Add -> Builder.add b x y
-      | Netlist.Sub -> Builder.sub b x y
-      | Netlist.Mul -> Builder.mul b x y
-      | Netlist.And -> Builder.and_ b x y
-      | Netlist.Or -> Builder.or_ b x y
-      | Netlist.Xor -> Builder.xor_ b x y
-      | Netlist.Shl -> Builder.shl b x y
-      | Netlist.Shr -> Builder.shr b x y
-      | Netlist.Sra -> Builder.sra b x y
-      | Netlist.Eq -> Builder.eq b x y
-      | Netlist.Ne -> Builder.ne b x y
-      | Netlist.Lt sg -> Builder.lt b ~signed:(sg = Netlist.Signed) x y
-      | Netlist.Le sg -> Builder.le b ~signed:(sg = Netlist.Signed) x y
-
+    let bin = Builder.binop b
     let not_ = Builder.not_ b
     let neg = Builder.neg b
     let mux = Builder.mux b

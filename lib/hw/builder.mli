@@ -21,6 +21,9 @@ val create : string -> t
 val width : s -> int
 val uid : s -> Netlist.uid
 
+val signal : t -> Netlist.uid -> s
+(** The signal of a node this builder has already made, by its uid. *)
+
 (** {1 Sources} *)
 
 val input : t -> string -> int -> s
@@ -56,6 +59,10 @@ val lt : t -> signed:bool -> s -> s -> s
 val le : t -> signed:bool -> s -> s -> s
 val gt : t -> signed:bool -> s -> s -> s
 val ge : t -> signed:bool -> s -> s -> s
+
+val binop : t -> Netlist.binop -> s -> s -> s
+(** The operator above that builds the given netlist binop
+    ([binop b (Lt Signed)] is [lt b ~signed:true], and so on). *)
 
 val mux : t -> s -> s -> s -> s
 (** [mux b sel t f]. *)

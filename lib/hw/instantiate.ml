@@ -1,6 +1,9 @@
 let stamp b (inst : Netlist.t) ~inputs =
   let n = Netlist.num_nodes inst in
-  let map = Array.make n None in
+  (* map.(u) is the uid in [b] of instance node [u], -1 until mapped. *)
+  let map = Array.make n (-1) in
+  let bound = Hashtbl.create 64 in
+  List.iter (fun (name, s) -> Hashtbl.replace bound name s) (List.rev inputs);
   let mem_map =
     Array.map
       (fun (m : Netlist.mem) ->
@@ -9,10 +12,10 @@ let stamp b (inst : Netlist.t) ~inputs =
       inst.mems
   in
   let get u =
-    match map.(u) with
-    | Some s -> s
-    | None -> failwith "Instantiate.stamp: node mapped out of order"
+    if map.(u) < 0 then failwith "Instantiate.stamp: node mapped out of order";
+    Builder.signal b map.(u)
   in
+  let set u s = map.(u) <- Builder.uid s in
   (* Registers first so combinational feedback through them resolves. *)
   Array.iter
     (fun (nd : Netlist.node) ->
@@ -21,8 +24,7 @@ let stamp b (inst : Netlist.t) ~inputs =
           let name =
             Option.value nd.name ~default:(Printf.sprintf "i%d" nd.uid)
           in
-          map.(nd.uid) <-
-            Some (Builder.reg b ~init:(Bits.to_int init) ~width:nd.width name)
+          set nd.uid (Builder.reg b ~init:(Bits.to_int init) ~width:nd.width name)
       | _ -> ())
     inst.nodes;
   let order = Netlist.comb_order inst in
@@ -33,7 +35,7 @@ let stamp b (inst : Netlist.t) ~inputs =
       | Netlist.Reg _ -> ()
       | Netlist.Input name ->
           let s =
-            match List.assoc_opt name inputs with
+            match Hashtbl.find_opt bound name with
             | Some s -> s
             | None ->
                 failwith
@@ -44,38 +46,22 @@ let stamp b (inst : Netlist.t) ~inputs =
               (Printf.sprintf
                  "Instantiate.stamp: input %s width mismatch (%d vs %d)" name
                  (Builder.width s) nd.width);
-          map.(u) <- Some s
-      | Netlist.Const k -> map.(u) <- Some (Builder.constb b k)
-      | Netlist.Unop (Netlist.Not, a) -> map.(u) <- Some (Builder.not_ b (get a))
-      | Netlist.Unop (Netlist.Neg, a) -> map.(u) <- Some (Builder.neg b (get a))
+          set u s
+      | Netlist.Const k -> set u (Builder.constb b k)
+      | Netlist.Unop (Netlist.Not, a) -> set u (Builder.not_ b (get a))
+      | Netlist.Unop (Netlist.Neg, a) -> set u (Builder.neg b (get a))
       | Netlist.Binop (op, x, y) ->
-          let sx = get x and sy = get y in
-          let s =
-            match op with
-            | Netlist.Add -> Builder.add b sx sy
-            | Netlist.Sub -> Builder.sub b sx sy
-            | Netlist.Mul -> Builder.mul b sx sy
-            | Netlist.And -> Builder.and_ b sx sy
-            | Netlist.Or -> Builder.or_ b sx sy
-            | Netlist.Xor -> Builder.xor_ b sx sy
-            | Netlist.Shl -> Builder.shl b sx sy
-            | Netlist.Shr -> Builder.shr b sx sy
-            | Netlist.Sra -> Builder.sra b sx sy
-            | Netlist.Eq -> Builder.eq b sx sy
-            | Netlist.Ne -> Builder.ne b sx sy
-            | Netlist.Lt sg -> Builder.lt b ~signed:(sg = Netlist.Signed) sx sy
-            | Netlist.Le sg -> Builder.le b ~signed:(sg = Netlist.Signed) sx sy
-          in
-          map.(u) <- Some s
+          let sx = get x in
+          set u (Builder.binop b op sx (get y))
       | Netlist.Mux (s, x, y) ->
-          map.(u) <- Some (Builder.mux b (get s) (get x) (get y))
+          set u (Builder.mux b (get s) (get x) (get y))
       | Netlist.Slice (x, hi, lo) ->
-          map.(u) <- Some (Builder.slice b (get x) ~hi ~lo)
-      | Netlist.Concat (x, y) -> map.(u) <- Some (Builder.concat b (get x) (get y))
-      | Netlist.Uext x -> map.(u) <- Some (Builder.uext b (get x) nd.width)
-      | Netlist.Sext x -> map.(u) <- Some (Builder.sext b (get x) nd.width)
+          set u (Builder.slice b (get x) ~hi ~lo)
+      | Netlist.Concat (x, y) -> set u (Builder.concat b (get x) (get y))
+      | Netlist.Uext x -> set u (Builder.uext b (get x) nd.width)
+      | Netlist.Sext x -> set u (Builder.sext b (get x) nd.width)
       | Netlist.Mem_read (m, a) ->
-          map.(u) <- Some (Builder.mem_read b mem_map.(m) (get a)))
+          set u (Builder.mem_read b mem_map.(m) (get a)))
     order;
   Array.iteri
     (fun mi (m : Netlist.mem) ->

@@ -41,7 +41,6 @@ type t = {
   c : Netlist.t;
   batch : int;
   vals : int array;                   (* uid * batch + lane *)
-  masks : int array;                  (* by uid *)
   widths : int array;                 (* by uid *)
   (* Levelized instruction table, struct-of-arrays, by schedule position. *)
   n_ins : int;
@@ -67,7 +66,9 @@ type t = {
   first_dst : int;
   mutable evals : int;
   slot : int array;                   (* uid -> value slot (a bijection) *)
-  resident : bool array;              (* uid: value current after [settle] *)
+  n_resident : int;
+      (* a node is resident (its value current after [settle]) iff its
+         slot is below this: the sources and the rows *)
   ports_in : (string, Netlist.uid) Hashtbl.t;
   ports_out : (string, Netlist.uid) Hashtbl.t;
   (* Registers, flattened for the latch loop. *)
@@ -132,143 +133,103 @@ let is_source (nd : Netlist.node) =
   | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ -> true
   | _ -> false
 
+let is_concat (nd : Netlist.node) =
+  match nd.kind with Netlist.Concat _ -> true | _ -> false
+
+(* A node's state while [create] levelizes: dead, live, a root (an
+   output, register input or memory write port: live, never absorbed) or
+   absorbed into the fused concat that reads it. *)
+let dead = '\000'
+let live = '\001'
+let root = '\002'
+let absorbed = '\003'
+
 let create ?(batch = 1) c =
   if batch < 1 then invalid_arg "Sim.create: batch must be >= 1";
-  let n = Netlist.num_nodes c in
-  let masks = Array.make n 0 and widths = Array.make n 0 in
-  Array.iter
-    (fun (nd : Netlist.node) ->
-      masks.(nd.uid) <- Bits.mask nd.width;
-      widths.(nd.uid) <- nd.width)
-    c.Netlist.nodes;
-  (* Liveness: backward closure from outputs, register inputs and memory
-     write ports — everything else is dead combinational logic. *)
-  let live = Array.make n false in
-  let rec mark u =
-    if not live.(u) then begin
-      live.(u) <- true;
-      Netlist.iter_edges mark_operand (Netlist.node c u)
-    end
-  and mark_operand _ o = mark o in
-  List.iter (fun (_, u) -> mark u) c.Netlist.outputs;
-  Array.iter
-    (fun (nd : Netlist.node) ->
-      match nd.kind with
-      | Netlist.Reg { d; enable; _ } ->
-          mark d;
-          Option.iter mark enable
-      | _ -> ())
-    c.Netlist.nodes;
-  Array.iter
-    (fun (m : Netlist.mem) ->
-      List.iter
-        (fun (w : Netlist.write_port) ->
-          mark w.Netlist.w_enable;
-          mark w.Netlist.w_addr;
-          mark w.Netlist.w_data)
-        m.Netlist.mem_writes)
-    c.Netlist.mems;
-  (* Concat-tree fusion: a live concat whose only consumer
-     is another live concat and which roots nothing else is absorbed into
-     its consumer; the surviving apex reads the chain's leaves directly. *)
-  let uses = Array.make n 0 and sole_user = Array.make n (-1) in
-  let rooted = Array.make n false in
-  let use u o =
-    uses.(o) <- uses.(o) + 1;
-    sole_user.(o) <- u
-  in
-  Array.iter
-    (fun (nd : Netlist.node) -> if live.(nd.uid) then Netlist.iter_edges use nd)
-    c.Netlist.nodes;
-  List.iter (fun (_, u) -> rooted.(u) <- true) c.Netlist.outputs;
-  Array.iter
-    (fun (nd : Netlist.node) ->
-      match nd.kind with
-      | Netlist.Reg { d; enable; _ } ->
-          rooted.(d) <- true;
-          Option.iter (fun e -> rooted.(e) <- true) enable
-      | _ -> ())
-    c.Netlist.nodes;
-  Array.iter
-    (fun (m : Netlist.mem) ->
-      List.iter
-        (fun (w : Netlist.write_port) ->
-          rooted.(w.Netlist.w_enable) <- true;
-          rooted.(w.Netlist.w_addr) <- true;
-          rooted.(w.Netlist.w_data) <- true)
-        m.Netlist.mem_writes)
-    c.Netlist.mems;
-  let is_concat u =
-    match (Netlist.node c u).kind with Netlist.Concat _ -> true | _ -> false
-  in
-  let absorbed = Array.make n false in
-  Array.iter
-    (fun (nd : Netlist.node) ->
-      let u = nd.uid in
-      absorbed.(u) <-
-        live.(u) && is_concat u && uses.(u) = 1 && (not rooted.(u))
-        && sole_user.(u) >= 0
-        && live.(sole_user.(u))
-        && is_concat sole_user.(u))
-    c.Netlist.nodes;
-  let rec leaves_of u shift acc =
-    if absorbed.(u) then
-      match (Netlist.node c u).kind with
-      | Netlist.Concat (a, b) ->
-          let wb = widths.(b) in
-          leaves_of a (shift + wb) (leaves_of b shift acc)
-      | _ -> assert false
-    else (u, shift) :: acc
-  in
-  let concat_plan u =
-    match (Netlist.node c u).kind with
-    | Netlist.Concat (a, b) ->
-        let wb = widths.(b) in
-        Array.of_list (leaves_of a wb (leaves_of b 0 []))
-    | _ -> assert false
-  in
-  (* Schedule = live non-source, non-absorbed nodes in levelized order,
-     compacted in place. *)
-  let sched_uid =
-    let order = Netlist.comb_order c and k = ref 0 in
-    Array.iter
-      (fun u ->
-        if live.(u) && (not (is_source (Netlist.node c u))) && not absorbed.(u)
-        then begin
-          order.(!k) <- u;
-          incr k
-        end)
-      order;
-    Array.sub order 0 !k
-  in
-  let n_ins = Array.length sched_uid in
-  let resident = Array.make n false in
-  Array.iter
-    (fun (nd : Netlist.node) ->
-      resident.(nd.uid) <-
-        is_source nd || (live.(nd.uid) && not absorbed.(nd.uid)))
-    c.Netlist.nodes;
+  let n = Netlist.num_nodes c and nodes = c.Netlist.nodes in
+  let n_mems = Array.length c.Netlist.mems in
+  let vals = Array.make (n * batch) 0 in
+  let widths = Array.make n 0 in
+  let state = Bytes.make n dead in
   (* Value-slot assignment: sources first, then the scheduled nodes in
      schedule order, then everything the schedule eliminated.  Indexing the
      value array by slot instead of uid makes each sweep walk it almost
      linearly — consecutive instructions write consecutive slots and read
      recently-written ones — which matters once the batched array outgrows
      L1.  [slot] is a bijection on uids; only the netlist-facing maps
-     (widths, masks, resident) stay uid-indexed. *)
-  let slot = Array.make n (-1) in
-  let next_slot = ref 0 in
+     (widths) stay uid-indexed.  A node is resident iff its slot is
+     below the sources' and rows' count. *)
+  let slot = Array.make n (-1) and next_slot = ref 0 in
   let alloc u =
-    if slot.(u) < 0 then begin
-      slot.(u) <- !next_slot;
-      incr next_slot
-    end
+    slot.(u) <- !next_slot;
+    incr next_slot
   in
+  (* Pass 1, by uid: widths, the sources' slots and values (constants in
+     every lane; inputs start at 0, registers get their init below), and
+     the register roots. *)
+  let regs_rev = ref [] and nregs = ref 0 in
   Array.iter
-    (fun (nd : Netlist.node) -> if is_source nd then alloc nd.uid)
-    c.Netlist.nodes;
-  Array.iter alloc sched_uid;
-  Array.iter (fun (nd : Netlist.node) -> alloc nd.uid) c.Netlist.nodes;
-  (* Emit the instruction table. *)
+    (fun (nd : Netlist.node) ->
+      let u = nd.uid in
+      widths.(u) <- nd.width;
+      match nd.kind with
+      | Netlist.Input _ -> alloc u
+      | Netlist.Const b ->
+          alloc u;
+          Array.fill vals (slot.(u) * batch) batch (Bits.to_int b)
+      | Netlist.Reg { d; enable; _ } ->
+          alloc u;
+          regs_rev := u :: !regs_rev;
+          incr nregs;
+          Bytes.set state d root;
+          Option.iter (fun e -> Bytes.set state e root) enable
+      | _ -> ())
+    nodes;
+  List.iter (fun (_, u) -> Bytes.set state u root) c.Netlist.outputs;
+  Array.iter
+    (fun (m : Netlist.mem) ->
+      List.iter
+        (fun (w : Netlist.write_port) ->
+          Bytes.set state w.Netlist.w_enable root;
+          Bytes.set state w.Netlist.w_addr root;
+          Bytes.set state w.Netlist.w_data root)
+        m.Netlist.mem_writes)
+    c.Netlist.mems;
+  (* Pass 2, backwards through the levelized order, so every user of a
+     node is decided before the node: liveness is the backward closure of
+     the roots, and a live concat whose only live user is another concat,
+     and which roots nothing, is absorbed into that user (the surviving
+     apex reads the chain's leaves directly).  [sole_user] is -1 until a
+     node's first use, then its user, and -2 from its second use on. *)
+  let order = Netlist.comb_order c in
+  let sole_user = Array.make n (-1) in
+  let use u o =
+    if Bytes.get state o = dead then Bytes.set state o live;
+    sole_user.(o) <- (if sole_user.(o) = -1 then u else -2)
+  in
+  let n_ins = ref 0 and n_concat = ref 0 and n_absorbed = ref 0 in
+  for k = n - 1 downto 0 do
+    let u = order.(k) in
+    let s = Bytes.get state u in
+    if s <> dead then begin
+      let nd = nodes.(u) in
+      Netlist.iter_edges use nd;
+      if s = live && is_concat nd && sole_user.(u) >= 0
+         && is_concat nodes.(sole_user.(u))
+      then begin
+        Bytes.set state u absorbed;
+        incr n_absorbed
+      end
+      else if not (is_source nd) then begin
+        incr n_ins;
+        if is_concat nd then incr n_concat
+      end
+    end
+  done;
+  let n_ins = !n_ins and nregs = !nregs in
+  (* Pass 3, forwards: the schedule is the live non-source, non-absorbed
+     nodes in levelized order; each gets its slot and its row, and the
+     row's reads are counted for the fanout table. *)
   let op = Array.make n_ins 0
   and dst = Array.make n_ins 0
   and a0 = Array.make n_ins 0
@@ -278,12 +239,67 @@ let create ?(batch = 1) c =
   and k1 = Array.make n_ins 0
   and k2 = Array.make n_ins 0
   and k3 = Array.make n_ins 0 in
-  let cc = ref [] and cc_len = ref 0 in
+  (* An apex fusing k concats has k + 2 leaves: this bounds the table. *)
+  let cc_cap = !n_absorbed + (2 * !n_concat) in
+  let cc_uid = Array.make cc_cap 0 and cc_shift = Array.make cc_cap 0 in
+  let cc_len = ref 0 in
+  let reg_uid = Array.make nregs 0 in
+  List.iteri (fun i u -> reg_uid.(nregs - 1 - i) <- u) !regs_rev;
+  let regs = Array.make nregs 0
+  and reg_d = Array.make nregs 0
+  and reg_en = Array.make nregs (-1)
+  and reg_init = Array.make nregs 0 in
+  (* The fanout table, from the unscaled slots: reader [i < n_ins] is a
+     row, which reads the slots of its operands (a [memrd] also its
+     memory's entry [n + mem], a leaf-table concat every leaf); reader
+     [n_ins + r] is register [r], which reads its [d] and enable. *)
+  let reads i f =
+    if i >= n_ins then begin
+      f reg_d.(i - n_ins);
+      if reg_en.(i - n_ins) >= 0 then f reg_en.(i - n_ins)
+    end
+    else if op.(i) = op_concatn then
+      for l = k1.(i) to k1.(i) + k2.(i) - 1 do
+        f cc_uid.(l)
+      done
+    else begin
+      let o = op.(i) in
+      f a0.(i);
+      if o = op_memrd then f (n + k1.(i));
+      if (o >= op_add && o <= op_mux) || o = op_concat2 || o = op_concat3 then
+        f a1.(i);
+      if o = op_mux || o = op_concat3 then f a2.(i)
+    end
+  in
+  let fan_start = Array.make (n + n_mems + 1) 0 in
+  let count x = fan_start.(x + 1) <- fan_start.(x + 1) + 1 in
+  (* A fused concat's leaves, most significant first, go straight into
+     the leaf table from [cc_len]; constant leaves fold into [base]
+     instead.  [first] keeps the first leaf for a concat of constants. *)
+  let base = ref 0 and nvar = ref 0 and first = ref (-1) and first_sh = ref 0 in
+  let rec gather u shift =
+    let nd = nodes.(u) in
+    match nd.kind with
+    | Netlist.Concat (a, b) when Bytes.get state u = absorbed ->
+        gather a (shift + widths.(b));
+        gather b shift
+    | kind ->
+        if !first < 0 then begin
+          first := u;
+          first_sh := shift
+        end;
+        (match kind with
+        | Netlist.Const bits -> base := !base lor (Bits.to_int bits lsl shift)
+        | _ ->
+            cc_uid.(!cc_len + !nvar) <- slot.(u);
+            cc_shift.(!cc_len + !nvar) <- shift;
+            incr nvar)
+  in
   let emit i u =
-    let nd = Netlist.node c u in
-    let m = masks.(u) in
+    let nd = nodes.(u) in
+    alloc u;
     dst.(i) <- slot.(u);
-    k0.(i) <- m;
+    k0.(i) <- Bits.mask widths.(u);
     match nd.Netlist.kind with
     | Netlist.Input _ | Netlist.Const _ | Netlist.Reg _ ->
         assert false (* sources are never scheduled *)
@@ -334,58 +350,52 @@ let create ?(batch = 1) c =
         op.(i) <- op_slice;
         a0.(i) <- slot.(a);
         k1.(i) <- lo
-    | Netlist.Concat _ -> (
+    | Netlist.Concat (a, b) -> (
         (* Operands are pre-masked and offsets sum to the result width, so
            no final mask is needed.  Constant leaves — zero padding and
            literal fields are common in the fused chains — fold into one
            precomputed base word instead of per-cycle shift-or work. *)
-        let base = ref 0 in
-        let variable =
-          Array.to_list (concat_plan u)
-          |> List.filter (fun (lu, sh) ->
-                 match (Netlist.node c lu).Netlist.kind with
-                 | Netlist.Const bits ->
-                     base := !base lor (Bits.to_int bits lsl sh);
-                     false
-                 | _ -> true)
-        in
-        (* A concat of constants only keeps its first leaf as the operand
-           (or-ing it into the base again changes nothing): no producer
-           ever marks a constant's readers, so the row runs once, on the
-           first sweep. *)
-        let variable =
-          if variable = [] then [ (concat_plan u).(0) ] else variable
-        in
-        match (variable, !base) with
-        | [ (a, sa) ], b0 ->
+        base := 0;
+        nvar := 0;
+        first := -1;
+        gather a widths.(b);
+        gather b 0;
+        let leaf j = cc_uid.(!cc_len + j) and shift j = cc_shift.(!cc_len + j) in
+        match (!nvar, !base) with
+        | 0, b0 ->
+            (* A concat of constants keeps its first leaf as the operand
+               (or-ing it into the base again changes nothing): no
+               producer ever marks a constant's readers, so the row runs
+               once, on the first sweep. *)
             op.(i) <- op_concat1;
-            a0.(i) <- slot.(a);
-            k1.(i) <- sa;
+            a0.(i) <- slot.(!first);
+            k1.(i) <- !first_sh;
             k3.(i) <- b0
-        | [ (a, sa); (b, sb) ], 0 ->
+        | 1, b0 ->
+            op.(i) <- op_concat1;
+            a0.(i) <- leaf 0;
+            k1.(i) <- shift 0;
+            k3.(i) <- b0
+        | 2, 0 ->
             op.(i) <- op_concat2;
-            a0.(i) <- slot.(a);
-            a1.(i) <- slot.(b);
-            k1.(i) <- sa;
-            k2.(i) <- sb
-        | [ (a, sa); (b, sb); (d, sd) ], 0 ->
+            a0.(i) <- leaf 0;
+            a1.(i) <- leaf 1;
+            k1.(i) <- shift 0;
+            k2.(i) <- shift 1
+        | 3, 0 ->
             op.(i) <- op_concat3;
-            a0.(i) <- slot.(a);
-            a1.(i) <- slot.(b);
-            a2.(i) <- slot.(d);
-            k1.(i) <- sa;
-            k2.(i) <- sb;
-            k3.(i) <- sd
-        | leaves, b0 ->
+            a0.(i) <- leaf 0;
+            a1.(i) <- leaf 1;
+            a2.(i) <- leaf 2;
+            k1.(i) <- shift 0;
+            k2.(i) <- shift 1;
+            k3.(i) <- shift 2
+        | nv, b0 ->
             op.(i) <- op_concatn;
             k1.(i) <- !cc_len;
-            k2.(i) <- List.length leaves;
+            k2.(i) <- nv;
             k3.(i) <- b0;
-            List.iter
-              (fun (lu, sh) ->
-                cc := (slot.(lu), sh) :: !cc;
-                incr cc_len)
-              leaves)
+            cc_len := !cc_len + nv)
     | Netlist.Uext a ->
         op.(i) <- op_copy;
         a0.(i) <- slot.(a)
@@ -400,82 +410,63 @@ let create ?(batch = 1) c =
         k1.(i) <- mem;
         k2.(i) <- c.Netlist.mems.(mem).Netlist.mem_size
   in
-  Array.iteri emit sched_uid;
-  let cc_list = List.rev !cc in
-  let cc_uid = Array.of_list (List.map fst cc_list)
-  and cc_shift = Array.of_list (List.map snd cc_list) in
+  let row = ref 0 in
+  Array.iter
+    (fun u ->
+      let s = Bytes.get state u in
+      if (s = live || s = root) && not (is_source nodes.(u)) then begin
+        emit !row u;
+        reads !row count;
+        incr row
+      end)
+    order;
+  (* The latch loop works purely in value slots. *)
+  Array.iteri
+    (fun i u ->
+      match nodes.(u).kind with
+      | Netlist.Reg { d; enable; init } ->
+          regs.(i) <- slot.(u);
+          reg_d.(i) <- slot.(d);
+          (match enable with Some e -> reg_en.(i) <- slot.(e) | None -> ());
+          reg_init.(i) <- Bits.to_int init;
+          Array.fill vals (slot.(u) * batch) batch reg_init.(i);
+          reads (n_ins + i) count
+      | _ -> assert false)
+    reg_uid;
+  let n_resident = !next_slot in
+  for u = 0 to n - 1 do
+    if slot.(u) < 0 then alloc u
+  done;
+  let cc_uid = Array.sub cc_uid 0 !cc_len
+  and cc_shift = Array.sub cc_shift 0 !cc_len in
   let ports_in = Hashtbl.create 16 and ports_out = Hashtbl.create 16 in
   List.iter (fun (nm, u) -> Hashtbl.replace ports_in nm u) c.Netlist.inputs;
   List.iter (fun (nm, u) -> Hashtbl.replace ports_out nm u) c.Netlist.outputs;
-  let reg_uids = Netlist.reg_uids c in
-  let nregs = Array.length reg_uids in
-  (* The latch loop works purely in value slots. *)
-  let regs = Array.map (fun u -> slot.(u)) reg_uids in
-  let reg_d = Array.make nregs 0
-  and reg_en = Array.make nregs (-1)
-  and reg_init = Array.make nregs 0 in
-  Array.iteri
-    (fun i u ->
-      match (Netlist.node c u).kind with
-      | Netlist.Reg { d; enable; init } ->
-          reg_d.(i) <- slot.(d);
-          (match enable with Some e -> reg_en.(i) <- slot.(e) | None -> ());
-          reg_init.(i) <- Bits.to_int init
-      | _ -> assert false)
-    reg_uids;
-  (* The fanout table, from the unscaled slots: reader [i < n_ins] is a
-     row, which reads the slots of its operands (a [memrd] also its
-     memory's entry [n + mem], a leaf-table concat every leaf); reader
-     [n_ins + r] is register [r], which reads its [d] and enable. *)
-  let n_mems = Array.length c.Netlist.mems in
-  let reads i f =
-    if i >= n_ins then begin
-      f reg_d.(i - n_ins);
-      if reg_en.(i - n_ins) >= 0 then f reg_en.(i - n_ins)
-    end
-    else if op.(i) = op_concatn then
-      for l = k1.(i) to k1.(i) + k2.(i) - 1 do
-        f cc_uid.(l)
-      done
-    else begin
-      let o = op.(i) in
-      f a0.(i);
-      if o = op_memrd then f (n + k1.(i));
-      if (o >= op_add && o <= op_mux) || o = op_concat2 || o = op_concat3 then
-        f a1.(i);
-      if o = op_mux || o = op_concat3 then f a2.(i)
-    end
-  in
-  let fan_start = Array.make (n + n_mems + 1) 0 in
-  let count x = fan_start.(x + 1) <- fan_start.(x + 1) + 1 in
-  for i = 0 to n_ins + nregs - 1 do
-    reads i count
-  done;
   for x = 1 to n + n_mems do
     fan_start.(x) <- fan_start.(x) + fan_start.(x - 1)
   done;
-  let fan_row = Array.make fan_start.(n + n_mems) 0
-  and fill = Array.sub fan_start 0 (n + n_mems)
-  and reader = ref 0 in
+  (* Placing advances each entry's start to the next entry's; shifting
+     the starts up by one restores them. *)
+  let fan_row = Array.make fan_start.(n + n_mems) 0 and reader = ref 0 in
   let place x =
-    fan_row.(fill.(x)) <- !reader;
-    fill.(x) <- fill.(x) + 1
+    fan_row.(fan_start.(x)) <- !reader;
+    fan_start.(x) <- fan_start.(x) + 1
   in
   for i = 0 to n_ins + nregs - 1 do
     reader := i;
     reads i place
   done;
+  Array.blit fan_start 0 fan_start 1 (n + n_mems);
+  fan_start.(0) <- 0;
   (* Rows write consecutive slots (the slot assignment above). *)
   let first_dst = if n_ins = 0 then 0 else dst.(0) in
   (* The operand and destination fields address the value array directly:
      pre-scale the slot numbers by the batch stride so the sweep does no
      per-instruction multiplies. *)
-  let scale a = Array.iteri (fun i s -> a.(i) <- s * batch) a in
-  scale dst;
-  scale a0;
-  scale a1;
-  scale a2;
-  scale cc_uid;
+  if batch > 1 then
+    List.iter
+      (fun a -> Array.iteri (fun i s -> a.(i) <- s * batch) a)
+      [ dst; a0; a1; a2; cc_uid ];
   let wports =
     Array.to_list c.Netlist.mems
     |> List.concat_map (fun (m : Netlist.mem) ->
@@ -485,88 +476,64 @@ let create ?(batch = 1) c =
     |> Array.of_list
   in
   let nports = Array.length wports in
-  let vals = Array.make (n * batch) 0 in
-  let t =
-    {
-      c;
-      batch;
-      vals;
-      masks;
-      widths;
-      n_ins;
-      op;
-      dst;
-      a0;
-      a1;
-      a2;
-      k0;
-      k1;
-      k2;
-      k3;
-      cc_uid;
-      cc_shift;
-      pend = Bytes.make (n_ins + nregs) '\001';
-      fan_start;
-      fan_row;
-      first_dst;
-      evals = 0;
-      slot;
-      resident;
-      ports_in;
-      ports_out;
-      regs;
-      reg_d;
-      reg_en;
-      reg_init;
-      reg_next = Array.make (nregs * batch) 0;
-      latched = Array.make nregs 0;
-      mem_data =
-        Array.map
-          (fun (m : Netlist.mem) -> Array.make (m.Netlist.mem_size * batch) 0)
-          c.Netlist.mems;
-      wp_mem =
-        Array.map (fun ((m : Netlist.mem), _) -> m.Netlist.mem_id) wports;
-      wp_en =
-        Array.map
-          (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_enable))
-          wports;
-      wp_addr =
-        Array.map
-          (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_addr))
-          wports;
-      wp_data =
-        Array.map
-          (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_data))
-          wports;
-      wp_size =
-        Array.map (fun ((m : Netlist.mem), _) -> m.Netlist.mem_size) wports;
-      w_live = Bytes.make (nports * batch) '\000';
-      w_addr_s = Array.make (nports * batch) 0;
-      w_data_s = Array.make (nports * batch) 0;
-      dirty = true;
-      cycles = 0;
-    }
-  in
-  (* Sources: constants load once into every lane, registers take their
-     init value, inputs start at 0 (already the case). *)
-  Array.iter
-    (fun (nd : Netlist.node) ->
-      match nd.kind with
-      | Netlist.Const b ->
-          let v = Bits.to_int b and base = slot.(nd.uid) * batch in
-          for j = 0 to batch - 1 do
-            vals.(base + j) <- v
-          done
-      | _ -> ())
-    c.Netlist.nodes;
-  Array.iteri
-    (fun i q ->
-      let base = q * batch in
-      for j = 0 to batch - 1 do
-        vals.(base + j) <- reg_init.(i)
-      done)
+  {
+    c;
+    batch;
+    vals;
+    widths;
+    n_ins;
+    op;
+    dst;
+    a0;
+    a1;
+    a2;
+    k0;
+    k1;
+    k2;
+    k3;
+    cc_uid;
+    cc_shift;
+    pend = Bytes.make (n_ins + nregs) '\001';
+    fan_start;
+    fan_row;
+    first_dst;
+    evals = 0;
+    slot;
+    n_resident;
+    ports_in;
+    ports_out;
     regs;
-  t
+    reg_d;
+    reg_en;
+    reg_init;
+    reg_next = Array.make (nregs * batch) 0;
+    latched = Array.make nregs 0;
+    mem_data =
+      Array.map
+        (fun (m : Netlist.mem) -> Array.make (m.Netlist.mem_size * batch) 0)
+        c.Netlist.mems;
+    wp_mem =
+      Array.map (fun ((m : Netlist.mem), _) -> m.Netlist.mem_id) wports;
+    wp_en =
+      Array.map
+        (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_enable))
+        wports;
+    wp_addr =
+      Array.map
+        (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_addr))
+        wports;
+    wp_data =
+      Array.map
+        (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_data))
+        wports;
+    wp_size =
+      Array.map (fun ((m : Netlist.mem), _) -> m.Netlist.mem_size) wports;
+    w_live = Bytes.make (nports * batch) '\000';
+    w_addr_s = Array.make (nports * batch) 0;
+    w_data_s = Array.make (nports * batch) 0;
+    dirty = true;
+    cycles = 0;
+  }
 
 let circuit t = t.c
 let batch t = t.batch
@@ -894,7 +861,7 @@ let out_port t name = resolve t `Out ~caller:"Sim.out_port" name
 
 let set_port t p ~lane v =
   lane_check t "Sim.set_port" lane;
-  let v = v land t.masks.(p) in
+  let v = v land Bits.mask t.widths.(p) in
   let idx = (t.slot.(p) * t.batch) + lane in
   if t.vals.(idx) <> v then begin
     t.vals.(idx) <- v;
@@ -918,7 +885,7 @@ let row_check t caller row =
 
 let set_row t p row =
   row_check t "Sim.set_row" row;
-  let m = t.masks.(p) and base = t.slot.(p) * t.batch and vals = t.vals in
+  let m = Bits.mask t.widths.(p) and base = t.slot.(p) * t.batch and vals = t.vals in
   let changed = ref false in
   for l = 0 to t.batch - 1 do
     let v = Array.unsafe_get row l land m in
@@ -1064,9 +1031,11 @@ let reset t =
    walked once and no value outlives a state change.  The netlist is a
    DAG, so the recursion terminates; resident operands (every source
    among them) are already settled by the caller. *)
+let resident t u = t.slot.(u) < t.n_resident
+
 let rec force t memo lane u =
   let b = t.batch in
-  if t.resident.(u) then t.vals.((t.slot.(u) * b) + lane)
+  if resident t u then t.vals.((t.slot.(u) * b) + lane)
   else
     match Hashtbl.find_opt memo u with
     | Some v -> v
@@ -1114,14 +1083,14 @@ let rec force t memo lane u =
                 contents.((a * b) + lane)
               else 0
         in
-        let v = r land t.masks.(u) in
+        let v = r land Bits.mask t.widths.(u) in
         Hashtbl.replace memo u v;
         v
 
 let peek ?(lane = 0) t uid =
   lane_check t "Sim.peek" lane;
   settle t;
-  if t.resident.(uid) then t.vals.((t.slot.(uid) * t.batch) + lane)
+  if resident t uid then t.vals.((t.slot.(uid) * t.batch) + lane)
   else force t (Hashtbl.create 16) lane uid
 
 let peek_all ?(lane = 0) t =
@@ -1129,7 +1098,7 @@ let peek_all ?(lane = 0) t =
   settle t;
   let memo = Hashtbl.create 64 in
   Array.init (Netlist.num_nodes t.c) (fun u ->
-      if t.resident.(u) then t.vals.((t.slot.(u) * t.batch) + lane)
+      if resident t u then t.vals.((t.slot.(u) * t.batch) + lane)
       else force t memo lane u)
 
 let peek_signed ?(lane = 0) t uid = signed_of t uid (peek ~lane t uid)

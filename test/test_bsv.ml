@@ -252,6 +252,118 @@ let test_option_sweep_negligible () =
   check bool "area varies by less than 10%" true
     (float_of_int (mx - mn) /. float_of_int mn < 0.10)
 
+(* ---------------- the schedule against the list-based analysis ---------------- *)
+
+(* The conflict analysis as it was before rules carried their read and
+   write sets: the sets walked afresh per schedule, intersected with
+   [List.exists]/[List.mem].  [Sched.analyze] must give the same matrices
+   for every option. *)
+let old_analyze (options : Bsv.Options.t) (m : modul) =
+  let read_set (ru : rule) =
+    let rids = ref [] in
+    let visit =
+      memo (fun visit e ->
+          match e.node with
+          | Read r -> rids := r.rid :: !rids
+          | Const _ | In _ -> ()
+          | Unop (_, a) | Slice (a, _, _) | Uext (a, _) | Sext (a, _) -> visit a
+          | Binop (_, a, b) -> visit a; visit b
+          | Mux (s, a, b) -> visit s; visit a; visit b)
+    in
+    visit ru.guard;
+    List.iter (fun a -> visit a.value; Option.iter visit a.when_) ru.actions;
+    List.sort_uniq compare !rids
+  in
+  let write_set (ru : rule) =
+    List.sort_uniq compare (List.map (fun a -> a.target.rid) ru.actions)
+  in
+  let intersects a b = List.exists (fun x -> List.mem x b) a in
+  let rec guard_facts e =
+    match e.node with
+    | Binop (Hw.Netlist.And, a, b) -> guard_facts a @ guard_facts b
+    | Binop (Hw.Netlist.Eq, { node = Read r; _ }, { node = Const k; _ })
+    | Binop (Hw.Netlist.Eq, { node = Const k; _ }, { node = Read r; _ }) ->
+        [ (r.rid, k) ]
+    | _ -> []
+  in
+  let disjoint (r1 : rule) (r2 : rule) =
+    List.exists
+      (fun (rid, k1) ->
+        List.exists
+          (fun (rid', k2) -> rid = rid' && not (Hw.Bits.equal k1 k2))
+          (guard_facts r2.guard))
+      (guard_facts r1.guard)
+  in
+  let rules =
+    Array.of_list
+      (match options.urgency with
+      | Bsv.Options.Declared -> m.rules
+      | Bsv.Options.Reversed -> List.rev m.rules)
+  in
+  let n = Array.length rules in
+  let reads = Array.map read_set rules and writes = Array.map write_set rules in
+  let conflict = Array.make_matrix n n false in
+  let precede = Array.make_matrix n n false in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if not (options.effort >= 2 && disjoint rules.(i) rules.(j)) then begin
+        let ww = intersects writes.(i) writes.(j) in
+        let i_reads_j = intersects reads.(i) writes.(j) in
+        let j_reads_i = intersects reads.(j) writes.(i) in
+        if ww || (i_reads_j && j_reads_i) then begin
+          conflict.(i).(j) <- true;
+          conflict.(j).(i) <- true
+        end
+        else begin
+          if i_reads_j then precede.(i).(j) <- true;
+          if j_reads_i then precede.(j).(i) <- true
+        end
+      end
+    done
+  done;
+  if options.effort >= 1 then begin
+    let rec refine () =
+      let color = Array.make n 0 and cycle_edge = ref None in
+      let rec dfs u =
+        color.(u) <- 1;
+        for v = 0 to n - 1 do
+          if !cycle_edge = None && precede.(u).(v) && not conflict.(u).(v) then
+            if color.(v) = 1 then cycle_edge := Some (u, v)
+            else if color.(v) = 0 then dfs v
+        done;
+        color.(u) <- 2
+      in
+      for u = 0 to n - 1 do
+        if color.(u) = 0 && !cycle_edge = None then dfs u
+      done;
+      match !cycle_edge with
+      | Some (a, b) ->
+          conflict.(a).(b) <- true;
+          conflict.(b).(a) <- true;
+          precede.(a).(b) <- false;
+          precede.(b).(a) <- false;
+          refine ()
+      | None -> ()
+    in
+    refine ()
+  end;
+  (conflict, precede)
+
+let test_sched_matches_list_analysis () =
+  let matrix = Alcotest.(array (array bool)) in
+  List.iter
+    (fun (what, m) ->
+      List.iter
+        (fun o ->
+          let s = Bsv.Sched.analyze ~options:o m and conflict, precede = old_analyze o m in
+          let name = what ^ " " ^ Bsv.Options.describe o in
+          check matrix (name ^ " conflict") conflict s.Bsv.Sched.conflict;
+          check matrix (name ^ " precede") precede s.Bsv.Sched.precede)
+        Bsv.Options.all)
+    (("initial", Bsv.Idct_bsv.initial_design)
+    :: ("optimized", Bsv.Idct_bsv.optimized_design)
+    :: List.init 40 (fun seed -> (Printf.sprintf "random %d" seed, random_module seed)))
+
 let () =
   Alcotest.run "bsv"
     [
@@ -277,5 +389,10 @@ let () =
         [
           Alcotest.test_case "designs bit-true with paper timing" `Slow test_idct_designs;
           Alcotest.test_case "options negligible (paper IV-B)" `Slow test_option_sweep_negligible;
+        ] );
+      ( "sched-sets",
+        [
+          Alcotest.test_case "analyze matches the list-based analysis" `Quick
+            test_sched_matches_list_analysis;
         ] );
     ]

@@ -422,6 +422,218 @@ let test_comb_order_shared () =
   check bool "each call owns its copy" true
     (Netlist.comb_order c != Netlist.comb_order c)
 
+(* [Builder] hash-conses on integer cells; the reference below keys an
+   association list on the [(kind, width)] pair with polymorphic
+   equality, which is the structural key the netlist means.  Random op
+   sequences avoid constant folding (no operator sees only constants), so
+   both builders must make the same nodes in the same order. *)
+module Ref_builder = struct
+  type t = {
+    mutable nodes : (Netlist.kind * int) list;      (* newest first *)
+    mutable count : int;
+    mutable table : ((Netlist.kind * int) * int) list;
+    mutable names : (int * string) list;
+    mutable ins : (string * int) list;
+    mutable outs : (string * int) list;
+  }
+
+  let create () =
+    { nodes = []; count = 0; table = []; names = []; ins = []; outs = [] }
+
+  let add t kind w =
+    t.nodes <- (kind, w) :: t.nodes;
+    t.count <- t.count + 1;
+    t.count - 1
+
+  let pure t kind w =
+    match List.assoc_opt (kind, w) t.table with
+    | Some u -> u
+    | None ->
+        let u = add t kind w in
+        t.table <- ((kind, w), u) :: t.table;
+        u
+
+  let name t u n = t.names <- (u, n) :: t.names
+
+  let finalize t cname mems : Netlist.t =
+    let nodes =
+      Array.of_list (List.rev t.nodes)
+      |> Array.mapi (fun uid (kind, width) ->
+             { Netlist.uid; width; kind; name = List.assoc_opt uid t.names })
+    in
+    { circuit_name = cname; nodes; mems; inputs = List.rev t.ins;
+      outputs = List.rev t.outs }
+end
+
+let builder_random_ops seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let b = Builder.create "key" and r = Ref_builder.create () in
+  (* The pool: each signal with its reference uid and whether it is a
+     constant. *)
+  let pool = ref [] and regs = ref [] in
+  let push s u const =
+    check int "same uid" u (Builder.uid s);
+    pool := (s, const) :: !pool
+  in
+  let input w =
+    let nm = Printf.sprintf "i%d" (List.length r.Ref_builder.ins) in
+    let s = Builder.input b nm w in
+    let u = Ref_builder.add r (Netlist.Input nm) w in
+    Ref_builder.name r u nm;
+    r.Ref_builder.ins <- (nm, u) :: r.Ref_builder.ins;
+    push s u false
+  in
+  let const w =
+    let v = Random.State.int rng 4 in
+    let s = Builder.const b ~width:w v in
+    push s (Ref_builder.pure r (Netlist.Const (Bits.create ~width:w v)) w) true
+  in
+  let m = Builder.mem b "m" ~size:4 ~width:3 in
+  let mem =
+    { Netlist.mem_id = 0; mem_name = "m"; mem_size = 4; mem_width = 3;
+      mem_writes = [] }
+  in
+  List.iter input [ 1; 2; 2; 3 ];
+  List.iter const [ 1; 2; 3 ];
+  let variable w =
+    List.filter (fun (s, c) -> (not c) && Builder.width s = w) !pool
+  in
+  let any w = List.filter (fun (s, _) -> Builder.width s = w) !pool in
+  for _ = 1 to 80 do
+    let w = 1 + Random.State.int rng 3 in
+    let u s = Builder.uid s in
+    (match (Random.State.int rng 10, variable w) with
+    | 0, _ -> input w
+    | 1, _ -> const w
+    | 2, _ ->
+        let init = Random.State.int rng 64 in
+        let q = Builder.reg b ~init ~width:w "q" in
+        let rq =
+          Ref_builder.add r
+            (Netlist.Reg { d = -1; enable = None; init = Bits.create ~width:w init })
+            w
+        in
+        Ref_builder.name r rq "q";
+        regs := (q, rq) :: !regs;
+        push q rq false
+    | _, [] -> input w
+    | 3, vs ->
+        let x, _ = pick vs in
+        let o = pick [ Netlist.Not; Netlist.Neg ] in
+        let s = (if o = Netlist.Not then Builder.not_ else Builder.neg) b x in
+        push s (Ref_builder.pure r (Netlist.Unop (o, u x)) w) false
+    | 4, vs ->
+        let x, _ = pick vs and y, _ = pick (any w) in
+        let o =
+          pick
+            Netlist.
+              [ Add; Sub; Mul; And; Or; Xor; Shl; Shr; Sra; Eq; Ne; Lt Signed;
+                Lt Unsigned; Le Signed; Le Unsigned ]
+        in
+        let x, y = if Random.State.bool rng then (x, y) else (y, x) in
+        let wr =
+          match o with Netlist.Eq | Ne | Lt _ | Le _ -> 1 | _ -> w
+        in
+        push (Builder.binop b o x y)
+          (Ref_builder.pure r (Netlist.Binop (o, u x, u y)) wr)
+          false
+    | 5, _ when variable 1 <> [] ->
+        let sel, _ = pick (variable 1) and x, _ = pick (any w) and y, _ = pick (any w) in
+        push (Builder.mux b sel x y)
+          (Ref_builder.pure r (Netlist.Mux (u sel, u x, u y)) w)
+          false
+    | 6, vs when w > 1 ->
+        let x, _ = pick vs in
+        let lo = Random.State.int rng w in
+        let hi = lo + Random.State.int rng (w - lo) in
+        if hi - lo + 1 < w then
+          push (Builder.slice b x ~hi ~lo)
+            (Ref_builder.pure r (Netlist.Slice (u x, hi, lo)) (hi - lo + 1))
+            false
+    | 7, _ ->
+        let x, _ = pick !pool and y, _ = pick !pool in
+        let wr = Builder.width x + Builder.width y in
+        if wr <= 3 then
+          push (Builder.concat b x y)
+            (Ref_builder.pure r (Netlist.Concat (u x, u y)) wr)
+            false
+    | 8, vs ->
+        let x, _ = pick vs in
+        let wr = w + 1 + Random.State.int rng 2 in
+        let sx = Random.State.bool rng in
+        push
+          ((if sx then Builder.sext else Builder.uext) b x wr)
+          (Ref_builder.pure r
+             (if sx then Netlist.Sext (u x) else Netlist.Uext (u x))
+             wr)
+          false
+    | _, _ -> (
+        match variable 2 with
+        | [] -> ()
+        | vs ->
+            let a, _ = pick vs in
+            push (Builder.mem_read b m a)
+              (Ref_builder.pure r (Netlist.Mem_read (0, u a)) 3)
+              false));
+    if Random.State.int rng 4 = 0 then begin
+      let s, _ = pick !pool in
+      let n = Printf.sprintf "n%d" (Random.State.int rng 100) in
+      ignore (Builder.name b s n);
+      Ref_builder.name r (Builder.uid s) n
+    end
+  done;
+  let nodes = Array.of_list (List.rev r.Ref_builder.nodes) in
+  List.iter
+    (fun (q, rq) ->
+      Builder.connect b q q;
+      match nodes.(rq) with
+      | Netlist.Reg reg, w -> nodes.(rq) <- (Netlist.Reg { reg with d = rq }, w)
+      | _ -> assert false)
+    !regs;
+  r.Ref_builder.nodes <- List.rev (Array.to_list nodes);
+  List.iteri
+    (fun i (s, _) ->
+      let nm = Printf.sprintf "o%d" i in
+      Builder.output b nm s;
+      r.Ref_builder.outs <- (nm, Builder.uid s) :: r.Ref_builder.outs)
+    !pool;
+  check bool
+    (Printf.sprintf "seed %d: same netlist" seed)
+    true
+    (Builder.finalize b = Ref_builder.finalize r "key" [| mem |])
+
+let test_builder_structural_key () =
+  for seed = 1 to 200 do
+    builder_random_ops seed
+  done;
+  let b = Builder.create "edges" in
+  let x = Builder.input b "x" 4 and x' = Builder.input b "x" 4 in
+  check bool "inputs never shared" true (Builder.uid x <> Builder.uid x');
+  let q = Builder.reg b ~width:4 "q" and q' = Builder.reg b ~width:4 "q" in
+  check bool "registers never shared" true (Builder.uid q <> Builder.uid q');
+  let c4 = Builder.const b ~width:4 5 and c8 = Builder.const b ~width:8 5 in
+  check bool "a const of another width is a new node" true
+    (Builder.uid c4 <> Builder.uid c8);
+  check int "a const of equal value and width is shared" (Builder.uid c4)
+    (Builder.uid (Builder.const b ~width:4 (5 + 16)));
+  let lts = Builder.lt b ~signed:true x x' and ltu = Builder.lt b ~signed:false x x' in
+  check bool "Lt Signed <> Lt Unsigned" true (Builder.uid lts <> Builder.uid ltu);
+  ignore (Builder.name b lts "first");
+  ignore (Builder.name b lts "second");
+  let r = Builder.reg b ~init:0x1f ~width:4 "r" in
+  Builder.connect b q x;
+  Builder.connect b q' x';
+  Builder.connect b r x;
+  Builder.output b "o" c8;
+  let c = Builder.finalize b in
+  check (Alcotest.option Alcotest.string) "the later name wins" (Some "second")
+    (Netlist.node c (Builder.uid lts)).name;
+  match (Netlist.node c (Builder.uid r)).kind with
+  | Netlist.Reg { init; _ } ->
+      check int "register init masked to its width" 0xf (Bits.to_int init)
+  | _ -> Alcotest.fail "not a register"
+
 let () =
   let qsuite name props = (name, List.map QCheck_alcotest.to_alcotest props) in
   Alcotest.run "hw"
@@ -479,5 +691,10 @@ let () =
         [
           Alcotest.test_case "comb_order survives the engines" `Quick
             test_comb_order_shared;
+        ] );
+      ( "builder-key",
+        [
+          Alcotest.test_case "builder hash-conses like the structural key"
+            `Quick test_builder_structural_key;
         ] );
     ]
