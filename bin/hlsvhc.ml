@@ -1007,8 +1007,23 @@ let stats_cmd =
              per stage and tool (a design point's tool, or an engine \
              group), self time first.")
   in
-  let run by_tool file =
-    match Core.Trace.render_stats ~by_tool file with
+  let diff =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "diff" ] ~docv:"BEFORE"
+          ~doc:
+            "Compare the trace $(docv) with TRACE.json: self time before \
+             and after, and its change, per stage and then per stage and \
+             tool ($(b,--by) does not apply).")
+  in
+  let run by_tool diff file =
+    let render () =
+      match diff with
+      | Some before -> Core.Trace.render_diff before file
+      | None -> Core.Trace.render_stats ~by_tool file
+    in
+    match render () with
     | s -> print_string s
     | exception Sys_error e ->
         Printf.eprintf "hlsvhc stats: %s\n" e;
@@ -1025,8 +1040,9 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Summarize a trace recorded with --trace: per-domain busy time, \
-          per-stage inclusive and self wall time, and counter totals.")
-    Term.(const run $ by_tool $ file)
+          per-stage inclusive and self wall time, and counter totals; or, \
+          with $(b,--diff), the self-time change from another trace.")
+    Term.(const run $ by_tool $ diff $ file)
 
 let main =
   Cmd.group

@@ -89,34 +89,44 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
   let data_out = Array.init lanes (fun _ -> row ()) in
   let pending = ref n_mat in
   let cycle = ref 0 and idle = ref 0 in
+  (* Quiet cycles: [busy] counts the lanes still driving or waiting out a
+     gap, [zeroed] says the input rows hold the zeros of a lane that does
+     neither, and [was_up] that some lane had [m_valid] or [m_last] up on
+     the previous cycle. *)
+  let busy = ref n_lanes and zeroed = ref false and was_up = ref true in
+  let up row = Array.exists (fun v -> v <> 0) row in
   let in_budget () =
     match timeout with Some t -> !cycle < t | None -> !idle < watchdog
   in
   while !pending > 0 && in_budget () do
     let ready = ready_pattern !cycle in
     let progress = ref false in
-    (* Drive inputs for this cycle, every lane. *)
-    for l = 0 to n_lanes - 1 do
-      let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
-      valid_in.(l) <- (if driving then 1 else 0);
-      last_in.(l) <- (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
-      if driving then begin
-        let m = inputs.(mat_idx.(l)) and r = beat_idx.(l) in
-        for c = 0 to lanes - 1 do
-          data_in.(c).(l) <- Block.get m ~row:r ~col:c
-        done
-      end
-      else
-        for c = 0 to lanes - 1 do
-          data_in.(c).(l) <- 0
-        done
-    done;
+    (* Drive inputs for this cycle, every lane.  Once no lane drives or
+       waits, the rows hold zeros and stay as they are. *)
+    if !busy > 0 || not !zeroed then begin
+      for l = 0 to n_lanes - 1 do
+        let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
+        valid_in.(l) <- (if driving then 1 else 0);
+        last_in.(l) <- (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
+        if driving then begin
+          let m = inputs.(mat_idx.(l)) and r = beat_idx.(l) in
+          for c = 0 to lanes - 1 do
+            data_in.(c).(l) <- Block.get m ~row:r ~col:c
+          done
+        end
+        else
+          for c = 0 to lanes - 1 do
+            data_in.(c).(l) <- 0
+          done
+      done;
+      Sim.set_row sim s_valid valid_in;
+      Sim.set_row sim s_last last_in;
+      for c = 0 to lanes - 1 do
+        Sim.set_row sim s_data.(c) data_in.(c)
+      done;
+      zeroed := !busy = 0
+    end;
     Array.fill ready_in 0 n_lanes (if ready then 1 else 0);
-    Sim.set_row sim s_valid valid_in;
-    Sim.set_row sim s_last last_in;
-    for c = 0 to lanes - 1 do
-      Sim.set_row sim s_data.(c) data_in.(c)
-    done;
     Sim.set_row sim m_ready ready_in;
     (* Observe handshakes, every lane.  The data rows are only read when
        some lane has [m_valid] up: that is the only time the monitor or
@@ -124,48 +134,58 @@ let drive ~input_gap ~ready_pattern ~timeout ~hook sim matrices =
     Sim.get_row sim s_ready ready_out;
     Sim.get_row sim m_valid valid_out;
     Sim.get_row sim m_last last_out;
-    if Array.exists (fun v -> v = 1) valid_out then
+    let valid_up = up valid_out in
+    if valid_up then
       for c = 0 to lanes - 1 do
         Sim.get_row sim m_data.(c) data_out.(c)
       done;
-    for l = 0 to n_lanes - 1 do
-      let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
-      let in_ready = ready_out.(l) = 1 in
-      let valid = valid_out.(l) = 1 in
-      let last = last_out.(l) = 1 in
-      if valid then
-        for c = 0 to lanes - 1 do
-          data.(c) <- sign_extend Stream.out_width data_out.(c).(l)
-        done;
-      Monitor.observe monitors.(l) ~cycle:!cycle ~valid ~ready ~last data;
-      if driving && in_ready then begin
-        progress := true;
-        if beat_idx.(l) = 0 then first_in_cycle.(mat_idx.(l)) <- !cycle;
-        beat_idx.(l) <- beat_idx.(l) + 1;
-        if beat_idx.(l) = lanes then begin
-          beat_idx.(l) <- 0;
-          mat_idx.(l) <- mat_idx.(l) + 1;
-          gap_left.(l) <- input_gap
+    (* On a quiet cycle (no lane driving or waiting, and no [m_valid] or
+       [m_last] up on this cycle or the one before) no lane's testbench
+       or monitor state can change, so the lanes are not visited. *)
+    let out_up = valid_up || up last_out in
+    if !busy > 0 || out_up || !was_up then
+      for l = 0 to n_lanes - 1 do
+        let driving = mat_idx.(l) < (l + 1) * per_lane && gap_left.(l) = 0 in
+        let in_ready = ready_out.(l) = 1 in
+        let valid = valid_out.(l) = 1 in
+        let last = last_out.(l) = 1 in
+        if valid then
+          for c = 0 to lanes - 1 do
+            data.(c) <- sign_extend Stream.out_width data_out.(c).(l)
+          done;
+        Monitor.observe monitors.(l) ~cycle:!cycle ~valid ~ready ~last data;
+        if driving && in_ready then begin
+          progress := true;
+          if beat_idx.(l) = 0 then first_in_cycle.(mat_idx.(l)) <- !cycle;
+          beat_idx.(l) <- beat_idx.(l) + 1;
+          if beat_idx.(l) = lanes then begin
+            beat_idx.(l) <- 0;
+            mat_idx.(l) <- mat_idx.(l) + 1;
+            gap_left.(l) <- input_gap;
+            if mat_idx.(l) = (l + 1) * per_lane && input_gap = 0 then decr busy
+          end
         end
-      end
-      else if (not driving) && gap_left.(l) > 0 then
-        gap_left.(l) <- gap_left.(l) - 1;
-      if valid && ready then begin
-        progress := true;
-        Array.blit data 0 current.(l) (rows.(l) * lanes) lanes;
-        rows.(l) <- rows.(l) + 1;
-        if rows.(l) = lanes then begin
-          collected.(l) <- current.(l) :: collected.(l);
-          current.(l) <- Block.create ();
-          rows.(l) <- 0;
-          if out_mat.(l) < per_lane then begin
-            last_out_cycle.((l * per_lane) + out_mat.(l)) <- !cycle;
-            decr pending
-          end;
-          out_mat.(l) <- out_mat.(l) + 1
+        else if (not driving) && gap_left.(l) > 0 then begin
+          gap_left.(l) <- gap_left.(l) - 1;
+          if gap_left.(l) = 0 && mat_idx.(l) = (l + 1) * per_lane then decr busy
+        end;
+        if valid && ready then begin
+          progress := true;
+          Array.blit data 0 current.(l) (rows.(l) * lanes) lanes;
+          rows.(l) <- rows.(l) + 1;
+          if rows.(l) = lanes then begin
+            collected.(l) <- current.(l) :: collected.(l);
+            current.(l) <- Block.create ();
+            rows.(l) <- 0;
+            if out_mat.(l) < per_lane then begin
+              last_out_cycle.((l * per_lane) + out_mat.(l)) <- !cycle;
+              decr pending
+            end;
+            out_mat.(l) <- out_mat.(l) + 1
+          end
         end
-      end
-    done;
+      done;
+    was_up := out_up;
     Sim.step sim;
     incr cycle;
     if !progress then idle := 0 else incr idle
@@ -241,6 +261,25 @@ let transform circuit matrix =
    first protocol violation, in input order, is raised. *)
 let max_transform_lanes = 64
 
+(* Every lane of a chunk starts from reset and sees the same handshake,
+   so [s_valid], [s_last] and [m_ready] are promised uniform to the
+   simulator — as long as the lanes accept and deliver beats together,
+   which holds when [s_ready], [m_valid] and [m_last] are uniform under
+   that promise.  Otherwise the simulator gets no promise.  A lockstep
+   that breaks all the same makes [Sim.set_row] raise. *)
+let lockstep n circuit =
+  let sim =
+    Sim.create ~batch:n
+      ~uniform:[ Stream.s_valid; Stream.s_last; Stream.m_ready ]
+      circuit
+  in
+  if
+    List.for_all
+      (fun p -> Sim.is_uniform sim (Sim.out_port sim p))
+      [ Stream.s_ready; Stream.m_valid; Stream.m_last ]
+  then sim
+  else Sim.create ~batch:n circuit
+
 let transform_batch ?(hook = fun _ _ -> ()) circuit =
   check_wrapped circuit;
   let sims = ref [] in
@@ -250,7 +289,7 @@ let transform_batch ?(hook = fun _ _ -> ()) circuit =
         Sim.reset sim;
         sim
     | None ->
-        let sim = Sim.create ~batch:n circuit in
+        let sim = lockstep n circuit in
         sims := (n, sim) :: !sims;
         sim
   in

@@ -19,7 +19,14 @@
     per run, and each cycle moves every port's lanes in one
     {!Hw.Sim.set_row} or {!Hw.Sim.get_row} call (11 input rows, 3
     handshake rows, and the 8 [m_data] rows only when some lane has
-    [m_valid] up), so a cycle does no name lookup and no allocation. *)
+    [m_valid] up), so a cycle does no name lookup and no allocation.
+
+    A quiet cycle is one with no lane driving a beat or waiting out an
+    input gap, and no lane with [m_valid] or [m_last] up on this cycle or
+    the one before.  It can change no lane's testbench or monitor state,
+    so the testbench visits no lane then, and once the 10 [s_valid],
+    [s_last] and [s_data] rows hold the zeros of an idle input it stops
+    storing them. *)
 
 type result = {
   outputs : Block.t list;
@@ -85,6 +92,16 @@ val transform_batch :
     the circuit once and call the closure many times to build each
     instance once.  The closure is stateful: do not share it across
     domains.  [hook] fires as in {!run}, once per chunk.
+
+    Every lane of a chunk starts from reset and sees the same handshake,
+    so the simulator is promised ({!Hw.Sim.create} [~uniform]) that
+    [s_valid], [s_last] and [m_ready] have one value in every lane — but
+    only when, under that promise, it reports [s_ready], [m_valid] and
+    [m_last] lane-uniform too (the lanes then accept and deliver beats
+    together).  A circuit whose handshake depends on the data gets a
+    simulator with no promise.  Were the lanes to fall out of step
+    anyway, {!Hw.Sim.set_row} would raise [Invalid_argument] rather than
+    simulate wrong values.
 
     Every lane's protocol {!Monitor} verdict is checked: a call raises
     {!Protocol_violation} with the first violation of the lowest lane

@@ -133,7 +133,7 @@ let select_row regs sel r_of_i =
 (* Initial design: direct translation of the C program                 *)
 (* ------------------------------------------------------------------ *)
 
-let initial_design =
+let initial_design () =
   let bld = builder "bsv_idct_initial" in
   let s_valid, s_data, m_ready = declare_stream_inputs bld in
   let matrix name w =
@@ -215,7 +215,7 @@ let initial_design =
 (* Optimized design: macro-pipeline with produced/consumed counters    *)
 (* ------------------------------------------------------------------ *)
 
-let optimized_design =
+let optimized_design () =
   let bld = builder "bsv_idct_opt" in
   let s_valid, s_data, m_ready = declare_stream_inputs bld in
   let bank_matrix name w =

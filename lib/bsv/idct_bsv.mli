@@ -12,8 +12,10 @@
     phase counter — which reproduces the one-cycle scheduling "bubble" the
     paper reports for BSC (periodicity 9 instead of 8). *)
 
-val initial_design : Lang.modul
-val optimized_design : Lang.modul
+val initial_design : unit -> Lang.modul
+val optimized_design : unit -> Lang.modul
+(** Each call builds the module afresh; a caller that compiles one
+    module several times keeps it. *)
 
 val circuit : ?options:Options.t -> Lang.modul -> Hw.Netlist.t
 (** Compile to a netlist with AXI-Stream ports. *)

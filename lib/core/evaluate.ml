@@ -141,7 +141,9 @@ let comply_design ~blocks ~(spec : Flow.spec) check (d : Design.t) =
              procedure needs the batched AXI-Stream path). *)
           let mats = spec.Flow.stimulus blocks in
           let got =
-            Faultinject.poison_blocks ~design:key (p.Design.simulate mats)
+            Trace.with_span ~design:(Flow.span_design spec d)
+              ~stage:"testbench" (fun () -> p.Design.simulate mats)
+            |> Faultinject.poison_blocks ~design:key
           in
           List.for_all2 Axis.Block.equal got (List.map spec.Flow.reference mats))
 

@@ -182,18 +182,26 @@ let bsv =
     counted (glue Listings.bsv_shared Listings.bsv_optimized)
   in
   let shared_loc = Loc.count Listings.bsv_shared in
+  (* The rule modules are built on first use, once per process, and
+     shared by every point compiled from them. *)
+  let initial_m = Once.make "BSC/initial module" Bsv.Idct_bsv.initial_design
+  and optimized_m =
+    Once.make "BSC/optimized module" Bsv.Idct_bsv.optimized_design
+  in
   let design label config_desc listing modul options =
     mk_shared Bsv label config_desc ~shared_loc listing
-      (Stream (cell Bsv label (fun () -> Bsv.Idct_bsv.circuit ~options modul)))
+      (Stream
+         (cell Bsv label (fun () ->
+              Bsv.Idct_bsv.circuit ~options (Once.force modul))))
   in
   let initial =
     design "initial" "BSC defaults"
       (counted (glue Listings.bsv_shared Listings.bsv_initial))
-      Bsv.Idct_bsv.initial_design Bsv.Options.default
+      initial_m Bsv.Options.default
   in
   let optimized =
-    design "optimized" "BSC defaults" listing_optimized
-      Bsv.Idct_bsv.optimized_design Bsv.Options.default
+    design "optimized" "BSC defaults" listing_optimized optimized_m
+      Bsv.Options.default
   in
   (* 26 synthesized circuits: the two designs under the default
      configuration, then the 24-option grid on the optimized design (the
@@ -205,8 +213,7 @@ let bsv =
          (fun o ->
            design
              ("optimized/" ^ Bsv.Options.describe o)
-             (Bsv.Options.describe o) listing_optimized
-             Bsv.Idct_bsv.optimized_design o)
+             (Bsv.Options.describe o) listing_optimized optimized_m o)
          Bsv.Options.all)
     ~space:
       [
@@ -312,12 +319,20 @@ let bambu =
 (* The pragma ladder is a hand-picked path through the pragma space, not
    a product grid — one enumerated axis. *)
 let vhls =
+  (* One listing per ladder rung; the initial and optimized points are
+     rungs too. *)
+  let listings =
+    List.map
+      (fun c ->
+        ( c,
+          counted
+            (Chls.Cprint.emit ~pragmas:[ ("idct", Chls.Tool.vhls_pragmas c) ]
+               Chls.Idct_c.program) ))
+      Chls.Tool.vhls_ladder
+  in
   let design label c =
-    let listing =
-      Chls.Cprint.emit ~pragmas:[ ("idct", Chls.Tool.vhls_pragmas c) ]
-        Chls.Idct_c.program
-    in
-    mk Vivado_hls label (Chls.Tool.describe_vhls c) ~fu:(Loc.count listing)
+    let listing, loc = List.assoc c listings in
+    mk Vivado_hls label (Chls.Tool.describe_vhls c) ~fu:loc
       ~axi:0 (* the INTERFACE pragma generates the adapter *)
       ~conf:0 ~listing
       (Stream (cell Vivado_hls label (fun () -> Chls.Tool.vhls_circuit c)))

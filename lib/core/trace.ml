@@ -439,18 +439,20 @@ let tool_of design =
   | Some _, Some i -> String.sub first (i + 1) (String.length first - i - 1)
   | _ -> first
 
+(* The traced wall interval, first start to last end. *)
+let traced_wall spans =
+  List.fold_left (fun a sp -> Float.max a (sp.start_s +. sp.dur_s))
+    neg_infinity spans
+  -. List.fold_left (fun a sp -> Float.min a sp.start_s) infinity spans
+
 let render_stats ?(by_tool = false) path =
   let spans = load_json path in
   let rows = summarize (fun sp -> (sp.stage, "")) spans in
   let buf = Buffer.create 2048 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* Shares are of the traced wall interval, first start to last end, so
-     a stage busy on several domains at once can exceed 100%. *)
-  let wall =
-    List.fold_left (fun a sp -> Float.max a (sp.start_s +. sp.dur_s))
-      neg_infinity spans
-    -. List.fold_left (fun a sp -> Float.min a sp.start_s) infinity spans
-  in
+  (* Shares are of the traced wall interval, so a stage busy on several
+     domains at once can exceed 100%. *)
+  let wall = traced_wall spans in
   let uniq f = List.sort_uniq compare (List.filter_map f spans) in
   let points =
     uniq (fun sp -> Option.map (fun _ -> sp.design) (kernel_of sp.design))
@@ -530,4 +532,49 @@ let render_stats ?(by_tool = false) path =
         with_counters
     end
   end;
+  Buffer.contents buf
+
+let render_diff before after =
+  let b = load_json before and a = load_json after in
+  let buf = Buffer.create 2048 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pr "stats diff: %s (%d spans, %.3f s traced wall) -> %s (%d spans, %.3f s \
+      traced wall)\n"
+    before (List.length b) (traced_wall b) after (List.length a)
+    (traced_wall a);
+  (* One row per key in either trace, with its self time on each side
+     (0 where it is missing), larger side first. *)
+  let table key =
+    let self spans =
+      List.map (fun r -> ((r.sum_stage, r.sum_tool), r.sum_self_s))
+        (summarize key spans)
+    in
+    let sb = self b and sa = self a in
+    let side tbl k = Option.value ~default:0.0 (List.assoc_opt k tbl) in
+    List.sort_uniq compare (List.map fst sb @ List.map fst sa)
+    |> List.map (fun k -> (k, side sb k, side sa k))
+    |> List.stable_sort (fun (_, b1, a1) (_, b2, a2) ->
+           compare (Float.max b2 a2) (Float.max b1 a1))
+  in
+  let row label (_, sb, sa) =
+    pr "%s %10.3f %10.3f %+10.3f %8s\n" label sb sa (sa -. sb)
+      (if sb > 0.0 then Printf.sprintf "%+.1f%%" (100. *. (sa -. sb) /. sb)
+       else "new")
+  in
+  let stages = table (fun sp -> (sp.stage, "")) in
+  let tools = table (fun sp -> (sp.stage, tool_of sp.design)) in
+  let width f =
+    List.fold_left (fun m (k, _, _) -> max m (String.length (f k))) 5 tools
+  in
+  let w = width fst and tw = width snd in
+  pr "%-*s %10s %10s %10s %8s\n" w "stage" "before s" "after s" "delta s"
+    "delta";
+  List.iter (fun (((st, _), _, _) as r) -> row (Printf.sprintf "%-*s" w st) r)
+    stages;
+  pr "%-*s %-*s %10s %10s %10s %8s\n" w "stage" tw "tool" "before s"
+    "after s" "delta s" "delta";
+  List.iter
+    (fun (((st, tool), _, _) as r) ->
+      row (Printf.sprintf "%-*s %-*s" w st tw tool) r)
+    tools;
   Buffer.contents buf

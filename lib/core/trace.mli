@@ -107,3 +107,11 @@ val render_stats : ?by_tool:bool -> string -> string
     design point's tool, or an engine group's name) instead, stages in
     the order of their total time and each stage's tools by self time,
     and no counters. *)
+
+val render_diff : string -> string -> string
+(** [render_diff before after], the [hlsvhc stats --diff] report of two
+    trace files: self time before and after, and its change, per stage
+    and then per stage and tool (grouped as by [~by_tool]).  A key
+    missing from one trace counts 0 there; a row new in [after] reads
+    [new] for the relative change.  Rows come in the order of their
+    larger self time. *)

@@ -30,6 +30,14 @@
    operand on a given cycle (FSM controllers idle, pipelines drain), and
    single-lane design points evaluate about 15% of theirs.
 
+   Lane-uniform slots: under a promise that some inputs have one value
+   in every lane ([create ~uniform]), a slot whose cone reaches only
+   those inputs, constants and registers of such slots is uniform.  Its
+   row or register works on lane 0 alone, and copies a changed value
+   into the other lanes only when some reader reads them ([broadcast]);
+   the marks are the ones a per-lane row sets.  Without a promise every
+   slot is per-lane.
+
    Dead-logic elimination and concat-chain fusion: only nodes in the
    fan-in cone of an output, register input or
    memory write port are scheduled, and fanout-1 concat chains collapse
@@ -61,6 +69,7 @@ type t = {
      fan_row.(fan_start.(x + 1) - 1)].  Row [i]'s destination is slot
      [first_dst + i]. *)
   pend : Bytes.t;
+  uni : Bytes.t;                      (* by resident slot: lane layout *)
   fan_start : int array;
   fan_row : int array;
   first_dst : int;
@@ -76,6 +85,7 @@ type t = {
   reg_d : int array;
   reg_en : int array;                 (* -1 = always enabled *)
   reg_init : int array;
+  reg_fed : Bytes.t;                  (* q read by a register: two-phase *)
   reg_next : int array;               (* scratch, nregs * batch *)
   latched : int array;                (* scratch: the registers latching *)
   (* Memories (word-major: addr * batch + lane) and their write ports. *)
@@ -85,6 +95,7 @@ type t = {
   wp_addr : int array;
   wp_data : int array;
   wp_size : int array;
+  w_on : Bytes.t;                     (* gather scratch: port enabled *)
   w_live : Bytes.t;                   (* gather scratch, nports * batch *)
   w_addr_s : int array;
   w_data_s : int array;
@@ -144,7 +155,15 @@ let live = '\001'
 let root = '\002'
 let absorbed = '\003'
 
-let create ?(batch = 1) c =
+(* A resident slot's lane layout ([uni]): every lane holds its own value,
+   or the node is lane-uniform and only lane 0 is kept, or it is
+   lane-uniform and copied into every lane, for a reader that reads
+   every lane. *)
+let per_lane = '\000'
+let lane0 = '\001'
+let broadcast = '\002'
+
+let create ?(uniform = []) ?(batch = 1) c =
   if batch < 1 then invalid_arg "Sim.create: batch must be >= 1";
   let n = Netlist.num_nodes c and nodes = c.Netlist.nodes in
   let n_mems = Array.length c.Netlist.mems in
@@ -460,13 +479,6 @@ let create ?(batch = 1) c =
   fan_start.(0) <- 0;
   (* Rows write consecutive slots (the slot assignment above). *)
   let first_dst = if n_ins = 0 then 0 else dst.(0) in
-  (* The operand and destination fields address the value array directly:
-     pre-scale the slot numbers by the batch stride so the sweep does no
-     per-instruction multiplies. *)
-  if batch > 1 then
-    List.iter
-      (fun a -> Array.iteri (fun i s -> a.(i) <- s * batch) a)
-      [ dst; a0; a1; a2; cc_uid ];
   let wports =
     Array.to_list c.Netlist.mems
     |> List.concat_map (fun (m : Netlist.mem) ->
@@ -476,6 +488,72 @@ let create ?(batch = 1) c =
     |> Array.of_list
   in
   let nports = Array.length wports in
+  let wp_slots f = Array.map (fun (_, w) -> slot.(f w)) wports in
+  let wp_en = wp_slots (fun w -> w.Netlist.w_enable)
+  and wp_addr = wp_slots (fun w -> w.Netlist.w_addr)
+  and wp_data = wp_slots (fun w -> w.Netlist.w_data) in
+  (* Lane-uniform slots, the greatest fixpoint: every resident slot is
+     uniform but the inputs outside the promise and the memory reads, and
+     whatever reads a per-lane slot, through the fanout table. *)
+  let uni = Bytes.make n_resident per_lane in
+  if uniform <> [] then begin
+    let promised =
+      List.map
+        (fun name ->
+          match List.assoc_opt name c.Netlist.inputs with
+          | Some u -> slot.(u)
+          | None -> Netlist.port_error c `In ~caller:"Sim.create" name)
+        uniform
+    in
+    Bytes.fill uni 0 n_resident lane0;
+    let stack = Array.make n_resident 0 and top = ref 0 in
+    let taint x =
+      if Bytes.get uni x <> per_lane then begin
+        Bytes.set uni x per_lane;
+        stack.(!top) <- x;
+        incr top
+      end
+    in
+    List.iter
+      (fun (_, u) -> if not (List.mem slot.(u) promised) then taint slot.(u))
+      c.Netlist.inputs;
+    for i = 0 to n_ins - 1 do
+      if op.(i) = op_memrd then taint (first_dst + i)
+    done;
+    let reader_slot r = if r < n_ins then first_dst + r else regs.(r - n_ins) in
+    while !top > 0 do
+      decr top;
+      let x = stack.(!top) in
+      for k = fan_start.(x) to fan_start.(x + 1) - 1 do
+        taint (reader_slot fan_row.(k))
+      done
+    done;
+    (* A uniform slot is copied into every lane when something reads every
+       lane: a per-lane row or register, an output or a write port. *)
+    let spread x = if Bytes.get uni x = lane0 then Bytes.set uni x broadcast in
+    for x = 0 to n_resident - 1 do
+      for k = fan_start.(x) to fan_start.(x + 1) - 1 do
+        if Bytes.get uni (reader_slot fan_row.(k)) = per_lane then spread x
+      done
+    done;
+    List.iter (fun (_, u) -> spread slot.(u)) c.Netlist.outputs;
+    List.iter (Array.iter spread) [ wp_en; wp_addr; wp_data ]
+  end;
+  (* A register whose [q] another register reads as [d] or enable latches
+     in two phases; every other one in place. *)
+  let fed = Bytes.make n_resident '\000' in
+  for r = 0 to nregs - 1 do
+    Bytes.set fed reg_d.(r) '\001';
+    if reg_en.(r) >= 0 then Bytes.set fed reg_en.(r) '\001'
+  done;
+  let reg_fed = Bytes.init nregs (fun r -> Bytes.get fed regs.(r)) in
+  (* The operand and destination fields address the value array directly:
+     pre-scale the slot numbers by the batch stride so the sweep does no
+     per-instruction multiplies. *)
+  if batch > 1 then
+    List.iter
+      (fun a -> Array.iteri (fun i s -> a.(i) <- s * batch) a)
+      [ dst; a0; a1; a2; cc_uid ];
   {
     c;
     batch;
@@ -494,6 +572,7 @@ let create ?(batch = 1) c =
     cc_uid;
     cc_shift;
     pend = Bytes.make (n_ins + nregs) '\001';
+    uni;
     fan_start;
     fan_row;
     first_dst;
@@ -506,6 +585,7 @@ let create ?(batch = 1) c =
     reg_d;
     reg_en;
     reg_init;
+    reg_fed;
     reg_next = Array.make (nregs * batch) 0;
     latched = Array.make nregs 0;
     mem_data =
@@ -514,20 +594,12 @@ let create ?(batch = 1) c =
         c.Netlist.mems;
     wp_mem =
       Array.map (fun ((m : Netlist.mem), _) -> m.Netlist.mem_id) wports;
-    wp_en =
-      Array.map
-        (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_enable))
-        wports;
-    wp_addr =
-      Array.map
-        (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_addr))
-        wports;
-    wp_data =
-      Array.map
-        (fun (_, (w : Netlist.write_port)) -> slot.(w.Netlist.w_data))
-        wports;
+    wp_en;
+    wp_addr;
+    wp_data;
     wp_size =
       Array.map (fun ((m : Netlist.mem), _) -> m.Netlist.mem_size) wports;
+    w_on = Bytes.make nports '\000';
     w_live = Bytes.make (nports * batch) '\000';
     w_addr_s = Array.make (nports * batch) 0;
     w_data_s = Array.make (nports * batch) 0;
@@ -563,12 +635,15 @@ let exec t =
   and k1 = t.k1
   and k2 = t.k2
   and k3 = t.k3 in
-  let pend = t.pend and fs = t.fan_start and fr = t.fan_row in
+  let pend = t.pend and fs = t.fan_start and fr = t.fan_row and uni = t.uni in
   let evals = ref 0 in
   for i = 0 to t.n_ins - 1 do
     if Bytes.unsafe_get pend i <> '\000' then begin
       Bytes.unsafe_set pend i '\000';
       incr evals;
+      let s = t.first_dst + i in
+      let u = Bytes.unsafe_get uni s in
+      let nb = if u = per_lane then b else 1 in
       let o = Array.unsafe_get op i in
       let d = Array.unsafe_get dst i in
       let x = Array.unsafe_get a0 i in
@@ -577,19 +652,19 @@ let exec t =
       let df = ref 0 in
       (match o with
       | 0 (* not *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = lnot (Array.unsafe_get v (x + j)) land m in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 1 (* neg *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = -Array.unsafe_get v (x + j) land m in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 2 (* add *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               (Array.unsafe_get v (x + j) + Array.unsafe_get v (y + j)) land m
             in
@@ -597,7 +672,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 3 (* sub *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               (Array.unsafe_get v (x + j) - Array.unsafe_get v (y + j)) land m
             in
@@ -605,7 +680,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 4 (* mul, narrow *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               Array.unsafe_get v (x + j) * Array.unsafe_get v (y + j) land m
             in
@@ -613,7 +688,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 5 (* mul, wide split *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let p = Array.unsafe_get v (x + j)
             and q = Array.unsafe_get v (y + j) in
             let r = (((p land 0xFFFF) * q) + (((p lsr 16) * q) lsl 16)) land m in
@@ -621,26 +696,26 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 6 (* and *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = Array.unsafe_get v (x + j) land Array.unsafe_get v (y + j) in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 7 (* or *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = Array.unsafe_get v (x + j) lor Array.unsafe_get v (y + j) in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 8 (* xor *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = Array.unsafe_get v (x + j) lxor Array.unsafe_get v (y + j) in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 9 (* shl; k1 = result width *) ->
           let rw = Array.unsafe_get k1 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let s = Array.unsafe_get v (y + j) in
             let r =
               if s >= rw then 0 else Array.unsafe_get v (x + j) lsl s land m
@@ -650,7 +725,7 @@ let exec t =
           done
       | 10 (* shr; k1 = operand width *) ->
           let wa = Array.unsafe_get k1 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let s = Array.unsafe_get v (y + j) in
             let r = if s >= wa then 0 else Array.unsafe_get v (x + j) lsr s in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
@@ -660,7 +735,7 @@ let exec t =
           let sign = Array.unsafe_get k1 i
           and adj = Array.unsafe_get k2 i
           and hi = Array.unsafe_get k3 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let p = Array.unsafe_get v (x + j) in
             let p = if p land sign <> 0 then p - adj else p in
             let s = Array.unsafe_get v (y + j) in
@@ -670,7 +745,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 12 (* eq *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               if Array.unsafe_get v (x + j) = Array.unsafe_get v (y + j) then 1
               else 0
@@ -679,7 +754,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 13 (* ne *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               if Array.unsafe_get v (x + j) <> Array.unsafe_get v (y + j) then 1
               else 0
@@ -688,7 +763,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 14 (* lt unsigned *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               if Array.unsafe_get v (x + j) < Array.unsafe_get v (y + j) then 1
               else 0
@@ -697,7 +772,7 @@ let exec t =
             Array.unsafe_set v (d + j) r
           done
       | 15 (* le unsigned *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               if Array.unsafe_get v (x + j) <= Array.unsafe_get v (y + j) then 1
               else 0
@@ -709,7 +784,7 @@ let exec t =
           let ada = Array.unsafe_get k1 i
           and sgb = Array.unsafe_get k2 i
           and adb = Array.unsafe_get k3 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let p = Array.unsafe_get v (x + j)
             and q = Array.unsafe_get v (y + j) in
             let p = if p land m <> 0 then p - ada else p in
@@ -722,7 +797,7 @@ let exec t =
           let ada = Array.unsafe_get k1 i
           and sgb = Array.unsafe_get k2 i
           and adb = Array.unsafe_get k3 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let p = Array.unsafe_get v (x + j)
             and q = Array.unsafe_get v (y + j) in
             let p = if p land m <> 0 then p - ada else p in
@@ -733,7 +808,7 @@ let exec t =
           done
       | 18 (* mux; a0 = sel, a1 = then, a2 = else *) ->
           let z = Array.unsafe_get a2 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               if Array.unsafe_get v (x + j) <> 0 then Array.unsafe_get v (y + j)
               else Array.unsafe_get v (z + j)
@@ -743,14 +818,14 @@ let exec t =
           done
       | 19 (* slice; k1 = lo *) ->
           let lo = Array.unsafe_get k1 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = Array.unsafe_get v (x + j) lsr lo land m in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 20 (* concat, 2 leaves *) ->
           let sa = Array.unsafe_get k1 i and sb = Array.unsafe_get k2 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               Array.unsafe_get v (x + j) lsl sa
               lor Array.unsafe_get v (y + j) lsl sb
@@ -763,7 +838,7 @@ let exec t =
           let sa = Array.unsafe_get k1 i
           and sb = Array.unsafe_get k2 i
           and sc = Array.unsafe_get k3 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r =
               Array.unsafe_get v (x + j) lsl sa
               lor Array.unsafe_get v (y + j) lsl sb
@@ -776,7 +851,7 @@ let exec t =
           let start = Array.unsafe_get k1 i and count = Array.unsafe_get k2 i in
           let base = Array.unsafe_get k3 i in
           let cu = t.cc_uid and cs = t.cc_shift in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = ref base in
             for l = start to start + count - 1 do
               r :=
@@ -788,14 +863,14 @@ let exec t =
             Array.unsafe_set v (d + j) !r
           done
       | 23 (* copy / uext *) ->
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = Array.unsafe_get v (x + j) in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done
       | 24 (* sext; k1 = sign, k2 = adj *) ->
           let sign = Array.unsafe_get k1 i and adj = Array.unsafe_get k2 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let p = Array.unsafe_get v (x + j) in
             let r = (if p land sign <> 0 then p - adj else p) land m in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
@@ -804,7 +879,7 @@ let exec t =
       | 25 (* memrd; k1 = mem id, k2 = size *) ->
           let md = Array.unsafe_get t.mem_data (Array.unsafe_get k1 i) in
           let size = Array.unsafe_get k2 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let a = Array.unsafe_get v (x + j) in
             let r = if a < size then Array.unsafe_get md ((a * b) + j) else 0 in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
@@ -812,13 +887,13 @@ let exec t =
           done
       | _ (* concat, 1 variable leaf; k1 = shift, k3 = base *) ->
           let sh = Array.unsafe_get k1 i and base = Array.unsafe_get k3 i in
-          for j = 0 to b - 1 do
+          for j = 0 to nb - 1 do
             let r = base lor Array.unsafe_get v (x + j) lsl sh in
             df := !df lor (r lxor Array.unsafe_get v (d + j));
             Array.unsafe_set v (d + j) r
           done);
       if !df <> 0 then begin
-        let s = t.first_dst + i in
+        if u = broadcast then Array.fill v (d + 1) (b - 1) (Array.unsafe_get v d);
         for k = Array.unsafe_get fs s to Array.unsafe_get fs (s + 1) - 1 do
           Bytes.unsafe_set pend (Array.unsafe_get fr k) '\001'
         done
@@ -859,11 +934,20 @@ let resolve t dir ~caller name =
 let in_port t name = resolve t `In ~caller:"Sim.in_port" name
 let out_port t name = resolve t `Out ~caller:"Sim.out_port" name
 
+(* A promised input keeps one value in every lane: a write that would
+   make its lanes differ is refused before anything changes. *)
+let refuse t caller p =
+  invalid_arg
+    (Printf.sprintf "%s: the lanes of uniform input %s must not differ" caller
+       (fst (List.find (fun (_, u) -> u = p) t.c.Netlist.inputs)))
+
 let set_port t p ~lane v =
   lane_check t "Sim.set_port" lane;
   let v = v land Bits.mask t.widths.(p) in
   let idx = (t.slot.(p) * t.batch) + lane in
   if t.vals.(idx) <> v then begin
+    if t.batch > 1 && Bytes.get t.uni t.slot.(p) <> per_lane then
+      refuse t "Sim.set_port" p;
     t.vals.(idx) <- v;
     mark t t.slot.(p);
     t.dirty <- true
@@ -886,6 +970,10 @@ let row_check t caller row =
 let set_row t p row =
   row_check t "Sim.set_row" row;
   let m = Bits.mask t.widths.(p) and base = t.slot.(p) * t.batch and vals = t.vals in
+  if Bytes.get t.uni t.slot.(p) <> per_lane then
+    for l = 1 to t.batch - 1 do
+      if (row.(l) lxor row.(0)) land m <> 0 then refuse t "Sim.set_row" p
+    done;
   let changed = ref false in
   for l = 0 to t.batch - 1 do
     let v = Array.unsafe_get row l land m in
@@ -904,6 +992,8 @@ let get_row t p row =
   settle t;
   Array.blit t.vals (t.slot.(p) * t.batch) row 0 t.batch
 
+let is_uniform t p = Bytes.get t.uni t.slot.(p) <> per_lane
+
 let signed_of t uid v =
   let w = t.widths.(uid) in
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
@@ -918,85 +1008,126 @@ let get_signed ?(lane = 0) t name =
   let p = resolve t `Out ~caller:"Sim.get_signed" name in
   signed_of t p (get_port t p ~lane)
 
+(* A uniform register's or row's new value reaches every lane it is kept
+   in, and its readers. *)
+let publish t s =
+  if Bytes.unsafe_get t.uni s = broadcast then
+    Array.fill t.vals ((s * t.batch) + 1) (t.batch - 1) t.vals.(s * t.batch);
+  mark t s
+
+(* Whether the enable in slot [s] is 0 in every lane (lane 0 of a uniform
+   one): a write port or register it enables does nothing on this edge. *)
+let off t s =
+  let base = s * t.batch
+  and n = if Bytes.unsafe_get t.uni s = per_lane then t.batch else 1 in
+  let j = ref 0 in
+  while !j < n && Array.unsafe_get t.vals (base + !j) = 0 do
+    incr j
+  done;
+  !j = n
+
 let step t =
   settle t;
-  let v = t.vals and b = t.batch in
+  let v = t.vals and b = t.batch and uni = t.uni in
   (* Gather enabled memory writes first: their enable/address/data read the
-     settled pre-edge values, which the register latch below clobbers. *)
+     settled pre-edge values, which the register latch below clobbers.  A
+     port that is [off] gathers nothing and applies nothing. *)
   let nw = Array.length t.wp_mem in
   for i = 0 to nw - 1 do
     let en = t.wp_en.(i) * b
     and ad = t.wp_addr.(i) * b
     and da = t.wp_data.(i) * b
     and size = t.wp_size.(i) in
-    for j = 0 to b - 1 do
-      let idx = (i * b) + j in
-      if Array.unsafe_get v (en + j) <> 0 then begin
-        let a = Array.unsafe_get v (ad + j) in
-        if a < size then begin
-          Bytes.unsafe_set t.w_live idx '\001';
-          t.w_addr_s.(idx) <- a;
-          t.w_data_s.(idx) <- Array.unsafe_get v (da + j)
+    let on = not (off t t.wp_en.(i)) in
+    Bytes.unsafe_set t.w_on i (if on then '\001' else '\000');
+    if on then
+      for j = 0 to b - 1 do
+        let idx = (i * b) + j in
+        if Array.unsafe_get v (en + j) <> 0 then begin
+          let a = Array.unsafe_get v (ad + j) in
+          if a < size then begin
+            Bytes.unsafe_set t.w_live idx '\001';
+            t.w_addr_s.(idx) <- a;
+            t.w_data_s.(idx) <- Array.unsafe_get v (da + j)
+          end
+          else Bytes.unsafe_set t.w_live idx '\000'
         end
         else Bytes.unsafe_set t.w_live idx '\000'
-      end
-      else Bytes.unsafe_set t.w_live idx '\000'
-    done
+      done
   done;
-  (* The latch is two-phase (every [reg_next] from pre-edge values, then
-     every [q]), and only marked registers latch: [q' = en ? d : q] is
-     idempotent until [d] or [enable] changes. *)
+  (* Only marked registers latch: [q' = en ? d : q] is idempotent until
+     [d] or [enable] changes, and a no-op while the enable is [off].  A
+     register that no register reads latches in place; one that feeds a
+     register computes [reg_next] from the pre-edge values first and
+     stores it after every register has read.  A uniform register works
+     on lane 0 only. *)
   let pend = t.pend and hot = t.latched and nhot = ref 0 in
+  let rn = t.reg_next in
   for i = 0 to Array.length t.regs - 1 do
     if Bytes.unsafe_get pend (t.n_ins + i) <> '\000' then begin
       Bytes.unsafe_set pend (t.n_ins + i) '\000';
-      Array.unsafe_set hot !nhot i;
-      incr nhot;
-      let d = Array.unsafe_get t.reg_d i * b
-      and es = Array.unsafe_get t.reg_en i
-      and nx = i * b in
-      if es < 0 then
-        for j = 0 to b - 1 do
-          Array.unsafe_set t.reg_next (nx + j) (Array.unsafe_get v (d + j))
-        done
-      else begin
-        let q = Array.unsafe_get t.regs i * b and en = es * b in
-        for j = 0 to b - 1 do
-          Array.unsafe_set t.reg_next (nx + j)
-            (Array.unsafe_get v
-               (if Array.unsafe_get v (en + j) <> 0 then d + j else q + j))
-        done
+      let es = Array.unsafe_get t.reg_en i in
+      if es < 0 || not (off t es) then begin
+        let qs = Array.unsafe_get t.regs i in
+        let nb = if Bytes.unsafe_get uni qs = per_lane then b else 1 in
+        let d = Array.unsafe_get t.reg_d i * b and q = qs * b and en = es * b in
+        if Bytes.unsafe_get t.reg_fed i <> '\000' then begin
+          Array.unsafe_set hot !nhot i;
+          incr nhot;
+          for j = 0 to nb - 1 do
+            Array.unsafe_set rn ((i * b) + j)
+              (Array.unsafe_get v
+                 (if es < 0 || Array.unsafe_get v (en + j) <> 0 then d + j
+                  else q + j))
+          done
+        end
+        else begin
+          let df = ref 0 in
+          for j = 0 to nb - 1 do
+            let r =
+              Array.unsafe_get v
+                (if es < 0 || Array.unsafe_get v (en + j) <> 0 then d + j
+                 else q + j)
+            in
+            df := !df lor (r lxor Array.unsafe_get v (q + j));
+            Array.unsafe_set v (q + j) r
+          done;
+          if !df <> 0 then publish t qs
+        end
       end
     end
   done;
   for k = 0 to !nhot - 1 do
     let i = Array.unsafe_get hot k in
     let qs = Array.unsafe_get t.regs i in
+    let nb = if Bytes.unsafe_get uni qs = per_lane then b else 1 in
     let q = qs * b and nx = i * b in
     let df = ref 0 in
-    for j = 0 to b - 1 do
-      let r = Array.unsafe_get t.reg_next (nx + j) in
+    for j = 0 to nb - 1 do
+      let r = Array.unsafe_get rn (nx + j) in
       df := !df lor (r lxor Array.unsafe_get v (q + j));
       Array.unsafe_set v (q + j) r
     done;
-    if !df <> 0 then mark t qs
+    if !df <> 0 then publish t qs
   done;
   (* Apply the writes in declared port order: on an address conflict the
      later-declared port wins — per lane.  A port that wrote in any lane
      marks its memory's readers, whether or not the word changed. *)
   let n = Array.length t.slot in
   for i = 0 to nw - 1 do
-    let mi = t.wp_mem.(i) in
-    let md = t.mem_data.(mi) in
-    let wrote = ref false in
-    for j = 0 to b - 1 do
-      let idx = (i * b) + j in
-      if Bytes.unsafe_get t.w_live idx <> '\000' then begin
-        md.((t.w_addr_s.(idx) * b) + j) <- t.w_data_s.(idx);
-        wrote := true
-      end
-    done;
-    if !wrote then mark t (n + mi)
+    if Bytes.unsafe_get t.w_on i <> '\000' then begin
+      let mi = t.wp_mem.(i) in
+      let md = t.mem_data.(mi) in
+      let wrote = ref false in
+      for j = 0 to b - 1 do
+        let idx = (i * b) + j in
+        if Bytes.unsafe_get t.w_live idx <> '\000' then begin
+          md.((t.w_addr_s.(idx) * b) + j) <- t.w_data_s.(idx);
+          wrote := true
+        end
+      done;
+      if !wrote then mark t (n + mi)
+    end
   done;
   t.dirty <- true;
   t.cycles <- t.cycles + 1
@@ -1033,9 +1164,15 @@ let reset t =
    among them) are already settled by the caller. *)
 let resident t u = t.slot.(u) < t.n_resident
 
+(* A settled resident node's value in [lane]: lane 0 of a uniform node
+   kept only there. *)
+let value t u lane =
+  let s = t.slot.(u) in
+  t.vals.((s * t.batch) + if Bytes.get t.uni s = lane0 then 0 else lane)
+
 let rec force t memo lane u =
   let b = t.batch in
-  if resident t u then t.vals.((t.slot.(u) * b) + lane)
+  if resident t u then value t u lane
   else
     match Hashtbl.find_opt memo u with
     | Some v -> v
@@ -1090,7 +1227,7 @@ let rec force t memo lane u =
 let peek ?(lane = 0) t uid =
   lane_check t "Sim.peek" lane;
   settle t;
-  if resident t uid then t.vals.((t.slot.(uid) * t.batch) + lane)
+  if resident t uid then value t uid lane
   else force t (Hashtbl.create 16) lane uid
 
 let peek_all ?(lane = 0) t =
@@ -1098,8 +1235,7 @@ let peek_all ?(lane = 0) t =
   settle t;
   let memo = Hashtbl.create 64 in
   Array.init (Netlist.num_nodes t.c) (fun u ->
-      if resident t u then t.vals.((t.slot.(u) * t.batch) + lane)
-      else force t memo lane u)
+      if resident t u then value t u lane else force t memo lane u)
 
 let peek_signed ?(lane = 0) t uid = signed_of t uid (peek ~lane t uid)
 

@@ -33,6 +33,26 @@
     one byte per row.  This holds at every lane count, single-lane
     included.
 
+    Lanes work apart only where they differ.  [create ~uniform] takes
+    the input ports the caller promises to drive with one value in every
+    lane, and computes the lane-uniform nodes as a greatest fixpoint: a
+    combinational node is uniform when all its operands are, a register
+    when its [d] and enable are, and a memory read never is.  A uniform
+    row or register computes and compares lane 0 only.  When its value
+    changes it is copied into every lane, but only if some reader needs
+    every lane (a per-lane row or register, an output port or a write
+    port); otherwise only lane 0 is kept, and {!peek}/{!peek_all} read
+    lane 0 of it for any lane.  {!evaluations} still counts rows, so it
+    reads the same with or without a promise.  A promised port refuses a
+    write that would make its lanes differ.
+
+    On the clock edge, a register that no register reads (as [d] or
+    enable) latches in one in-place pass; only the registers that feed a
+    register compute their next value before any is stored.  A memory
+    write port or a register whose enable is 0 in every lane does
+    nothing: the port gathers and applies no write, the register does
+    not latch.
+
     Dead nodes are eliminated and concat chains fused; {!peek} of an
     eliminated node evaluates it on demand.
     {!Equiv.crosscheck} checks this engine, lane by lane, against the
@@ -40,11 +60,15 @@
 
 type t
 
-val create : ?batch:int -> Netlist.t -> t
+val create : ?uniform:string list -> ?batch:int -> Netlist.t -> t
 (** Levelizes the evaluation schedule.  The circuit must already be
     valid.  [batch] (default 1) is the number of independent simulation
-    lanes; it is fixed for the lifetime of the instance.
-    @raise Invalid_argument if [batch < 1]. *)
+    lanes; it is fixed for the lifetime of the instance.  [uniform]
+    (default none) names the input ports the caller promises to drive
+    with one value in every lane; {!is_uniform} tells which ports are
+    lane-uniform under that promise.
+    @raise Invalid_argument if [batch < 1] or a name in [uniform] is not
+    an input port. *)
 
 val circuit : t -> Netlist.t
 
@@ -79,7 +103,10 @@ val set_port : t -> port -> lane:int -> int -> unit
 (** [set_port sim p ~lane v] drives input [p] of lane [lane] with [v]
     (masked to the port width; negative values are taken as two's
     complement).
-    @raise Invalid_argument on an out-of-range lane. *)
+    @raise Invalid_argument on an out-of-range lane, or when [p] is a
+    promised uniform input of a multi-lane instance and [v] differs from
+    its other lanes (["Sim.set_port: the lanes of uniform input NAME must
+    not differ"]). *)
 
 val get_port : t -> port -> lane:int -> int
 (** Unsigned value of output [p] in lane [lane], after settling the
@@ -90,12 +117,19 @@ val set_row : t -> port -> int array -> unit
 (** [set_row sim p row] is [set_port sim p ~lane:l row.(l)] for every
     lane [l], in one call: lane values are stored contiguously, so the
     row costs one masked compare-and-store loop.
-    @raise Invalid_argument unless [Array.length row = batch sim]. *)
+    @raise Invalid_argument unless [Array.length row = batch sim], or
+    when [p] is a promised uniform input and the lanes of [row] differ
+    (["Sim.set_row: the lanes of uniform input NAME must not differ"]);
+    nothing is stored then. *)
 
 val get_row : t -> port -> int array -> unit
 (** [get_row sim p row] stores [get_port sim p ~lane:l] in [row.(l)] for
     every lane [l]: one settle, one blit.
     @raise Invalid_argument unless [Array.length row = batch sim]. *)
+
+val is_uniform : t -> port -> bool
+(** Whether the port's node has one value in every lane under the
+    promise given to {!create} (never, without one). *)
 
 val set : ?lane:int -> t -> string -> int -> unit
 (** [set ~lane sim port v] is {!set_port} on [in_port sim port], lane
@@ -136,11 +170,12 @@ val cycle_count : t -> int
 (** Number of {!step}s since creation or the last {!reset}. *)
 
 val evaluations : t -> int
-(** Number of instruction-table rows evaluated (each over every lane)
-    since creation or the last {!reset}: only the rows that ran, those
-    with an operand that changed, so [evaluations / (cycle_count *
-    compiled_nodes)] is the activity factor of the stimulus, at any lane
-    count. *)
+(** Number of instruction-table rows evaluated (each over every lane,
+    or lane 0 of a uniform row) since creation or the last {!reset}: only
+    the rows that ran, those with an operand that changed, so
+    [evaluations / (cycle_count * compiled_nodes)] is the activity factor
+    of the stimulus, at any lane count, with or without a [uniform]
+    promise. *)
 
 val mem_word : ?lane:int -> t -> Netlist.mem_id -> int -> int
 (** Current contents of one memory word in lane [lane] (for state

@@ -373,6 +373,104 @@ let test_run_no_matrices () =
   check int "transform_batch [] is []" 0
     (List.length (Axis.Driver.transform_batch c []))
 
+(* A one-beat buffer that holds each beat for a time read off its data
+   (the low two bits of [s_data0]), so [m_valid] and [s_ready] depend on
+   [s_data] and lanes fed different matrices fall out of step.  The
+   driver must see that and give the simulator no uniform promise (with
+   one, the lanes' [s_valid] rows would differ and [Sim.set_row] would
+   raise); [transform_batch] still equals per-matrix [transform]. *)
+let dawdler () =
+  let open Hw in
+  let b = Builder.create "dawdler" in
+  let p = Axis.Stream.declare_inputs b in
+  let have = Builder.reg b ~width:1 "have" in
+  let wait = Builder.reg b ~width:2 "wait" in
+  let s_ready = Builder.not_ b have in
+  let accept = Builder.and_ b p.Axis.Stream.s_valid s_ready in
+  let idle = Builder.eq b wait (Builder.zero b 2) in
+  let m_valid = Builder.and_ b have idle in
+  let fire = Builder.and_ b m_valid p.Axis.Stream.m_ready in
+  Builder.connect b have
+    (Builder.mux b accept (Builder.one b 1)
+       (Builder.mux b fire (Builder.zero b 1) have));
+  Builder.connect b wait
+    (Builder.mux b accept
+       (Builder.slice b p.Axis.Stream.s_data.(0) ~hi:1 ~lo:0)
+       (Builder.mux b idle wait (Builder.sub b wait (Builder.one b 2))));
+  let held name s width =
+    let r = Builder.reg b ~enable:accept ~width name in
+    Builder.connect b r (Builder.slice b s ~hi:(width - 1) ~lo:0);
+    r
+  in
+  let last = held "last" p.Axis.Stream.s_last 1 in
+  Axis.Stream.expose_outputs b ~s_ready ~m_valid
+    ~m_last:(Builder.and_ b m_valid last)
+    ~m_data:
+      (Array.mapi
+         (fun k s -> held (Printf.sprintf "data%d" k) s Axis.Stream.out_width)
+         p.Axis.Stream.s_data);
+  Builder.finalize b
+
+let test_transform_batch_without_promise () =
+  let c = dawdler () in
+  let sim =
+    Hw.Sim.create ~batch:4
+      ~uniform:Axis.Stream.[ s_valid; s_last; m_ready ]
+      c
+  in
+  List.iter
+    (fun p ->
+      check bool (p ^ " is not uniform") false
+        (Hw.Sim.is_uniform sim (Hw.Sim.out_port sim p)))
+    Axis.Stream.[ s_ready; m_valid ];
+  let inputs = mats 70 in
+  let want = List.map (Axis.Driver.transform c) inputs in
+  check bool "lanes fall out of step" true
+    (List.exists (fun m -> Axis.Block.get m ~row:0 ~col:0 land 3 <> 0) inputs
+    && List.exists (fun m -> Axis.Block.get m ~row:0 ~col:0 land 3 = 0) inputs);
+  check bool "transform_batch matches" true
+    (List.for_all2 Axis.Block.equal (Axis.Driver.transform_batch c inputs) want)
+
+(* The driver skips the lanes on a quiet cycle, one with no input left
+   to drive and no [m_valid] or [m_last] up on it or the cycle before.
+   A master that raises [m_valid] for one stalled cycle after the input
+   is consumed, and drops it, must still be reported on the cycle after;
+   then it sends one well-framed matrix of the number of beats it
+   accepted, which must be the eight driven: once driven, the input rows
+   stay low. *)
+let test_quiet_cycle_after_stall () =
+  let open Hw in
+  let b = Builder.create "flicker" in
+  let p = Axis.Stream.declare_inputs b in
+  let beats = Builder.reg b ~enable:p.Axis.Stream.s_valid ~width:9 "beats" in
+  Builder.connect b beats (Builder.add b beats (Builder.one b 9));
+  let count = Builder.reg b ~width:6 "count" in
+  Builder.connect b count (Builder.add b count (Builder.one b 6));
+  let at n = Builder.eq b count (Builder.const b ~width:6 n) in
+  let framing =
+    Builder.and_ b
+      (Builder.ge b ~signed:false count (Builder.const b ~width:6 30))
+      (Builder.lt b ~signed:false count (Builder.const b ~width:6 38))
+  in
+  Axis.Stream.expose_outputs b ~s_ready:(Builder.one b 1)
+    ~m_valid:(Builder.or_ b (at 20) framing) ~m_last:(at 37)
+    ~m_data:(Array.make 8 beats);
+  let r =
+    Axis.Driver.run ~ready_pattern:(fun c -> c <> 20) (Builder.finalize b)
+      (mats 1)
+  in
+  check bool "eight beats accepted" true
+    (List.for_all
+       (fun m -> Axis.Block.get m ~row:7 ~col:7 = 8)
+       r.Axis.Driver.outputs);
+  check
+    (Alcotest.list Alcotest.string)
+    "the dropped beat"
+    [ "cycle 21: m_valid deasserted while a beat was stalled" ]
+    (List.map
+       (Format.asprintf "%a" Axis.Monitor.pp_violation)
+       r.Axis.Driver.violations)
+
 let () =
   Alcotest.run "axis"
     [
@@ -400,5 +498,9 @@ let () =
           Alcotest.test_case "transform_batch across chunks" `Quick
             test_transform_batch_chunks;
           Alcotest.test_case "run on no matrices" `Quick test_run_no_matrices;
+          Alcotest.test_case "data-dependent handshake gets no promise" `Quick
+            test_transform_batch_without_promise;
+          Alcotest.test_case "a quiet cycle after a stall reaches the monitor"
+            `Quick test_quiet_cycle_after_stall;
         ] );
     ]

@@ -826,6 +826,161 @@ let test_rewritten_word_reruns_readers () =
       check int "word kept" 77 (Sim.get sim "q"))
     [ 1; 2 ]
 
+(* [Sim.create ~uniform] against an instance with no promise: every
+   stream design of every kernel (initial and optimized) at 64 lanes,
+   the promised ports driven with one random value in every lane and
+   every other input with its own random value per lane, with a reset
+   halfway.  Every design's handshake outputs come out uniform under
+   the promise, as [Driver.transform_batch] needs.  Outputs must agree in every lane on every cycle, the rows
+   evaluated too (a uniform row marks what it marked before), and at the
+   end every node ([peek_all]) and every memory word in every lane. *)
+let test_uniform_lanes () =
+  let lanes = 64 and cycles = 120 in
+  let promise = Axis.Stream.[ s_valid; s_last; m_ready ] in
+  let stream (d : Core.Design.t) =
+    match d.Core.Design.impl with
+    | Core.Design.Stream cell -> [ Core.Design.force cell ]
+    | Core.Design.Pcie _ -> []
+  in
+  let circuits =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun tool ->
+            let i = Core.Kernel.initial k tool
+            and o = Core.Kernel.optimized k tool in
+            stream i @ if o == i then [] else stream o)
+          (Core.Kernel.tools k))
+      Core.Kernel.all
+  in
+  check bool "IDCT, fir8 and matmul8 designs" true (List.length circuits >= 18);
+  List.iter
+    (fun c ->
+      let name = c.Netlist.circuit_name in
+      let uni = Sim.create ~uniform:promise ~batch:lanes c
+      and plain = Sim.create ~batch:lanes c in
+      List.iter
+        (fun p ->
+          check bool (name ^ ": " ^ p ^ " uniform") true
+            (Sim.is_uniform uni (Sim.out_port uni p)))
+        Axis.Stream.[ s_ready; m_valid; m_last ];
+      let rng = Random.State.make [| 0x0417 |] in
+      let row = Array.make lanes 0 and got = Array.make lanes 0 in
+      for cycle = 0 to cycles - 1 do
+        if cycle = cycles / 2 then begin
+          Sim.reset uni;
+          Sim.reset plain
+        end;
+        List.iter
+          (fun (nm, _) ->
+            if List.mem nm promise then
+              Array.fill row 0 lanes (min 1 (Random.State.int rng 4))
+            else
+              for l = 0 to lanes - 1 do
+                row.(l) <- Random.State.bits rng
+              done;
+            Sim.set_row uni (Sim.in_port uni nm) row;
+            Sim.set_row plain (Sim.in_port plain nm) row)
+          c.Netlist.inputs;
+        List.iter
+          (fun (nm, _) ->
+            Sim.get_row plain (Sim.out_port plain nm) row;
+            Sim.get_row uni (Sim.out_port uni nm) got;
+            if row <> got then
+              Alcotest.failf "%s: output %s differs on cycle %d" name nm cycle)
+          c.Netlist.outputs;
+        Sim.step uni;
+        Sim.step plain
+      done;
+      check int (name ^ ": rows evaluated") (Sim.evaluations plain)
+        (Sim.evaluations uni);
+      for l = 0 to lanes - 1 do
+        if Sim.peek_all ~lane:l plain <> Sim.peek_all ~lane:l uni then
+          Alcotest.failf "%s: a node differs in lane %d" name l;
+        Array.iter
+          (fun (m : Netlist.mem) ->
+            for a = 0 to m.Netlist.mem_size - 1 do
+              if
+                Sim.mem_word ~lane:l plain m.Netlist.mem_id a
+                <> Sim.mem_word ~lane:l uni m.Netlist.mem_id a
+              then
+                Alcotest.failf "%s: memory %d word %d differs in lane %d" name
+                  m.Netlist.mem_id a l
+            done)
+          c.Netlist.mems
+      done)
+    circuits
+
+(* A promised input keeps one value in every lane: a row whose lanes
+   differ, or one lane set apart from the others, is refused with a fixed
+   message and stores nothing. *)
+let test_uniform_refuses () =
+  let b = Builder.create "uni" in
+  let u = Builder.input b "u" 4 and x = Builder.input b "x" 4 in
+  Builder.output b "o" (Builder.add b u x);
+  let c = Builder.finalize b in
+  let sim = Sim.create ~uniform:[ "u" ] ~batch:3 c in
+  let u = Sim.in_port sim "u" and o = Sim.out_port sim "o" in
+  Sim.set_row sim u [| 5; 5; 5 |];
+  check bool "u is uniform" true (Sim.is_uniform sim u);
+  check bool "o reads x, which is not" false (Sim.is_uniform sim o);
+  Alcotest.check_raises "set_row"
+    (Invalid_argument "Sim.set_row: the lanes of uniform input u must not differ")
+    (fun () -> Sim.set_row sim u [| 5; 6; 5 |]);
+  Alcotest.check_raises "set_port"
+    (Invalid_argument
+       "Sim.set_port: the lanes of uniform input u must not differ")
+    (fun () -> Sim.set_port sim u ~lane:1 7);
+  Sim.set_port sim u ~lane:2 5;
+  Sim.set_row sim u [| 0x15; 0x25; 5 |];
+  for l = 0 to 2 do
+    check int (Printf.sprintf "lane %d kept 5" l) 5 (Sim.get_port sim o ~lane:l)
+  done;
+  Alcotest.check_raises "an unknown name"
+    (Invalid_argument
+       "Sim.create: no input port v (circuit uni has: u, x)")
+    (fun () -> ignore (Sim.create ~uniform:[ "v" ] c))
+
+(* The clock edge latches a register that no register reads in place,
+   and one that feeds a register in two phases.  Each register-to-register
+   edge shape — a chain, a swapped pair, an enable that is another
+   register's [q], a write port fed by registers — must still see the
+   pre-edge values, against the interpreter, at 1 and 4 lanes. *)
+let test_latch_phases () =
+  let b = Builder.create "latch" in
+  let x = Builder.input b "x" 8 in
+  let reg ?enable ?init name = Builder.reg b ?enable ?init ~width:8 name in
+  let r1 = reg "r1" in
+  let r2 = reg "r2" and r3 = reg "r3" in
+  Builder.connect b r1 x;
+  Builder.connect b r2 r1;
+  Builder.connect b r3 r2;
+  let a = reg ~init:1 "a" and a' = reg ~init:2 "a'" in
+  Builder.connect b a a';
+  Builder.connect b a' a;
+  let t = Builder.reg b ~width:1 "t" in
+  Builder.connect b t (Builder.not_ b t);
+  let e = reg ~enable:t "e" in
+  Builder.connect b e r3;
+  let f = Builder.reg b ~enable:(Builder.bit b r1 0) ~width:8 "f" in
+  Builder.connect b f (Builder.add b f a);
+  let m = Builder.mem b "m" ~size:4 ~width:8 in
+  Builder.mem_write b m ~enable:t ~addr:(Builder.slice b r1 ~hi:1 ~lo:0)
+    ~data:r2;
+  List.iter
+    (fun (nm, s) -> Builder.output b nm s)
+    [
+      ("r3", r3); ("a", a); ("e", e); ("f", f);
+      ("m", Builder.mem_read b m (Builder.slice b x ~hi:1 ~lo:0));
+    ];
+  let c = Builder.finalize b in
+  List.iter
+    (fun lanes ->
+      match Equiv.crosscheck ~cycles:200 ~lanes c with
+      | Equiv.Equivalent -> ()
+      | r -> Alcotest.failf "%d lanes: %a" lanes Equiv.pp_result r)
+    [ 1; 4 ]
+
 let engine_crosscheck_prop =
   crosscheck_prop ~name:"interpreter == levelized" ~count:15 ~cycles:1000 1
 
@@ -878,6 +1033,13 @@ let () =
                test_unchanged_input_runs_nothing;
              Alcotest.test_case "a rewritten word re-runs its readers" `Quick
                test_rewritten_word_reruns_readers;
+             Alcotest.test_case "uniform lanes equal undeclared lanes" `Quick
+               test_uniform_lanes;
+             Alcotest.test_case "a uniform port refuses differing lanes" `Quick
+               test_uniform_refuses;
+             Alcotest.test_case
+               "one-pass latch keeps register-to-register edges two-phase"
+               `Quick test_latch_phases;
            ] );
       ( "device",
         [
