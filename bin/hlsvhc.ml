@@ -1017,10 +1017,20 @@ let stats_cmd =
              and after, and its change, per stage and then per stage and \
              tool ($(b,--by) does not apply).")
   in
-  let run by_tool diff file =
+  let counters =
+    Arg.(
+      value & flag
+      & info [ "counters" ]
+          ~doc:
+            "Print only the counter totals, one line per stage, stages by \
+             name, without time-valued counters such as $(b,busy_us): \
+             the work a run did, comparable between runs.")
+  in
+  let run by_tool diff counters file =
     let render () =
       match diff with
       | Some before -> Core.Trace.render_diff before file
+      | None when counters -> Core.Trace.render_counters file
       | None -> Core.Trace.render_stats ~by_tool file
     in
     match render () with
@@ -1041,8 +1051,9 @@ let stats_cmd =
        ~doc:
          "Summarize a trace recorded with --trace: per-domain busy time, \
           per-stage inclusive and self wall time, and counter totals; or, \
-          with $(b,--diff), the self-time change from another trace.")
-    Term.(const run $ by_tool $ diff $ file)
+          with $(b,--diff), the self-time change from another trace; or, \
+          with $(b,--counters), the counter totals alone.")
+    Term.(const run $ by_tool $ diff $ counters $ file)
 
 let main =
   Cmd.group

@@ -1,7 +1,6 @@
 open Hw
 
-let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
-  let sched = Sched.analyze ~options m in
+let generate ?(options = Options.default) (m : Lang.modul) (sched : Sched.t) =
   let b = Builder.create m.Lang.mod_name in
   let inputs = Hashtbl.create 8 in
   List.iter
@@ -143,6 +142,35 @@ let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
           Builder.connect b q data)
     m.Lang.regs;
   List.iter (fun (name, e) -> Builder.output b name (expr e)) m.Lang.outputs;
-  (Builder.finalize b, sched)
+  Builder.finalize b
+
+(* [generate] reads the module, the rules' order, the conflict matrix and
+   two options: exactly what this key spells out, [precede] and [effort]
+   aside. *)
+let key ?(options = Options.default) (m : Lang.modul) (sched : Sched.t) =
+  let rules = Array.of_list m.Lang.rules in
+  let position (ru : Lang.rule) =
+    let rec go i = if rules.(i) == ru then i else go (i + 1) in
+    go 0
+  in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf m.Lang.mod_name;
+  Array.iter
+    (fun ru -> Printf.bprintf buf " %d" (position ru))
+    sched.Sched.rules;
+  Buffer.add_char buf ' ';
+  Array.iter
+    (Array.iter (fun c -> Buffer.add_char buf (if c then '1' else '0')))
+    sched.Sched.conflict;
+  Printf.bprintf buf " %s %b"
+    (match options.Options.mux_style with
+    | Options.Priority -> "priority"
+    | Options.One_hot -> "one-hot")
+    options.Options.aggressive_conditions;
+  Buffer.contents buf
+
+let compile_with_schedule ?(options = Options.default) m =
+  let sched = Sched.analyze ~options m in
+  (generate ~options m sched, sched)
 
 let compile ?options m = fst (compile_with_schedule ?options m)

@@ -411,3 +411,11 @@ let circuit ~name (t : Schedule.t) =
             regs)
     g.elems;
   Builder.finalize b
+
+let key (t : Schedule.t) =
+  let p = t.Schedule.proc in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (p.Transform.vars, p.Transform.arrays, t.Schedule.regions)
+          [ Marshal.No_sharing ]))

@@ -17,6 +17,12 @@
 
 val circuit : name:string -> Schedule.t -> Hw.Netlist.t
 
+val key : Schedule.t -> string
+(** The digest of what {!circuit} reads besides [name]: the variables
+    and arrays of the schedule's [proc] and its [regions] (the placed
+    operations), not its [config] nor the unscheduled code.  Equal keys
+    give netlists that are equal up to the circuit name. *)
+
 val state_count : Schedule.t -> int
 (** Number of distinct FSM states (loop bodies are counted once; the cycle
     count of a full run is {!Schedule.total_cycles}). *)

@@ -99,11 +99,24 @@ let with_io (cfg : Schedule.config) (proc : Transform.proc) =
       @ io_store_regions ~par:par_out top_array;
   }
 
+let schedule cfg proc = Schedule.schedule cfg (with_io cfg proc)
+
 let sequential_circuit ~name cfg opts program =
-  let proc = Transform.lower opts program in
-  let proc = with_io cfg proc in
-  let sched = Schedule.schedule cfg proc in
-  Fsm.circuit ~name sched
+  Fsm.circuit ~name (schedule cfg (Transform.lower opts program))
+
+type plan =
+  | Sequential of {
+      name : string;
+      cfg : Schedule.config;
+      opts : Transform.options;
+      program : Ast.program;
+    }
+  | Pipelined of (unit -> Hw.Netlist.t)
+
+let build = function
+  | Sequential { name; cfg; opts; program } ->
+      sequential_circuit ~name cfg opts program
+  | Pipelined f -> f ()
 
 (* ---------------- Bambu ---------------- *)
 
@@ -151,10 +164,16 @@ let bambu_schedule_config c =
     chain_ns = chain;
   }
 
-let bambu_circuit ?name c =
-  let name = Option.value name ~default:("bambu_" ^ describe_bambu c) in
-  sequential_circuit ~name (bambu_schedule_config c)
-    Transform.default_options Idct_c.program
+let bambu_plan ?name c =
+  Sequential
+    {
+      name = Option.value name ~default:("bambu_" ^ describe_bambu c);
+      cfg = bambu_schedule_config c;
+      opts = Transform.default_options;
+      program = Idct_c.program;
+    }
+
+let bambu_circuit ?name c = build (bambu_plan ?name c)
 
 (* ---------------- Vivado HLS ---------------- *)
 
@@ -342,34 +361,45 @@ let dataflow_circuit ~name ~clock_ns program =
   in
   (Axis.Adapter.wrap_matrix_kernel ~name ~latency:stages ~kernel (), stages)
 
-let vhls_circuit ?name c =
+let vhls_plan ?name c =
   let name = Option.value name ~default:("vhls_" ^ describe_vhls c) in
   if c.pipeline = 8 then
     (* II=8: one row unit and one column unit, time-shared over the eight
        rows/columns — what Vivado HLS binds for an 8-iteration pipeline. *)
-    Axis.Adapter.wrap_row_col ~name
-      ~row_unit:(pass_unit Idct_c.program "idct_row" ~out_width:16)
-      ~mid_width:16
-      ~col_unit:
-        (pass_unit Idct_c.program "idct_col" ~out_width:Axis.Stream.out_width)
-      ()
+    Pipelined
+      (fun () ->
+        Axis.Adapter.wrap_row_col ~name
+          ~row_unit:(pass_unit Idct_c.program "idct_row" ~out_width:16)
+          ~mid_width:16
+          ~col_unit:
+            (pass_unit Idct_c.program "idct_col"
+               ~out_width:Axis.Stream.out_width)
+          ())
   else if c.pipeline = 1 then
-    fst (dataflow_circuit ~name ~clock_ns:vhls_clock_target_ns Idct_c.program)
+    Pipelined
+      (fun () ->
+        fst
+          (dataflow_circuit ~name ~clock_ns:vhls_clock_target_ns
+             Idct_c.program))
   else
-    let opts =
+    Sequential
       {
-        Transform.inline_calls = c.inline;
-        unroll = false;
-        partition = (if c.partition then [ "blk"; "row"; "col" ] else []);
-        call_sync_cycles = 8;
+        name;
+        cfg =
+          {
+            Schedule.read_ports = 1;
+            write_ports = 1;
+            multipliers = 2;
+            chain_ns = vhls_clock_target_ns;
+          };
+        opts =
+          {
+            Transform.inline_calls = c.inline;
+            unroll = false;
+            partition = (if c.partition then [ "blk"; "row"; "col" ] else []);
+            call_sync_cycles = 8;
+          };
+        program = Idct_c.program;
       }
-    in
-    let cfg =
-      {
-        Schedule.read_ports = 1;
-        write_ports = 1;
-        multipliers = 2;
-        chain_ns = vhls_clock_target_ns;
-      }
-    in
-    sequential_circuit ~name cfg opts Idct_c.program
+
+let vhls_circuit ?name c = build (vhls_plan ?name c)

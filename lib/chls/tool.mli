@@ -36,6 +36,7 @@ val bambu_optimized : bambu_config
 
 val describe_bambu : bambu_config -> string
 val bambu_circuit : ?name:string -> bambu_config -> Hw.Netlist.t
+(** {!bambu_plan}'s stages, composed without sharing. *)
 
 type vhls_config = {
   inline : bool;           (** #pragma HLS INLINE on the passes *)
@@ -56,10 +57,40 @@ val vhls_ladder : vhls_config list
 
 val describe_vhls : vhls_config -> string
 val vhls_circuit : ?name:string -> vhls_config -> Hw.Netlist.t
+(** {!vhls_plan}'s stages, composed without sharing. *)
 
 val vhls_clock_target_ns : float
 val vhls_pragmas : vhls_config -> string list
 (** Pragma source lines (counted by the LOC metric). *)
+
+(** {1 Stages}
+
+    A configuration's circuit is a composition of stages.  The
+    sequential flow is {!Transform.lower}, then {!schedule}, then
+    {!Fsm.circuit}; the netlist depends on the configuration only
+    through the schedule, so a caller may run each stage once per
+    distinct input and share the results. *)
+
+type plan =
+  | Sequential of {
+      name : string;  (** the circuit's name *)
+      cfg : Schedule.config;
+      opts : Transform.options;
+      program : Ast.program;
+    }
+  | Pipelined of (unit -> Hw.Netlist.t)
+      (** the PIPELINE rungs, which bypass the sequential flow *)
+
+val bambu_plan : ?name:string -> bambu_config -> plan
+(** Always [Sequential]; the default name is ["bambu_" ^ describe_bambu c]. *)
+
+val vhls_plan : ?name:string -> vhls_config -> plan
+(** [Pipelined] for II=8 and II=1; the default name is
+    ["vhls_" ^ describe_vhls c]. *)
+
+val schedule : Schedule.config -> Transform.proc -> Schedule.t
+(** Wrap a lowered procedure with the I/O regions the configuration's
+    ports allow, and schedule it. *)
 
 (** {1 Building blocks} *)
 
@@ -77,7 +108,7 @@ val sequential_circuit :
   Transform.options ->
   Ast.program ->
   Hw.Netlist.t
-(** Full sequential flow: lower, wrap with I/O regions, schedule, FSM. *)
+(** Full sequential flow: {!Transform.lower}, {!schedule}, {!Fsm.circuit}. *)
 
 val dataflow_circuit :
   name:string -> clock_ns:float -> Ast.program -> Hw.Netlist.t * int

@@ -244,12 +244,11 @@ let stage ~spec (d : Design.t) name f =
 
 (* Design points whose elaborated netlists are equal up to the circuit
    name share one simulation and one synthesis: BSC's 26 option points
-   elaborate to 9 netlists and Bambu's 42 to 22.  The content key is the
-   digest of the marshalled nodes, memories and ports, without sharing
-   and without the name, as [Transfo.Engine.verdict_key] keys circuits; a
-   simulation is keyed also by the spec, the stimulus length and the
-   cycle budget, so a [stall] fault, which shrinks the budget, changes the
-   key.  A computation that raises is not stored ([Parallel.Memo]): a
+   elaborate to 9 netlists and Bambu's 42 to 22.  The content key is
+   [Hw.Netlist.content_key], the digest of the nodes, memories and ports
+   without the name; a simulation is keyed also by the spec, the
+   stimulus length and the cycle budget, so a [stall] fault, which
+   shrinks the budget, changes the key.  A computation that raises is not stored ([Parallel.Memo]): a
    failing duplicate runs again and its error names its own circuit.  The
    validation, the bit-true check, every fault probe and the metrics stay
    per design point.  A span served from the share carries the counter
@@ -268,14 +267,6 @@ end)
 let clear_shared () =
   Shared_sim.clear ();
   Shared_synth.clear ()
-
-let content_key (c : Hw.Netlist.t) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (c.Hw.Netlist.nodes, c.Hw.Netlist.mems, c.Hw.Netlist.inputs,
-           c.Hw.Netlist.outputs)
-          [ Marshal.No_sharing ]))
 
 let shared find_or_compute ~key f =
   let ran = ref false in
@@ -319,7 +310,7 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
             c)
       in
       stage "validate" (fun () -> Hw.Netlist.validate circuit);
-      let content = content_key circuit in
+      let content = Hw.Netlist.content_key circuit in
       let mats = spec.stimulus matrices in
       let r =
         stage "simulate" (fun () ->

@@ -105,6 +105,27 @@ let ladder sweep =
     ~optimized:(List.nth sweep (List.length sweep - 1))
     sweep
 
+(* Back ends built once per intermediate.  A tool's cheap front half
+   runs per design point; its back half runs once per key, the content
+   of the intermediate it reads, in a table of [Once] cells: every point
+   with that key gets the one value, built by the first caller.  A point
+   served from a back end's table marks its [elaborate] span with
+   [shared] = 1. *)
+let once_table ?(back_end = true) name =
+  let cells = Hashtbl.create 16 and lock = Mutex.create () in
+  fun key build ->
+    let cell, found =
+      Mutex.protect lock (fun () ->
+          match Hashtbl.find_opt cells key with
+          | Some cell -> (cell, true)
+          | None ->
+              let cell = Once.make name build in
+              Hashtbl.add cells key cell;
+              (cell, false))
+    in
+    if found && back_end then Trace.add_counter "shared" 1;
+    Once.force cell
+
 (* ------------------------------------------------------------------ *)
 (* The paper's IDCT, one inventory per tool                             *)
 (* ------------------------------------------------------------------ *)
@@ -177,30 +198,39 @@ let chisel =
 
 (* ---------------- BSV ---------------- *)
 
+(* The rule module is built on first use, once per process, and shared
+   by every point compiled from it.  Each point schedules the module;
+   the compiler's back end runs once per [Bsv.Compile.key] (the 25
+   points of the optimized module have 8 distinct keys). *)
+let bsv_compiler name build =
+  let modul = Once.make name build and generated = once_table "BSC/generate" in
+  fun options ->
+    let m = Once.force modul in
+    let sched = Bsv.Sched.analyze ~options m in
+    generated (Bsv.Compile.key ~options m sched) (fun () ->
+        Bsv.Compile.generate ~options m sched)
+
+let bsv_initial = bsv_compiler "BSC/initial module" Bsv.Idct_bsv.initial_design
+
+let bsv_optimized =
+  bsv_compiler "BSC/optimized module" Bsv.Idct_bsv.optimized_design
+
 let bsv =
   let listing_optimized =
     counted (glue Listings.bsv_shared Listings.bsv_optimized)
   in
   let shared_loc = Loc.count Listings.bsv_shared in
-  (* The rule modules are built on first use, once per process, and
-     shared by every point compiled from them. *)
-  let initial_m = Once.make "BSC/initial module" Bsv.Idct_bsv.initial_design
-  and optimized_m =
-    Once.make "BSC/optimized module" Bsv.Idct_bsv.optimized_design
-  in
-  let design label config_desc listing modul options =
+  let design label config_desc listing compile options =
     mk_shared Bsv label config_desc ~shared_loc listing
-      (Stream
-         (cell Bsv label (fun () ->
-              Bsv.Idct_bsv.circuit ~options (Once.force modul))))
+      (Stream (cell Bsv label (fun () -> compile options)))
   in
   let initial =
     design "initial" "BSC defaults"
       (counted (glue Listings.bsv_shared Listings.bsv_initial))
-      initial_m Bsv.Options.default
+      bsv_initial Bsv.Options.default
   in
   let optimized =
-    design "optimized" "BSC defaults" listing_optimized optimized_m
+    design "optimized" "BSC defaults" listing_optimized bsv_optimized
       Bsv.Options.default
   in
   (* 26 synthesized circuits: the two designs under the default
@@ -213,7 +243,7 @@ let bsv =
          (fun o ->
            design
              ("optimized/" ^ Bsv.Options.describe o)
-             (Bsv.Options.describe o) listing_optimized optimized_m o)
+             (Bsv.Options.describe o) listing_optimized bsv_optimized o)
          Bsv.Options.all)
     ~space:
       [
@@ -280,6 +310,25 @@ let maxj =
 
 (* ---------------- C / Bambu ---------------- *)
 
+(* Bambu's and Vivado HLS's sequential flow: a program is lowered once
+   per set of transformation options, each point schedules it, and one
+   FSM is generated per distinct schedule ([Chls.Fsm.key]), then renamed
+   for the point. *)
+let c_circuit =
+  let lowered = once_table ~back_end:false "C/lower" and fsms = once_table "C/fsm" in
+  function
+  | Chls.Tool.Pipelined build -> build ()
+  | Chls.Tool.Sequential { name; cfg; opts; program } ->
+      let proc =
+        lowered (opts, program) (fun () ->
+            Chls.Transform.lower opts program)
+      in
+      let sched = Chls.Tool.schedule cfg proc in
+      let c =
+        fsms (Chls.Fsm.key sched) (fun () -> Chls.Fsm.circuit ~name sched)
+      in
+      { c with Hw.Netlist.circuit_name = name }
+
 let bambu =
   let listing = Chls.Cprint.emit Chls.Idct_c.program in
   let fu = Loc.count listing in
@@ -290,7 +339,7 @@ let bambu =
     in
     mk Bambu label (Chls.Tool.describe_bambu c) ~fu
       ~axi:bambu_adapter_loc ~conf ~listing
-      (Stream (cell Bambu label (fun () -> Chls.Tool.bambu_circuit c)))
+      (Stream (cell Bambu label (fun () -> c_circuit (Chls.Tool.bambu_plan c))))
   in
   (* The full 7 x 2 x 3 option grid, axes in the nesting order of
      [Chls.Tool.bambu_grid] (chaining effort fastest).  The preset names
@@ -335,7 +384,8 @@ let vhls =
     mk Vivado_hls label (Chls.Tool.describe_vhls c) ~fu:loc
       ~axi:0 (* the INTERFACE pragma generates the adapter *)
       ~conf:0 ~listing
-      (Stream (cell Vivado_hls label (fun () -> Chls.Tool.vhls_circuit c)))
+      (Stream
+         (cell Vivado_hls label (fun () -> c_circuit (Chls.Tool.vhls_plan c))))
   in
   let sweep =
     List.map (fun c -> design (Chls.Tool.describe_vhls c) c) Chls.Tool.vhls_ladder

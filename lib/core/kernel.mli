@@ -93,3 +93,27 @@ val delta_loc : t -> Design.tool -> int
 
 val all_designs : t -> Design.t list
 (** Every sweep point of every tool, registration order. *)
+
+(** {1 Back ends built once per intermediate}
+
+    The IDCT's BSC, Bambu and Vivado HLS cells run their tool's front
+    half per design point and its back half once per key of the
+    intermediate the back half reads, in a table of {!Once} cells.
+    Points with equal keys get the same netlist value (node array,
+    memories and ports); a point served from a table adds the counter
+    [shared] = 1 to its [elaborate] span.  The Bambu and Vivado HLS
+    cells lower a program once per (options, program) and run
+    {!Chls.Fsm.circuit} once per {!Chls.Fsm.key}, each point getting the
+    netlist under its own name. *)
+
+val bsv_compiler : string -> (unit -> Bsv.Lang.modul) -> Bsv.Options.t -> Hw.Netlist.t
+(** [bsv_compiler name build]: BSC on the module [build ()], built once
+    on first use (a {!Once} cell called [name]).  Each call runs
+    {!Bsv.Sched.analyze} under the options, then {!Bsv.Compile.generate}
+    once per {!Bsv.Compile.key}.  The result emits the same Verilog as
+    [Bsv.Compile.compile ~options (build ())]. *)
+
+val bsv_initial : Bsv.Options.t -> Hw.Netlist.t
+val bsv_optimized : Bsv.Options.t -> Hw.Netlist.t
+(** The IDCT's two rule modules under {!bsv_compiler}: what its BSC cells
+    force. *)

@@ -445,6 +445,14 @@ let traced_wall spans =
     neg_infinity spans
   -. List.fold_left (fun a sp -> Float.min a sp.start_s) infinity spans
 
+(* A stage's counters, by name, after the stage padded to [w]. *)
+let counter_line w r =
+  Printf.sprintf "%-*s %s" w r.sum_stage
+    (String.concat "  "
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+          (List.sort compare r.sum_counters)))
+
 let render_stats ?(by_tool = false) path =
   let spans = load_json path in
   let rows = summarize (fun sp -> (sp.stage, "")) spans in
@@ -522,17 +530,29 @@ let render_stats ?(by_tool = false) path =
     let with_counters = List.filter (fun r -> r.sum_counters <> []) rows in
     if with_counters <> [] then begin
       pr "counters:\n";
-      List.iter
-        (fun r ->
-          pr "  %-*s %s\n" w r.sum_stage
-            (String.concat "  "
-               (List.map
-                  (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                  (List.sort compare r.sum_counters))))
-        with_counters
+      List.iter (fun r -> pr "  %s\n" (counter_line w r)) with_counters
     end
   end;
   Buffer.contents buf
+
+(* A counter named [*_us] is a time (a worker's [busy_us]): it varies
+   from run to run, so [--counters] leaves it out. *)
+let is_time k = String.ends_with ~suffix:"_us" k
+
+let render_counters path =
+  let rows =
+    summarize (fun sp -> (sp.stage, "")) (load_json path)
+    |> List.map (fun r ->
+           { r with
+             sum_counters =
+               List.filter (fun (k, _) -> not (is_time k)) r.sum_counters })
+    |> List.filter (fun r -> r.sum_counters <> [])
+    |> List.sort (fun a b -> compare a.sum_stage b.sum_stage)
+  in
+  let w =
+    List.fold_left (fun a r -> max a (String.length r.sum_stage)) 5 rows
+  in
+  String.concat "" (List.map (fun r -> counter_line w r ^ "\n") rows)
 
 let render_diff before after =
   let b = load_json before and a = load_json after in

@@ -108,6 +108,13 @@ val render_stats : ?by_tool:bool -> string -> string
     the order of their total time and each stage's tools by self time,
     and no counters. *)
 
+val render_counters : string -> string
+(** The [hlsvhc stats --counters] report of a trace file: one line per
+    stage that has counters, stages by name, each stage's counters
+    summed and by name.  A counter named [*_us] is a time, not a count
+    of work, and is left out, so the report of a [-j 1] run is the same
+    from run to run. *)
+
 val render_diff : string -> string -> string
 (** [render_diff before after], the [hlsvhc stats --diff] report of two
     trace files: self time before and after, and its change, per stage

@@ -156,16 +156,19 @@ let iter_edges f nd =
 (* Per-netlist memos.  A netlist is levelized by the builder, validated
    by the flow, then simulated, interpreted, timed and retimed: each of
    those asks for the same order, so it is computed once per [nodes]
-   array, and a passed validation once per record.  Keys are compared
-   physically and held weakly (a collected netlist drops its entries);
-   the hash reads only contents, which survive a GC move.  A failure is
-   never stored: it raises again, with its diagnostic, on every call.
-   Ephemeron tables are not domain-safe, hence the one lock. *)
+   array, and a passed validation once per record.  A content key is
+   computed once per [nodes] array too, and reused only by a record with
+   the same memories and ports (physically), such as a renamed copy.
+   Keys are compared physically and held weakly (a collected netlist
+   drops its entries); the hash reads only contents, which survive a GC
+   move.  A failure is never stored: it raises again, with its
+   diagnostic, on every call.  Ephemeron tables are not domain-safe,
+   hence the one lock. *)
 let shape_hash (nodes : node array) =
   let n = Array.length nodes in
   if n = 0 then 0 else Hashtbl.hash (n, nodes.(n / 2), nodes.(n - 1))
 
-module Orders = Ephemeron.K1.Make (struct
+module By_nodes = Ephemeron.K1.Make (struct
   type t = node array
 
   let equal = ( == )
@@ -182,8 +185,17 @@ module Validated = Ephemeron.K1.Make (struct
 end)
 
 let memo_lock = Mutex.create ()
-let orders : uid array Orders.t = Orders.create 64
+let orders : uid array By_nodes.t = By_nodes.create 64
 let validated : unit Validated.t = Validated.create 64
+
+type keyed = {
+  k_mems : mem array;
+  k_inputs : (string * uid) list;
+  k_outputs : (string * uid) list;
+  k_key : string;
+}
+
+let keys : keyed By_nodes.t = By_nodes.create 64
 let memo_find tbl find k = Mutex.protect memo_lock (fun () -> find tbl k)
 let memo_add tbl add k v = Mutex.protect memo_lock (fun () -> add tbl k v)
 
@@ -237,11 +249,11 @@ let levelize t =
   order
 
 let shared_order t =
-  match memo_find orders Orders.find_opt t.nodes with
+  match memo_find orders By_nodes.find_opt t.nodes with
   | Some order -> order
   | None ->
       let order = levelize t in
-      memo_add orders Orders.replace t.nodes order;
+      memo_add orders By_nodes.replace t.nodes order;
       order
 
 (* The caller owns the copy: [Sim] and [Interp] compact it in place. *)
@@ -342,6 +354,24 @@ let validate t =
     check t;
     memo_add validated Validated.replace t ()
   end
+
+let content_key t =
+  match memo_find keys By_nodes.find_opt t.nodes with
+  | Some k
+    when k.k_mems == t.mems && k.k_inputs == t.inputs
+         && k.k_outputs == t.outputs ->
+      k.k_key
+  | _ ->
+      let key =
+        Digest.to_hex
+          (Digest.string
+             (Marshal.to_string (t.nodes, t.mems, t.inputs, t.outputs)
+                [ Marshal.No_sharing ]))
+      in
+      memo_add keys By_nodes.replace t.nodes
+        { k_mems = t.mems; k_inputs = t.inputs; k_outputs = t.outputs;
+          k_key = key };
+      key
 
 let stats t =
   let tbl = Hashtbl.create 16 in

@@ -116,6 +116,13 @@ val comb_order : t -> uid array
     shared; each call returns a fresh copy that the caller owns.
     @raise Failure on a combinational cycle. *)
 
+val content_key : t -> string
+(** The hex digest of the marshalled nodes, memories and ports, without
+    sharing and without the circuit name: two netlists that are equal up
+    to their names have the same key.  Computed once per [nodes] array;
+    a record that shares the array but not (physically) its memories or
+    ports is digested afresh. *)
+
 val stats : t -> (string * int) list
 (** Node-kind histogram, for reports and debugging. *)
 

@@ -542,6 +542,30 @@ let test_twin_timeout_not_shared () =
                (Core.Flow.class_detail e.Core.Flow.err_class)))
         [ (a, "twin_a"); (b, "twin_b") ])
 
+(* [stats --counters]: the work counters of every stage, by stage name,
+   summed over spans; a time-valued counter such as a worker's [busy_us]
+   is left out, so the report repeats from run to run. *)
+let test_counters_report () =
+  let span id stage counters =
+    { Core.Trace.id; parent = 0; domain = 0; design = "idct:BSC/x"; stage;
+      start_s = float_of_int id; dur_s = 0.5; counters }
+  in
+  with_trace_file
+    [
+      span 1 "worker" [ ("claimed", 2); ("busy_us", 1234) ];
+      span 2 "simulate" [ ("cycles", 10); ("shared", 1) ];
+      span 3 "elaborate" [ ("netlist_nodes", 7) ];
+      span 4 "simulate" [ ("cycles", 5) ];
+      span 5 "metrics" [];
+      span 6 "worker" [ ("busy_us", 99) ];
+    ]
+    (fun file ->
+      check Alcotest.string "counter lines"
+        "elaborate netlist_nodes=7\n\
+         simulate  cycles=15  shared=1\n\
+         worker    claimed=2\n"
+        (Core.Trace.render_counters file))
+
 let () =
   Alcotest.run "flow"
     [
@@ -579,5 +603,7 @@ let () =
             test_twin_stall_stays_put;
           Alcotest.test_case "a timed-out share is not remembered" `Quick
             test_twin_timeout_not_shared;
+          Alcotest.test_case "counters report leaves times out" `Quick
+            test_counters_report;
         ] );
     ]

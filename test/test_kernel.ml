@@ -196,6 +196,160 @@ let test_trace_spans_name_kernel () =
     (List.exists (fun s -> s.Core.Trace.design = expected) spans);
   Core.Evaluate.clear_measure_cache ()
 
+(* ---------------- back ends built once per key ---------------- *)
+
+let netlist d =
+  match d.Core.Design.impl with
+  | Core.Design.Stream c -> Core.Design.force c
+  | Core.Design.Pcie _ -> Alcotest.fail "not a stream design"
+
+(* [points] pairs each key with the shared netlist and the unshared
+   reference: each shared netlist emits the reference's Verilog, equal
+   keys share one node array, memories and ports, and different keys
+   were built apart.  Returns the number of distinct keys (builds). *)
+let check_shared what points =
+  let firsts = Hashtbl.create 16 in
+  List.iter
+    (fun (key, (shared : Hw.Netlist.t), reference) ->
+      check string (what ^ " emits the unshared Verilog")
+        (Hw.Verilog.emit reference) (Hw.Verilog.emit shared);
+      match Hashtbl.find_opt firsts key with
+      | None ->
+          Hashtbl.iter
+            (fun _ (c : Hw.Netlist.t) ->
+              check bool (what ^ ": another key, another build") false
+                (c.Hw.Netlist.nodes == shared.Hw.Netlist.nodes))
+            firsts;
+          Hashtbl.add firsts key shared
+      | Some (c : Hw.Netlist.t) ->
+          check bool (what ^ ": equal keys share the nodes") true
+            (c.Hw.Netlist.nodes == shared.Hw.Netlist.nodes
+            && c.Hw.Netlist.mems == shared.Hw.Netlist.mems
+            && c.Hw.Netlist.inputs == shared.Hw.Netlist.inputs
+            && c.Hw.Netlist.outputs == shared.Hw.Netlist.outputs))
+    points;
+  Hashtbl.length firsts
+
+let bsv_points compile build options =
+  let m = build () in
+  List.map
+    (fun options ->
+      ( Bsv.Compile.key ~options m (Bsv.Sched.analyze ~options m),
+        compile options,
+        Bsv.Compile.compile ~options m ))
+    options
+
+(* Every option setting on both IDCT rule modules, through the same
+   compilers the BSC cells use; the cells return the compilers' values. *)
+let test_bsv_once_per_key () =
+  let grid = Bsv.Options.default :: Bsv.Options.all in
+  let initial =
+    check_shared "BSC/initial"
+      (bsv_points Core.Kernel.bsv_initial Bsv.Idct_bsv.initial_design grid)
+  and optimized =
+    check_shared "BSC/optimized"
+      (bsv_points Core.Kernel.bsv_optimized Bsv.Idct_bsv.optimized_design
+         grid)
+  in
+  check int "optimized module: 25 points, 8 builds" 8 optimized;
+  check int "initial module: 25 points, 8 builds" 8 initial;
+  List.iter
+    (fun d ->
+      let options =
+        if d.Core.Design.label = "initial" || d.Core.Design.label = "optimized"
+        then Bsv.Options.default
+        else
+          List.find
+            (fun o -> d.Core.Design.config_desc = Bsv.Options.describe o)
+            Bsv.Options.all
+      in
+      let compile =
+        if d.Core.Design.label = "initial" then Core.Kernel.bsv_initial
+        else Core.Kernel.bsv_optimized
+      in
+      check bool (d.Core.Design.label ^ ": the cell is the compiler's value")
+        true
+        (netlist d == compile options))
+    (Core.Kernel.sweep Core.Kernel.idct Core.Design.Bsv)
+
+(* [effort] is not keyed as such: at 0 the two writers of [x] conflict,
+   at 2 their disjoint guards discharge it, so the two schedules give two
+   builds.  Effort 1 schedules like 0 here, and shares its build. *)
+let test_bsv_effort_keyed () =
+  let open Bsv.Lang in
+  let build () =
+    let bld = builder "effort" in
+    let phase = mk_reg bld "phase" 2 in
+    let x = mk_reg bld "x" 8 in
+    mk_rule bld "p0" ~guard:(read phase ==: cst 2 0) [ assign x (cst 8 1) ];
+    mk_rule bld "p1" ~guard:(read phase ==: cst 2 1) [ assign x (cst 8 2) ];
+    mk_output bld "x" (read x);
+    mk_module bld
+  in
+  let effort e = { Bsv.Options.default with Bsv.Options.effort = e } in
+  let compile = Core.Kernel.bsv_compiler "effort module" build in
+  check int "effort 0, 1, 2: two builds" 2
+    (check_shared "effort" (bsv_points compile build [ effort 0; effort 1; effort 2 ]));
+  check bool "the two builds differ" true
+    (Hw.Netlist.content_key (compile (effort 0))
+    <> Hw.Netlist.content_key (compile (effort 2)))
+
+let c_points tool configs plan circuit =
+  List.map2
+    (fun d c ->
+      let plan = plan c in
+      let key =
+        match plan with
+        | Chls.Tool.Sequential { cfg; opts; program; _ } ->
+            Chls.Fsm.key
+              (Chls.Tool.schedule cfg (Chls.Transform.lower opts program))
+        | Chls.Tool.Pipelined _ -> d.Core.Design.label
+      in
+      (key, netlist d, circuit c))
+    (Core.Kernel.sweep Core.Kernel.idct tool)
+    configs
+
+(* One FSM table serves both tools: a Vivado HLS rung whose schedule
+   equals a Bambu point's shares that point's build. *)
+let test_c_once_per_schedule () =
+  check int "Bambu and Vivado HLS: 47 points, 26 builds" 26
+    (check_shared "C"
+       (c_points Core.Design.Bambu Chls.Tool.bambu_grid
+          (fun c -> Chls.Tool.bambu_plan c)
+          (fun c -> Chls.Tool.bambu_circuit c)
+       @ c_points Core.Design.Vivado_hls Chls.Tool.vhls_ladder
+           (fun c -> Chls.Tool.vhls_plan c)
+           (fun c -> Chls.Tool.vhls_circuit c)))
+
+(* A content key is reused by a renamed copy of a netlist, and not by a
+   record that shares the node array but has other ports. *)
+let test_content_key_memo () =
+  let c = Bsv.Idct_bsv.circuit (Bsv.Idct_bsv.optimized_design ()) in
+  let k = Hw.Netlist.content_key c in
+  check string "renamed copy" k
+    (Hw.Netlist.content_key { c with Hw.Netlist.circuit_name = "other" });
+  let fewer = { c with Hw.Netlist.outputs = List.tl c.Hw.Netlist.outputs } in
+  check bool "other ports, other key" true (Hw.Netlist.content_key fewer <> k);
+  check string "the record itself again" k (Hw.Netlist.content_key c);
+  check string "a copy of the memories, same content" k
+    (Hw.Netlist.content_key
+       { c with Hw.Netlist.mems = Array.copy c.Hw.Netlist.mems })
+
+(* The raising view perfbench's [comply] calls: 7 passing verdicts, in
+   the kernel's tool order, at more domains than a 2-core host has. *)
+let test_compliance_all () =
+  let k = Core.Kernel.idct in
+  let designs = List.map (Core.Kernel.optimized k) (Core.Kernel.tools k) in
+  let verdicts =
+    Core.Evaluate.compliance_all ~jobs:3 ~blocks:500 ~spec:(Core.Kernel.spec k)
+      designs
+  in
+  check (Alcotest.list string) "tool order"
+    (List.map Core.Design.tool_name (Core.Kernel.tools k))
+    (List.map (fun (d, _) -> Core.Design.tool_name d.Core.Design.tool) verdicts);
+  check (Alcotest.list bool) "all pass" (List.map (fun _ -> true) designs)
+    (List.map snd verdicts)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -222,5 +376,20 @@ let () =
         [
           Alcotest.test_case "spans name the kernel" `Quick
             test_trace_spans_name_kernel;
+        ] );
+      ( "back ends",
+        [
+          Alcotest.test_case "BSC builds once per key" `Quick
+            test_bsv_once_per_key;
+          Alcotest.test_case "effort reaches the key through the schedule"
+            `Quick test_bsv_effort_keyed;
+          Alcotest.test_case "one FSM per schedule" `Quick
+            test_c_once_per_schedule;
+          Alcotest.test_case "content key memo" `Quick test_content_key_memo;
+        ] );
+      ( "comply",
+        [
+          Alcotest.test_case "compliance_all: 7 verdicts in tool order"
+            `Slow test_compliance_all;
         ] );
     ]
